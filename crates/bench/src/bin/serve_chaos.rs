@@ -7,9 +7,8 @@
 //! Phases:
 //!
 //! - **baseline** — healthy shards × router: every corpus program is
-//!   analyzed once and its canonicalized report recorded. Canonical form
-//!   zeroes the wall-clock `stats` fields (`pointer_ms`, `slice_ms`,
-//!   `total_ms`) — everything else must be byte-identical forever after.
+//!   analyzed once and its report bytes recorded. Reports hold no
+//!   wall-clock, so they must be byte-identical forever after.
 //! - **chaos** — closed-loop client workers with retry enabled drive the
 //!   corpus through the router while shard 0 is shut down mid-load. The
 //!   breaker must open, every completed response must match its baseline
@@ -111,33 +110,10 @@ fn start_router(shards: &[ShardProc]) -> (taj_service::RouterHandle, String) {
     (handle, addr)
 }
 
-/// Zeroes every wall-clock field (`pointer_ms`, `slice_ms`, `total_ms`)
-/// anywhere in the tree, so reports computed at different times — or by
-/// the router's local-failover engine instead of a shard — compare
-/// byte-for-byte.
-fn canonicalize(value: &mut Value) {
-    match value {
-        Value::Object(entries) => {
-            for (key, v) in entries.iter_mut() {
-                if matches!(key.as_str(), "pointer_ms" | "slice_ms" | "total_ms") {
-                    *v = Value::UInt(0);
-                } else {
-                    canonicalize(v);
-                }
-            }
-        }
-        Value::Array(items) => {
-            for v in items.iter_mut() {
-                canonicalize(v);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn canonical_bytes(mut result: Value) -> String {
-    canonicalize(&mut result);
-    serde_json::to_string(&result).expect("serialize canonical report")
+/// A report's bytes — identical whether a shard or the router's
+/// local-failover engine computed it, and whenever it was computed.
+fn report_bytes(result: Value) -> String {
+    serde_json::to_string(&result).expect("serialize report")
 }
 
 /// Error codes a degraded system is allowed to answer with. Anything
@@ -222,7 +198,7 @@ fn spawn_chaos_workers(
                     match client.analyze(&corpus[idx], &opts) {
                         Ok(result) => {
                             let ms = t.elapsed().as_secs_f64() * 1e3;
-                            if canonical_bytes(result) == baseline[idx] {
+                            if report_bytes(result) == baseline[idx] {
                                 samples.lock().expect("samples lock").push((ms, was_down));
                             } else {
                                 tally.wrong_answers.fetch_add(1, Ordering::SeqCst);
@@ -318,7 +294,7 @@ fn overload_phase(program: &str, baseline_bytes: &str) -> OverloadResult {
         match client.analyze(program, &opts) {
             Ok(result) => {
                 assert_eq!(
-                    canonical_bytes(result),
+                    report_bytes(result),
                     baseline_bytes,
                     "overload burst request {k} completed with non-baseline bytes"
                 );
@@ -342,7 +318,7 @@ fn overload_phase(program: &str, baseline_bytes: &str) -> OverloadResult {
         .with_retry(RetryPolicy { max_attempts: 10, base_backoff_ms: 100, max_backoff_ms: 2_000 });
     let opts = AnalyzeOpts { threads: Some(1), ..AnalyzeOpts::default() };
     let patient_retry_ok = match patient.analyze(program, &opts) {
-        Ok(result) => canonical_bytes(result) == baseline_bytes,
+        Ok(result) => report_bytes(result) == baseline_bytes,
         Err(e) => panic!("patient retry never got through: {e:?}"),
     };
 
@@ -400,7 +376,7 @@ fn main() {
         store_base.display()
     );
 
-    // Baseline: healthy fleet, canonical bytes per program.
+    // Baseline: healthy fleet, report bytes per program.
     let mut shards = start_shards(&store_base, shard_count);
     let (router, router_addr) = start_router(&shards);
     let mut baseline_client = Client::connect_tcp(&router_addr).expect("connect baseline client");
@@ -411,7 +387,7 @@ fn main() {
         let t = Instant::now();
         let result = baseline_client.analyze(source, &opts).expect("baseline analyze");
         baseline_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        baseline.push(canonical_bytes(result));
+        baseline.push(report_bytes(result));
     }
     baseline_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let baseline = Arc::new(baseline);
@@ -510,7 +486,7 @@ fn main() {
     for (idx, source) in corpus.iter().enumerate() {
         match baseline_client.analyze(source, &opts) {
             Ok(result) => assert_eq!(
-                canonical_bytes(result),
+                report_bytes(result),
                 baseline[idx],
                 "recovery pass diverged from baseline on program {idx}"
             ),

@@ -50,15 +50,14 @@ pub mod report;
 pub mod rulefile;
 pub mod rules;
 pub mod scoring;
-pub mod summaries;
 
 pub use config::{Algorithm, TajConfig};
 pub use driver::{
     analyze_prepared, analyze_prepared_opts, analyze_source, analyze_source_opts,
-    analyze_with_phase1, analyze_with_phase1_opts, prepare, prepare_shared, prepare_traced,
-    run_phase1, run_phase1_incremental, run_phase1_shared, run_phase1_supervised,
-    run_phase1_traced, AnalysisStats, AnalyzedFlow, ConcurrencyReport, DegradationReport,
-    DegradationStep, Phase1, PreparedProgram, RunOptions, TajError, TajFinding, TajReport,
+    analyze_with_phase1, analyze_with_phase1_opts, prepare, prepare_traced, run_phase1,
+    run_phase1_supervised, run_phase1_traced, AnalysisStats, AnalyzedFlow, ConcurrencyReport,
+    DegradationReport, DegradationStep, Phase1, PreparedProgram, RunOptions, TajError, TajFinding,
+    TajReport,
 };
 pub use frameworks::{DeploymentDescriptor, EjbEntry};
 pub use lcp::Finding;
@@ -66,6 +65,5 @@ pub use report::{concurrency_text, profile_text, to_sarif, to_text};
 pub use rulefile::{parse_rules, RuleParseError};
 pub use rules::{IssueType, MethodRef, ResolvedRule, RuleSet, SecurityRule};
 pub use scoring::{score, GroundTruth, Score};
-pub use summaries::{CallDep, DeltaPlan, MethodSummary, SummaryStore};
 pub use taj_obs::Recorder;
 pub use taj_supervise::{InterruptReason, Supervisor};

@@ -19,9 +19,8 @@
 //!
 //! A recorder built with [`Recorder::deterministic`] strips wall-clock at
 //! record time (every timestamp becomes zero), so test-mode traces are
-//! byte-comparable across runs. [`Span::finish`] always returns the
-//! measured elapsed time — even when recording is disabled — which makes
-//! spans the single source of truth for the driver's phase timings.
+//! byte-comparable across runs. Spans are the single source of truth for
+//! phase timings: reports carry work counters only, never wall-clock.
 //!
 //! The [`metrics`] module is the daemon-facing half: fixed-bucket atomic
 //! [`metrics::Histogram`]s and an [`metrics::Exposition`] builder that
@@ -34,7 +33,7 @@ pub mod metrics;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A typed attribute value attached to a span or event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,7 +113,7 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder that records nothing. Spans still measure elapsed time.
+    /// A recorder that records nothing.
     pub fn disabled() -> Recorder {
         Recorder { inner: None }
     }
@@ -181,7 +180,7 @@ impl Recorder {
     }
 
     /// Starts a span. The returned guard records on [`Span::finish`] (or
-    /// on drop) and always measures real elapsed time, enabled or not.
+    /// on drop).
     pub fn span(&self, name: &'static str) -> Span {
         Span {
             recorder: self.clone(),
@@ -342,11 +341,9 @@ pub struct ProfileRow {
 }
 
 /// An in-flight span. Attach attributes with [`Span::attr`] and close it
-/// with [`Span::finish`], which records the event (if the recorder is
-/// enabled) and returns the measured wall-clock elapsed time — the
-/// driver's phase timings come from this return value, so timing works
-/// identically whether or not tracing is on. Dropping an unfinished span
-/// records it too (so early-error paths still leave a trace).
+/// with [`Span::finish`], which records the event if the recorder is
+/// enabled. Dropping an unfinished span records it too (so early-error
+/// paths still leave a trace).
 #[derive(Debug)]
 pub struct Span {
     recorder: Recorder,
@@ -366,23 +363,21 @@ impl Span {
         }
     }
 
-    /// Closes the span, records it, and returns the measured elapsed time.
-    pub fn finish(mut self) -> Duration {
-        self.close()
+    /// Closes the span and records it.
+    pub fn finish(mut self) {
+        self.close();
     }
 
-    fn close(&mut self) -> Duration {
+    fn close(&mut self) {
         self.closed = true;
-        let elapsed = self.started.elapsed();
         if self.recorder.is_enabled() {
             self.recorder.record(TraceEvent {
                 name: self.name,
                 start_us: self.start_us,
-                dur_us: Some(elapsed.as_micros() as u64),
+                dur_us: Some(self.started.elapsed().as_micros() as u64),
                 attrs: std::mem::take(&mut self.attrs),
             });
         }
-        elapsed
     }
 }
 
@@ -619,11 +614,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_measures_but_records_nothing() {
+    fn disabled_recorder_records_nothing() {
         let rec = Recorder::disabled();
-        let span = rec.span("phase");
-        let elapsed = span.finish();
-        assert!(elapsed >= Duration::ZERO);
+        rec.span("phase").finish();
         assert!(rec.events().is_empty());
         assert!(!rec.is_enabled());
     }

@@ -148,30 +148,23 @@ impl PointsTo {
     }
 }
 
-/// The solver's startup scan, separated out so incremental callers can
-/// reconstruct it from cached per-method summaries instead of re-walking
-/// every instruction (see `taj_core::summaries`).
-///
-/// The contents are **order-sensitive**: the vectors must list method ids
-/// (resp. field ids) exactly as `PreScan::scan` produces them — methods in
-/// table order, one entry per load/store occurrence in body order,
-/// duplicates included — because they feed the §6.1 priority heuristic and
-/// therefore node-exploration (and output) order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PreScan {
+/// The solver's startup scan: static indices for the §6.1 priority
+/// heuristic. The vectors list method ids (resp. field ids) in table
+/// order, one entry per load/store occurrence in body order, duplicates
+/// included, because they drive node-exploration (and output) order.
+struct PreScan {
     /// field → methods containing loads of it (instance and static).
-    pub field_loaders: HashMap<FieldId, Vec<MethodId>>,
+    field_loaders: HashMap<FieldId, Vec<MethodId>>,
     /// method → fields it stores (instance and static).
-    pub method_stores: HashMap<MethodId, Vec<FieldId>>,
+    method_stores: HashMap<MethodId, Vec<FieldId>>,
     /// Methods that generate taint: the sources themselves plus methods
     /// whose bodies call a source (the π = 0 seeds of §6.1).
-    pub source_adjacent: std::collections::HashSet<MethodId>,
+    source_adjacent: std::collections::HashSet<MethodId>,
 }
 
 impl PreScan {
-    /// Walks the whole program and builds the scan — the cold path, run
-    /// by the solver's constructor when no reconstruction is supplied.
-    pub fn scan(program: &Program, source_methods: &std::collections::HashSet<MethodId>) -> Self {
+    /// Walks the whole program and builds the scan.
+    fn scan(program: &Program, source_methods: &std::collections::HashSet<MethodId>) -> Self {
         // Static indices for the priority heuristic.
         let mut field_loaders: HashMap<FieldId, Vec<MethodId>> = HashMap::new();
         let mut method_stores: HashMap<MethodId, Vec<FieldId>> = HashMap::new();
@@ -242,37 +235,8 @@ pub fn analyze_traced(
     config: &SolverConfig,
     recorder: &taj_obs::Recorder,
 ) -> PointsTo {
-    analyze_inner(program, config, recorder, None)
-}
-
-/// [`analyze_traced`] with a pre-computed startup scan, the incremental
-/// re-solving entry point: callers that hold per-method summaries for
-/// `program` skip the instruction walk of [`PreScan::scan`]. The scan
-/// must be *exactly* what `PreScan::scan` would produce (checked by a
-/// `debug_assert`); everything downstream — worklist order, interning
-/// order, output bytes — is identical to a cold [`analyze`].
-pub fn analyze_prescanned(
-    program: &Program,
-    config: &SolverConfig,
-    recorder: &taj_obs::Recorder,
-    prescan: PreScan,
-) -> PointsTo {
-    debug_assert_eq!(
-        prescan,
-        PreScan::scan(program, &config.source_methods),
-        "reconstructed PreScan diverges from the solver's own scan"
-    );
-    analyze_inner(program, config, recorder, Some(prescan))
-}
-
-fn analyze_inner(
-    program: &Program,
-    config: &SolverConfig,
-    recorder: &taj_obs::Recorder,
-    prescan: Option<PreScan>,
-) -> PointsTo {
     let mut span = recorder.span("phase1.solve");
-    let pts = Solver::new_with_prescan(program, config, prescan).run();
+    let pts = Solver::new(program, config).run();
     if recorder.is_enabled() {
         span.attr("worklist_iterations", pts.stats.propagations);
         span.attr("contexts", pts.stats.contexts);
@@ -356,16 +320,12 @@ struct Solver<'p> {
 }
 
 impl<'p> Solver<'p> {
-    fn new_with_prescan(
-        program: &'p Program,
-        config: &'p SolverConfig,
-        prescan: Option<PreScan>,
-    ) -> Self {
+    fn new(program: &'p Program, config: &'p SolverConfig) -> Self {
         let mut contexts = Interner::new();
         let root = contexts.intern(Vec::new());
         debug_assert_eq!(ContextId(root), ROOT_CONTEXT);
         let PreScan { field_loaders, method_stores, source_adjacent } =
-            prescan.unwrap_or_else(|| PreScan::scan(program, &config.source_methods));
+            PreScan::scan(program, &config.source_methods);
         let max = config.max_cg_nodes.unwrap_or(usize::MAX);
         Solver {
             program,
@@ -1376,25 +1336,6 @@ mod tests {
         let main = program.method_by_name(main_class, "main").unwrap();
         program.entrypoints.push(main);
         program
-    }
-
-    /// A reconstructed [`PreScan`] must lead the solver to the same
-    /// solution as its own cold scan — including under §6.1 priority
-    /// mode, where the scan vectors drive exploration order.
-    #[test]
-    fn prescanned_run_equals_cold_run() {
-        let program = entry_program();
-        for priority in [false, true] {
-            let config = SolverConfig { priority, ..SolverConfig::default() };
-            let cold = analyze(&program, &config);
-            let scan = PreScan::scan(&program, &config.source_methods);
-            assert!(
-                !scan.field_loaders.is_empty(),
-                "Helper.id loads Helper.last; the scan must see it"
-            );
-            let warm = analyze_prescanned(&program, &config, &taj_obs::Recorder::disabled(), scan);
-            assert_eq!(cold.stats, warm.stats, "priority={priority}");
-        }
     }
 
     /// The scan marks source-calling methods as π = 0 seeds.

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use taj_core::{Phase1, PreparedProgram, SummaryStore};
+use taj_core::{Phase1, PreparedProgram};
 
 use crate::protocol::OutputFormat;
 
@@ -66,16 +66,6 @@ pub enum ArtifactKey {
         /// must not share a slot.
         degrade: bool,
     },
-    /// A per-method summary store (`taj_core::SummaryStore`), the diff
-    /// base for `analyze_delta`. Keyed like a prepared program — rules
-    /// matter because `prepare` applies the rule set's whitelist before
-    /// the summaries are rendered.
-    Summary {
-        /// Hash of the source text.
-        src: u128,
-        /// Hash of the rules text (0 for the default rule set).
-        rules: u128,
-    },
 }
 
 /// A cached artifact, shared by `Arc` — a hit never deep-copies.
@@ -87,8 +77,6 @@ pub enum Artifact {
     Phase1(Arc<Phase1>),
     /// Serialized response body.
     Report(Arc<String>),
-    /// Per-method summary store.
-    Summary(Arc<SummaryStore>),
 }
 
 struct Entry {
@@ -143,20 +131,16 @@ pub struct CacheTiers {
     pub phase1: TierStats,
     /// Serialized response bodies.
     pub report: TierStats,
-    /// Per-method summary stores (`analyze_delta` diff bases).
-    pub summary: TierStats,
 }
 
-/// Stable tier names, index-aligned with `tier_index`. The summary tier
-/// is appended so the original three indices stay stable.
-pub const TIER_NAMES: [&str; 4] = ["prepared", "phase1", "report", "summary"];
+/// Stable tier names, index-aligned with `tier_index`.
+pub const TIER_NAMES: [&str; 3] = ["prepared", "phase1", "report"];
 
 fn tier_index(key: &ArtifactKey) -> usize {
     match key {
         ArtifactKey::Prepared { .. } => 0,
         ArtifactKey::Phase1 { .. } => 1,
         ArtifactKey::Report { .. } => 2,
-        ArtifactKey::Summary { .. } => 3,
     }
 }
 
@@ -167,7 +151,7 @@ pub struct ArtifactCache {
     budget: usize,
     map: HashMap<ArtifactKey, Entry>,
     tick: u64,
-    tiers: [TierStats; 4],
+    tiers: [TierStats; 3],
     bytes: usize,
 }
 
@@ -178,7 +162,7 @@ impl ArtifactCache {
             budget: budget_bytes,
             map: HashMap::new(),
             tick: 0,
-            tiers: [TierStats::default(); 4],
+            tiers: [TierStats::default(); 3],
             bytes: 0,
         }
     }
@@ -199,15 +183,6 @@ impl ArtifactCache {
                 None
             }
         }
-    }
-
-    /// Looks up `key` without touching the hit/miss counters or recency.
-    /// The insert path uses this to stay first-writer-wins: a racing
-    /// loser must return the winner's bytes, but the race is not a cache
-    /// hit or miss from the caller's point of view — it already counted
-    /// its miss on the way in.
-    pub fn peek(&self, key: &ArtifactKey) -> Option<Artifact> {
-        self.map.get(key).map(|entry| entry.value.clone())
     }
 
     /// Inserts (or replaces) an entry, then evicts least-recently-used
@@ -263,12 +238,7 @@ impl ArtifactCache {
 
     /// Current counters, per tier.
     pub fn tier_stats(&self) -> CacheTiers {
-        CacheTiers {
-            prepared: self.tiers[0],
-            phase1: self.tiers[1],
-            report: self.tiers[2],
-            summary: self.tiers[3],
-        }
+        CacheTiers { prepared: self.tiers[0], phase1: self.tiers[1], report: self.tiers[2] }
     }
 }
 
@@ -283,12 +253,6 @@ pub fn prepared_bytes(source_len: usize) -> usize {
 pub fn phase1_bytes(phase1: &Phase1) -> usize {
     let s = &phase1.pts.stats;
     4096 + s.pointer_keys * 96 + s.instance_keys * 96 + s.call_edges * 48 + s.nodes * 64
-}
-
-/// Estimated footprint of a summary store, delegating to its own
-/// per-method accounting.
-pub fn summary_bytes(store: &SummaryStore) -> usize {
-    4096 + store.approx_bytes()
 }
 
 #[cfg(test)]
@@ -419,45 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_tier_counter_arithmetic() {
-        // Same counter-arithmetic discipline as the router shard
-        // counters: every lookup/insert/eviction on the summary tier
-        // lands in `tiers[3]` and nowhere else, and aggregates stay the
-        // exact sum over all four tiers.
-        let mut c = ArtifactCache::new(1 << 20);
-        let sk = ArtifactKey::Summary { src: 7, rules: 0 };
-        assert!(c.get(&sk).is_none());
-        c.insert(sk.clone(), report("s"), 40);
-        assert!(c.get(&sk).is_some());
-        // A summary key never aliases a prepared key of the same hashes.
-        let pk = ArtifactKey::Prepared { src: 7, rules: 0 };
-        assert_ne!(sk, pk);
-        assert!(c.get(&pk).is_none());
-        let t = c.tier_stats();
-        assert_eq!((t.summary.hits, t.summary.misses), (1, 1));
-        assert_eq!((t.summary.entries, t.summary.bytes_used), (1, 40));
-        assert_eq!((t.prepared.hits, t.prepared.misses), (0, 1));
-        assert_eq!((t.phase1.hits, t.phase1.misses, t.report.hits, t.report.misses), (0, 0, 0, 0));
-        let agg = c.stats();
-        assert_eq!((agg.hits, agg.misses), (1, 2));
-        assert_eq!((agg.bytes_used, agg.entries), (40, 1));
-    }
-
-    #[test]
-    fn summary_eviction_attributes_to_summary_tier() {
-        let mut c = ArtifactCache::new(150);
-        c.insert(ArtifactKey::Summary { src: 1, rules: 0 }, report("s"), 100);
-        c.insert(report_key(2, "hybrid"), report("r"), 100);
-        let t = c.tier_stats();
-        assert_eq!(t.summary.evictions, 1, "the summary entry was the LRU victim");
-        assert_eq!((t.summary.entries, t.summary.bytes_used), (0, 0));
-        assert_eq!(t.report.evictions, 0);
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
     fn tier_names_align_with_tier_indices() {
-        assert_eq!(TIER_NAMES, ["prepared", "phase1", "report", "summary"]);
+        assert_eq!(TIER_NAMES, ["prepared", "phase1", "report"]);
         assert_eq!(tier_index(&ArtifactKey::Prepared { src: 0, rules: 0 }), 0);
         assert_eq!(
             tier_index(&ArtifactKey::Phase1 {
@@ -469,7 +396,6 @@ mod tests {
             1
         );
         assert_eq!(tier_index(&report_key(0, "hybrid")), 2);
-        assert_eq!(tier_index(&ArtifactKey::Summary { src: 0, rules: 0 }), 3);
     }
 
     #[test]

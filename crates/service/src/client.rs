@@ -318,15 +318,13 @@ impl Client {
         }
     }
 
-    /// Sends one line and returns the whole parsed success envelope —
-    /// for callers that need sibling fields next to `result` (e.g. the
-    /// `delta` object on `analyze_delta` responses).
-    fn send_line_envelope(&mut self, line: &str) -> Result<Value, ClientError> {
+    /// Sends one line and returns the `result` of its success envelope.
+    fn send_line(&mut self, line: &str) -> Result<Value, ClientError> {
         let raw = self.request_raw(line)?;
         let response = serde_json::from_str(&raw)
             .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
         match response.get("ok").and_then(Value::as_bool) {
-            Some(true) => Ok(response),
+            Some(true) => Ok(response.get("result").cloned().unwrap_or(Value::Null)),
             Some(false) => {
                 let code = response["error"]["code"].as_str().unwrap_or("unknown").to_string();
                 let message = response["error"]["message"].as_str().unwrap_or("").to_string();
@@ -335,10 +333,6 @@ impl Client {
             }
             None => Err(ClientError::Protocol("response missing `ok` field".to_string())),
         }
-    }
-
-    fn send_line(&mut self, line: &str) -> Result<Value, ClientError> {
-        Ok(self.send_line_envelope(line)?.get("result").cloned().unwrap_or(Value::Null))
     }
 
     fn next_jitter(&mut self) -> u64 {
@@ -369,13 +363,7 @@ impl Client {
     /// (reconnecting first) and after retryable server rejections.
     /// Identical bytes per attempt is what makes a retry safe — the
     /// server's content-addressed caching dedupes re-execution.
-    fn request_idempotent(&mut self, request: Value) -> Result<Value, ClientError> {
-        Ok(self.request_idempotent_envelope(request)?.get("result").cloned().unwrap_or(Value::Null))
-    }
-
-    /// [`Client::request_idempotent`], returning the whole success
-    /// envelope instead of just its `result` field.
-    fn request_idempotent_envelope(&mut self, mut request: Value) -> Result<Value, ClientError> {
+    fn request_idempotent(&mut self, mut request: Value) -> Result<Value, ClientError> {
         self.assign_id(&mut request);
         let line = serialize_request(&request)?;
         let attempts = self.retry.max_attempts.max(1);
@@ -395,7 +383,7 @@ impl Client {
                     let _ = self.reconnect();
                 }
             }
-            match self.send_line_envelope(&line) {
+            match self.send_line(&line) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     let retryable = match &e {
@@ -425,30 +413,6 @@ impl Client {
         let mut req = analyze_body(source, opts);
         req.insert("cmd", Value::String("analyze".to_string()));
         self.request_idempotent(req)
-    }
-
-    /// Runs an incremental analysis of `source` as an edit of
-    /// `base_source`. Returns `(result, delta)`: the report (or SARIF)
-    /// value — byte-par with a plain [`Client::analyze`] of `source` —
-    /// plus the envelope's `delta` object describing where phase 1 came
-    /// from and how many method summaries were re-solved. Retried under
-    /// the client's [`RetryPolicy`] (analyze_delta is idempotent).
-    ///
-    /// # Errors
-    /// [`ClientError`] on socket, framing, or server-reported failures.
-    pub fn analyze_delta(
-        &mut self,
-        base_source: &str,
-        source: &str,
-        opts: &AnalyzeOpts,
-    ) -> Result<(Value, Value), ClientError> {
-        let mut req = analyze_body(source, opts);
-        req.insert("cmd", Value::String("analyze_delta".to_string()));
-        req.insert("base_source", Value::String(base_source.to_string()));
-        let envelope = self.request_idempotent_envelope(req)?;
-        let result = envelope.get("result").cloned().unwrap_or(Value::Null);
-        let delta = envelope.get("delta").cloned().unwrap_or(Value::Null);
-        Ok((result, delta))
     }
 
     /// Submits several analyses in one `batch` envelope; returns the

@@ -48,9 +48,8 @@ use crate::cache::content_hash;
 use crate::client::{Client, RetryPolicy};
 use crate::protocol::{
     batch_item_err, batch_item_ok, batch_result_raw, err_response, err_response_traced,
-    ok_response_raw, ok_response_raw_traced, ok_response_raw_traced_delta, parse_request,
-    stamp_trace, AnalyzeDeltaRequest, AnalyzeRequest, BatchRequest, Command, ErrorCode,
-    PROTOCOL_VERSION,
+    ok_response_raw, ok_response_raw_traced, parse_request, stamp_trace, AnalyzeRequest,
+    BatchRequest, Command, ErrorCode, PROTOCOL_VERSION,
 };
 use crate::server::{
     accept_loop, analyze_uncached, bind_listener, configs_value, store_fingerprint, Bind,
@@ -600,30 +599,6 @@ fn handle_line_inner(line: &str, state: &Arc<RouterState>, started: Instant) -> 
                 }
             }
         }
-        Command::AnalyzeDelta(req) => {
-            state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
-            let trace_id = req.request.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
-            let rec = router_recorder(state);
-            // Shard by the *base* source (not the edited source): every
-            // edit of one program then lands on the daemon whose summary
-            // and phase-1 tiers are already warm for that base.
-            let src = content_hash(req.base_source.as_bytes());
-            let rules = req.request.rules.as_ref().map_or(0, |r| content_hash(r.as_bytes()));
-            let shard_idx = ((src ^ rules) % state.shards.len() as u128) as usize;
-            let stamped = stamp_trace(line, &trace_id, "router");
-            match traced_forward(state, shard_idx, &stamped, &rec) {
-                Some(response) => {
-                    capture_router_flight(state, &rec, &trace_id, "ok", started);
-                    (response, false)
-                }
-                None => {
-                    let response =
-                        local_delta_response(state, &id, &req, req.request.timeout_ms, &trace_id);
-                    capture_router_flight(state, &rec, &trace_id, "failover", started);
-                    (response, false)
-                }
-            }
-        }
         Command::Batch(batch) => {
             state.counters.batch_requests.fetch_add(1, Ordering::SeqCst);
             (ok_response_raw(&id, &route_batch(state, line, batch)), false)
@@ -754,33 +729,6 @@ fn local_analyze_response(
     state.counters.local_fallbacks.fetch_add(1, Ordering::SeqCst);
     match local_analyze(state, req, timeout_ms) {
         Ok(raw) => ok_response_raw_traced(id, trace_id, &raw),
-        Err((code, msg)) => {
-            state.counters.errors.fetch_add(1, Ordering::SeqCst);
-            err_response_traced(id, trace_id, code, &msg)
-        }
-    }
-}
-
-/// Delta failover: the router holds no caches, so incremental reuse is
-/// impossible here — run a plain cache-free analysis of the edited
-/// source (the result bytes are identical either way) and say so in the
-/// envelope's delta object.
-fn local_delta_response(
-    state: &Arc<RouterState>,
-    id: &Value,
-    req: &AnalyzeDeltaRequest,
-    timeout_ms: Option<u64>,
-    trace_id: &str,
-) -> String {
-    state.counters.local_fallbacks.fetch_add(1, Ordering::SeqCst);
-    match local_analyze(state, &req.request, timeout_ms) {
-        Ok(raw) => ok_response_raw_traced_delta(
-            id,
-            trace_id,
-            "{\"source\":\"local-failover\",\"phase1_reused\":false,\
-             \"methods_resolved\":0,\"methods_total\":0}",
-            &raw,
-        ),
         Err((code, msg)) => {
             state.counters.errors.fetch_add(1, Ordering::SeqCst);
             err_response_traced(id, trace_id, code, &msg)

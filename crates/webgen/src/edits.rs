@@ -1,5 +1,6 @@
 //! Deterministic edit operations over generated benchmark sources — the
-//! input half of the incremental-analysis harness.
+//! edited programs of the end-to-end benchmark's `serve-mixed` workload,
+//! which sends them as plain `analyze` requests next to exact repeats.
 //!
 //! Each operation takes a jweb source and a seed and produces an edited
 //! source (or `None` when the operation does not apply, e.g. removing a
@@ -8,27 +9,25 @@
 //! every filler class carries a chain of `method int m<k>(int depth)`
 //! methods, so the edits land on known lines without a parser.
 //!
-//! The operations cover the structural-diff taxonomy the incremental
-//! analysis distinguishes:
+//! The operations span the kinds of change an edit can make:
 //!
-//! - [`EditKind::Comment`] — textual change, empty edit region;
-//! - [`EditKind::Body`] — one method body changes; its callers join the
-//!   dirty region through the dependency graph;
+//! - [`EditKind::Comment`] — textual change only, no method changes;
+//! - [`EditKind::Body`] — one method body changes;
 //! - [`EditKind::AddClass`] — methods appear;
 //! - [`EditKind::RemoveClass`] — methods disappear;
-//! - [`EditKind::Signature`] — a method's arity changes: the old summary
-//!   key is removed and a new one added, and the in-class caller is
-//!   patched to match (so the edit is a genuine multi-method change).
+//! - [`EditKind::Signature`] — a method's arity changes, and the
+//!   in-class caller is patched to match (so the edit is a genuine
+//!   multi-method change).
 //!
-//! Everything here is deterministic in `(source, kind, seed)` — the
-//! differential tests rely on replaying identical edit sequences.
+//! Everything here is deterministic in `(source, kind, seed)`, so a
+//! benchmark seed always replays the same edited sources.
 
 use std::fmt;
 
 /// One kind of structural edit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EditKind {
-    /// Append a trailing comment: no summary changes at all.
+    /// Append a trailing comment: no method changes at all.
     Comment,
     /// Insert a statement into one filler method body.
     Body,
@@ -40,7 +39,7 @@ pub enum EditKind {
     Signature,
 }
 
-/// Every edit kind, in the order the robustness tests cycle through.
+/// Every edit kind.
 pub const EDIT_KINDS: [EditKind; 5] = [
     EditKind::Comment,
     EditKind::Body,
@@ -74,32 +73,6 @@ pub fn apply_edit(source: &str, kind: EditKind, seed: u64) -> Option<String> {
         EditKind::RemoveClass => remove_class(source),
         EditKind::Signature => edit_signature(source, seed),
     }
-}
-
-/// Applies a `steps`-long deterministic edit chain, each step editing
-/// the previous step's output. Steps whose kind does not apply are
-/// skipped (the chain records only applied edits), so the result can be
-/// shorter than `steps` on degenerate sources.
-pub fn edit_chain(source: &str, seed: u64, steps: usize) -> Vec<(EditKind, String)> {
-    let mut chain = Vec::new();
-    let mut current = source.to_string();
-    for i in 0..steps {
-        // xorshift over the seed so consecutive steps decorrelate which
-        // method/class each edit lands on.
-        let step_seed = {
-            let mut x = seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let kind = EDIT_KINDS[(step_seed % EDIT_KINDS.len() as u64) as usize];
-        if let Some(edited) = apply_edit(&current, kind, step_seed) {
-            current = edited;
-            chain.push((kind, current.clone()));
-        }
-    }
-    chain
 }
 
 /// Line index and chain position `k` of every filler-method header
@@ -263,19 +236,5 @@ mod tests {
         assert!(edited.contains("int depth, int extra"), "signature widened");
         assert!(edited.contains("(depth + 1, 0);"), "caller patched");
         assert!(parses(&edited));
-    }
-
-    #[test]
-    fn edit_chain_is_deterministic_and_parses_throughout() {
-        let base = base_source();
-        let a = edit_chain(&base, 99, 8);
-        let b = edit_chain(&base, 99, 8);
-        assert_eq!(a.len(), b.len());
-        for ((ka, sa), (kb, sb)) in a.iter().zip(&b) {
-            assert_eq!(ka, kb);
-            assert_eq!(sa, sb);
-            assert!(parses(sa), "{ka} step parses");
-        }
-        assert!(a.len() >= 4, "most steps apply on a filler-rich source");
     }
 }

@@ -20,7 +20,7 @@ pub mod patterns;
 pub mod securibench;
 pub mod table2;
 
-pub use edits::{apply_edit, edit_chain, EditKind, EDIT_KINDS};
+pub use edits::{apply_edit, EditKind, EDIT_KINDS};
 pub use generate::{generate, standard_mix, BenchmarkSpec, GenStats, GeneratedBenchmark};
 pub use interp::{run_program, DynHit, InterpConfig};
 pub use micro::{micro_suite, motivating, MicroTest};

@@ -27,7 +27,7 @@ fn main() {
 
     println!(
         "{:<20} {:>7} {:>5} {:>5} {:>5} {:>9} {:>9} {:>10}",
-        "configuration", "issues", "TP", "FP", "FN", "cg nodes", "time(ms)", "truncated?"
+        "configuration", "issues", "TP", "FP", "FN", "cg nodes", "work", "truncated?"
     );
     println!("{}", "-".repeat(80));
     for config in TajConfig::all() {
@@ -42,7 +42,7 @@ fn main() {
                     s.false_positives,
                     s.false_negatives,
                     report.stats.cg_nodes,
-                    report.stats.total_ms,
+                    report.stats.slicer_work,
                     if report.stats.cg_budget_exhausted { "yes" } else { "no" },
                 );
             }

@@ -47,7 +47,5 @@ fn main() -> Result<(), taj::TajError> {
     println!("\nAnalysis statistics:");
     println!("  call-graph nodes : {}", report.stats.cg_nodes);
     println!("  abstract objects : {}", report.stats.instance_keys);
-    println!("  pointer phase    : {} ms", report.stats.pointer_ms);
-    println!("  slicing phase    : {} ms", report.stats.slice_ms);
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! taj router (--socket PATH | --tcp ADDR) --shard ADDR [--shard ADDR ...] [--timeout-ms N]
 //!            [--failure-threshold N] [--cooldown-ms N] [--flight-records N] [--trace-out FILE]
 //! taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--sarif]
-//!            [--timeout-ms N] [--degrade] [--threads N] [--delta <base.jweb>] [--trace-id ID]
+//!            [--timeout-ms N] [--degrade] [--threads N] [--trace-id ID]
 //! taj client (--socket PATH | --tcp ADDR) analyze --batch <file.jweb> [<file.jweb> ...]
 //! taj client (--socket PATH | --tcp ADDR) trace <trace-id> [--trace-out FILE]
 //! taj client (--socket PATH | --tcp ADDR) last-traces [--limit N]
@@ -71,7 +71,7 @@ fn main() -> ExitCode {
                 "       taj router (--socket PATH | --tcp ADDR) --shard ADDR [--shard ADDR ...] [--timeout-ms N] [--failure-threshold N] [--cooldown-ms N] [--flight-records N] [--trace-out FILE]"
             );
             eprintln!(
-                "       taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--rules FILE] [--sarif] [--timeout-ms N] [--degrade] [--threads N] [--delta <base.jweb>] [--trace-id ID]"
+                "       taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--rules FILE] [--sarif] [--timeout-ms N] [--degrade] [--threads N] [--trace-id ID]"
             );
             eprintln!(
                 "       taj client (--socket PATH | --tcp ADDR) analyze --batch <file.jweb> [<file.jweb> ...]"
@@ -441,7 +441,6 @@ fn client_cmd(args: &[String]) -> ExitCode {
         flag("degrade"),
         opt("threads"),
         flag("batch"),
-        opt("delta"),
         opt("limit"),
         opt("trace-out"),
         opt("trace-id"),
@@ -513,9 +512,6 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 trace_id: parsed.value("trace-id").map(str::to_string),
             };
             if parsed.has("batch") {
-                if parsed.value("delta").is_some() {
-                    return usage_error("`--delta` and `--batch` are mutually exclusive");
-                }
                 // One envelope, one response: every input file becomes an
                 // item sharing the command-line options; `--timeout-ms`
                 // becomes the envelope-wide deadline.
@@ -552,24 +548,7 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 Ok(s) => s,
                 Err(code) => return code,
             };
-            match parsed.value("delta") {
-                Some(base_path) => {
-                    let base_source = match read_file(base_path, "base input") {
-                        Ok(s) => s,
-                        Err(code) => return code,
-                    };
-                    client.analyze_delta(&base_source, &source, &opts).map(|(result, delta)| {
-                        // Delta metadata goes to stderr so stdout stays
-                        // byte-par with a plain `analyze` of the same
-                        // file — pipelines never see the difference.
-                        if let Ok(d) = serde_json::to_string(&delta) {
-                            eprintln!("delta: {d}");
-                        }
-                        result
-                    })
-                }
-                None => client.analyze(&source, &opts),
-            }
+            client.analyze(&source, &opts)
         }
         Some("trace") => {
             let Some(trace_id) = parsed.positionals.get(1) else {
@@ -764,11 +743,10 @@ fn run_analysis(
                 }
             } else {
                 println!(
-                    "{}: {} issue(s), {} raw flow(s), {} ms",
+                    "{}: {} issue(s), {} raw flow(s)",
                     report.config,
                     report.issue_count(),
-                    report.flows.len(),
-                    report.stats.total_ms
+                    report.flows.len()
                 );
                 for f in &report.findings {
                     println!(

@@ -1,23 +1,37 @@
 //! Helpers shared by the determinism and differential integration
 //! suites: the reproducible corpus (securibench + micro + webgen), the
 //! verdict/triage machinery of the three-way differential harness, and
-//! the normalized-report byte-identity helpers of the thread-invariance
-//! harness. Each test binary compiles its own copy and uses a subset,
-//! hence the file-wide `dead_code` allow.
+//! the report byte-identity helpers of the thread-invariance harness.
+//! Each test binary compiles its own copy and uses a subset, hence the
+//! file-wide `dead_code` allow.
 
 #![allow(dead_code)]
 
 use std::collections::BTreeSet;
 
 use taj::core::{
-    analyze_prepared, analyze_prepared_opts, analyze_with_phase1_opts, prepare,
-    run_phase1_incremental, run_phase1_supervised, to_sarif, to_text, DeploymentDescriptor,
-    GroundTruth, Phase1, PreparedProgram, Recorder, RuleSet, RunOptions, SummaryStore, Supervisor,
-    TajConfig, TajError, TajReport,
+    analyze_prepared, analyze_prepared_opts, prepare, to_sarif, to_text, DeploymentDescriptor,
+    GroundTruth, PreparedProgram, RuleSet, RunOptions, TajConfig, TajError, TajReport,
 };
 use taj::webgen::{
     generate, micro_suite, motivating, securibench_cases, standard_mix, BenchmarkSpec, Pattern,
 };
+
+/// Holds the failpoint scenario lock for the caller's scope. Failpoints
+/// are process-global, so under `--features taj_failpoints` a scenario
+/// running concurrently in the same test binary would otherwise fire
+/// inside a test that configures none. Empty in default builds.
+pub struct NoFailpoints {
+    #[cfg(feature = "taj_failpoints")]
+    _scenario: taj::supervise::failpoints::FailScenario,
+}
+
+pub fn no_failpoints() -> NoFailpoints {
+    NoFailpoints {
+        #[cfg(feature = "taj_failpoints")]
+        _scenario: taj::supervise::failpoints::FailScenario::setup(),
+    }
+}
 
 /// Thread counts every determinism scenario is differenced across. `1`
 /// is the inline sequential reference path; the rest fan out over
@@ -42,21 +56,10 @@ pub fn big_app(name: &str) -> PreparedProgram {
         .expect("generated benchmark prepares")
 }
 
-/// A report with the timing counters zeroed — wall-clock is the one
-/// legitimately run-dependent part of the output, and every rendering
-/// (JSON, text, SARIF) is compared over this normalized form, exactly as
-/// the daemon's report cache ignores the timing fields.
-pub fn normalized(report: &TajReport) -> TajReport {
-    let mut report = report.clone();
-    report.stats.pointer_ms = 0;
-    report.stats.slice_ms = 0;
-    report.stats.total_ms = 0;
-    report
-}
-
-/// Serializes a normalized report — the byte-stream under comparison.
-pub fn normalized_json(report: &TajReport) -> String {
-    serde_json::to_string_pretty(&normalized(report)).expect("report serializes")
+/// Serializes a report — the byte-stream under comparison. Reports hold
+/// no wall-clock, so raw bytes compare across runs.
+pub fn report_json(report: &TajReport) -> String {
+    serde_json::to_string_pretty(report).expect("report serializes")
 }
 
 /// Runs `prepared` under `config`/`opts` at each thread count and
@@ -95,113 +98,15 @@ pub fn assert_thread_invariant(
     }
 }
 
-/// Asserts two reports render byte-identically (JSON, text, SARIF) after
-/// normalization. The shared core of the thread-invariance and
-/// full-vs-incremental differential harnesses.
+/// Asserts two reports render byte-identically (JSON, text, SARIF).
 pub fn assert_reports_byte_identical(want: &TajReport, got: &TajReport, label: &str) {
-    let (want, got) = (normalized(want), normalized(got));
-    assert_eq!(normalized_json(&want), normalized_json(&got), "{label}: JSON diverges");
-    assert_eq!(to_text(&want), to_text(&got), "{label}: text report diverges");
+    assert_eq!(report_json(want), report_json(got), "{label}: JSON diverges");
+    assert_eq!(to_text(want), to_text(got), "{label}: text report diverges");
     assert_eq!(
-        to_sarif(&want).expect("sarif renders"),
-        to_sarif(&got).expect("sarif renders"),
+        to_sarif(want).expect("sarif renders"),
+        to_sarif(got).expect("sarif renders"),
         "{label}: SARIF diverges"
     );
-}
-
-/// Base-program artifacts computed once per (program, config) and
-/// shared by every edit variant — exactly what the daemon's summary and
-/// phase-1 cache tiers hold between `analyze` and `analyze_delta`
-/// requests.
-pub struct BaseArtifacts {
-    pub prepared: PreparedProgram,
-    pub store: SummaryStore,
-    pub phase1: Phase1,
-}
-
-pub fn base_artifacts(
-    source: &str,
-    descriptor: Option<&DeploymentDescriptor>,
-    config: &TajConfig,
-    label: &str,
-) -> BaseArtifacts {
-    let prepared = prepare(source, descriptor, RuleSet::default_rules())
-        .unwrap_or_else(|e| panic!("{label}: base source prepares: {e}"));
-    let store = SummaryStore::build(&prepared.program);
-    let phase1 = run_phase1_supervised(&prepared, config, &Supervisor::new());
-    BaseArtifacts { prepared, store, phase1 }
-}
-
-/// A from-scratch analysis of the edited source: the reference side of
-/// the full-vs-incremental differential.
-pub fn full_report(
-    edited: &str,
-    descriptor: Option<&DeploymentDescriptor>,
-    config: &TajConfig,
-    opts: &RunOptions,
-    label: &str,
-) -> TajReport {
-    let prepared = prepare(edited, descriptor, RuleSet::default_rules())
-        .unwrap_or_else(|e| panic!("{label}: edited source prepares: {e}"));
-    let phase1 = run_phase1_supervised(&prepared, config, &Supervisor::new());
-    analyze_with_phase1_opts(&prepared, &phase1, config, opts)
-        .unwrap_or_else(|e| panic!("{label}: full analysis runs: {e}"))
-}
-
-/// What the incremental side did, alongside its report — the same
-/// provenance the daemon returns in the `delta` envelope field.
-pub struct IncrementalOutcome {
-    pub report: TajReport,
-    pub reused_base_phase1: bool,
-    pub methods_resolved: usize,
-    pub methods_total: usize,
-}
-
-/// The library-level incremental pipeline, mirroring the daemon's
-/// `analyze_delta`: diff the edited program's summaries against the
-/// base's, then either reuse the base phase-1 artifact outright (empty
-/// edit region and matching program fingerprint — the edit touched no
-/// method) or re-solve with the dirty-region plan.
-pub fn incremental_report(
-    base: &BaseArtifacts,
-    edited: &str,
-    descriptor: Option<&DeploymentDescriptor>,
-    config: &TajConfig,
-    opts: &RunOptions,
-    label: &str,
-) -> IncrementalOutcome {
-    let prepared = prepare(edited, descriptor, RuleSet::default_rules())
-        .unwrap_or_else(|e| panic!("{label}: edited source prepares: {e}"));
-    let (edited_store, plan) = SummaryStore::build_delta(&prepared.program, &base.store);
-    if plan.region_empty() && edited_store.program_fingerprint == base.store.program_fingerprint {
-        // Equal fingerprints mean isomorphic programs with identical
-        // interned IDs: slicing the *base* prepared program under the
-        // *base* phase-1 artifact is exact, as in the daemon.
-        let report = analyze_with_phase1_opts(&base.prepared, &base.phase1, config, opts)
-            .unwrap_or_else(|e| panic!("{label}: reused-base slice runs: {e}"));
-        return IncrementalOutcome {
-            report,
-            reused_base_phase1: true,
-            methods_resolved: 0,
-            methods_total: plan.methods_total,
-        };
-    }
-    let phase1 = run_phase1_incremental(
-        &prepared,
-        config,
-        &Supervisor::new(),
-        &Recorder::disabled(),
-        &edited_store,
-        &plan,
-    );
-    let report = analyze_with_phase1_opts(&prepared, &phase1, config, opts)
-        .unwrap_or_else(|e| panic!("{label}: incremental slice runs: {e}"));
-    IncrementalOutcome {
-        report,
-        reused_base_phase1: false,
-        methods_resolved: plan.methods_resolved(),
-        methods_total: plan.methods_total,
-    }
 }
 
 /// The three backends under differencing. Hybrid is the paper's novel

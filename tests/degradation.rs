@@ -4,6 +4,9 @@
 //! are byte-deterministic. Failpoint-driven edges (exact interrupt
 //! sites, ladder bottom) run under `--features taj_failpoints`.
 
+mod common;
+
+use common::no_failpoints;
 use taj::core::{
     analyze_source, analyze_source_opts, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
     TajReport,
@@ -24,6 +27,7 @@ fn run(config: &TajConfig, opts: &RunOptions) -> Result<TajReport, TajError> {
 
 #[test]
 fn starved_cs_fails_hard_without_degrade() {
+    let _quiet = no_failpoints();
     // The paper's behavior: exhausting the path-edge budget is fatal.
     match analyze_source(SERVLET, None, RuleSet::default_rules(), &TajConfig::cs_tiny()) {
         Err(TajError::OutOfMemory { path_edges }) => assert!(path_edges > 4),
@@ -33,6 +37,7 @@ fn starved_cs_fails_hard_without_degrade() {
 
 #[test]
 fn starved_cs_with_degrade_falls_to_hybrid_with_provenance() {
+    let _quiet = no_failpoints();
     let opts = RunOptions { degrade: true, ..RunOptions::default() };
     let report = run(&TajConfig::cs_tiny(), &opts).expect("ladder rescues the run");
     assert_eq!(report.config, "Hybrid-Unbounded");
@@ -48,6 +53,7 @@ fn starved_cs_with_degrade_falls_to_hybrid_with_provenance() {
 
 #[test]
 fn expired_deadline_delivers_partial_with_provenance() {
+    let _quiet = no_failpoints();
     let supervisor = Supervisor::new().with_deadline(std::time::Duration::from_millis(0));
     std::thread::sleep(std::time::Duration::from_millis(2));
     let opts = RunOptions { supervisor, ..RunOptions::default() };
@@ -60,6 +66,7 @@ fn expired_deadline_delivers_partial_with_provenance() {
 
 #[test]
 fn step_budget_in_phase1_truncates_and_annotates() {
+    let _quiet = no_failpoints();
     let opts =
         RunOptions { supervisor: Supervisor::new().with_max_steps(5), ..RunOptions::default() };
     let report = run(&TajConfig::hybrid_unbounded(), &opts).expect("partial, not an error");
@@ -70,16 +77,12 @@ fn step_budget_in_phase1_truncates_and_annotates() {
 
 #[test]
 fn budget_degraded_runs_are_byte_deterministic() {
+    let _quiet = no_failpoints();
     // Budget-class degradation depends only on the input, never on the
-    // wall clock, so two runs must serialize identically (modulo the
-    // timing counters, which are zeroed like the report cache ignores
-    // them).
+    // wall clock, so two runs must serialize identically.
     let opts = RunOptions { degrade: true, ..RunOptions::default() };
     let serialize = || {
-        let mut report = run(&TajConfig::cs_tiny(), &opts).expect("degraded run succeeds");
-        report.stats.pointer_ms = 0;
-        report.stats.slice_ms = 0;
-        report.stats.total_ms = 0;
+        let report = run(&TajConfig::cs_tiny(), &opts).expect("degraded run succeeds");
         serde_json::to_string(&report).expect("serializes")
     };
     assert_eq!(serialize(), serialize(), "degraded runs must be reproducible");

@@ -1,13 +1,16 @@
 //! Determinism: analyzing the same program twice — including under the
 //! bounded configurations, where processing order could in principle
-//! change which flows fit the budget — must produce identical findings.
-//! (Rust `HashMap`s use per-instance random seeds, so any result that
-//! depended on map iteration order would flake here.)
+//! change which flows fit the budget — must produce identical report
+//! bytes. (Rust `HashMap`s use per-instance random seeds, so any result
+//! that depended on map iteration order would flake here.)
 
-use taj::core::{analyze_prepared, prepare, RuleSet, TajConfig};
+mod common;
+
+use common::assert_reports_byte_identical;
+use taj::core::{analyze_prepared, prepare, RuleSet, TajConfig, TajError, TajReport};
 use taj::webgen::{generate, presets, Scale};
 
-fn finding_set(report: &taj::core::TajReport) -> Vec<(String, String, String)> {
+fn finding_set(report: &TajReport) -> Vec<(String, String, String)> {
     let mut v: Vec<(String, String, String)> = report
         .findings
         .iter()
@@ -25,17 +28,20 @@ fn repeated_runs_agree_on_findings() {
     let bench = generate(&preset.spec(Scale::quick()));
     for config in TajConfig::all() {
         // Two completely independent pipelines (fresh HashMap seeds).
-        let mut results = Vec::new();
-        for _ in 0..2 {
+        let run = || {
             let prepared =
                 prepare(&bench.source, Some(&bench.descriptor), RuleSet::default_rules()).unwrap();
             match analyze_prepared(&prepared, &config) {
-                Ok(r) => results.push(Some(finding_set(&r))),
-                Err(taj::core::TajError::OutOfMemory { .. }) => results.push(None),
+                Ok(r) => Some(r),
+                Err(TajError::OutOfMemory { .. }) => None,
                 Err(e) => panic!("{e}"),
             }
+        };
+        match (run(), run()) {
+            (Some(a), Some(b)) => assert_reports_byte_identical(&a, &b, config.name),
+            (None, None) => {}
+            _ => panic!("{}: only one of two runs ran out of memory", config.name),
         }
-        assert_eq!(results[0], results[1], "{}: two runs disagree on findings", config.name);
     }
 }
 

@@ -47,34 +47,6 @@ fn span_names(fragment: &Value) -> Vec<String> {
     }
 }
 
-/// Zeroes the wall-clock report fields (`pointer_ms`, `slice_ms`,
-/// `total_ms`) so reports from different runs compare byte-for-byte —
-/// the same normalization the daemon's report cache applies.
-fn canonicalize(value: &mut Value) {
-    match value {
-        Value::Object(entries) => {
-            for (key, v) in entries.iter_mut() {
-                if matches!(key.as_str(), "pointer_ms" | "slice_ms" | "total_ms") {
-                    *v = Value::UInt(0);
-                } else {
-                    canonicalize(v);
-                }
-            }
-        }
-        Value::Array(items) => {
-            for v in items.iter_mut() {
-                canonicalize(v);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn canonical_bytes(mut result: Value) -> String {
-    canonicalize(&mut result);
-    serde_json::to_string(&result).expect("serialize canonical report")
-}
-
 #[test]
 fn slow_and_degraded_requests_land_in_last_traces_with_outcome_attrs() {
     // `--slow-ms 0` makes every request "slow", so both requests below
@@ -241,8 +213,8 @@ fn report_bytes_identical_with_flight_recorder_on_and_off() {
         let report_off = client_off.analyze(XSS_SERVLET, &opts).expect("analyze with recorder off");
 
         assert_eq!(
-            canonical_bytes(report_on),
-            canonical_bytes(report_off),
+            serde_json::to_string(&report_on).expect("serialize report"),
+            serde_json::to_string(&report_off).expect("serialize report"),
             "flight recorder changed report bytes at {threads} thread(s)"
         );
 

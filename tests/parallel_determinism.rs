@@ -6,16 +6,17 @@
 //!
 //! The thread count is an *execution* parameter, never an *analysis*
 //! parameter; this file is the enforcement of that contract. The
-//! normalization and comparison helpers live in `tests/common/` and are
-//! shared with the trace and incremental differential harnesses.
+//! comparison helpers live in `tests/common/` and are shared with the
+//! trace determinism harness.
 
 mod common;
 
-use common::{assert_thread_invariant, big_app};
+use common::{assert_thread_invariant, big_app, no_failpoints};
 use taj::core::{RunOptions, Supervisor, TajConfig};
 
 #[test]
 fn all_seven_configurations_are_thread_invariant() {
+    let _quiet = no_failpoints();
     let prepared = big_app("parallel-determinism");
     for config in TajConfig::all() {
         assert_thread_invariant(
@@ -29,6 +30,7 @@ fn all_seven_configurations_are_thread_invariant() {
 
 #[test]
 fn budget_degraded_runs_are_thread_invariant() {
+    let _quiet = no_failpoints();
     // The starved CS config exhausts its path-edge budget and falls down
     // the degradation ladder; the fall (and the report it produces at
     // the cheaper rung) must not depend on the thread count.
@@ -43,6 +45,7 @@ fn budget_degraded_runs_are_thread_invariant() {
 
 #[test]
 fn starved_cs_without_degrade_fails_identically_at_every_thread_count() {
+    let _quiet = no_failpoints();
     // Without the ladder, budget exhaustion is a hard error carrying the
     // path-edge count — which must also be thread-invariant.
     let prepared = big_app("parallel-determinism");
@@ -56,6 +59,7 @@ fn starved_cs_without_degrade_fails_identically_at_every_thread_count() {
 
 #[test]
 fn pre_cancelled_runs_are_thread_invariant() {
+    let _quiet = no_failpoints();
     // A cancellation that lands before phase 2 starts must stop every
     // worker and deliver the same (empty-slice, provenance-annotated)
     // partial report at every thread count.
@@ -74,6 +78,7 @@ fn pre_cancelled_runs_are_thread_invariant() {
 
 #[test]
 fn expired_deadline_runs_are_thread_invariant() {
+    let _quiet = no_failpoints();
     // An already-expired deadline trips at the first supervisor check in
     // every worker; the merged partial report must not depend on which
     // worker tripped first.
@@ -91,6 +96,7 @@ fn expired_deadline_runs_are_thread_invariant() {
 
 #[test]
 fn interrupted_ifds_runs_are_thread_invariant() {
+    let _quiet = no_failpoints();
     // IFDS under a pre-tripped supervisor (cancel, expired deadline)
     // must deliver the same partial report at every thread count — the
     // acceptance bar for the seventh configuration includes its
@@ -124,7 +130,7 @@ fn interrupted_ifds_runs_are_thread_invariant() {
 /// Serialized via `FailScenario::setup`'s global lock.
 #[cfg(feature = "taj_failpoints")]
 mod failpoint_scenarios {
-    use crate::common::{big_app, normalized, normalized_json, THREADS};
+    use crate::common::{big_app, report_json, THREADS};
     use taj::core::{analyze_prepared_opts, to_text, RunOptions, TajConfig};
     use taj::supervise::failpoints::{self, FailAction, FailScenario};
 
@@ -146,7 +152,7 @@ mod failpoint_scenarios {
                 config,
                 &RunOptions { degrade, threads, ..RunOptions::default() },
             )
-            .map(|r| (normalized_json(&r), to_text(&normalized(&r))))
+            .map(|r| (report_json(&r), to_text(&r)))
         };
         let want = run(1);
         for threads in &THREADS[1..] {

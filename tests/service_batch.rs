@@ -68,8 +68,8 @@ fn batch_returns_ordered_per_item_results() {
     // One worker: items run sequentially, so the repeated program is a
     // guaranteed report-cache hit and every counter below is exact.
     // (With concurrent workers, identical items can race the cache;
-    // byte-identity still holds — first writer wins — but phase-1 may
-    // legitimately run once per racer.)
+    // byte-identity still holds, because reports are a pure function of
+    // the request, but phase-1 may legitimately run once per racer.)
     let (handle, mut client) = start(ServeOptions { workers: 1, ..ServeOptions::tcp_ephemeral() });
     let opts = AnalyzeOpts::default();
     let batch = client

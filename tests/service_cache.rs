@@ -177,11 +177,11 @@ fn eviction_under_tiny_budget_is_counted_and_recovered_from() {
     assert_eq!(stat(&stats, "prepare_runs"), 2);
 
     // And the original request, its report now displaced, rebuilds to the
-    // same findings (only `stats` timing fields may differ across runs).
+    // same bytes.
     let rebuilt = client.analyze(XSS_SERVLET, &opts).expect("rebuilt");
     assert_eq!(
-        serde_json::to_string(&first["findings"]).unwrap(),
-        serde_json::to_string(&rebuilt["findings"]).unwrap(),
+        serde_json::to_string(&first).unwrap(),
+        serde_json::to_string(&rebuilt).unwrap(),
         "evicted artifacts rebuild deterministically"
     );
     let stats = client.stats().expect("stats");
@@ -217,6 +217,9 @@ fn stats_split_cache_counters_per_tier() {
     client.analyze(XSS_SERVLET, &opts).expect("repeat");
     let stats = client.stats().expect("stats");
     let tiers = &stats["cache_tiers"];
+    let Value::Object(entries) = tiers else { panic!("cache_tiers is an object: {stats:?}") };
+    let names: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["prepared", "phase1", "report"], "one tier per pipeline stage");
     // First request misses and populates all three tiers; the repeat is
     // answered by the report tier alone, so prepared/phase1 see no
     // second lookup at all.
