@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use taj_core::{IssueType, RuleSet};
 use taj_pointer::{analyze, PointsTo, PolicyConfig, SolverConfig};
-use taj_sdg::{CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
+use taj_sdg::{CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
 use taj_webgen::{generate, presets, Scale};
 
 struct Prepared {
@@ -47,11 +47,12 @@ fn bench_slicing(c: &mut Criterion) {
     for name in ["I", "Webgoat"] {
         let p = prepare(name);
         let view = ProgramView::build(&p.program, &p.pts, &p.spec);
+        let ci_cache = CiCache::build(&p.pts, &p.program);
         group.bench_function(BenchmarkId::new("hybrid", name), |b| {
             b.iter(|| HybridSlicer::new(&view, SliceBounds::default()).run())
         });
         group.bench_function(BenchmarkId::new("ci", name), |b| {
-            b.iter(|| CiSlicer::new(&view, SliceBounds::default()).run())
+            b.iter(|| CiSlicer::with_cache(&view, SliceBounds::default(), &ci_cache).run())
         });
         group.bench_function(BenchmarkId::new("cs", name), |b| {
             b.iter(|| CsSlicer::new(&view, SliceBounds::default()).run())

@@ -22,14 +22,16 @@ type Parents = HashMap<Fact, (Option<Fact>, Vec<FlowStep>)>;
 /// Method-level load inventory entries.
 type MethodLoad = (MethodId, Loc, Option<Var>, Var);
 
-/// The rule-independent part of the context collapse: representative
-/// nodes, merged points-to sets, call plumbing, and load inventories.
+/// The rule-independent part of the context collapse: each method's
+/// contexts, merged points-to sets, call plumbing, and load inventories.
 /// Build it once per analysis and share it across every rule's
-/// [`CiSlicer`] (the per-rule part is only the `uses` classification).
+/// [`CiSlicer`] (the per-rule part is only the `uses` classification,
+/// which the slicer reads from the view across a method's contexts).
 #[derive(Debug)]
 pub struct CiCache {
-    /// Representative node per method (for reporting statements).
-    repr: HashMap<MethodId, CGNodeId>,
+    /// Every call-graph node of a method, in node order. The first is
+    /// the representative node for reporting statements.
+    contexts: HashMap<MethodId, Vec<CGNodeId>>,
     /// Merged register points-to sets across contexts.
     merged_pts: HashMap<Fact, BitSet>,
     /// Method-level call targets per call site.
@@ -47,12 +49,12 @@ impl CiCache {
     /// Builds the rule-independent collapse from phase-1 results.
     pub fn build(pts: &taj_pointer::PointsTo, program: &jir::Program) -> Self {
         let cg = &pts.callgraph;
-        let mut repr: HashMap<MethodId, CGNodeId> = HashMap::new();
+        let mut contexts: HashMap<MethodId, Vec<CGNodeId>> = HashMap::new();
         let mut merged_pts: HashMap<Fact, BitSet> = HashMap::new();
         let mut site_targets: HashMap<(MethodId, Loc), Vec<MethodId>> = HashMap::new();
         let mut return_sites: HashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>> = HashMap::new();
         for node in cg.iter_nodes() {
-            repr.entry(cg.method_of(node)).or_insert(node);
+            contexts.entry(cg.method_of(node)).or_default().push(node);
         }
         // Merge points-to sets across contexts (single pass).
         for (_, key, set) in pts.iter_pointer_keys() {
@@ -79,7 +81,8 @@ impl CiCache {
         // that survived model expansion (interface-typed receivers).
         let mut loads_by_field: HashMap<FieldKey, Vec<MethodLoad>> = HashMap::new();
         let mut static_loads: HashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>> = HashMap::new();
-        for (&m, &node) in &repr {
+        for (&m, nodes) in &contexts {
+            let node = nodes[0];
             let Some(body) = program.method(m).body() else { continue };
             for (bid, block) in body.iter_blocks() {
                 for (i, inst) in block.insts.iter().enumerate() {
@@ -135,7 +138,7 @@ impl CiCache {
             .map(|b| (cg.method_of(b.caller), b.loc, b.arg_array, cg.method_of(b.callee)))
             .collect();
         CiCache {
-            repr,
+            contexts,
             merged_pts,
             site_targets,
             return_sites,
@@ -164,62 +167,16 @@ fn call_dst(
 pub struct CiSlicer<'a> {
     view: &'a ProgramView<'a>,
     bounds: SliceBounds,
-    cache: std::borrow::Cow<'a, CiCache>,
-    /// Merged uses across contexts (rule-dependent: sink/sanitizer roles).
-    merged_uses: HashMap<Fact, Vec<Use>>,
+    cache: &'a CiCache,
     /// Cooperative supervision handle (default: unbounded).
     supervisor: Supervisor,
 }
 
-impl Clone for CiCache {
-    fn clone(&self) -> Self {
-        CiCache {
-            repr: self.repr.clone(),
-            merged_pts: self.merged_pts.clone(),
-            site_targets: self.site_targets.clone(),
-            return_sites: self.return_sites.clone(),
-            loads_by_field: self.loads_by_field.clone(),
-            static_loads: self.static_loads.clone(),
-            invoke_bindings: self.invoke_bindings.clone(),
-        }
-    }
-}
-
 impl<'a> CiSlicer<'a> {
-    /// Builds the collapsed (context-insensitive) indices from scratch.
-    pub fn new(view: &'a ProgramView<'a>, bounds: SliceBounds) -> Self {
-        let cache = CiCache::build(view.pts, view.program);
-        Self::with_cache_owned(view, bounds, cache)
-    }
-
-    /// Builds a slicer reusing a shared rule-independent [`CiCache`].
+    /// Builds a slicer over a rule's view and the analysis-wide
+    /// [`CiCache`] of the same phase-1 results.
     pub fn with_cache(view: &'a ProgramView<'a>, bounds: SliceBounds, cache: &'a CiCache) -> Self {
-        Self::assemble(view, bounds, std::borrow::Cow::Borrowed(cache))
-    }
-
-    fn with_cache_owned(view: &'a ProgramView<'a>, bounds: SliceBounds, cache: CiCache) -> Self {
-        Self::assemble(view, bounds, std::borrow::Cow::Owned(cache))
-    }
-
-    fn assemble(
-        view: &'a ProgramView<'a>,
-        bounds: SliceBounds,
-        cache: std::borrow::Cow<'a, CiCache>,
-    ) -> Self {
-        let cg = &view.pts.callgraph;
-        let mut merged_uses: HashMap<Fact, Vec<Use>> = HashMap::new();
-        for node in cg.iter_nodes() {
-            let m = cg.method_of(node);
-            for (&var, uses) in &view.node(node).uses {
-                let entry = merged_uses.entry((m, var)).or_default();
-                for u in uses {
-                    if !entry.contains(u) {
-                        entry.push(u.clone());
-                    }
-                }
-            }
-        }
-        CiSlicer { view, bounds, cache, merged_uses, supervisor: Supervisor::new() }
+        CiSlicer { view, bounds, cache, supervisor: Supervisor::new() }
     }
 
     /// Attaches a supervisor; its checks run at the traversal loop
@@ -231,7 +188,7 @@ impl<'a> CiSlicer<'a> {
     }
 
     fn stmt(&self, m: MethodId, loc: Loc) -> StmtNode {
-        StmtNode { node: self.cache.repr.get(&m).copied().unwrap_or(CGNodeId(0)), loc }
+        StmtNode { node: self.cache.contexts.get(&m).map_or(CGNodeId(0), |c| c[0]), loc }
     }
 
     fn pts_of(&self, m: MethodId, v: Var) -> Option<&BitSet> {
@@ -286,10 +243,7 @@ impl<'a> CiSlicer<'a> {
                     break 'seeds;
                 }
                 result.work += 1;
-                let uses = match self.merged_uses.get(&(m, v)) {
-                    Some(u) => u.clone(),
-                    None => continue,
-                };
+                let Some(contexts) = self.cache.contexts.get(&m) else { continue };
                 let fact = (m, v);
                 let push = |queue: &mut VecDeque<Fact>,
                             visited: &mut HashSet<Fact>,
@@ -301,8 +255,12 @@ impl<'a> CiSlicer<'a> {
                         queue.push_back(nf);
                     }
                 };
-                for u in uses {
-                    match u {
+                // A method's uses are the union of its contexts' uses. A
+                // use repeated in a later context is a no-op under the
+                // `visited`, `processed_stores` and `seen_flows` guards.
+                let uses = contexts.iter().filter_map(|&n| self.view.node(n).uses.get(&v));
+                for u in uses.flatten() {
+                    match *u {
                         Use::Flow { to, loc } => {
                             let st = self.stmt(m, loc);
                             push(
@@ -318,15 +276,12 @@ impl<'a> CiSlicer<'a> {
                                 continue;
                             }
                             let store_stmt = self.stmt(m, loc);
-                            let base_pts = match self.pts_of(m, base) {
-                                Some(s) => s.clone(),
-                                None => continue,
-                            };
+                            let Some(base_pts) = self.pts_of(m, base) else { continue };
                             let pre = vec![FlowStep { stmt: store_stmt, kind: StepKind::Local }];
                             // Carrier edges.
                             for ik in base_pts.iter() {
                                 if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                                    for cs in sinks.clone() {
+                                    for cs in sinks {
                                         if seen_flows.insert((stmt, cs.stmt, cs.pos)) {
                                             let mut path = reconstruct(&parents, fact);
                                             path.extend(pre.iter().copied());
@@ -350,12 +305,10 @@ impl<'a> CiSlicer<'a> {
                             }
                             // Direct edges (context-collapsed aliasing).
                             if let Some(loads) = self.cache.loads_by_field.get(&field) {
-                                for (lm, lloc, lbase, ldst) in loads.clone() {
+                                for &(lm, lloc, lbase, ldst) in loads {
                                     let Some(lb) = lbase else { continue };
-                                    let alias = self
-                                        .pts_of(lm, lb)
-                                        .map(|s| s.intersects(&base_pts))
-                                        .unwrap_or(false);
+                                    let alias =
+                                        self.pts_of(lm, lb).is_some_and(|s| s.intersects(base_pts));
                                     if alias {
                                         heap_used += 1;
                                         if let Some(max) = self.bounds.max_heap_transitions {
@@ -380,11 +333,10 @@ impl<'a> CiSlicer<'a> {
                                 }
                             }
                             if field == FieldKey::Array {
-                                for (im, iloc, arr, callee) in self.cache.invoke_bindings.clone() {
+                                for &(im, iloc, arr, callee) in &self.cache.invoke_bindings {
                                     let alias = self
                                         .pts_of(im, arr)
-                                        .map(|s| s.intersects(&base_pts))
-                                        .unwrap_or(false);
+                                        .is_some_and(|s| s.intersects(base_pts));
                                     if alias {
                                         heap_used += 1;
                                         let cm = self.view.program.method(callee);
@@ -413,7 +365,7 @@ impl<'a> CiSlicer<'a> {
                             }
                             let store_stmt = self.stmt(m, loc);
                             if let Some(loads) = self.cache.static_loads.get(&field) {
-                                for (lm, lloc, ldst) in loads.clone() {
+                                for &(lm, lloc, ldst) in loads {
                                     heap_used += 1;
                                     let steps = vec![
                                         FlowStep { stmt: store_stmt, kind: StepKind::Local },
@@ -428,9 +380,8 @@ impl<'a> CiSlicer<'a> {
                         }
                         Use::Arg { loc, pos } => {
                             let call_stmt = self.stmt(m, loc);
-                            let targets =
-                                self.cache.site_targets.get(&(m, loc)).cloned().unwrap_or_default();
-                            for t in targets {
+                            let targets = self.cache.site_targets.get(&(m, loc));
+                            for &t in targets.into_iter().flatten() {
                                 if self.view.spec.sanitizers.contains(&t)
                                     || self.view.spec.sources.contains(&t)
                                     || self.view.spec.sinks.contains_key(&t)
@@ -454,7 +405,7 @@ impl<'a> CiSlicer<'a> {
                         Use::Ret { .. } => {
                             // Return to every call site (context-insensitive).
                             if let Some(sites) = self.cache.return_sites.get(&m) {
-                                for (cm, cloc, cdst) in sites.clone() {
+                                for &(cm, cloc, cdst) in sites {
                                     if let Some(d) = cdst {
                                         push(
                                             &mut queue,

@@ -165,7 +165,7 @@ impl<'a> CsSlicer<'a> {
         if result.interrupted.is_some() {
             return Ok(result);
         }
-        'seeds: for (stmt, sc) in seeds {
+        'seeds: for &(stmt, sc) in seeds {
             let mut visited: HashSet<Fact> = HashSet::new();
             let mut parents: Parents = HashMap::new();
             let mut queue: VecDeque<Fact> = VecDeque::new();

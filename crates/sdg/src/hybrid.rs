@@ -404,12 +404,13 @@ impl<'a> HybridSlicer<'a> {
             result.budget_exhausted = true;
             return;
         }
-        if let Some(loads) = self.view.loads_by_field.get(&field) {
-            for (lnode, load) in loads.clone() {
+        let view = self.view;
+        if let Some(loads) = view.loads_by_field.get(&field) {
+            for &(lnode, load) in loads {
                 let Some(lbase) = load.base else { continue };
-                let lpts = self.view.local_pts(lnode, lbase);
+                let Some(lpts) = view.pts.local(lnode, lbase) else { continue };
                 if lpts.intersects(&base_pts) {
-                    if self.edge_impossible(store_node, lnode, &base_pts, &lpts) {
+                    if self.edge_impossible(store_node, lnode, &base_pts, lpts) {
                         self.edges_dropped += 1;
                         continue;
                     }
@@ -429,10 +430,10 @@ impl<'a> HybridSlicer<'a> {
         }
         // Reflective invoke: array stores feed the invoked method's params.
         if field == FieldKey::Array {
-            for (inode, iloc, arr, callee) in self.view.invoke_bindings.clone() {
-                let apts = self.view.local_pts(inode, arr);
+            for &(inode, iloc, arr, callee) in &view.invoke_bindings {
+                let Some(apts) = view.pts.local(inode, arr) else { continue };
                 if apts.intersects(&base_pts) {
-                    if self.edge_impossible(store_node, inode, &base_pts, &apts) {
+                    if self.edge_impossible(store_node, inode, &base_pts, apts) {
                         self.edges_dropped += 1;
                         continue;
                     }
@@ -470,7 +471,7 @@ impl<'a> HybridSlicer<'a> {
         let mut steps = pre_steps;
         steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
         if let Some(loads) = self.view.static_loads.get(&field) {
-            for (lnode, load) in loads.clone() {
+            for &(lnode, load) in loads {
                 *heap_budget += 1;
                 if self.heap_budget_exhausted(*heap_budget) {
                     result.budget_exhausted = true;

@@ -248,7 +248,7 @@ impl<'a> IfdsSlicer<'a> {
         let mut result = SliceResult::default();
         let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
         let mut heap_edges = 0usize;
-        for &(stmt, sc) in &seeds {
+        for &(stmt, sc) in seeds {
             if self.interrupted.is_some() {
                 break;
             }
@@ -263,18 +263,12 @@ impl<'a> IfdsSlicer<'a> {
         // By-reference sources (footnote 2): the argument object's state
         // is tainted — loads reading it become value seeds, and the
         // object itself is an immediate taint carrier.
-        for rs in &ref_seeds {
+        for rs in ref_seeds {
             if self.interrupted.is_some() {
                 break;
             }
             let mut run = SeedRun::new(rs.stmt, rs.method);
-            // `RefSeed::facts` is collected in `HashMap` iteration order;
-            // sort so the tabulation order (and witness paths) never
-            // depend on it.
-            let mut facts = rs.facts.clone();
-            facts.sort_unstable();
-            facts.dedup();
-            for (n, v) in facts {
+            for &(n, v) in &rs.facts {
                 self.seed(
                     &mut run,
                     Fact::Local(n, v, ApFields::value()),

@@ -110,7 +110,7 @@ pub struct RefSeed {
     /// Points-to set of the tainted argument object.
     pub arg_pts: jir::util::BitSet,
     /// Initial slicing facts: destinations of loads that may read the
-    /// tainted object's state.
+    /// tainted object's state, sorted and deduplicated.
     pub facts: Vec<(CGNodeId, Var)>,
 }
 
@@ -126,7 +126,7 @@ pub struct NodeView {
 }
 
 /// Program-wide slicing view: node views plus global indices for heap-edge
-/// matching and return plumbing.
+/// matching and return plumbing, and the rule's seed lists.
 #[derive(Debug)]
 pub struct ProgramView<'a> {
     /// The analyzed program.
@@ -146,6 +146,8 @@ pub struct ProgramView<'a> {
     /// Reflective invoke bindings grouped for array-store matching:
     /// `(caller node, call loc, array var, callee node)`.
     pub invoke_bindings: Vec<(CGNodeId, Loc, Var, CGNodeId)>,
+    seeds: Vec<(StmtNode, SourceCall)>,
+    ref_seeds: Vec<RefSeed>,
 }
 
 /// Aggregate size counters of a [`ProgramView`] — the SDG-side numbers
@@ -173,7 +175,8 @@ impl ViewStats {
 }
 
 impl<'a> ProgramView<'a> {
-    /// Builds views for every call-graph node.
+    /// Builds views for every call-graph node, and both seed lists once:
+    /// every slicing unit of the rule borrows them.
     pub fn build(program: &'a Program, pts: &'a PointsTo, spec: &'a SliceSpec) -> Self {
         let mut views = Vec::with_capacity(pts.callgraph.len());
         for node in pts.callgraph.iter_nodes() {
@@ -198,7 +201,7 @@ impl<'a> ProgramView<'a> {
         }
         let invoke_bindings =
             pts.invoke_bindings.iter().map(|b| (b.caller, b.loc, b.arg_array, b.callee)).collect();
-        ProgramView {
+        let mut view = ProgramView {
             program,
             pts,
             spec,
@@ -207,7 +210,12 @@ impl<'a> ProgramView<'a> {
             static_loads,
             return_sites,
             invoke_bindings,
-        }
+            seeds: Vec::new(),
+            ref_seeds: Vec::new(),
+        };
+        view.seeds = view.collect_seeds();
+        view.ref_seeds = view.collect_ref_seeds();
+        view
     }
 
     /// The view of `node`.
@@ -228,7 +236,21 @@ impl<'a> ProgramView<'a> {
 
     /// All taint seeds in the program: source calls plus synthetic source
     /// sites (§4.1.2).
-    pub fn seeds(&self) -> Vec<(StmtNode, SourceCall)> {
+    pub fn seeds(&self) -> &[(StmtNode, SourceCall)] {
+        &self.seeds
+    }
+
+    /// By-reference taint seeds (footnote 2 of the paper): for every call
+    /// site resolving to a `ref_sources` method, the contents of the
+    /// flagged argument object become tainted. Lists, per site, the
+    /// loads whose base may alias that object (their destinations are the
+    /// initial slicing facts) and the argument's points-to set (for
+    /// immediate carrier checks).
+    pub fn ref_seeds(&self) -> &[RefSeed] {
+        &self.ref_seeds
+    }
+
+    fn collect_seeds(&self) -> Vec<(StmtNode, SourceCall)> {
         let mut out = Vec::new();
         for node in self.pts.callgraph.iter_nodes() {
             for s in &self.node(node).sources {
@@ -249,13 +271,7 @@ impl<'a> ProgramView<'a> {
         out
     }
 
-    /// By-reference taint seeds (footnote 2 of the paper): for every call
-    /// site resolving to a `ref_sources` method, the contents of the
-    /// flagged argument object become tainted. Returns, per site, the
-    /// loads whose base may alias that object (their destinations are the
-    /// initial slicing facts) and the argument's points-to set (for
-    /// immediate carrier checks).
-    pub fn ref_seeds(&self) -> Vec<RefSeed> {
+    fn collect_ref_seeds(&self) -> Vec<RefSeed> {
         let mut out = Vec::new();
         if self.spec.ref_sources.is_empty() {
             return out;
@@ -267,15 +283,10 @@ impl<'a> ProgramView<'a> {
                 for (i, inst) in block.insts.iter().enumerate() {
                     let Inst::Call { args, .. } = inst else { continue };
                     let loc = Loc::new(bid, i);
-                    let mut callees: Vec<MethodId> = self
-                        .pts
-                        .callgraph
-                        .targets(node, loc)
-                        .iter()
-                        .map(|&t| self.pts.callgraph.method_of(t))
-                        .collect();
-                    callees.extend(self.pts.intrinsics_at(node, loc).iter().map(|&(m, _)| m));
-                    for callee in callees {
+                    let cg = &self.pts.callgraph;
+                    let targets = cg.targets(node, loc).iter().map(|&t| cg.method_of(t));
+                    let intrinsics = self.pts.intrinsics_at(node, loc).iter().map(|&(m, _)| m);
+                    for callee in targets.chain(intrinsics) {
                         let Some(positions) = self.spec.ref_sources.get(&callee) else {
                             continue;
                         };
@@ -289,11 +300,15 @@ impl<'a> ProgramView<'a> {
                             for loads in self.loads_by_field.values() {
                                 for (lnode, l) in loads {
                                     let Some(lb) = l.base else { continue };
-                                    if self.local_pts(*lnode, lb).intersects(&arg_pts) {
+                                    let lpts = self.pts.local(*lnode, lb);
+                                    if lpts.is_some_and(|s| s.intersects(&arg_pts)) {
                                         facts.push((*lnode, l.dst));
                                     }
                                 }
                             }
+                            // `loads_by_field` iterates in hash order.
+                            facts.sort_unstable();
+                            facts.dedup();
                             out.push(RefSeed {
                                 stmt: StmtNode { node, loc },
                                 method: callee,
@@ -752,5 +767,36 @@ mod tests {
         let box_c = p.class_by_name("Box").unwrap();
         let v_field = p.field_by_name(box_c, "v").unwrap();
         assert!(view.loads_by_field.contains_key(&FieldKey::Field(v_field)));
+    }
+
+    #[test]
+    fn ref_seed_facts_do_not_depend_on_hash_order() {
+        // Loads of four distinct fields alias the by-reference argument,
+        // so they sit under four keys of the hash-ordered load index.
+        let (p, pts) = setup(
+            r#"
+            class Chunk extends ByteBuffer { field String head; field String tail; field String mid; }
+            class Main {
+                static method void main() {
+                    RandomAccessFile f = new RandomAccessFile("in.bin");
+                    Chunk c = new Chunk();
+                    f.readFully(c);
+                    String a = c.head;
+                    String b = c.tail;
+                    String d = c.mid;
+                    String e = c.data;
+                }
+            }
+            "#,
+        );
+        let mut spec = default_spec(&p);
+        let raf = p.class_by_name("RandomAccessFile").unwrap();
+        spec.ref_sources.insert(p.method_by_name(raf, "readFully").unwrap(), vec![0]);
+        let facts = || ProgramView::build(&p, &pts, &spec).ref_seeds()[0].facts.clone();
+        let first = facts();
+        assert!(first.len() >= 4, "every aliased load is a fact: {first:?}");
+        for _ in 0..16 {
+            assert_eq!(facts(), first);
+        }
     }
 }

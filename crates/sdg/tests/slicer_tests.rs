@@ -2,7 +2,9 @@
 //! programs engineered to separate their precision/soundness behaviours.
 
 use taj_pointer::{analyze, SolverConfig};
-use taj_sdg::{CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceResult, SliceSpec};
+use taj_sdg::{
+    CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceResult, SliceSpec,
+};
 
 struct Setup {
     program: jir::Program,
@@ -46,7 +48,8 @@ fn run_hybrid(s: &Setup) -> SliceResult {
 
 fn run_ci(s: &Setup) -> SliceResult {
     let view = ProgramView::build(&s.program, &s.pts, &s.spec);
-    CiSlicer::new(&view, SliceBounds::default()).run()
+    let cache = CiCache::build(&s.pts, &s.program);
+    CiSlicer::with_cache(&view, SliceBounds::default(), &cache).run()
 }
 
 fn run_cs(s: &Setup) -> Result<SliceResult, taj_sdg::SliceError> {
