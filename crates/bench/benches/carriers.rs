@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use taj_core::{IssueType, RuleSet};
 use taj_pointer::{analyze, HeapGraph, PolicyConfig, SolverConfig};
+use taj_sdg::{SliceIndex, SliceSpec};
 use taj_webgen::{generate, presets, Scale};
 
 fn bench_carriers(c: &mut Criterion) {
@@ -27,13 +28,16 @@ fn bench_carriers(c: &mut Criterion) {
     let heap = HeapGraph::build(&pts);
     let resolved = rules.resolve(&program);
     let xss = resolved.iter().find(|r| r.issue == IssueType::Xss).expect("xss").clone();
+    // The carrier index reads the rule's sink calls from the slice index.
+    let sinks = SliceSpec { sinks: xss.sinks.iter().cloned().collect(), ..SliceSpec::default() };
+    let index = SliceIndex::build(&program, &pts, [&sinks]);
 
     let mut group = c.benchmark_group("carrier_detection");
     group.sample_size(10);
     for depth in [Some(0usize), Some(1), Some(2), None] {
         let label = depth.map(|d| d.to_string()).unwrap_or_else(|| "unbounded".into());
         group.bench_with_input(BenchmarkId::new("nested_depth", label), &depth, |b, &d| {
-            b.iter(|| taj_core::carriers::build_carrier_index(&program, &pts, &heap, &xss, d))
+            b.iter(|| taj_core::carriers::build_carrier_index(&index, &heap, &xss, d))
         });
     }
     group.finish();

@@ -5,7 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use taj_core::{IssueType, RuleSet};
 use taj_pointer::{analyze, PointsTo, PolicyConfig, SolverConfig};
-use taj_sdg::{CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceSpec};
+use taj_sdg::{
+    CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceIndex, SliceSpec,
+};
 use taj_webgen::{generate, presets, Scale};
 
 struct Prepared {
@@ -46,8 +48,9 @@ fn bench_slicing(c: &mut Criterion) {
     group.sample_size(10);
     for name in ["I", "Webgoat"] {
         let p = prepare(name);
-        let view = ProgramView::build(&p.program, &p.pts, &p.spec);
-        let ci_cache = CiCache::build(&p.pts, &p.program);
+        let index = SliceIndex::build(&p.program, &p.pts, [&p.spec]);
+        let view = ProgramView::build(&index, &p.spec);
+        let ci_cache = CiCache::build(&index);
         group.bench_function(BenchmarkId::new("hybrid", name), |b| {
             b.iter(|| HybridSlicer::new(&view, SliceBounds::default()).run())
         });

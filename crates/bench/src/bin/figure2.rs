@@ -7,7 +7,7 @@
 
 use taj_core::RuleSet;
 use taj_pointer::{analyze, PolicyConfig, SolverConfig};
-use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceSpec, StepKind};
+use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceIndex, SliceSpec, StepKind};
 
 /// A small program whose single flow exercises both HSDG edge kinds: the
 /// tainted value crosses the heap twice (store/load pairs on two `Holder`
@@ -51,7 +51,8 @@ fn main() {
     for (m, pos) in &xss.sinks {
         spec.sinks.insert(*m, pos.clone());
     }
-    let view = ProgramView::build(&program, &pts, &spec);
+    let index = SliceIndex::build(&program, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let result = HybridSlicer::new(&view, SliceBounds::default()).run();
     assert!(!result.flows.is_empty(), "the demo flow must be found");
 

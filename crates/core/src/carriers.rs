@@ -8,10 +8,9 @@
 
 use std::collections::HashMap;
 
-use jir::inst::Inst;
 use jir::util::BitSet;
-use taj_pointer::{HeapGraph, PointsTo};
-use taj_sdg::{CarrierSink, StmtNode};
+use taj_pointer::HeapGraph;
+use taj_sdg::{CarrierSink, SliceIndex, StmtNode};
 
 use crate::rules::ResolvedRule;
 
@@ -24,59 +23,48 @@ use crate::rules::ResolvedRule;
 /// 2. Let `I*sk` be the instance keys reachable in the heap graph from
 ///    `Isk` (bounded by `nested_depth` dereferences).
 /// 3. A store whose base points into `I*sk` gets an edge to `sk`.
+///
+/// The sink invocations come from the index's call-site inventory (a
+/// sink call is rule-sensitive), in `(node, loc)` order.
 pub fn build_carrier_index(
-    program: &jir::Program,
-    pts: &PointsTo,
+    index: &SliceIndex<'_>,
     heap: &HeapGraph,
     rule: &ResolvedRule,
     nested_depth: Option<usize>,
 ) -> HashMap<u32, Vec<CarrierSink>> {
-    let mut index: HashMap<u32, Vec<CarrierSink>> = HashMap::new();
+    let mut carriers: HashMap<u32, Vec<CarrierSink>> = HashMap::new();
     let sink_positions: HashMap<jir::MethodId, &[usize]> =
         rule.sinks.iter().map(|(m, p)| (*m, p.as_slice())).collect();
-
-    for node in pts.callgraph.iter_nodes() {
-        let method = pts.callgraph.method_of(node);
-        let Some(body) = program.method(method).body() else { continue };
-        for (bid, block) in body.iter_blocks() {
-            for (i, inst) in block.insts.iter().enumerate() {
-                let Inst::Call { args, .. } = inst else { continue };
-                let loc = jir::Loc::new(bid, i);
-                // Resolve sink callees at this site (body + intrinsic).
-                let mut sink_callees: Vec<jir::MethodId> = Vec::new();
-                for &t in pts.callgraph.targets(node, loc) {
-                    let m = pts.callgraph.method_of(t);
-                    if sink_positions.contains_key(&m) && !sink_callees.contains(&m) {
-                        sink_callees.push(m);
-                    }
+    let pts = index.pts;
+    for site in index.sites_calling(sink_positions.keys().copied()) {
+        let (node, loc) = (site.node, site.loc);
+        // Resolve sink callees at this site (body + intrinsic).
+        let mut sink_callees: Vec<jir::MethodId> = Vec::new();
+        let targets = pts.callgraph.targets(node, loc).iter().map(|&t| pts.callgraph.method_of(t));
+        for m in targets.chain(pts.intrinsics_at(node, loc).iter().map(|&(m, _)| m)) {
+            if sink_positions.contains_key(&m) && !sink_callees.contains(&m) {
+                sink_callees.push(m);
+            }
+        }
+        for callee in sink_callees {
+            for &pos in sink_positions[&callee] {
+                let Some(&arg) = site.args.get(pos) else { continue };
+                let Some(arg_pts) = pts.local(node, arg) else { continue };
+                if arg_pts.is_empty() {
+                    continue;
                 }
-                for &(m, _) in pts.intrinsics_at(node, loc) {
-                    if sink_positions.contains_key(&m) && !sink_callees.contains(&m) {
-                        sink_callees.push(m);
-                    }
-                }
-                for callee in sink_callees {
-                    for &pos in sink_positions[&callee] {
-                        let Some(&arg) = args.get(pos) else { continue };
-                        let Some(arg_pts) = pts.local(node, arg) else { continue };
-                        if arg_pts.is_empty() {
-                            continue;
-                        }
-                        let reachable: BitSet = heap.reachable(arg_pts, nested_depth);
-                        let sink =
-                            CarrierSink { stmt: StmtNode { node, loc }, method: callee, pos };
-                        for ik in reachable.iter() {
-                            let entry = index.entry(ik).or_default();
-                            if !entry.contains(&sink) {
-                                entry.push(sink);
-                            }
-                        }
+                let reachable: BitSet = heap.reachable(arg_pts, nested_depth);
+                let sink = CarrierSink { stmt: StmtNode { node, loc }, method: callee, pos };
+                for ik in reachable.iter() {
+                    let entry = carriers.entry(ik).or_default();
+                    if !entry.contains(&sink) {
+                        entry.push(sink);
                     }
                 }
             }
         }
     }
-    index
+    carriers
 }
 
 #[cfg(test)]
@@ -84,6 +72,13 @@ mod tests {
     use super::*;
     use crate::rules::RuleSet;
     use taj_pointer::{analyze, SolverConfig};
+    use taj_sdg::SliceSpec;
+
+    /// The slice index needs only the rule's sinks to inventory its sink
+    /// calls.
+    fn xss_spec(rule: &ResolvedRule) -> SliceSpec {
+        SliceSpec { sinks: rule.sinks.iter().cloned().collect(), ..SliceSpec::default() }
+    }
 
     #[test]
     fn carrier_index_covers_wrapped_objects() {
@@ -110,7 +105,8 @@ mod tests {
         let heap = HeapGraph::build(&pts);
         let rules = RuleSet::default_rules().resolve(&p);
         let xss = rules.iter().find(|r| r.issue == crate::rules::IssueType::Xss).unwrap();
-        let index = build_carrier_index(&p, &pts, &heap, xss, Some(2));
+        let slice_index = SliceIndex::build(&p, &pts, [&xss_spec(xss)]);
+        let index = build_carrier_index(&slice_index, &heap, xss, Some(2));
         // The Wrapper allocation must map to the println sink.
         let wrapper = p.class_by_name("Wrapper").unwrap();
         let wrapper_ik = pts
@@ -143,7 +139,8 @@ mod tests {
         let heap = HeapGraph::build(&pts);
         let rules = RuleSet::default_rules().resolve(&p);
         let xss = rules.iter().find(|r| r.issue == crate::rules::IssueType::Xss).unwrap();
-        let index = build_carrier_index(&p, &pts, &heap, xss, Some(0));
+        let slice_index = SliceIndex::build(&p, &pts, [&xss_spec(xss)]);
+        let index = build_carrier_index(&slice_index, &heap, xss, Some(0));
         assert!(!index.is_empty(), "the Object arg itself is a carrier root");
     }
 }

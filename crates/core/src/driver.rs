@@ -8,13 +8,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::Serialize;
 
-use taj_obs::{AttrValue, Recorder, TraceEvent};
+use taj_obs::{AttrValue, Recorder, Span, TraceEvent};
 
 use jir::Program;
 use taj_pointer::{EscapeAnalysis, HeapGraph, PointsTo, PolicyConfig, SolverConfig};
 use taj_sdg::{
-    CiSlicer, CsSlicer, Flow, HybridSlicer, IfdsSlicer, MhpRelation, ProgramView, SliceBounds,
-    SliceResult, SliceSpec, StmtNode,
+    CiCache, CiSlicer, CsSlicer, Flow, HybridSlicer, IfdsAliases, IfdsSlicer, MhpRelation,
+    ProgramView, SliceBounds, SliceIndex, SliceResult, SliceSpec, StmtNode,
 };
 use taj_supervise::{InterruptReason, Supervisor};
 
@@ -797,10 +797,26 @@ fn run_phase2(
         phase1.matches(config),
         "phase-1 results were computed under different call-graph settings"
     );
-    let program = &prepared.program;
-    // The `phase2` span measures the whole pass (an early-error return
-    // records it on drop).
+    // The `phase2` span measures the whole pass, teardown included: the
+    // pass state (index, views, slicer results) drops when `slice_pass`
+    // returns, before the span finishes.
     let mut phase_span = recorder.span("phase2");
+    let out = slice_pass(prepared, phase1, config, supervisor, threads, recorder, &mut phase_span);
+    phase_span.finish();
+    out
+}
+
+/// The body of [`run_phase2`]; `phase_span` receives the pass attrs.
+fn slice_pass(
+    prepared: &PreparedProgram,
+    phase1: &Phase1,
+    config: &TajConfig,
+    supervisor: &Supervisor,
+    threads: usize,
+    recorder: &Recorder,
+    phase_span: &mut Span,
+) -> Result<(TajReport, Option<InterruptReason>), TajError> {
+    let program = &prepared.program;
     let pts = &phase1.pts;
     let heap = &phase1.heap;
     let threads = parallel::resolve_threads(threads);
@@ -821,27 +837,33 @@ fn run_phase2(
     let mut edges_dropped = 0usize;
     let mut interrupted: Option<InterruptReason> = None;
 
-    // The CI slicer's context collapse is rule-independent: build once.
-    let ci_cache = match config.algorithm {
-        Algorithm::CiThin => Some(taj_sdg::ci::CiCache::build(pts, program)),
-        _ => None,
-    };
-
-    // Stage A: per-rule slice specs and program views, built in parallel
-    // (views borrow their spec, hence the two indexed maps).
+    // Stage A: each rule's projection; then one rule-independent slice
+    // index over every rule's methods, and on top of it each rule's
+    // carrier index and view (views borrow their spec, hence the indexed
+    // maps). The CI context collapse and the IFDS alias lists are
+    // rule-independent too: built once per pass, for their slicer only.
     let mut specs_span = recorder.span("phase2.specs");
-    let specs: Vec<SliceSpec> = parallel::par_map(threads, resolved.len(), |i| {
-        build_spec(prepared, pts, heap, &resolved[i], config)
-    });
+    let mut specs: Vec<SliceSpec> =
+        resolved.iter().map(|rule| build_spec(prepared, pts, rule)).collect();
     if recorder.is_enabled() {
         specs_span.attr("rules", resolved.len());
     }
     specs_span.finish();
     let mut views_span = recorder.span("phase2.views");
+    let index = SliceIndex::build(program, pts, &specs);
+    let carriers = parallel::par_map(threads, resolved.len(), |i| {
+        crate::carriers::build_carrier_index(&index, heap, &resolved[i], config.nested_depth)
+    });
+    for (spec, carrier_sinks) in specs.iter_mut().zip(carriers) {
+        spec.carrier_sinks = carrier_sinks;
+    }
     let views: Vec<ProgramView<'_>> =
-        parallel::par_map(threads, resolved.len(), |i| ProgramView::build(program, pts, &specs[i]));
+        parallel::par_map(threads, resolved.len(), |i| ProgramView::build(&index, &specs[i]));
+    let ci_cache = matches!(config.algorithm, Algorithm::CiThin).then(|| CiCache::build(&index));
+    let ifds_aliases =
+        matches!(config.algorithm, Algorithm::Ifds).then(|| IfdsAliases::build(&index));
     if recorder.is_enabled() {
-        let mut view_stats = taj_sdg::ViewStats::default();
+        let mut view_stats = index.stats();
         for view in &views {
             view_stats.add(view.stats());
         }
@@ -889,7 +911,8 @@ fn run_phase2(
                 })
             }
             Algorithm::Ifds => {
-                let mut slicer = IfdsSlicer::new(view, config.access_path_depth)
+                let aliases = ifds_aliases.as_ref().expect("built for IFDS above");
+                let mut slicer = IfdsSlicer::new(view, config.access_path_depth, aliases)
                     .with_supervisor(unit_supervisor);
                 let result = match &unit.kind {
                     UnitKind::Whole => slicer.run(),
@@ -1069,7 +1092,7 @@ fn run_phase2(
                 cross_thread_flows.push(describe_flow(program, pts, rule.issue, f));
             }
         }
-        for finding in lcp::deduplicate(&views[i], &tagged) {
+        for finding in lcp::deduplicate(&index, &tagged) {
             findings.push(TajFinding {
                 flow: describe_flow(program, pts, finding.issue, &finding.flow),
                 lcp_owner_class: stmt_class(program, pts, finding.lcp),
@@ -1092,7 +1115,6 @@ fn run_phase2(
             phase_span.attr("interrupted", reason.as_str());
         }
     }
-    phase_span.finish();
 
     let concurrency = ConcurrencyReport {
         spawn_sites: phase1.escape.num_spawn_sites(),
@@ -1116,12 +1138,12 @@ fn run_phase2(
     ))
 }
 
+/// A rule's projection for the slicers; its carrier index comes later,
+/// from the slice index.
 fn build_spec(
     prepared: &PreparedProgram,
     pts: &PointsTo,
-    heap: &HeapGraph,
     rule: &crate::rules::ResolvedRule,
-    config: &TajConfig,
 ) -> SliceSpec {
     let program = &prepared.program;
     let mut spec = SliceSpec::default();
@@ -1149,8 +1171,6 @@ fn build_spec(
             }
         }
     }
-    spec.carrier_sinks =
-        crate::carriers::build_carrier_index(program, pts, heap, rule, config.nested_depth);
     spec
 }
 

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use taj_sdg::{Flow, ProgramView, StmtNode};
+use taj_sdg::{Flow, SliceIndex, StmtNode};
 
 use crate::rules::IssueType;
 
@@ -30,16 +30,16 @@ pub struct Finding {
 /// Computes the LCP of a flow: the last application statement from which
 /// data crosses into library code (including the final sink call itself
 /// when it is issued from application code).
-pub fn lcp_of(view: &ProgramView<'_>, flow: &Flow) -> StmtNode {
+pub fn lcp_of(index: &SliceIndex<'_>, flow: &Flow) -> StmtNode {
     let mut last_crossing: Option<StmtNode> = None;
     let steps = &flow.path;
     for i in 0..steps.len() {
-        let cur_app = !view.is_library_stmt(steps[i].stmt);
+        let cur_app = !index.is_library_stmt(steps[i].stmt);
         if !cur_app {
             continue;
         }
         let crosses = if i + 1 < steps.len() {
-            view.is_library_stmt(steps[i + 1].stmt)
+            index.is_library_stmt(steps[i + 1].stmt)
         } else {
             // The sink statement: an application statement invoking a
             // library sink method is itself the crossing.
@@ -54,10 +54,10 @@ pub fn lcp_of(view: &ProgramView<'_>, flow: &Flow) -> StmtNode {
 
 /// Groups raw flows into findings by `(LCP, issue)` equivalence (§5),
 /// keeping the shortest flow of each class as its representative.
-pub fn deduplicate(view: &ProgramView<'_>, flows: &[(IssueType, Flow)]) -> Vec<Finding> {
+pub fn deduplicate(index: &SliceIndex<'_>, flows: &[(IssueType, Flow)]) -> Vec<Finding> {
     let mut groups: HashMap<(StmtNode, IssueType), Vec<&Flow>> = HashMap::new();
     for (issue, flow) in flows {
-        let lcp = lcp_of(view, flow);
+        let lcp = lcp_of(index, flow);
         groups.entry((lcp, *issue)).or_default().push(flow);
     }
     let mut findings: Vec<Finding> = groups
@@ -122,12 +122,13 @@ mod tests {
         for (m, pos) in &xss.sinks {
             spec.sinks.insert(*m, pos.clone());
         }
-        let view = taj_sdg::ProgramView::build(&p, &pts, &spec);
+        let index = SliceIndex::build(&p, &pts, [&spec]);
+        let view = taj_sdg::ProgramView::build(&index, &spec);
         let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
         assert_eq!(flows.len(), 3, "three raw source→sink flows, got {}", flows.len());
         let tagged: Vec<(IssueType, Flow)> =
             flows.into_iter().map(|f| (IssueType::Xss, f)).collect();
-        let findings = deduplicate(&view, &tagged);
+        let findings = deduplicate(&index, &tagged);
         // a and b share the Render.show LCP; c is separate.
         assert_eq!(findings.len(), 2, "expected 2 findings, got {findings:#?}");
         let sizes: Vec<usize> = {
@@ -152,16 +153,15 @@ mod tests {
             path: vec![taj_sdg::FlowStep { stmt: a, kind: taj_sdg::StepKind::Seed }],
             heap_transitions: 0,
         };
-        // Build a trivial view over an empty program for classification.
+        // Build a trivial index over an empty program for classification.
         let mut p =
             jir::frontend::build_program("class Main { static method void main() { } }").unwrap();
         let c = p.class_by_name("Main").unwrap();
         p.entrypoints.push(p.method_by_name(c, "main").unwrap());
         let pts = analyze(&p, &SolverConfig::default());
-        let spec = SliceSpec::default();
-        let view = taj_sdg::ProgramView::build(&p, &pts, &spec);
+        let index = SliceIndex::build(&p, &pts, []);
         let tagged = vec![(IssueType::Xss, flow.clone()), (IssueType::Sqli, flow)];
-        let findings = deduplicate(&view, &tagged);
+        let findings = deduplicate(&index, &tagged);
         assert_eq!(findings.len(), 2);
     }
 }

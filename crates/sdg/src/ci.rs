@@ -14,7 +14,7 @@ use taj_pointer::CGNodeId;
 use taj_supervise::Supervisor;
 
 use crate::spec::{Flow, FlowStep, SliceBounds, SliceResult, StepKind, StmtNode};
-use crate::view::{FieldKey, ProgramView, Use};
+use crate::view::{FieldKey, ProgramView, SliceIndex, Use};
 
 type Fact = (MethodId, Var);
 /// Per-seed provenance: predecessor fact plus the steps taken.
@@ -38,7 +38,8 @@ pub struct CiCache {
     site_targets: HashMap<(MethodId, Loc), Vec<MethodId>>,
     /// Method-level return plumbing: callee → (caller, loc, dst).
     return_sites: HashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>>,
-    /// Loads by field, method level.
+    /// Loads by field, method level, in node order of the methods'
+    /// first contexts.
     loads_by_field: HashMap<FieldKey, Vec<MethodLoad>>,
     static_loads: HashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>>,
     /// Invoke bindings method level: (caller, loc, array var, callee).
@@ -46,15 +47,34 @@ pub struct CiCache {
 }
 
 impl CiCache {
-    /// Builds the rule-independent collapse from phase-1 results.
-    pub fn build(pts: &taj_pointer::PointsTo, program: &jir::Program) -> Self {
+    /// Builds the rule-independent collapse from the slice index: a
+    /// method's loads are those of its first context, and every
+    /// method-level list is filled in node order.
+    pub fn build(index: &SliceIndex<'_>) -> Self {
+        let pts = index.pts;
         let cg = &pts.callgraph;
         let mut contexts: HashMap<MethodId, Vec<CGNodeId>> = HashMap::new();
         let mut merged_pts: HashMap<Fact, BitSet> = HashMap::new();
         let mut site_targets: HashMap<(MethodId, Loc), Vec<MethodId>> = HashMap::new();
         let mut return_sites: HashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>> = HashMap::new();
+        let mut loads_by_field: HashMap<FieldKey, Vec<MethodLoad>> = HashMap::new();
+        let mut static_loads: HashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>> = HashMap::new();
         for node in cg.iter_nodes() {
-            contexts.entry(cg.method_of(node)).or_default().push(node);
+            let m = cg.method_of(node);
+            let nodes = contexts.entry(m).or_default();
+            nodes.push(node);
+            if nodes.len() > 1 {
+                continue;
+            }
+            // Method-level load inventory: the loads of the first context
+            // (container pseudo-loads included).
+            for l in index.loads(node) {
+                if let Some(f) = l.field {
+                    loads_by_field.entry(f).or_default().push((m, l.loc, l.base, l.dst));
+                } else if let Some(sf) = l.static_field {
+                    static_loads.entry(sf).or_default().push((m, l.loc, l.dst));
+                }
+            }
         }
         // Merge points-to sets across contexts (single pass).
         for (_, key, set) in pts.iter_pointer_keys() {
@@ -70,66 +90,10 @@ impl CiCache {
             if !entry.contains(&tm) {
                 entry.push(tm);
             }
-            let dst = call_dst(program, cg, e.caller, e.loc);
+            let dst = index.call_dst(e.caller, e.loc);
             let rentry = return_sites.entry(tm).or_default();
             if !rentry.iter().any(|&(c, l, _)| c == cm && l == e.loc) {
                 rentry.push((cm, e.loc, dst));
-            }
-        }
-        // Method-level load inventory straight from the bodies (identical
-        // across contexts), plus pseudo-loads for container intrinsics
-        // that survived model expansion (interface-typed receivers).
-        let mut loads_by_field: HashMap<FieldKey, Vec<MethodLoad>> = HashMap::new();
-        let mut static_loads: HashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>> = HashMap::new();
-        for (&m, nodes) in &contexts {
-            let node = nodes[0];
-            let Some(body) = program.method(m).body() else { continue };
-            for (bid, block) in body.iter_blocks() {
-                for (i, inst) in block.insts.iter().enumerate() {
-                    let loc = Loc::new(bid, i);
-                    match inst {
-                        jir::Inst::Load { dst, base, field } => loads_by_field
-                            .entry(FieldKey::Field(*field))
-                            .or_default()
-                            .push((m, loc, Some(*base), *dst)),
-                        jir::Inst::ArrayLoad { dst, base, .. } => loads_by_field
-                            .entry(FieldKey::Array)
-                            .or_default()
-                            .push((m, loc, Some(*base), *dst)),
-                        jir::Inst::StaticLoad { dst, field } => {
-                            static_loads.entry(*field).or_default().push((m, loc, *dst))
-                        }
-                        jir::Inst::Call { dst: Some(d), recv: Some(r), .. } => {
-                            for &(_, intr) in pts.intrinsics_at(node, loc) {
-                                let names: &[&str] = match intr {
-                                    jir::Intrinsic::CollGet => &[jir::expand::fields::ELEMS],
-                                    jir::Intrinsic::BuilderToString => {
-                                        &[jir::expand::fields::CONTENT]
-                                    }
-                                    jir::Intrinsic::MapGet => &[jir::expand::fields::MAP_UNKNOWN],
-                                    _ => continue,
-                                };
-                                for fname in names {
-                                    if let Some(f) = program.find_synthetic_field(fname) {
-                                        loads_by_field
-                                            .entry(FieldKey::Field(f))
-                                            .or_default()
-                                            .push((m, loc, Some(*r), *d));
-                                    }
-                                }
-                                if intr == jir::Intrinsic::MapGet {
-                                    for f in program.map_key_fields() {
-                                        loads_by_field
-                                            .entry(FieldKey::Field(f))
-                                            .or_default()
-                                            .push((m, loc, Some(*r), *d));
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
             }
         }
         let invoke_bindings = pts
@@ -146,19 +110,6 @@ impl CiCache {
             static_loads,
             invoke_bindings,
         }
-    }
-}
-
-fn call_dst(
-    program: &jir::Program,
-    cg: &taj_pointer::CallGraph,
-    node: CGNodeId,
-    loc: Loc,
-) -> Option<Var> {
-    let body = program.method(cg.method_of(node)).body()?;
-    match body.blocks.get(loc.block.index())?.insts.get(loc.idx as usize)? {
-        jir::Inst::Call { dst, .. } => *dst,
-        _ => None,
     }
 }
 
@@ -258,9 +209,9 @@ impl<'a> CiSlicer<'a> {
                 // A method's uses are the union of its contexts' uses. A
                 // use repeated in a later context is a no-op under the
                 // `visited`, `processed_stores` and `seen_flows` guards.
-                let uses = contexts.iter().filter_map(|&n| self.view.node(n).uses.get(&v));
-                for u in uses.flatten() {
-                    match *u {
+                let view = self.view;
+                for &u in contexts.iter().flat_map(|&n| view.uses(n, v)) {
+                    match u {
                         Use::Flow { to, loc } => {
                             let st = self.stmt(m, loc);
                             push(
@@ -450,4 +401,49 @@ impl<'a> CiSlicer<'a> {
 
 fn count_heap(path: &[FlowStep]) -> usize {
     path.iter().filter(|s| matches!(s.kind, StepKind::HeapEdge | StepKind::CarrierEdge)).count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::SliceSpec;
+    use crate::view::reference::setup;
+
+    #[test]
+    fn cache_load_lists_do_not_depend_on_hash_order() {
+        // Four methods load the same field and an array, so the
+        // method-level lists interleave methods.
+        let (p, pts) = setup(
+            r#"
+            class Box { field Object v; field Object[] arr; ctor (Object v) { this.v = v; } }
+            class Main {
+                static method void main() {
+                    Box b = new Box(new Object());
+                    Object x1 = Main.one(b);
+                    Object x2 = Main.two(b);
+                    Object x3 = Main.three(b);
+                    Object x4 = Main.four(b);
+                }
+                static method Object one(Box b) { return b.v; }
+                static method Object two(Box b) { Object[] a = b.arr; return a[0]; }
+                static method Object three(Box b) { return b.v; }
+                static method Object four(Box b) { Object[] a = b.arr; Object o = a[1]; return b.v; }
+            }
+            "#,
+        );
+        let spec = SliceSpec::default();
+        let build = || {
+            let cache = CiCache::build(&SliceIndex::build(&p, &pts, [&spec]));
+            (cache.loads_by_field, cache.static_loads)
+        };
+        let first = build();
+        let v = p.field_by_name(p.class_by_name("Box").unwrap(), "v").unwrap();
+        let methods: HashSet<MethodId> =
+            first.0[&FieldKey::Field(v)].iter().map(|&(m, ..)| m).collect();
+        assert!(methods.len() >= 3, "loads of `v` span {} methods", methods.len());
+        assert!(first.0.contains_key(&FieldKey::Array));
+        for _ in 0..8 {
+            assert_eq!(build(), first);
+        }
+    }
 }

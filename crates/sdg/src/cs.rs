@@ -237,21 +237,23 @@ impl<'a> CsSlicer<'a> {
     ) -> Result<(), SliceError> {
         let mut visited: HashSet<Fact> = HashSet::new();
         let mut queue: VecDeque<Fact> = VecDeque::new();
-        // Seed: all stores (heap and static), program-wide.
-        for node in self.view.pts.callgraph.iter_nodes() {
-            for uses in self.view.node(node).uses.values() {
-                for u in uses {
-                    match u {
+        // Seed: all stores (heap and static), program-wide. The closure
+        // is a fixpoint, so the seeding order moves no counter.
+        let view = self.view;
+        for node in view.pts.callgraph.iter_nodes() {
+            for v in 0..view.index.num_vars(node) {
+                for u in view.uses(node, Var(v)) {
+                    match *u {
                         Use::Store { base, field, .. } => {
-                            for ik in self.view.local_pts(node, *base).iter() {
-                                let f = (node, CsFact::Heap(ik, *field, Dir::Up));
+                            for ik in view.index.local_pts(node, base).iter() {
+                                let f = (node, CsFact::Heap(ik, field, Dir::Up));
                                 if visited.insert(f) {
                                     queue.push_back(f);
                                 }
                             }
                         }
                         Use::StaticStore { field, .. } => {
-                            let f = (node, CsFact::Static(*field, Dir::Up));
+                            let f = (node, CsFact::Static(field, Dir::Up));
                             if visited.insert(f) {
                                 queue.push_back(f);
                             }
@@ -282,14 +284,13 @@ impl<'a> CsSlicer<'a> {
             };
             match cs {
                 CsFact::Var(v) => {
-                    let Some(uses) = self.view.node(node).uses.get(&v) else { continue };
-                    for u in uses.clone() {
+                    for &u in view.uses(node, v) {
                         match u {
                             Use::Flow { to, .. } => {
                                 push_plain((node, CsFact::Var(to)), &mut queue, &mut visited)
                             }
                             Use::Store { base, field, .. } => {
-                                for ik in self.view.local_pts(node, base).iter() {
+                                for ik in view.index.local_pts(node, base).iter() {
                                     push_plain(
                                         (node, CsFact::Heap(ik, field, Dir::Up)),
                                         &mut queue,
@@ -317,15 +318,13 @@ impl<'a> CsSlicer<'a> {
                                 }
                             }
                             Use::Ret { .. } => {
-                                if let Some(sites) = self.view.return_sites.get(&node) {
-                                    for &(caller, _, cdst) in sites {
-                                        if let Some(d) = cdst {
-                                            push_plain(
-                                                (caller, CsFact::Var(d)),
-                                                &mut queue,
-                                                &mut visited,
-                                            );
-                                        }
+                                for &(caller, _, cdst) in view.index.return_sites(node) {
+                                    if let Some(d) = cdst {
+                                        push_plain(
+                                            (caller, CsFact::Var(d)),
+                                            &mut queue,
+                                            &mut visited,
+                                        );
                                     }
                                 }
                             }
@@ -334,10 +333,10 @@ impl<'a> CsSlicer<'a> {
                     }
                 }
                 CsFact::Heap(ik, field, dir) => {
-                    for l in &self.view.node(node).loads {
+                    for l in view.index.loads(node) {
                         if l.field == Some(field) {
                             if let Some(lb) = l.base {
-                                if self.view.local_pts(node, lb).contains(ik) {
+                                if view.index.local_pts(node, lb).contains(ik) {
                                     push_plain(
                                         (node, CsFact::Var(l.dst)),
                                         &mut queue,
@@ -357,21 +356,19 @@ impl<'a> CsSlicer<'a> {
                         }
                     }
                     if dir == Dir::Up {
-                        if let Some(sites) = self.view.return_sites.get(&node) {
-                            for &(caller, cloc, _) in sites {
-                                if !self.blocks_return(caller, cloc, node, Some(ik)) {
-                                    push_plain(
-                                        (caller, CsFact::Heap(ik, field, Dir::Up)),
-                                        &mut queue,
-                                        &mut visited,
-                                    );
-                                }
+                        for &(caller, cloc, _) in view.index.return_sites(node) {
+                            if !self.blocks_return(caller, cloc, node, Some(ik)) {
+                                push_plain(
+                                    (caller, CsFact::Heap(ik, field, Dir::Up)),
+                                    &mut queue,
+                                    &mut visited,
+                                );
                             }
                         }
                     }
                 }
                 CsFact::Static(field, dir) => {
-                    for l in &self.view.node(node).loads {
+                    for l in view.index.loads(node) {
                         if l.static_field == Some(field) {
                             push_plain((node, CsFact::Var(l.dst)), &mut queue, &mut visited);
                         }
@@ -386,15 +383,13 @@ impl<'a> CsSlicer<'a> {
                         }
                     }
                     if dir == Dir::Up {
-                        if let Some(sites) = self.view.return_sites.get(&node) {
-                            for &(caller, cloc, _) in sites {
-                                if !self.blocks_return(caller, cloc, node, None) {
-                                    push_plain(
-                                        (caller, CsFact::Static(field, Dir::Up)),
-                                        &mut queue,
-                                        &mut visited,
-                                    );
-                                }
+                        for &(caller, cloc, _) in view.index.return_sites(node) {
+                            if !self.blocks_return(caller, cloc, node, None) {
+                                push_plain(
+                                    (caller, CsFact::Static(field, Dir::Up)),
+                                    &mut queue,
+                                    &mut visited,
+                                );
                             }
                         }
                     }
@@ -418,11 +413,8 @@ impl<'a> CsSlicer<'a> {
         seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
         result: &mut SliceResult,
     ) {
-        let uses = match self.view.node(node).uses.get(&v) {
-            Some(u) => u.clone(),
-            None => return,
-        };
-        for u in uses {
+        let view = self.view;
+        for &u in view.uses(node, v) {
             match u {
                 Use::Flow { to, loc } => push(
                     visited,
@@ -434,11 +426,11 @@ impl<'a> CsSlicer<'a> {
                 ),
                 Use::Store { loc, base, field } => {
                     let store_stmt = StmtNode { node, loc };
-                    let base_pts = self.view.local_pts(node, base);
+                    let base_pts = view.index.local_pts(node, base);
                     // Carrier detection applies in CS too (§4.1.1).
                     for ik in base_pts.iter() {
-                        if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                            for cs_sink in sinks.clone() {
+                        if let Some(sinks) = view.spec.carrier_sinks.get(&ik) {
+                            for cs_sink in sinks {
                                 if seen_flows.insert((seed_stmt, cs_sink.stmt, cs_sink.pos)) {
                                     let mut path = reconstruct(parents, fact);
                                     path.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
@@ -505,21 +497,19 @@ impl<'a> CsSlicer<'a> {
                     }
                 }
                 Use::Ret { .. } => {
-                    if let Some(sites) = self.view.return_sites.get(&node) {
-                        for &(caller, cloc, cdst) in &sites.clone() {
-                            if let Some(d) = cdst {
-                                push(
-                                    visited,
-                                    parents,
-                                    queue,
-                                    (caller, CsFact::Var(d)),
-                                    fact,
-                                    vec![FlowStep {
-                                        stmt: StmtNode { node: caller, loc: cloc },
-                                        kind: StepKind::ReturnTo,
-                                    }],
-                                );
-                            }
+                    for &(caller, cloc, cdst) in view.index.return_sites(node) {
+                        if let Some(d) = cdst {
+                            push(
+                                visited,
+                                parents,
+                                queue,
+                                (caller, CsFact::Var(d)),
+                                fact,
+                                vec![FlowStep {
+                                    stmt: StmtNode { node: caller, loc: cloc },
+                                    kind: StepKind::ReturnTo,
+                                }],
+                            );
                         }
                     }
                 }
@@ -560,12 +550,13 @@ impl<'a> CsSlicer<'a> {
         queue: &mut VecDeque<Fact>,
     ) {
         // Loads in this node.
-        for l in &self.view.node(node).loads {
+        let view = self.view;
+        for l in view.index.loads(node) {
             let (Some(lf), Some(lbase)) = (l.field, l.base) else { continue };
             if lf != field {
                 continue;
             }
-            if self.view.local_pts(node, lbase).contains(ik) {
+            if view.index.local_pts(node, lbase).contains(ik) {
                 push(
                     visited,
                     parents,
@@ -582,11 +573,11 @@ impl<'a> CsSlicer<'a> {
         // Reflective invoke: the argument array's contents bind to the
         // invoked method's parameters.
         if field == FieldKey::Array {
-            for &(inode, iloc, arr, callee) in &self.view.invoke_bindings {
+            for &(inode, iloc, arr, callee) in &view.index.invoke_bindings {
                 if inode != node {
                     continue; // call-structure consistency
                 }
-                if self.view.local_pts(inode, arr).contains(ik) {
+                if view.index.local_pts(inode, arr).contains(ik) {
                     let callee_method = self.view.pts.callgraph.method_of(callee);
                     let m = self.view.program.method(callee_method);
                     let off = usize::from(!m.is_static);
@@ -624,23 +615,21 @@ impl<'a> CsSlicer<'a> {
         // at or above their origin (realizable paths), and never across
         // spawn edges (the CS thread unsoundness).
         if dir == Dir::Up {
-            if let Some(sites) = self.view.return_sites.get(&node) {
-                for &(caller, cloc, _) in &sites.clone() {
-                    if self.blocks_return(caller, cloc, node, Some(ik)) {
-                        continue; // CS thread unsoundness
-                    }
-                    push(
-                        visited,
-                        parents,
-                        queue,
-                        (caller, CsFact::Heap(ik, field, Dir::Up)),
-                        fact,
-                        vec![FlowStep {
-                            stmt: StmtNode { node: caller, loc: cloc },
-                            kind: StepKind::ReturnTo,
-                        }],
-                    );
+            for &(caller, cloc, _) in view.index.return_sites(node) {
+                if self.blocks_return(caller, cloc, node, Some(ik)) {
+                    continue; // CS thread unsoundness
                 }
+                push(
+                    visited,
+                    parents,
+                    queue,
+                    (caller, CsFact::Heap(ik, field, Dir::Up)),
+                    fact,
+                    vec![FlowStep {
+                        stmt: StmtNode { node: caller, loc: cloc },
+                        kind: StepKind::ReturnTo,
+                    }],
+                );
             }
         }
     }
@@ -656,7 +645,8 @@ impl<'a> CsSlicer<'a> {
         parents: &mut Parents,
         queue: &mut VecDeque<Fact>,
     ) {
-        for l in &self.view.node(node).loads {
+        let view = self.view;
+        for l in view.index.loads(node) {
             if l.static_field == Some(field) {
                 push(
                     visited,
@@ -684,23 +674,21 @@ impl<'a> CsSlicer<'a> {
             }
         }
         if dir == Dir::Up {
-            if let Some(sites) = self.view.return_sites.get(&node) {
-                for &(caller, cloc, _) in &sites.clone() {
-                    if self.blocks_return(caller, cloc, node, None) {
-                        continue;
-                    }
-                    push(
-                        visited,
-                        parents,
-                        queue,
-                        (caller, CsFact::Static(field, Dir::Up)),
-                        fact,
-                        vec![FlowStep {
-                            stmt: StmtNode { node: caller, loc: cloc },
-                            kind: StepKind::ReturnTo,
-                        }],
-                    );
+            for &(caller, cloc, _) in view.index.return_sites(node) {
+                if self.blocks_return(caller, cloc, node, None) {
+                    continue;
                 }
+                push(
+                    visited,
+                    parents,
+                    queue,
+                    (caller, CsFact::Static(field, Dir::Up)),
+                    fact,
+                    vec![FlowStep {
+                        stmt: StmtNode { node: caller, loc: cloc },
+                        kind: StepKind::ReturnTo,
+                    }],
+                );
             }
         }
     }
@@ -740,6 +728,7 @@ fn count_heap(path: &[FlowStep]) -> usize {
 mod tests {
     use super::*;
     use crate::spec::SliceSpec;
+    use crate::view::SliceIndex;
     use taj_pointer::{analyze, PointsTo, SolverConfig};
 
     fn build(src: &str) -> (jir::Program, PointsTo) {
@@ -777,7 +766,8 @@ mod tests {
     fn spawn_sites_are_keyed_by_full_edge_triple() {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = SliceIndex::build(&program, &pts, [&spec]);
+        let view = ProgramView::build(&index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
 
         let sites = slicer.spawn_sites();
@@ -798,7 +788,8 @@ mod tests {
     fn ordinary_calls_are_not_spawn_sites() {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = SliceIndex::build(&program, &pts, [&spec]);
+        let view = ProgramView::build(&index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
 
         // Main.helper() is a plain call edge: it must not appear in
@@ -822,7 +813,8 @@ mod tests {
         "#,
         );
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = SliceIndex::build(&program, &pts, [&spec]);
+        let view = ProgramView::build(&index, &spec);
         let slicer = CsSlicer::new(&view, SliceBounds::default());
         assert!(slicer.spawn_sites().is_empty());
     }
@@ -831,7 +823,8 @@ mod tests {
     fn blocks_return_respects_escape_mode() {
         let (program, pts) = build(TWO_SPAWNS);
         let spec = SliceSpec::default();
-        let view = ProgramView::build(&program, &pts, &spec);
+        let index = SliceIndex::build(&program, &pts, [&spec]);
+        let view = ProgramView::build(&index, &spec);
         let heap = taj_pointer::HeapGraph::build(&pts);
         let esc = EscapeAnalysis::compute(&pts, &heap);
 

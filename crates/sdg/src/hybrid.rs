@@ -225,7 +225,7 @@ impl<'a> HybridSlicer<'a> {
             // The object itself may carry the taint straight to a sink.
             for ik in rs.arg_pts.iter() {
                 if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                    for cs in sinks.clone() {
+                    for cs in sinks {
                         if seen_flows.insert((rs.stmt, cs.stmt, cs.pos)) {
                             result.flows.push(Flow {
                                 source: rs.stmt,
@@ -267,12 +267,9 @@ impl<'a> HybridSlicer<'a> {
                 return;
             }
             self.work += 1;
-            let uses = match self.view.node(node).uses.get(&var) {
-                Some(u) => u.clone(),
-                None => continue,
-            };
+            let view = self.view;
             let fact = (node, var);
-            for u in uses {
+            for &u in view.uses(node, var) {
                 match u {
                     Use::Flow { to, loc } => {
                         run.push(
@@ -320,20 +317,17 @@ impl<'a> HybridSlicer<'a> {
                             fact,
                         );
                     }
-                    Use::Ret { loc } => {
-                        let _ = loc;
-                        if let Some(sites) = self.view.return_sites.get(&node) {
-                            for &(caller, cloc, cdst) in &sites.clone() {
-                                if let Some(d) = cdst {
-                                    run.push(
-                                        (caller, d),
-                                        fact,
-                                        vec![FlowStep {
-                                            stmt: StmtNode { node: caller, loc: cloc },
-                                            kind: StepKind::ReturnTo,
-                                        }],
-                                    );
-                                }
+                    Use::Ret { .. } => {
+                        for &(caller, cloc, cdst) in view.index.return_sites(node) {
+                            if let Some(d) = cdst {
+                                run.push(
+                                    (caller, d),
+                                    fact,
+                                    vec![FlowStep {
+                                        stmt: StmtNode { node: caller, loc: cloc },
+                                        kind: StepKind::ReturnTo,
+                                    }],
+                                );
                             }
                         }
                     }
@@ -376,14 +370,15 @@ impl<'a> HybridSlicer<'a> {
         if !run.processed_stores.insert(store_stmt) {
             return;
         }
-        let base_pts = self.view.local_pts(store_node, base);
+        let view = self.view;
+        let base_pts = view.index.local_pts(store_node, base);
         let mut steps = pre_steps;
         steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
 
         // Taint carriers: the stored-into object may reach a sink argument.
         for ik in base_pts.iter() {
-            if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                for cs in sinks.clone() {
+            if let Some(sinks) = view.spec.carrier_sinks.get(&ik) {
+                for cs in sinks {
                     self.emit_flow(
                         run,
                         result,
@@ -404,13 +399,12 @@ impl<'a> HybridSlicer<'a> {
             result.budget_exhausted = true;
             return;
         }
-        let view = self.view;
-        if let Some(loads) = view.loads_by_field.get(&field) {
+        if let Some(loads) = view.index.loads_by_field.get(&field) {
             for &(lnode, load) in loads {
                 let Some(lbase) = load.base else { continue };
                 let Some(lpts) = view.pts.local(lnode, lbase) else { continue };
-                if lpts.intersects(&base_pts) {
-                    if self.edge_impossible(store_node, lnode, &base_pts, lpts) {
+                if lpts.intersects(base_pts) {
+                    if self.edge_impossible(store_node, lnode, base_pts, lpts) {
                         self.edges_dropped += 1;
                         continue;
                     }
@@ -430,16 +424,16 @@ impl<'a> HybridSlicer<'a> {
         }
         // Reflective invoke: array stores feed the invoked method's params.
         if field == FieldKey::Array {
-            for &(inode, iloc, arr, callee) in &view.invoke_bindings {
+            for &(inode, iloc, arr, callee) in &view.index.invoke_bindings {
                 let Some(apts) = view.pts.local(inode, arr) else { continue };
-                if apts.intersects(&base_pts) {
-                    if self.edge_impossible(store_node, inode, &base_pts, apts) {
+                if apts.intersects(base_pts) {
+                    if self.edge_impossible(store_node, inode, base_pts, apts) {
                         self.edges_dropped += 1;
                         continue;
                     }
                     *heap_budget += 1;
-                    let callee_method = self.view.pts.callgraph.method_of(callee);
-                    let m = self.view.program.method(callee_method);
+                    let callee_method = view.pts.callgraph.method_of(callee);
+                    let m = view.program.method(callee_method);
                     let off = usize::from(!m.is_static);
                     for i in 0..m.params.len() {
                         let mut s = steps.clone();
@@ -470,7 +464,7 @@ impl<'a> HybridSlicer<'a> {
         }
         let mut steps = pre_steps;
         steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
-        if let Some(loads) = self.view.static_loads.get(&field) {
+        if let Some(loads) = self.view.index.static_loads.get(&field) {
             for &(lnode, load) in loads {
                 *heap_budget += 1;
                 if self.heap_budget_exhausted(*heap_budget) {
@@ -501,13 +495,13 @@ impl<'a> HybridSlicer<'a> {
         parent: Fact,
     ) {
         let call_stmt = StmtNode { node, loc };
-        let targets: Vec<CGNodeId> = self.view.pts.callgraph.targets(node, loc).to_vec();
-        for t in targets {
-            let callee_method = self.view.pts.callgraph.method_of(t);
-            let m = self.view.program.method(callee_method);
-            if self.view.spec.sanitizers.contains(&callee_method)
-                || self.view.spec.sources.contains(&callee_method)
-                || self.view.spec.sinks.contains_key(&callee_method)
+        let view = self.view;
+        for &t in view.pts.callgraph.targets(node, loc) {
+            let callee_method = view.pts.callgraph.method_of(t);
+            let m = view.program.method(callee_method);
+            if view.spec.sanitizers.contains(&callee_method)
+                || view.spec.sources.contains(&callee_method)
+                || view.spec.sinks.contains_key(&callee_method)
             {
                 continue; // handled via dedicated roles
             }
@@ -557,7 +551,7 @@ impl<'a> HybridSlicer<'a> {
                 );
             }
             if summary.reaches_ret {
-                if let Some(d) = call_dst(self.view, node, loc) {
+                if let Some(d) = view.index.call_dst(node, loc) {
                     run.push(
                         (node, d),
                         parent,
@@ -648,13 +642,10 @@ impl<'a> HybridSlicer<'a> {
         let mut visited: HashSet<Var> = HashSet::new();
         let mut local_queue = vec![entry_var];
         visited.insert(entry_var);
+        let view = self.view;
         while let Some(v) = local_queue.pop() {
             self.work += 1;
-            let uses = match self.view.node(node).uses.get(&v) {
-                Some(u) => u.clone(),
-                None => continue,
-            };
-            for u in uses {
+            for &u in view.uses(node, v) {
                 match u {
                     Use::Flow { to, .. } => {
                         if visited.insert(to) {
@@ -682,14 +673,12 @@ impl<'a> HybridSlicer<'a> {
                     Use::Ret { .. } => out.reaches_ret = true,
                     Use::Sanitized { .. } => {}
                     Use::Arg { loc, pos } => {
-                        let targets: Vec<CGNodeId> =
-                            self.view.pts.callgraph.targets(node, loc).to_vec();
-                        for t in targets {
-                            let callee_method = self.view.pts.callgraph.method_of(t);
-                            let m = self.view.program.method(callee_method);
-                            if self.view.spec.sanitizers.contains(&callee_method)
-                                || self.view.spec.sources.contains(&callee_method)
-                                || self.view.spec.sinks.contains_key(&callee_method)
+                        for &t in view.pts.callgraph.targets(node, loc) {
+                            let callee_method = view.pts.callgraph.method_of(t);
+                            let m = view.program.method(callee_method);
+                            if view.spec.sanitizers.contains(&callee_method)
+                                || view.spec.sources.contains(&callee_method)
+                                || view.spec.sinks.contains_key(&callee_method)
                             {
                                 continue;
                             }
@@ -723,7 +712,7 @@ impl<'a> HybridSlicer<'a> {
                                 }
                             }
                             if sub.reaches_ret {
-                                if let Some(d) = call_dst(self.view, node, loc) {
+                                if let Some(d) = view.index.call_dst(node, loc) {
                                     if visited.insert(d) {
                                         local_queue.push(d);
                                     }
@@ -788,13 +777,4 @@ impl SeedRun {
 pub(crate) fn clamp_range(r: &std::ops::Range<usize>, len: usize) -> std::ops::Range<usize> {
     let start = r.start.min(len);
     start..r.end.min(len).max(start)
-}
-
-pub(crate) fn call_dst(view: &ProgramView<'_>, node: CGNodeId, loc: Loc) -> Option<Var> {
-    let method = view.pts.callgraph.method_of(node);
-    let body = view.program.method(method).body()?;
-    match body.blocks.get(loc.block.index())?.insts.get(loc.idx as usize)? {
-        jir::Inst::Call { dst, .. } => *dst,
-        _ => None,
-    }
 }

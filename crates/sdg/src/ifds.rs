@@ -41,12 +41,12 @@
 //! ## Determinism
 //!
 //! Everything that reaches the output is iterated in a structurally
-//! fixed order: node views in call-graph order, use/load vectors in
-//! program order, the alias index sorted by `(node, var)`, ref-seed
-//! facts sorted before seeding. No `HashMap` iteration order is ever
-//! observable in the flow set or the witness paths, so the result is
-//! byte-identical at every thread count (the parallel engine runs IFDS
-//! rules as whole units; see `taj_core::parallel`).
+//! fixed order: nodes in call-graph order, use/load vectors in program
+//! order, the alias index sorted by `(node, var)`, ref-seed facts sorted
+//! before seeding. No `HashMap` iteration order is ever observable in
+//! the flow set or the witness paths, so the result is byte-identical
+//! at every thread count (the parallel engine runs IFDS rules as whole
+//! units; see `taj_core::parallel`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -55,9 +55,8 @@ use jir::{FieldId, MethodId};
 use taj_pointer::CGNodeId;
 use taj_supervise::{InterruptReason, Supervisor};
 
-use crate::hybrid::call_dst;
 use crate::spec::{Flow, FlowStep, SliceResult, StepKind, StmtNode};
-use crate::view::{FieldKey, LoadStmt, ProgramView, Use};
+use crate::view::{FieldKey, ProgramView, SliceIndex, Use};
 
 /// A bounded access-path suffix: at most `k` fields, with a widening
 /// flag meaning "this prefix *and every extension of it*".
@@ -147,6 +146,39 @@ struct Summary {
 /// Entry key of a summary: callee node and entry register.
 type SumKey = (CGNodeId, Var);
 
+/// Locals that may point to an abstract object, sorted by `(node, var)`.
+type AliasList = Vec<(CGNodeId, Var)>;
+
+/// The rule-independent part of the alias-injection index: instance key
+/// → the locals `(node, var)` that may point to it, sorted. A local is
+/// listed when it is a load base or has a use no rule changes; the
+/// locals only a rule's classification uses are that rule's slicer's
+/// difference (see [`IfdsSlicer::new`]). Built once per phase-2 pass.
+#[derive(Debug)]
+pub struct IfdsAliases {
+    by_ik: HashMap<u32, AliasList>,
+}
+
+impl IfdsAliases {
+    /// Builds the shared alias lists from the slice index.
+    pub fn build(index: &SliceIndex<'_>) -> Self {
+        let mut by_ik: HashMap<u32, AliasList> = HashMap::new();
+        let mut vars: Vec<Var> = Vec::new();
+        for node in index.pts.callgraph.iter_nodes() {
+            vars.extend(index.registers_with_shared_uses(node));
+            vars.extend(index.loads(node).iter().filter_map(|l| l.base));
+            vars.sort_unstable();
+            vars.dedup();
+            for v in vars.drain(..) {
+                for ik in index.local_pts(node, v).iter() {
+                    by_ik.entry(ik).or_default().push((node, v));
+                }
+            }
+        }
+        IfdsAliases { by_ik }
+    }
+}
+
 /// The IFDS access-path slicer.
 #[derive(Debug)]
 pub struct IfdsSlicer<'a> {
@@ -156,12 +188,11 @@ pub struct IfdsSlicer<'a> {
     summaries: HashMap<SumKey, Summary>,
     /// Reverse dependencies: when `key`'s summary grows, recompute these.
     dependents: HashMap<SumKey, HashSet<SumKey>>,
-    /// Instance key → locals that may point to it, sorted `(node, var)`
-    /// — the alias-injection index.
-    aliases: HashMap<u32, Vec<(CGNodeId, Var)>>,
-    /// Every instance/array load, in call-graph/program order — what a
-    /// widened-empty heap fact matches against.
-    all_loads: Vec<(CGNodeId, LoadStmt)>,
+    /// The pass's shared alias-injection index.
+    aliases: &'a IfdsAliases,
+    /// The alias lists this rule changes, in full: the shared list plus
+    /// the locals only this rule's classification uses.
+    rule_aliases: HashMap<u32, AliasList>,
     /// Distinct facts inserted into any seed's visited set.
     facts_created: usize,
     /// Worklist pops across tabulation and summary fixpoints.
@@ -172,26 +203,22 @@ pub struct IfdsSlicer<'a> {
 }
 
 impl<'a> IfdsSlicer<'a> {
-    /// Creates a slicer over a program view with depth bound `k`.
-    pub fn new(view: &'a ProgramView<'a>, depth: usize) -> Self {
-        let mut aliases: HashMap<u32, Vec<(CGNodeId, Var)>> = HashMap::new();
-        let mut all_loads: Vec<(CGNodeId, LoadStmt)> = Vec::new();
-        for node in view.pts.callgraph.iter_nodes() {
-            let nv = view.node(node);
-            let mut vars: Vec<Var> = nv.uses.keys().copied().collect();
-            for l in &nv.loads {
-                if l.field.is_some() {
-                    all_loads.push((node, *l));
-                }
-                if let Some(b) = l.base {
-                    vars.push(b);
-                }
+    /// Creates a slicer over a program view with depth bound `k`, taking
+    /// the alias-injection index from `aliases` (built from the view's
+    /// slice index) and adding the locals only this rule uses.
+    pub fn new(view: &'a ProgramView<'a>, depth: usize, aliases: &'a IfdsAliases) -> Self {
+        let index = view.index;
+        let mut rule_aliases: HashMap<u32, AliasList> = HashMap::new();
+        for (node, v) in view.rule_only_registers() {
+            if index.loads(node).iter().any(|l| l.base == Some(v)) {
+                continue; // a load base: already listed
             }
-            vars.sort_unstable();
-            vars.dedup();
-            for v in vars {
-                for ik in view.local_pts(node, v).iter() {
-                    aliases.entry(ik).or_default().push((node, v));
+            for ik in index.local_pts(node, v).iter() {
+                let list = rule_aliases
+                    .entry(ik)
+                    .or_insert_with(|| aliases.by_ik.get(&ik).cloned().unwrap_or_default());
+                if let Err(at) = list.binary_search(&(node, v)) {
+                    list.insert(at, (node, v));
                 }
             }
         }
@@ -201,7 +228,7 @@ impl<'a> IfdsSlicer<'a> {
             summaries: HashMap::new(),
             dependents: HashMap::new(),
             aliases,
-            all_loads,
+            rule_aliases,
             facts_created: 0,
             worklist_pops: 0,
             work: 0,
@@ -253,12 +280,12 @@ impl<'a> IfdsSlicer<'a> {
                 break;
             }
             let mut run = SeedRun::new(stmt, sc.method);
-            self.seed(
-                &mut run,
+            run.seed(
                 Fact::Local(stmt.node, sc.dst, ApFields::value()),
                 vec![FlowStep { stmt, kind: StepKind::Seed }],
             );
             self.tabulate(&mut run, &mut result, &mut seen_flows, &mut heap_edges);
+            self.facts_created += run.visited.len();
         }
         // By-reference sources (footnote 2): the argument object's state
         // is tainted — loads reading it become value seeds, and the
@@ -269,15 +296,14 @@ impl<'a> IfdsSlicer<'a> {
             }
             let mut run = SeedRun::new(rs.stmt, rs.method);
             for &(n, v) in &rs.facts {
-                self.seed(
-                    &mut run,
+                run.seed(
                     Fact::Local(n, v, ApFields::value()),
                     vec![FlowStep { stmt: rs.stmt, kind: StepKind::Seed }],
                 );
             }
             for ik in rs.arg_pts.iter() {
                 if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                    for cs in sinks.clone() {
+                    for cs in sinks {
                         if seen_flows.insert((rs.stmt, cs.stmt, cs.pos)) {
                             result.flows.push(Flow {
                                 source: rs.stmt,
@@ -296,29 +322,12 @@ impl<'a> IfdsSlicer<'a> {
                 }
             }
             self.tabulate(&mut run, &mut result, &mut seen_flows, &mut heap_edges);
+            self.facts_created += run.visited.len();
         }
         result.heap_transitions = heap_edges;
         result.work = self.work;
         result.interrupted = self.interrupted;
         result
-    }
-
-    /// Seeds an initial fact with no provenance predecessor.
-    fn seed(&mut self, run: &mut SeedRun, fact: Fact, steps: Vec<FlowStep>) {
-        if run.visited.insert(fact.clone()) {
-            self.facts_created += 1;
-            run.parents.insert(fact.clone(), Parent { prev: None, steps });
-            run.queue.push_back(fact);
-        }
-    }
-
-    /// Inserts a derived fact with provenance.
-    fn push(&mut self, run: &mut SeedRun, fact: Fact, from: &Fact, steps: Vec<FlowStep>) {
-        if run.visited.insert(fact.clone()) {
-            self.facts_created += 1;
-            run.parents.insert(fact.clone(), Parent { prev: Some(from.clone()), steps });
-            run.queue.push_back(fact);
-        }
     }
 
     /// Drains one seed's worklist to a fixpoint.
@@ -365,102 +374,87 @@ impl<'a> IfdsSlicer<'a> {
         fields: &ApFields,
         fact: &Fact,
     ) {
-        if let Some(uses) = self.view.node(node).uses.get(&var).cloned() {
-            for u in uses {
-                match u {
-                    Use::Flow { to, loc } => {
-                        self.push(
-                            run,
-                            Fact::Local(node, to, fields.clone()),
-                            fact,
-                            vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
-                        );
+        let view = self.view;
+        for &u in view.uses(node, var) {
+            match u {
+                Use::Flow { to, loc } => {
+                    run.push(
+                        Fact::Local(node, to, fields.clone()),
+                        fact,
+                        vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                    );
+                }
+                Use::Store { loc, base, field } => {
+                    self.process_store(
+                        run,
+                        result,
+                        seen_flows,
+                        heap_edges,
+                        StmtNode { node, loc },
+                        node,
+                        base,
+                        field,
+                        fields,
+                        fact,
+                        vec![],
+                    );
+                }
+                Use::StaticStore { loc, field } => {
+                    run.push(
+                        Fact::Static(field, fields.clone()),
+                        fact,
+                        vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                    );
+                }
+                Use::Arg { loc, pos } => {
+                    self.process_arg(
+                        run, result, seen_flows, heap_edges, node, loc, pos, fields, fact,
+                    );
+                    if self.interrupted.is_some() {
+                        return;
                     }
-                    Use::Store { loc, base, field } => {
-                        self.process_store(
-                            run,
-                            result,
-                            seen_flows,
-                            heap_edges,
-                            StmtNode { node, loc },
-                            node,
-                            base,
-                            field,
-                            fields,
-                            fact,
-                            vec![],
-                        );
-                    }
-                    Use::StaticStore { loc, field } => {
-                        self.push(
-                            run,
-                            Fact::Static(field, fields.clone()),
-                            fact,
-                            vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
-                        );
-                    }
-                    Use::Arg { loc, pos } => {
-                        self.process_arg(
-                            run, result, seen_flows, heap_edges, node, loc, pos, fields, fact,
-                        );
-                        if self.interrupted.is_some() {
-                            return;
-                        }
-                    }
-                    Use::Ret { .. } => {
-                        if let Some(sites) = self.view.return_sites.get(&node).cloned() {
-                            for (caller, cloc, cdst) in sites {
-                                if let Some(d) = cdst {
-                                    self.push(
-                                        run,
-                                        Fact::Local(caller, d, fields.clone()),
-                                        fact,
-                                        vec![FlowStep {
-                                            stmt: StmtNode { node: caller, loc: cloc },
-                                            kind: StepKind::ReturnTo,
-                                        }],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Use::SinkArg { loc, method, pos } => {
-                        if fields.is_value() {
-                            self.emit_flow(
-                                run,
-                                result,
-                                seen_flows,
+                }
+                Use::Ret { .. } => {
+                    for &(caller, cloc, cdst) in view.index.return_sites(node) {
+                        if let Some(d) = cdst {
+                            run.push(
+                                Fact::Local(caller, d, fields.clone()),
                                 fact,
-                                vec![],
-                                StmtNode { node, loc },
-                                method,
-                                pos,
-                                StepKind::Local,
+                                vec![FlowStep {
+                                    stmt: StmtNode { node: caller, loc: cloc },
+                                    kind: StepKind::ReturnTo,
+                                }],
                             );
                         }
                     }
-                    Use::Sanitized { .. } => {}
                 }
+                Use::SinkArg { loc, method, pos } => {
+                    if fields.is_value() {
+                        self.emit_flow(
+                            run,
+                            result,
+                            seen_flows,
+                            fact,
+                            vec![],
+                            StmtNode { node, loc },
+                            method,
+                            pos,
+                            StepKind::Local,
+                        );
+                    }
+                }
+                Use::Sanitized { .. } => {}
             }
         }
         // Field consumption through this register's own loads: `x = v.f`
         // peels `f` off the suffix (or matches anything when widened
         // empty). A precise value fact has nothing to consume.
         if fields.first().is_some() || (fields.widened && fields.is_value()) {
-            let loads: Vec<LoadStmt> = self
-                .view
-                .node(node)
-                .loads
-                .iter()
-                .filter(|l| l.base == Some(var))
-                .copied()
-                .collect();
-            for l in loads {
+            for l in view.index.loads(node).iter().filter(|l| l.base == Some(var)) {
                 let Some(lf) = l.field else { continue };
                 let Some(next) = fields.consume(lf) else { continue };
                 *heap_edges += 1;
-                self.push(
-                    run,
+                run.push(
                     Fact::Local(node, l.dst, next),
                     fact,
                     vec![FlowStep {
@@ -490,7 +484,8 @@ impl<'a> IfdsSlicer<'a> {
         parent: &Fact,
         pre_steps: Vec<FlowStep>,
     ) {
-        let base_pts = self.view.local_pts(store_node, base);
+        let view = self.view;
+        let base_pts = view.index.local_pts(store_node, base);
         let mut steps = pre_steps;
         steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
 
@@ -500,8 +495,8 @@ impl<'a> IfdsSlicer<'a> {
         // keeps the carrier semantics identical to the hybrid slicer's.
         if fields.is_value() {
             for ik in base_pts.iter() {
-                if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                    for cs in sinks.clone() {
+                if let Some(sinks) = view.spec.carrier_sinks.get(&ik) {
+                    for cs in sinks {
                         self.emit_flow(
                             run,
                             result,
@@ -520,18 +515,17 @@ impl<'a> IfdsSlicer<'a> {
 
         let stored = fields.prepend(field, self.depth);
         for ik in base_pts.iter() {
-            self.push(run, Fact::Heap(ik, stored.clone()), parent, steps.clone());
+            run.push(Fact::Heap(ik, stored.clone()), parent, steps.clone());
         }
 
         // Reflective invoke: array stores feed the invoked method's
         // params with the stored suffix.
         if field == FieldKey::Array {
-            for (inode, iloc, arr, callee) in self.view.invoke_bindings.clone() {
-                let apts = self.view.local_pts(inode, arr);
-                if apts.intersects(&base_pts) {
+            for &(inode, iloc, arr, callee) in &view.index.invoke_bindings {
+                if view.index.local_pts(inode, arr).intersects(base_pts) {
                     *heap_edges += 1;
-                    let callee_method = self.view.pts.callgraph.method_of(callee);
-                    let m = self.view.program.method(callee_method);
+                    let callee_method = view.pts.callgraph.method_of(callee);
+                    let m = view.program.method(callee_method);
                     let off = usize::from(!m.is_static);
                     for i in 0..m.params.len() {
                         let mut s = steps.clone();
@@ -539,8 +533,7 @@ impl<'a> IfdsSlicer<'a> {
                             stmt: StmtNode { node: inode, loc: iloc },
                             kind: StepKind::HeapEdge,
                         });
-                        self.push(
-                            run,
+                        run.push(
                             Fact::Local(callee, Var((i + off) as u32), fields.clone()),
                             parent,
                             s,
@@ -555,23 +548,23 @@ impl<'a> IfdsSlicer<'a> {
     /// consume the outermost field, and every local alias adopts the
     /// suffix (the injection that makes deeper chains explorable).
     fn process_heap(
-        &mut self,
+        &self,
         run: &mut SeedRun,
         heap_edges: &mut usize,
         ik: u32,
         fields: &ApFields,
         fact: &Fact,
     ) {
+        let index = self.view.index;
         if let Some(f0) = fields.first() {
-            if let Some(loads) = self.view.loads_by_field.get(&f0).cloned() {
-                for (lnode, l) in loads {
+            if let Some(loads) = index.loads_by_field.get(&f0) {
+                for &(lnode, l) in loads {
                     let Some(lbase) = l.base else { continue };
-                    if self.view.local_pts(lnode, lbase).contains(ik) {
+                    if index.local_pts(lnode, lbase).contains(ik) {
                         *heap_edges += 1;
                         let next =
                             ApFields { path: fields.path[1..].to_vec(), widened: fields.widened };
-                        self.push(
-                            run,
+                        run.push(
                             Fact::Local(lnode, l.dst, next),
                             fact,
                             vec![FlowStep {
@@ -583,47 +576,53 @@ impl<'a> IfdsSlicer<'a> {
                 }
             }
         } else if fields.widened {
-            // Widened-empty: field-insensitive — every load from an
-            // alias of the object yields a (still widened-empty) fact.
-            for (lnode, l) in self.all_loads.clone() {
-                let Some(lbase) = l.base else { continue };
-                if self.view.local_pts(lnode, lbase).contains(ik) {
-                    *heap_edges += 1;
-                    self.push(
-                        run,
-                        Fact::Local(lnode, l.dst, fields.clone()),
-                        fact,
-                        vec![FlowStep {
-                            stmt: StmtNode { node: lnode, loc: l.loc },
-                            kind: StepKind::HeapEdge,
-                        }],
-                    );
+            // Widened-empty: field-insensitive — every instance/array
+            // load, in call-graph/program order, from an alias of the
+            // object yields a (still widened-empty) fact.
+            for lnode in index.pts.callgraph.iter_nodes() {
+                for l in index.loads(lnode) {
+                    let (Some(_), Some(lbase)) = (l.field, l.base) else { continue };
+                    if index.local_pts(lnode, lbase).contains(ik) {
+                        *heap_edges += 1;
+                        run.push(
+                            Fact::Local(lnode, l.dst, fields.clone()),
+                            fact,
+                            vec![FlowStep {
+                                stmt: StmtNode { node: lnode, loc: l.loc },
+                                kind: StepKind::HeapEdge,
+                            }],
+                        );
+                    }
                 }
             }
         }
         // Alias injection: every local that may point to the object
         // adopts the suffix, so stores of carrier objects build deeper
         // paths and callee summaries see suffixed arguments.
-        if let Some(aliases) = self.aliases.get(&ik).cloned() {
-            for (n, w) in aliases {
-                self.push(run, Fact::Local(n, w, fields.clone()), fact, vec![]);
-            }
+        for &(n, w) in self.aliases_of(ik) {
+            run.push(Fact::Local(n, w, fields.clone()), fact, vec![]);
         }
     }
 
+    /// The locals that may point to `ik` and have a use under this rule
+    /// or are a load base, sorted by `(node, var)`.
+    fn aliases_of(&self, ik: u32) -> &[(CGNodeId, Var)] {
+        let list = self.rule_aliases.get(&ik).or_else(|| self.aliases.by_ik.get(&ik));
+        list.map_or(&[], Vec::as_slice)
+    }
+
     fn process_static(
-        &mut self,
+        &self,
         run: &mut SeedRun,
         heap_edges: &mut usize,
         field: FieldId,
         fields: &ApFields,
         fact: &Fact,
     ) {
-        if let Some(loads) = self.view.static_loads.get(&field).cloned() {
-            for (lnode, l) in loads {
+        if let Some(loads) = self.view.index.static_loads.get(&field) {
+            for &(lnode, l) in loads {
                 *heap_edges += 1;
-                self.push(
-                    run,
+                run.push(
                     Fact::Local(lnode, l.dst, fields.clone()),
                     fact,
                     vec![FlowStep {
@@ -651,13 +650,13 @@ impl<'a> IfdsSlicer<'a> {
         parent: &Fact,
     ) {
         let call_stmt = StmtNode { node, loc };
-        let targets: Vec<CGNodeId> = self.view.pts.callgraph.targets(node, loc).to_vec();
-        for t in targets {
-            let callee_method = self.view.pts.callgraph.method_of(t);
-            let m = self.view.program.method(callee_method);
-            if self.view.spec.sanitizers.contains(&callee_method)
-                || self.view.spec.sources.contains(&callee_method)
-                || self.view.spec.sinks.contains_key(&callee_method)
+        let view = self.view;
+        for &t in view.pts.callgraph.targets(node, loc) {
+            let callee_method = view.pts.callgraph.method_of(t);
+            let m = view.program.method(callee_method);
+            if view.spec.sanitizers.contains(&callee_method)
+                || view.spec.sources.contains(&callee_method)
+                || view.spec.sinks.contains_key(&callee_method)
             {
                 continue; // handled via dedicated roles
             }
@@ -687,8 +686,7 @@ impl<'a> IfdsSlicer<'a> {
                 );
             }
             for (st, sfield) in summary.static_stores {
-                self.push(
-                    run,
+                run.push(
                     Fact::Static(sfield, fields.clone()),
                     parent,
                     vec![call_step, FlowStep { stmt: st, kind: StepKind::Local }],
@@ -710,9 +708,8 @@ impl<'a> IfdsSlicer<'a> {
                 }
             }
             if summary.reaches_ret {
-                if let Some(d) = call_dst(self.view, node, loc) {
-                    self.push(
-                        run,
+                if let Some(d) = view.index.call_dst(node, loc) {
+                    run.push(
                         Fact::Local(node, d, fields.clone()),
                         parent,
                         vec![call_step, FlowStep { stmt: call_stmt, kind: StepKind::ReturnTo }],
@@ -799,13 +796,10 @@ impl<'a> IfdsSlicer<'a> {
         let mut visited: HashSet<Var> = HashSet::new();
         let mut local_queue = vec![entry_var];
         visited.insert(entry_var);
+        let view = self.view;
         while let Some(v) = local_queue.pop() {
             self.work += 1;
-            let uses = match self.view.node(node).uses.get(&v) {
-                Some(u) => u.clone(),
-                None => continue,
-            };
-            for u in uses {
+            for &u in view.uses(node, v) {
                 match u {
                     Use::Flow { to, .. } => {
                         if visited.insert(to) {
@@ -833,14 +827,12 @@ impl<'a> IfdsSlicer<'a> {
                     Use::Ret { .. } => out.reaches_ret = true,
                     Use::Sanitized { .. } => {}
                     Use::Arg { loc, pos } => {
-                        let targets: Vec<CGNodeId> =
-                            self.view.pts.callgraph.targets(node, loc).to_vec();
-                        for t in targets {
-                            let callee_method = self.view.pts.callgraph.method_of(t);
-                            let m = self.view.program.method(callee_method);
-                            if self.view.spec.sanitizers.contains(&callee_method)
-                                || self.view.spec.sources.contains(&callee_method)
-                                || self.view.spec.sinks.contains_key(&callee_method)
+                        for &t in view.pts.callgraph.targets(node, loc) {
+                            let callee_method = view.pts.callgraph.method_of(t);
+                            let m = view.program.method(callee_method);
+                            if view.spec.sanitizers.contains(&callee_method)
+                                || view.spec.sources.contains(&callee_method)
+                                || view.spec.sinks.contains_key(&callee_method)
                             {
                                 continue;
                             }
@@ -874,7 +866,7 @@ impl<'a> IfdsSlicer<'a> {
                                 }
                             }
                             if sub.reaches_ret {
-                                if let Some(d) = call_dst(self.view, node, loc) {
+                                if let Some(d) = view.index.call_dst(node, loc) {
                                     if visited.insert(d) {
                                         local_queue.push(d);
                                     }
@@ -916,6 +908,22 @@ impl SeedRun {
         }
     }
 
+    /// Seeds an initial fact with no provenance predecessor.
+    fn seed(&mut self, fact: Fact, steps: Vec<FlowStep>) {
+        if self.visited.insert(fact.clone()) {
+            self.parents.insert(fact.clone(), Parent { prev: None, steps });
+            self.queue.push_back(fact);
+        }
+    }
+
+    /// Inserts a derived fact with provenance.
+    fn push(&mut self, fact: Fact, from: &Fact, steps: Vec<FlowStep>) {
+        if self.visited.insert(fact.clone()) {
+            self.parents.insert(fact.clone(), Parent { prev: Some(from.clone()), steps });
+            self.queue.push_back(fact);
+        }
+    }
+
     /// Rebuilds the witness path from the seed to `fact`.
     fn reconstruct(&self, fact: &Fact) -> Vec<FlowStep> {
         let mut rev: Vec<FlowStep> = Vec::new();
@@ -940,6 +948,42 @@ impl SeedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::reference::{self, rule_sensitive_specs, setup, RULE_SENSITIVE};
+
+    #[test]
+    fn rule_aliases_match_the_per_node_reference() {
+        // The alias keys of a rule are the registers with a use under
+        // that rule plus the load bases — no more (extra keys would add
+        // facts), no fewer.
+        let (p, pts) = setup(RULE_SENSITIVE);
+        let specs = rule_sensitive_specs(&p);
+        let index = SliceIndex::build(&p, &pts, &specs);
+        let aliases = IfdsAliases::build(&index);
+        let mut rule_only = 0;
+        for spec in &specs {
+            let view = ProgramView::build(&index, spec);
+            let slicer = IfdsSlicer::new(&view, 2, &aliases);
+            rule_only += slicer.rule_aliases.len();
+            let mut want: HashMap<u32, Vec<(CGNodeId, Var)>> = HashMap::new();
+            for (i, nv) in reference::node_views(&p, &pts, spec).iter().enumerate() {
+                let node = CGNodeId::new(i);
+                let mut vars: Vec<Var> = nv.uses.keys().copied().collect();
+                vars.extend(nv.loads.iter().filter_map(|l| l.base));
+                vars.sort_unstable();
+                vars.dedup();
+                for v in vars {
+                    for ik in index.local_pts(node, v).iter() {
+                        want.entry(ik).or_default().push((node, v));
+                    }
+                }
+            }
+            for ik in 0..pts.num_instance_keys() as u32 {
+                let expected = want.get(&ik).map_or(&[][..], Vec::as_slice);
+                assert_eq!(slicer.aliases_of(ik), expected, "aliases of object {ik}");
+            }
+        }
+        assert!(rule_only > 0, "some rule adds a register only it uses");
+    }
 
     fn key(f: FieldKey) -> FieldKey {
         f

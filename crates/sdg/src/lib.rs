@@ -16,7 +16,8 @@
 //!   propagation, a deterministic memory budget standing in for the
 //!   paper's out-of-memory runs, and the multithreading unsoundness the
 //!   paper observes;
-//! - [`view`] — the shared per-node def-use/statement view;
+//! - [`view`] — the rule-independent slice index (def-use, loads, call
+//!   plumbing) built once per pass, and each rule's thin view on top;
 //! - [`spec`] — rule projections in, tainted [`spec::Flow`]s out, and the
 //!   §6.2 bounds.
 //!
@@ -36,10 +37,10 @@ pub mod view;
 pub use ci::{CiCache, CiSlicer};
 pub use cs::CsSlicer;
 pub use hybrid::HybridSlicer;
-pub use ifds::{ApFields, IfdsSlicer};
+pub use ifds::{ApFields, IfdsAliases, IfdsSlicer};
 pub use mhp::MhpRelation;
 pub use spec::{
     CarrierSink, Flow, FlowStep, SliceBounds, SliceError, SliceResult, SliceSpec, StepKind,
     StmtNode,
 };
-pub use view::{FieldKey, LoadStmt, NodeView, ProgramView, SourceCall, Use, ViewStats};
+pub use view::{CallSite, FieldKey, LoadStmt, ProgramView, SliceIndex, SourceCall, Use, ViewStats};

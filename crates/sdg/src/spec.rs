@@ -46,6 +46,15 @@ pub struct SliceSpec {
     pub carrier_sinks: HashMap<u32, Vec<CarrierSink>>,
 }
 
+impl SliceSpec {
+    /// Every method the rule classifies: sources, sinks, sanitizers and
+    /// by-reference sources. A call to any of them is rule-sensitive.
+    pub fn methods(&self) -> impl Iterator<Item = MethodId> + '_ {
+        let sets = self.sources.iter().chain(&self.sanitizers);
+        sets.chain(self.sinks.keys()).chain(self.ref_sources.keys()).copied()
+    }
+}
+
 /// A sink reachable through a taint carrier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CarrierSink {

@@ -3,7 +3,7 @@
 //! realizable, and deterministic budget failures.
 
 use taj_pointer::{analyze, PolicyConfig, SolverConfig};
-use taj_sdg::{CsSlicer, ProgramView, SliceBounds, SliceError, SliceSpec};
+use taj_sdg::{CsSlicer, ProgramView, SliceBounds, SliceError, SliceIndex, SliceSpec};
 
 fn setup(src: &str) -> (jir::Program, taj_pointer::PointsTo, SliceSpec) {
     let mut program = jir::frontend::build_program(src).unwrap();
@@ -25,7 +25,8 @@ fn setup(src: &str) -> (jir::Program, taj_pointer::PointsTo, SliceSpec) {
 
 fn cs_flows(src: &str) -> usize {
     let (p, pts, spec) = setup(src);
-    let view = ProgramView::build(&p, &pts, &spec);
+    let index = SliceIndex::build(&p, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     CsSlicer::new(&view, SliceBounds::default()).run().unwrap().flows.len()
 }
 
@@ -82,7 +83,8 @@ fn down_then_up_is_rejected() {
     );
     // Also drive Other's entrypoint.
     let program = p; // (entrypoints already synthesized for Main only)
-    let view = ProgramView::build(&program, &pts, &spec);
+    let index = SliceIndex::build(&program, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let flows = CsSlicer::new(&view, SliceBounds::default()).run().unwrap().flows;
     assert_eq!(flows.len(), 0, "heap fact must not return through the unrelated factory call site");
 }
@@ -105,7 +107,8 @@ fn budget_failure_is_deterministic() {
     let mut counts = Vec::new();
     for _ in 0..2 {
         let (p, pts, spec) = setup(src);
-        let view = ProgramView::build(&p, &pts, &spec);
+        let index = SliceIndex::build(&p, &pts, [&spec]);
+        let view = ProgramView::build(&index, &spec);
         let bounds = SliceBounds { max_path_edges: Some(3), ..Default::default() };
         match CsSlicer::new(&view, bounds).run() {
             Err(SliceError::OutOfBudget { path_edges }) => counts.push(path_edges),
@@ -135,7 +138,8 @@ fn closure_cost_is_charged_even_without_sources() {
     program.entrypoints.push(program.method_by_name(c, "main").unwrap());
     let spec = SliceSpec::default(); // no sources at all
     let pts = analyze(&program, &SolverConfig::default());
-    let view = ProgramView::build(&program, &pts, &spec);
+    let index = SliceIndex::build(&program, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let tiny = SliceBounds { max_path_edges: Some(1), ..Default::default() };
     assert!(
         CsSlicer::new(&view, tiny).run().is_err(),

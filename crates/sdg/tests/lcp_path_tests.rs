@@ -3,7 +3,7 @@
 //! app/library classification usable for LCP computation).
 
 use taj_pointer::{analyze, PolicyConfig, SolverConfig};
-use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceSpec, StepKind};
+use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceIndex, SliceSpec, StepKind};
 
 fn run(src: &str) -> (jir::Program, taj_pointer::PointsTo, SliceSpec) {
     let mut program = jir::frontend::build_program(src).unwrap();
@@ -42,7 +42,8 @@ const TWO_HOP: &str = r#"
 #[test]
 fn path_starts_at_seed_ends_at_sink() {
     let (p, pts, spec) = run(TWO_HOP);
-    let view = ProgramView::build(&p, &pts, &spec);
+    let index = SliceIndex::build(&p, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     assert_eq!(flows.len(), 1);
     let f = &flows[0];
@@ -54,7 +55,8 @@ fn path_starts_at_seed_ends_at_sink() {
 #[test]
 fn heap_transition_count_matches_path() {
     let (p, pts, spec) = run(TWO_HOP);
-    let view = ProgramView::build(&p, &pts, &spec);
+    let index = SliceIndex::build(&p, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     let f = &flows[0];
     let counted = f
@@ -69,7 +71,8 @@ fn heap_transition_count_matches_path() {
 #[test]
 fn every_step_resolves_to_a_real_statement() {
     let (p, pts, spec) = run(TWO_HOP);
-    let view = ProgramView::build(&p, &pts, &spec);
+    let index = SliceIndex::build(&p, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     for f in &flows {
         for step in &f.path {
@@ -89,10 +92,11 @@ fn every_step_resolves_to_a_real_statement() {
 #[test]
 fn library_classification_is_queryable_per_step() {
     let (p, pts, spec) = run(TWO_HOP);
-    let view = ProgramView::build(&p, &pts, &spec);
+    let index = SliceIndex::build(&p, &pts, [&spec]);
+    let view = ProgramView::build(&index, &spec);
     let flows = HybridSlicer::new(&view, SliceBounds::default()).run().flows;
     // Every step of this flow is in application code ($Entrypoints/Main).
     for step in &flows[0].path {
-        assert!(!view.is_library_stmt(step.stmt), "unexpected library step: {step:?}");
+        assert!(!index.is_library_stmt(step.stmt), "unexpected library step: {step:?}");
     }
 }

@@ -3,7 +3,8 @@
 
 use taj_pointer::{analyze, SolverConfig};
 use taj_sdg::{
-    CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceResult, SliceSpec,
+    CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceIndex, SliceResult,
+    SliceSpec,
 };
 
 struct Setup {
@@ -42,18 +43,21 @@ fn setup(src: &str) -> Setup {
 }
 
 fn run_hybrid(s: &Setup) -> SliceResult {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
     HybridSlicer::new(&view, SliceBounds::default()).run()
 }
 
 fn run_ci(s: &Setup) -> SliceResult {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
-    let cache = CiCache::build(&s.pts, &s.program);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
+    let cache = CiCache::build(&index);
     CiSlicer::with_cache(&view, SliceBounds::default(), &cache).run()
 }
 
 fn run_cs(s: &Setup) -> Result<SliceResult, taj_sdg::SliceError> {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
     CsSlicer::new(&view, SliceBounds::default()).run()
 }
 
@@ -240,7 +244,8 @@ fn cs_misses_cross_thread_flow() {
 #[test]
 fn cs_runs_out_of_budget() {
     let s = setup(DIRECT_FLOW);
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
     let bounds = SliceBounds { max_path_edges: Some(1), ..Default::default() };
     let err = CsSlicer::new(&view, bounds).run().unwrap_err();
     assert!(matches!(err, taj_sdg::SliceError::OutOfBudget { .. }));
@@ -267,7 +272,8 @@ fn heap_transition_bound_limits_hybrid() {
         }
         "#,
     );
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
     let bounds = SliceBounds { max_heap_transitions: Some(0), ..Default::default() };
     let res = HybridSlicer::new(&view, bounds).run();
     assert!(res.budget_exhausted);

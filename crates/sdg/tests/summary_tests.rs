@@ -3,7 +3,7 @@
 //! callees, and summary sharing across seeds.
 
 use taj_pointer::{analyze, PolicyConfig, SolverConfig};
-use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceSpec};
+use taj_sdg::{HybridSlicer, ProgramView, SliceBounds, SliceIndex, SliceSpec};
 
 struct Setup {
     program: jir::Program,
@@ -33,7 +33,8 @@ fn setup(src: &str) -> Setup {
 }
 
 fn flows(s: &Setup) -> usize {
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
     HybridSlicer::new(&view, SliceBounds::default()).run().flows.len()
 }
 
@@ -190,7 +191,8 @@ fn summaries_shared_across_seeds() {
         }
         "#,
     );
-    let view = ProgramView::build(&s.program, &s.pts, &s.spec);
+    let index = SliceIndex::build(&s.program, &s.pts, [&s.spec]);
+    let view = ProgramView::build(&index, &s.spec);
     let result = HybridSlicer::new(&view, SliceBounds::default()).run();
     assert_eq!(result.flows.len(), 2);
     // Work should be far below 2× the single-seed cost; sanity-bound it.
