@@ -25,6 +25,7 @@ fn bench_priority(c: &mut Criterion) {
             source_methods: rules.all_sources(&program),
             max_cg_nodes: Some(budget),
             priority: false,
+            ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("chaotic", budget), &program, |b, p| {
             b.iter(|| analyze(p, &base))

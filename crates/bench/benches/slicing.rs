@@ -1,12 +1,14 @@
-//! Criterion bench: the three thin-slicing algorithms (§3.2) on prepared
-//! programs — the core Table 3 comparison as a microbenchmark.
+//! Criterion bench: the four slicers (hybrid, CI and CS thin slicing,
+//! §3.2, and IFDS) on prepared programs — the core Table 3 comparison as
+//! a microbenchmark.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use taj_core::{IssueType, RuleSet};
+use taj_core::{IssueType, RuleSet, TajConfig};
 use taj_pointer::{analyze, PointsTo, PolicyConfig, SolverConfig};
 use taj_sdg::{
-    CiCache, CiSlicer, CsSlicer, HybridSlicer, ProgramView, SliceBounds, SliceIndex, SliceSpec,
+    CiCache, CiSlicer, CsSlicer, HybridSlicer, IfdsAliases, IfdsSlicer, ProgramView, SliceBounds,
+    SliceIndex, SliceSpec,
 };
 use taj_webgen::{generate, presets, Scale};
 
@@ -51,14 +53,19 @@ fn bench_slicing(c: &mut Criterion) {
         let index = SliceIndex::build(&p.program, &p.pts, [&p.spec]);
         let view = ProgramView::build(&index, &p.spec);
         let ci_cache = CiCache::build(&index);
-        group.bench_function(BenchmarkId::new("hybrid", name), |b| {
-            b.iter(|| HybridSlicer::new(&view, SliceBounds::default()).run())
+        let aliases = IfdsAliases::build(&index);
+        let depth = TajConfig::ifds().access_path_depth;
+        group.bench_with_input(BenchmarkId::new("hybrid", name), &view, |b, view| {
+            b.iter(|| HybridSlicer::new(view, SliceBounds::default()).run())
         });
-        group.bench_function(BenchmarkId::new("ci", name), |b| {
-            b.iter(|| CiSlicer::with_cache(&view, SliceBounds::default(), &ci_cache).run())
+        group.bench_with_input(BenchmarkId::new("ci", name), &view, |b, view| {
+            b.iter(|| CiSlicer::with_cache(view, SliceBounds::default(), &ci_cache).run())
         });
-        group.bench_function(BenchmarkId::new("cs", name), |b| {
-            b.iter(|| CsSlicer::new(&view, SliceBounds::default()).run())
+        group.bench_with_input(BenchmarkId::new("cs", name), &view, |b, view| {
+            b.iter(|| CsSlicer::new(view, SliceBounds::default()).run())
+        });
+        group.bench_with_input(BenchmarkId::new("ifds", name), &view, |b, view| {
+            b.iter(|| IfdsSlicer::new(view, depth, &aliases).run())
         });
     }
     group.finish();

@@ -227,7 +227,9 @@ mod tests {
             bars: vec![BarDatum { label: "x".into(), counts: Some((0, 0)) }],
         }];
         let svg = render_figure("t", &panels);
-        assert!(!svg.contains(&format!(r#"fill="{TP_COLOR}"/>"#)) || true);
+        // Each colour appears once, in its legend swatch: no bar segment.
+        assert_eq!(svg.matches(TP_COLOR).count(), 1);
+        assert_eq!(svg.matches(FP_COLOR).count(), 1);
         // Total label still present (the zero).
         assert!(svg.contains(">0<"));
     }

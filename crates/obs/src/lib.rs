@@ -588,6 +588,25 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The recorder for one request: wall-clock while this ring is on,
+    /// disabled (a single pointer test on every span site) otherwise.
+    pub fn request_recorder(&self) -> Recorder {
+        if self.is_enabled() {
+            Recorder::new()
+        } else {
+            Recorder::disabled()
+        }
+    }
+
+    /// The `last_traces` body, `{"count":…,"traces":[…]}`: the summaries
+    /// of up to `limit` records (all when `None`), newest first.
+    pub fn last_traces_json(&self, limit: Option<u64>) -> String {
+        let limit = limit.map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
+        let records = self.recent(limit);
+        let summaries: Vec<String> = records.iter().map(|r| r.summary_json()).collect();
+        format!("{{\"count\":{},\"traces\":[{}]}}", records.len(), summaries.join(","))
+    }
 }
 
 /// Appends `s` to `out` as a JSON string literal (quotes + escapes).
@@ -707,6 +726,10 @@ mod tests {
         assert_eq!(recent[0].trace_id, "taj-0000000000000002", "newest first");
         let snap = flight.snapshot();
         assert_eq!(snap[0].trace_id, "taj-0000000000000001", "oldest first");
+        let listing = flight.last_traces_json(Some(1));
+        let newest = recent[0].summary_json();
+        assert_eq!(listing, format!(r#"{{"count":1,"traces":[{newest}]}}"#));
+        assert!(flight.request_recorder().is_enabled(), "a live ring records requests");
     }
 
     #[test]
@@ -723,6 +746,8 @@ mod tests {
         assert!(flight.is_empty());
         assert!(flight.get("taj-x").is_none());
         assert!(flight.recent(4).is_empty());
+        assert_eq!(flight.last_traces_json(None), r#"{"count":0,"traces":[]}"#);
+        assert!(!flight.request_recorder().is_enabled());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `(method, register)` pairs, call returns flow to *every* call site, and
 //! heap direct edges match on points-to sets unioned across contexts.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 use jir::inst::{Loc, Var};
 use jir::util::BitSet;
@@ -13,12 +13,11 @@ use jir::MethodId;
 use taj_pointer::CGNodeId;
 use taj_supervise::Supervisor;
 
-use crate::spec::{Flow, FlowStep, SliceBounds, SliceResult, StepKind, StmtNode};
+use crate::kernel::{clamp_range, slice_seeds, Found, SeedRun};
+use crate::spec::{FlowStep, SliceBounds, SliceResult, StepKind, StmtNode};
 use crate::view::{FieldKey, ProgramView, SliceIndex, Use};
 
 type Fact = (MethodId, Var);
-/// Per-seed provenance: predecessor fact plus the steps taken.
-type Parents = HashMap<Fact, (Option<Fact>, Vec<FlowStep>)>;
 /// Method-level load inventory entries.
 type MethodLoad = (MethodId, Loc, Option<Var>, Var);
 
@@ -154,253 +153,129 @@ impl<'a> CiSlicer<'a> {
     /// Runs the slice over a contiguous partition of the seed list
     /// (`seed_range` indexes into [`ProgramView::seeds`], clamped to its
     /// length) — the unit of work the parallel engine dispatches. Seed
-    /// traversals are independent (`seen_flows` keys carry the seed
+    /// traversals are independent (flows are keyed by the seed
     /// statement), so the flow set of a whole run is the ordered union
     /// of its partitions'; the heap-transition counter is additive. As
     /// with the hybrid slicer, bounded configurations must keep a rule
     /// in one partition because the budget counter is per-slicer.
     pub fn run_partition(&mut self, seed_range: std::ops::Range<usize>) -> SliceResult {
-        let all_seeds = self.view.seeds();
-        let seeds = &all_seeds[crate::hybrid::clamp_range(&seed_range, all_seeds.len())];
-        let mut result = SliceResult::default();
-        let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
-        let mut heap_used = 0usize;
-        'seeds: for &(stmt, sc) in seeds {
-            let seed_method = self.view.pts.callgraph.method_of(stmt.node);
-            let seed_fact: Fact = (seed_method, sc.dst);
-            let mut visited: HashSet<Fact> = HashSet::new();
-            let mut parents: Parents = HashMap::new();
-            let mut queue: VecDeque<Fact> = VecDeque::new();
-            let mut processed_stores: HashSet<(MethodId, Loc)> = HashSet::new();
-            visited.insert(seed_fact);
-            parents.insert(seed_fact, (None, vec![FlowStep { stmt, kind: StepKind::Seed }]));
-            queue.push_back(seed_fact);
+        let view = self.view;
+        let seeds = view.seeds();
+        let seeds = &seeds[clamp_range(&seed_range, seeds.len())];
+        let mut found = Found::default();
+        let fact = |node, var| (view.pts.callgraph.method_of(node), var);
+        slice_seeds(view, seeds, &[], &mut found, fact, |mut run, found| {
+            self.slice_one(&mut run, found);
+            found.result.interrupted.is_none()
+        });
+        found.result
+    }
 
-            let reconstruct = |parents: &Parents, fact: Fact| {
-                let mut rev = Vec::new();
-                let mut cur = Some(fact);
-                while let Some(f) = cur {
-                    let Some((prev, steps)) = parents.get(&f) else { break };
-                    rev.extend(steps.iter().rev().copied());
-                    cur = *prev;
-                }
-                rev.reverse();
-                rev
-            };
-
-            while let Some((m, v)) = queue.pop_front() {
-                if let Err(reason) = self.supervisor.check("ci.slice") {
-                    result.interrupted = Some(reason);
-                    break 'seeds;
-                }
-                result.work += 1;
-                let Some(contexts) = self.cache.contexts.get(&m) else { continue };
-                let fact = (m, v);
-                let push = |queue: &mut VecDeque<Fact>,
-                            visited: &mut HashSet<Fact>,
-                            parents: &mut Parents,
-                            nf: Fact,
-                            steps: Vec<FlowStep>| {
-                    if visited.insert(nf) {
-                        parents.insert(nf, (Some(fact), steps));
-                        queue.push_back(nf);
+    fn slice_one(&self, run: &mut SeedRun<Fact>, found: &mut Found) {
+        while let Some(fact) = run.pop() {
+            if let Err(reason) = self.supervisor.check("ci.slice") {
+                found.result.interrupted = Some(reason);
+                return;
+            }
+            found.result.work += 1;
+            let (m, v) = fact;
+            let Some(contexts) = self.cache.contexts.get(&m) else { continue };
+            // A method's uses are the union of its contexts' uses. A use
+            // repeated in a later context is a no-op under the visited,
+            // processed-store and reported-flow guards.
+            let view = self.view;
+            for &u in contexts.iter().flat_map(|&n| view.uses(n, v)) {
+                match u {
+                    Use::Flow { to, loc } => {
+                        let step = FlowStep { stmt: self.stmt(m, loc), kind: StepKind::Local };
+                        run.push((m, to), &fact, vec![step]);
                     }
-                };
-                // A method's uses are the union of its contexts' uses. A
-                // use repeated in a later context is a no-op under the
-                // `visited`, `processed_stores` and `seen_flows` guards.
-                let view = self.view;
-                for &u in contexts.iter().flat_map(|&n| view.uses(n, v)) {
-                    match u {
-                        Use::Flow { to, loc } => {
-                            let st = self.stmt(m, loc);
-                            push(
-                                &mut queue,
-                                &mut visited,
-                                &mut parents,
-                                (m, to),
-                                vec![FlowStep { stmt: st, kind: StepKind::Local }],
-                            );
+                    Use::Store { loc, base, field } => {
+                        let store = self.stmt(m, loc);
+                        if !run.processed_stores.insert(store) {
+                            continue;
                         }
-                        Use::Store { loc, base, field } => {
-                            if !processed_stores.insert((m, loc)) {
-                                continue;
-                            }
-                            let store_stmt = self.stmt(m, loc);
-                            let Some(base_pts) = self.pts_of(m, base) else { continue };
-                            let pre = vec![FlowStep { stmt: store_stmt, kind: StepKind::Local }];
-                            // Carrier edges.
-                            for ik in base_pts.iter() {
-                                if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                                    for cs in sinks {
-                                        if seen_flows.insert((stmt, cs.stmt, cs.pos)) {
-                                            let mut path = reconstruct(&parents, fact);
-                                            path.extend(pre.iter().copied());
-                                            path.push(FlowStep {
-                                                stmt: cs.stmt,
-                                                kind: StepKind::CarrierEdge,
-                                            });
-                                            let ht = count_heap(&path);
-                                            result.flows.push(Flow {
-                                                source: stmt,
-                                                source_method: sc.method,
-                                                sink: cs.stmt,
-                                                sink_method: cs.method,
-                                                sink_pos: cs.pos,
-                                                path,
-                                                heap_transitions: ht,
-                                            });
-                                        }
+                        let Some(base_pts) = self.pts_of(m, base) else { continue };
+                        let pre = FlowStep { stmt: store, kind: StepKind::Local };
+                        run.emit_carriers(view, found, &fact, &[pre], base_pts);
+                        // Direct edges (context-collapsed aliasing).
+                        let result = &mut found.result;
+                        for &(lm, lloc, lbase, ldst) in
+                            self.cache.loads_by_field.get(&field).into_iter().flatten()
+                        {
+                            let Some(lb) = lbase else { continue };
+                            if self.pts_of(lm, lb).is_some_and(|s| s.intersects(base_pts)) {
+                                result.heap_transitions += 1;
+                                if let Some(max) = self.bounds.max_heap_transitions {
+                                    if result.heap_transitions >= max {
+                                        result.budget_exhausted = true;
+                                        break;
                                     }
                                 }
+                                let load = self.stmt(lm, lloc);
+                                let edge = FlowStep { stmt: load, kind: StepKind::HeapEdge };
+                                run.push((lm, ldst), &fact, vec![pre, edge]);
                             }
-                            // Direct edges (context-collapsed aliasing).
-                            if let Some(loads) = self.cache.loads_by_field.get(&field) {
-                                for &(lm, lloc, lbase, ldst) in loads {
-                                    let Some(lb) = lbase else { continue };
-                                    let alias =
-                                        self.pts_of(lm, lb).is_some_and(|s| s.intersects(base_pts));
-                                    if alias {
-                                        heap_used += 1;
-                                        if let Some(max) = self.bounds.max_heap_transitions {
-                                            if heap_used >= max {
-                                                result.budget_exhausted = true;
-                                                break;
-                                            }
-                                        }
-                                        let mut steps = pre.clone();
-                                        steps.push(FlowStep {
-                                            stmt: self.stmt(lm, lloc),
-                                            kind: StepKind::HeapEdge,
-                                        });
-                                        push(
-                                            &mut queue,
-                                            &mut visited,
-                                            &mut parents,
-                                            (lm, ldst),
-                                            steps,
-                                        );
-                                    }
-                                }
-                            }
-                            if field == FieldKey::Array {
-                                for &(im, iloc, arr, callee) in &self.cache.invoke_bindings {
-                                    let alias = self
-                                        .pts_of(im, arr)
-                                        .is_some_and(|s| s.intersects(base_pts));
-                                    if alias {
-                                        heap_used += 1;
-                                        let cm = self.view.program.method(callee);
-                                        let off = usize::from(!cm.is_static);
-                                        for i in 0..cm.params.len() {
-                                            let mut steps = pre.clone();
-                                            steps.push(FlowStep {
-                                                stmt: self.stmt(im, iloc),
-                                                kind: StepKind::HeapEdge,
-                                            });
-                                            push(
-                                                &mut queue,
-                                                &mut visited,
-                                                &mut parents,
-                                                (callee, Var((i + off) as u32)),
-                                                steps,
-                                            );
-                                        }
+                        }
+                        if field == FieldKey::Array {
+                            for &(im, iloc, arr, callee) in &self.cache.invoke_bindings {
+                                if self.pts_of(im, arr).is_some_and(|s| s.intersects(base_pts)) {
+                                    result.heap_transitions += 1;
+                                    let stmt = self.stmt(im, iloc);
+                                    for r in view.param_registers(callee) {
+                                        let edge = FlowStep { stmt, kind: StepKind::HeapEdge };
+                                        run.push((callee, r), &fact, vec![pre, edge]);
                                     }
                                 }
                             }
                         }
-                        Use::StaticStore { loc, field } => {
-                            if !processed_stores.insert((m, loc)) {
-                                continue;
-                            }
-                            let store_stmt = self.stmt(m, loc);
-                            if let Some(loads) = self.cache.static_loads.get(&field) {
-                                for &(lm, lloc, ldst) in loads {
-                                    heap_used += 1;
-                                    let steps = vec![
-                                        FlowStep { stmt: store_stmt, kind: StepKind::Local },
-                                        FlowStep {
-                                            stmt: self.stmt(lm, lloc),
-                                            kind: StepKind::HeapEdge,
-                                        },
-                                    ];
-                                    push(&mut queue, &mut visited, &mut parents, (lm, ldst), steps);
-                                }
-                            }
-                        }
-                        Use::Arg { loc, pos } => {
-                            let call_stmt = self.stmt(m, loc);
-                            let targets = self.cache.site_targets.get(&(m, loc));
-                            for &t in targets.into_iter().flatten() {
-                                if self.view.spec.sanitizers.contains(&t)
-                                    || self.view.spec.sources.contains(&t)
-                                    || self.view.spec.sinks.contains_key(&t)
-                                {
-                                    continue;
-                                }
-                                let tm = self.view.program.method(t);
-                                let off = usize::from(!tm.is_static);
-                                if pos + off >= tm.num_incoming() {
-                                    continue;
-                                }
-                                push(
-                                    &mut queue,
-                                    &mut visited,
-                                    &mut parents,
-                                    (t, Var((pos + off) as u32)),
-                                    vec![FlowStep { stmt: call_stmt, kind: StepKind::CallArg }],
-                                );
-                            }
-                        }
-                        Use::Ret { .. } => {
-                            // Return to every call site (context-insensitive).
-                            if let Some(sites) = self.cache.return_sites.get(&m) {
-                                for &(cm, cloc, cdst) in sites {
-                                    if let Some(d) = cdst {
-                                        push(
-                                            &mut queue,
-                                            &mut visited,
-                                            &mut parents,
-                                            (cm, d),
-                                            vec![FlowStep {
-                                                stmt: self.stmt(cm, cloc),
-                                                kind: StepKind::ReturnTo,
-                                            }],
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        Use::SinkArg { loc, method, pos } => {
-                            let sink_stmt = self.stmt(m, loc);
-                            if seen_flows.insert((stmt, sink_stmt, pos)) {
-                                let mut path = reconstruct(&parents, fact);
-                                path.push(FlowStep { stmt: sink_stmt, kind: StepKind::Local });
-                                let ht = count_heap(&path);
-                                result.flows.push(Flow {
-                                    source: stmt,
-                                    source_method: sc.method,
-                                    sink: sink_stmt,
-                                    sink_method: method,
-                                    sink_pos: pos,
-                                    path,
-                                    heap_transitions: ht,
-                                });
-                            }
-                        }
-                        Use::Sanitized { .. } => {}
                     }
+                    Use::StaticStore { loc, field } => {
+                        let store = self.stmt(m, loc);
+                        if !run.processed_stores.insert(store) {
+                            continue;
+                        }
+                        let pre = FlowStep { stmt: store, kind: StepKind::Local };
+                        for &(lm, lloc, ldst) in
+                            self.cache.static_loads.get(&field).into_iter().flatten()
+                        {
+                            found.result.heap_transitions += 1;
+                            let edge =
+                                FlowStep { stmt: self.stmt(lm, lloc), kind: StepKind::HeapEdge };
+                            run.push((lm, ldst), &fact, vec![pre, edge]);
+                        }
+                    }
+                    Use::Arg { loc, pos } => {
+                        let call = FlowStep { stmt: self.stmt(m, loc), kind: StepKind::CallArg };
+                        for &t in self.cache.site_targets.get(&(m, loc)).into_iter().flatten() {
+                            if let Some(r) = view.callee_entry(t, pos) {
+                                run.push((t, r), &fact, vec![call]);
+                            }
+                        }
+                    }
+                    Use::Ret { .. } => {
+                        // Return to every call site (context-insensitive).
+                        for &(cm, cloc, cdst) in
+                            self.cache.return_sites.get(&m).into_iter().flatten()
+                        {
+                            if let Some(d) = cdst {
+                                let step = FlowStep {
+                                    stmt: self.stmt(cm, cloc),
+                                    kind: StepKind::ReturnTo,
+                                };
+                                run.push((cm, d), &fact, vec![step]);
+                            }
+                        }
+                    }
+                    Use::SinkArg { loc, method, pos } => {
+                        let sink = (self.stmt(m, loc), method, pos);
+                        run.emit(found, &fact, &[], sink, StepKind::Local);
+                    }
+                    Use::Sanitized { .. } => {}
                 }
             }
         }
-        result.heap_transitions = heap_used;
-        result
     }
-}
-
-fn count_heap(path: &[FlowStep]) -> usize {
-    path.iter().filter(|s| matches!(s.kind, StepKind::HeapEdge | StepKind::CarrierEdge)).count()
 }
 
 #[cfg(test)]
@@ -408,6 +283,7 @@ mod tests {
     use super::*;
     use crate::spec::SliceSpec;
     use crate::view::reference::setup;
+    use std::collections::HashSet;
 
     #[test]
     fn cache_load_lists_do_not_depend_on_hash_order() {

@@ -28,7 +28,8 @@ use jir::inst::{Loc, Var};
 use taj_pointer::{spawn_edges, CGNodeId, EscapeAnalysis};
 use taj_supervise::Supervisor;
 
-use crate::spec::{Flow, FlowStep, SliceBounds, SliceError, SliceResult, StepKind, StmtNode};
+use crate::kernel::{Found, SeedRun};
+use crate::spec::{FlowStep, SliceBounds, SliceError, SliceResult, StepKind, StmtNode};
 use crate::view::{FieldKey, ProgramView, Use};
 
 /// Direction discipline for heap facts: a fact that has descended into a
@@ -55,8 +56,6 @@ enum CsFact {
 }
 
 type Fact = (CGNodeId, CsFact);
-/// Per-seed provenance: predecessor fact plus the steps taken.
-type Parents = HashMap<Fact, (Option<Fact>, Vec<FlowStep>)>;
 
 /// The context-sensitive thin slicer.
 #[derive(Debug)]
@@ -152,77 +151,62 @@ impl<'a> CsSlicer<'a> {
     /// Returns [`SliceError::OutOfBudget`] when the path-edge budget is
     /// exhausted — the analogue of the paper's CS out-of-memory runs.
     pub fn run(&mut self) -> Result<SliceResult, SliceError> {
-        let seeds = self.view.seeds();
-        let mut result = SliceResult::default();
-        let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
+        let mut found = Found::default();
         let mut total_path_edges = 0usize;
         // CS thin slicing materializes heap dependencies as extra
         // parameters and returns of the SDG — for *every* heap location,
         // not only tainted ones. Building that closure is the paper's
         // scalability bottleneck (§3.2: "this treatment is a scalability
         // bottleneck"), so we charge it against the same budget.
-        self.build_heap_dependence_closure(&mut total_path_edges, &mut result)?;
-        if result.interrupted.is_some() {
-            return Ok(result);
+        self.build_heap_dependence_closure(&mut total_path_edges, &mut found.result)?;
+        if found.result.interrupted.is_some() {
+            return Ok(found.result);
         }
-        'seeds: for &(stmt, sc) in seeds {
-            let mut visited: HashSet<Fact> = HashSet::new();
-            let mut parents: Parents = HashMap::new();
-            let mut queue: VecDeque<Fact> = VecDeque::new();
-            let seed_fact: Fact = (stmt.node, CsFact::Var(sc.dst));
-            visited.insert(seed_fact);
-            parents.insert(seed_fact, (None, vec![FlowStep { stmt, kind: StepKind::Seed }]));
-            queue.push_back(seed_fact);
-
-            while let Some(fact) = queue.pop_front() {
-                if let Err(reason) = self.supervisor.check("cs.tabulate") {
-                    result.interrupted = Some(reason);
-                    break 'seeds;
-                }
-                result.work += 1;
-                total_path_edges += 1;
-                if let Some(max) = self.bounds.max_path_edges {
-                    if total_path_edges > max {
-                        return Err(SliceError::OutOfBudget { path_edges: total_path_edges });
-                    }
-                }
-                let (node, cs) = fact;
-                match cs {
-                    CsFact::Var(v) => self.process_var(
-                        node,
-                        v,
-                        fact,
-                        stmt,
-                        sc.method,
-                        &mut visited,
-                        &mut parents,
-                        &mut queue,
-                        &mut seen_flows,
-                        &mut result,
-                    ),
-                    CsFact::Heap(ik, field, dir) => self.process_heap(
-                        node,
-                        ik,
-                        field,
-                        dir,
-                        fact,
-                        &mut visited,
-                        &mut parents,
-                        &mut queue,
-                    ),
-                    CsFact::Static(f, dir) => self.process_static(
-                        node,
-                        f,
-                        dir,
-                        fact,
-                        &mut visited,
-                        &mut parents,
-                        &mut queue,
-                    ),
-                }
+        for &(stmt, sc) in self.view.seeds() {
+            let mut run = SeedRun::new(stmt, sc.method);
+            run.seed((stmt.node, CsFact::Var(sc.dst)));
+            self.tabulate(&mut run, &mut found, &mut total_path_edges)?;
+            if found.result.interrupted.is_some() {
+                break;
             }
         }
-        Ok(result)
+        Ok(found.result)
+    }
+
+    /// Charges one path edge against the budget.
+    fn charge(&self, path_edges: &mut usize) -> Result<(), SliceError> {
+        *path_edges += 1;
+        match self.bounds.max_path_edges {
+            Some(max) if *path_edges > max => {
+                Err(SliceError::OutOfBudget { path_edges: *path_edges })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Drains one seed's worklist; an interrupt stops it with the flows
+    /// found so far.
+    fn tabulate(
+        &self,
+        run: &mut SeedRun<Fact>,
+        found: &mut Found,
+        path_edges: &mut usize,
+    ) -> Result<(), SliceError> {
+        while let Some(fact) = run.pop() {
+            if let Err(reason) = self.supervisor.check("cs.tabulate") {
+                found.result.interrupted = Some(reason);
+                return Ok(());
+            }
+            found.result.work += 1;
+            self.charge(path_edges)?;
+            let (node, cs) = fact;
+            match cs {
+                CsFact::Var(v) => self.process_var(run, found, node, v, &fact),
+                CsFact::Heap(ik, field, dir) => self.process_heap(run, (ik, field, dir), &fact),
+                CsFact::Static(f, dir) => self.process_static(run, f, dir, &fact),
+            }
+        }
+        Ok(())
     }
 
     /// Computes the heap-as-parameters dependence closure: every store in
@@ -270,12 +254,7 @@ impl<'a> CsSlicer<'a> {
                 return Ok(());
             }
             result.work += 1;
-            *total_path_edges += 1;
-            if let Some(max) = self.bounds.max_path_edges {
-                if *total_path_edges > max {
-                    return Err(SliceError::OutOfBudget { path_edges: *total_path_edges });
-                }
-            }
+            self.charge(total_path_edges)?;
             let (node, cs) = fact;
             let push_plain = |f: Fact, q: &mut VecDeque<Fact>, v: &mut HashSet<Fact>| {
                 if v.insert(f) {
@@ -304,16 +283,12 @@ impl<'a> CsSlicer<'a> {
                                 &mut visited,
                             ),
                             Use::Arg { loc, pos } => {
-                                for &t in self.view.pts.callgraph.targets(node, loc) {
-                                    let cm = self.view.pts.callgraph.method_of(t);
-                                    let m = self.view.program.method(cm);
-                                    let off = usize::from(!m.is_static);
-                                    if pos + off < m.num_incoming() {
-                                        push_plain(
-                                            (t, CsFact::Var(Var((pos + off) as u32))),
-                                            &mut queue,
-                                            &mut visited,
-                                        );
+                                // Unfiltered: the SDG gets a heap
+                                // parameter at every call, role or not.
+                                for &t in view.pts.callgraph.targets(node, loc) {
+                                    let cm = view.pts.callgraph.method_of(t);
+                                    if let Some(r) = view.param_register(cm, pos) {
+                                        push_plain((t, CsFact::Var(r)), &mut queue, &mut visited);
                                     }
                                 }
                             }
@@ -399,110 +374,52 @@ impl<'a> CsSlicer<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn process_var(
         &self,
+        run: &mut SeedRun<Fact>,
+        found: &mut Found,
         node: CGNodeId,
         v: Var,
-        fact: Fact,
-        seed_stmt: StmtNode,
-        seed_method: jir::MethodId,
-        visited: &mut HashSet<Fact>,
-        parents: &mut Parents,
-        queue: &mut VecDeque<Fact>,
-        seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
-        result: &mut SliceResult,
+        fact: &Fact,
     ) {
         let view = self.view;
         for &u in view.uses(node, v) {
             match u {
-                Use::Flow { to, loc } => push(
-                    visited,
-                    parents,
-                    queue,
+                Use::Flow { to, loc } => run.push(
                     (node, CsFact::Var(to)),
                     fact,
                     vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                 ),
                 Use::Store { loc, base, field } => {
-                    let store_stmt = StmtNode { node, loc };
+                    let store_step =
+                        FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local };
                     let base_pts = view.index.local_pts(node, base);
                     // Carrier detection applies in CS too (§4.1.1).
-                    for ik in base_pts.iter() {
-                        if let Some(sinks) = view.spec.carrier_sinks.get(&ik) {
-                            for cs_sink in sinks {
-                                if seen_flows.insert((seed_stmt, cs_sink.stmt, cs_sink.pos)) {
-                                    let mut path = reconstruct(parents, fact);
-                                    path.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
-                                    path.push(FlowStep {
-                                        stmt: cs_sink.stmt,
-                                        kind: StepKind::CarrierEdge,
-                                    });
-                                    result.flows.push(Flow {
-                                        source: seed_stmt,
-                                        source_method: seed_method,
-                                        sink: cs_sink.stmt,
-                                        sink_method: cs_sink.method,
-                                        sink_pos: cs_sink.pos,
-                                        heap_transitions: count_heap(&path),
-                                        path,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    run.emit_carriers(view, found, fact, &[store_step], base_pts);
                     // Heap facts instead of direct edges.
                     for ik in base_pts.iter() {
-                        push(
-                            visited,
-                            parents,
-                            queue,
-                            (node, CsFact::Heap(ik, field, Dir::Up)),
-                            fact,
-                            vec![FlowStep { stmt: store_stmt, kind: StepKind::Local }],
-                        );
+                        run.push((node, CsFact::Heap(ik, field, Dir::Up)), fact, vec![store_step]);
                     }
                 }
-                Use::StaticStore { loc, field } => push(
-                    visited,
-                    parents,
-                    queue,
+                Use::StaticStore { loc, field } => run.push(
                     (node, CsFact::Static(field, Dir::Up)),
                     fact,
                     vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                 ),
                 Use::Arg { loc, pos } => {
-                    let call_stmt = StmtNode { node, loc };
-                    for &t in self.view.pts.callgraph.targets(node, loc) {
-                        let callee_method = self.view.pts.callgraph.method_of(t);
-                        if self.view.spec.sanitizers.contains(&callee_method)
-                            || self.view.spec.sources.contains(&callee_method)
-                            || self.view.spec.sinks.contains_key(&callee_method)
-                        {
-                            continue;
+                    let call_step =
+                        FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg };
+                    for &t in view.pts.callgraph.targets(node, loc) {
+                        let cm = view.pts.callgraph.method_of(t);
+                        if let Some(r) = view.callee_entry(cm, pos) {
+                            run.push((t, CsFact::Var(r)), fact, vec![call_step]);
                         }
-                        let m = self.view.program.method(callee_method);
-                        let off = usize::from(!m.is_static);
-                        if pos + off >= m.num_incoming() {
-                            continue;
-                        }
-                        push(
-                            visited,
-                            parents,
-                            queue,
-                            (t, CsFact::Var(Var((pos + off) as u32))),
-                            fact,
-                            vec![FlowStep { stmt: call_stmt, kind: StepKind::CallArg }],
-                        );
                     }
                 }
                 Use::Ret { .. } => {
                     for &(caller, cloc, cdst) in view.index.return_sites(node) {
                         if let Some(d) = cdst {
-                            push(
-                                visited,
-                                parents,
-                                queue,
+                            run.push(
                                 (caller, CsFact::Var(d)),
                                 fact,
                                 vec![FlowStep {
@@ -514,20 +431,8 @@ impl<'a> CsSlicer<'a> {
                     }
                 }
                 Use::SinkArg { loc, method, pos } => {
-                    let sink_stmt = StmtNode { node, loc };
-                    if seen_flows.insert((seed_stmt, sink_stmt, pos)) {
-                        let mut path = reconstruct(parents, fact);
-                        path.push(FlowStep { stmt: sink_stmt, kind: StepKind::Local });
-                        result.flows.push(Flow {
-                            source: seed_stmt,
-                            source_method: seed_method,
-                            sink: sink_stmt,
-                            sink_method: method,
-                            sink_pos: pos,
-                            heap_transitions: count_heap(&path),
-                            path,
-                        });
-                    }
+                    let sink = (StmtNode { node, loc }, method, pos);
+                    run.emit(found, fact, &[], sink, StepKind::Local);
                 }
                 Use::Sanitized { .. } => {}
             }
@@ -537,18 +442,13 @@ impl<'a> CsSlicer<'a> {
     /// A heap fact travels with the call structure: it reaches loads in
     /// the current node, flows into callees, and returns to callers —
     /// except across spawn edges (thread unsoundness, see module docs).
-    #[allow(clippy::too_many_arguments)]
     fn process_heap(
         &self,
-        node: CGNodeId,
-        ik: u32,
-        field: FieldKey,
-        dir: Dir,
-        fact: Fact,
-        visited: &mut HashSet<Fact>,
-        parents: &mut Parents,
-        queue: &mut VecDeque<Fact>,
+        run: &mut SeedRun<Fact>,
+        (ik, field, dir): (u32, FieldKey, Dir),
+        fact: &Fact,
     ) {
+        let node = fact.0;
         // Loads in this node.
         let view = self.view;
         for l in view.index.loads(node) {
@@ -557,10 +457,7 @@ impl<'a> CsSlicer<'a> {
                 continue;
             }
             if view.index.local_pts(node, lbase).contains(ik) {
-                push(
-                    visited,
-                    parents,
-                    queue,
+                run.push(
                     (node, CsFact::Var(l.dst)),
                     fact,
                     vec![FlowStep {
@@ -578,21 +475,10 @@ impl<'a> CsSlicer<'a> {
                     continue; // call-structure consistency
                 }
                 if view.index.local_pts(inode, arr).contains(ik) {
-                    let callee_method = self.view.pts.callgraph.method_of(callee);
-                    let m = self.view.program.method(callee_method);
-                    let off = usize::from(!m.is_static);
-                    for i in 0..m.params.len() {
-                        push(
-                            visited,
-                            parents,
-                            queue,
-                            (callee, CsFact::Var(Var((i + off) as u32))),
-                            fact,
-                            vec![FlowStep {
-                                stmt: StmtNode { node: inode, loc: iloc },
-                                kind: StepKind::HeapEdge,
-                            }],
-                        );
+                    let stmt = StmtNode { node: inode, loc: iloc };
+                    for r in view.param_registers(view.pts.callgraph.method_of(callee)) {
+                        let step = FlowStep { stmt, kind: StepKind::HeapEdge };
+                        run.push((callee, CsFact::Var(r)), fact, vec![step]);
                     }
                 }
             }
@@ -601,10 +487,7 @@ impl<'a> CsSlicer<'a> {
         // a call edge and loses the right to return upward.
         if let Some(callees) = self.callees_of.get(&node) {
             for &(loc, callee) in callees {
-                push(
-                    visited,
-                    parents,
-                    queue,
+                run.push(
                     (callee, CsFact::Heap(ik, field, Dir::Down)),
                     fact,
                     vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg }],
@@ -619,10 +502,7 @@ impl<'a> CsSlicer<'a> {
                 if self.blocks_return(caller, cloc, node, Some(ik)) {
                     continue; // CS thread unsoundness
                 }
-                push(
-                    visited,
-                    parents,
-                    queue,
+                run.push(
                     (caller, CsFact::Heap(ik, field, Dir::Up)),
                     fact,
                     vec![FlowStep {
@@ -634,24 +514,12 @@ impl<'a> CsSlicer<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn process_static(
-        &self,
-        node: CGNodeId,
-        field: jir::FieldId,
-        dir: Dir,
-        fact: Fact,
-        visited: &mut HashSet<Fact>,
-        parents: &mut Parents,
-        queue: &mut VecDeque<Fact>,
-    ) {
+    fn process_static(&self, run: &mut SeedRun<Fact>, field: jir::FieldId, dir: Dir, fact: &Fact) {
+        let node = fact.0;
         let view = self.view;
         for l in view.index.loads(node) {
             if l.static_field == Some(field) {
-                push(
-                    visited,
-                    parents,
-                    queue,
+                run.push(
                     (node, CsFact::Var(l.dst)),
                     fact,
                     vec![FlowStep {
@@ -663,10 +531,7 @@ impl<'a> CsSlicer<'a> {
         }
         if let Some(callees) = self.callees_of.get(&node) {
             for &(loc, callee) in callees {
-                push(
-                    visited,
-                    parents,
-                    queue,
+                run.push(
                     (callee, CsFact::Static(field, Dir::Down)),
                     fact,
                     vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg }],
@@ -678,10 +543,7 @@ impl<'a> CsSlicer<'a> {
                 if self.blocks_return(caller, cloc, node, None) {
                     continue;
                 }
-                push(
-                    visited,
-                    parents,
-                    queue,
+                run.push(
                     (caller, CsFact::Static(field, Dir::Up)),
                     fact,
                     vec![FlowStep {
@@ -692,36 +554,6 @@ impl<'a> CsSlicer<'a> {
             }
         }
     }
-}
-
-fn push(
-    visited: &mut HashSet<Fact>,
-    parents: &mut Parents,
-    queue: &mut VecDeque<Fact>,
-    nf: Fact,
-    from: Fact,
-    steps: Vec<FlowStep>,
-) {
-    if visited.insert(nf) {
-        parents.insert(nf, (Some(from), steps));
-        queue.push_back(nf);
-    }
-}
-
-fn reconstruct(parents: &Parents, fact: Fact) -> Vec<FlowStep> {
-    let mut rev = Vec::new();
-    let mut cur = Some(fact);
-    while let Some(f) = cur {
-        let Some((prev, steps)) = parents.get(&f) else { break };
-        rev.extend(steps.iter().rev().copied());
-        cur = *prev;
-    }
-    rev.reverse();
-    rev
-}
-
-fn count_heap(path: &[FlowStep]) -> usize {
-    path.iter().filter(|s| matches!(s.kind, StepKind::HeapEdge | StepKind::CarrierEdge)).count()
 }
 
 #[cfg(test)]

@@ -28,9 +28,10 @@
 //! ## Tabulation
 //!
 //! Procedure-local value flow is summarized once per callee entry
-//! register with the same RHS endpoint summaries as the hybrid slicer
-//! (the summary shape is field-generic: local flow never changes a
-//! suffix, so one summary serves every instantiation). Heap flow is
+//! register with the slicing kernel's RHS endpoint summaries, the same
+//! table code the hybrid slicer uses (the summary shape is field-generic:
+//! local flow never changes a suffix, so one summary serves every
+//! instantiation). Heap flow is
 //! matched through the phase-1 points-to solution: a `Heap(ik, F)` fact
 //! reaches the loads whose base may point to `ik`, and is *injected*
 //! into every local alias of `ik` so that deeper chains (storing a
@@ -48,14 +49,15 @@
 //! at every thread count (the parallel engine runs IFDS rules as whole
 //! units; see `taj_core::parallel`).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
-use jir::inst::{Loc, Var};
-use jir::{FieldId, MethodId};
+use jir::inst::Var;
+use jir::FieldId;
 use taj_pointer::CGNodeId;
 use taj_supervise::{InterruptReason, Supervisor};
 
-use crate::spec::{Flow, FlowStep, SliceResult, StepKind, StmtNode};
+use crate::kernel::{slice_seeds, Found, SeedRun, SummaryTable};
+use crate::spec::{FlowStep, SliceResult, StepKind, StmtNode};
 use crate::view::{FieldKey, ProgramView, SliceIndex, Use};
 
 /// A bounded access-path suffix: at most `k` fields, with a widening
@@ -127,25 +129,6 @@ enum Fact {
     Static(FieldId, ApFields),
 }
 
-/// What a callee does with taint entering through one register — the
-/// same field-generic RHS endpoint summary the hybrid slicer tabulates
-/// (local flow never changes a suffix, so one summary serves every
-/// access-path instantiation).
-#[derive(Clone, Debug, Default, PartialEq)]
-struct Summary {
-    /// Heap stores reached (statement, base register, field).
-    stores: Vec<(StmtNode, Var, FieldKey)>,
-    /// Static stores reached.
-    static_stores: Vec<(StmtNode, FieldId)>,
-    /// Sink arguments reached `(stmt, sink method, position)`.
-    sinks: Vec<(StmtNode, MethodId, usize)>,
-    /// Whether the taint reaches the method's return value.
-    reaches_ret: bool,
-}
-
-/// Entry key of a summary: callee node and entry register.
-type SumKey = (CGNodeId, Var);
-
 /// Locals that may point to an abstract object, sorted by `(node, var)`.
 type AliasList = Vec<(CGNodeId, Var)>;
 
@@ -185,9 +168,7 @@ pub struct IfdsSlicer<'a> {
     view: &'a ProgramView<'a>,
     /// Access-path depth bound `k`.
     depth: usize,
-    summaries: HashMap<SumKey, Summary>,
-    /// Reverse dependencies: when `key`'s summary grows, recompute these.
-    dependents: HashMap<SumKey, HashSet<SumKey>>,
+    summaries: SummaryTable,
     /// The pass's shared alias-injection index.
     aliases: &'a IfdsAliases,
     /// The alias lists this rule changes, in full: the shared list plus
@@ -195,7 +176,7 @@ pub struct IfdsSlicer<'a> {
     rule_aliases: HashMap<u32, AliasList>,
     /// Distinct facts inserted into any seed's visited set.
     facts_created: usize,
-    /// Worklist pops across tabulation and summary fixpoints.
+    /// Tabulation worklist pops; the summary table counts its own.
     worklist_pops: usize,
     work: usize,
     supervisor: Supervisor,
@@ -225,8 +206,7 @@ impl<'a> IfdsSlicer<'a> {
         IfdsSlicer {
             view,
             depth,
-            summaries: HashMap::new(),
-            dependents: HashMap::new(),
+            summaries: SummaryTable::default(),
             aliases,
             rule_aliases,
             facts_created: 0,
@@ -253,92 +233,35 @@ impl<'a> IfdsSlicer<'a> {
 
     /// Worklist pops performed (tabulation + summary fixpoints).
     pub fn worklist_pops(&self) -> usize {
-        self.worklist_pops
+        self.worklist_pops + self.summaries.evaluations()
     }
 
     /// Summary edges tabulated: every store/static-store/sink effect and
     /// reaches-return bit across the memoized callee summaries.
     pub fn summary_edges(&self) -> usize {
-        self.summaries
-            .values()
-            .map(|s| {
-                s.stores.len() + s.static_stores.len() + s.sinks.len() + usize::from(s.reaches_ret)
-            })
-            .sum()
+        self.summaries.edges()
     }
 
     /// Runs the tabulation from every source and returns the tainted
     /// flows.
     pub fn run(&mut self) -> SliceResult {
-        let seeds = self.view.seeds();
-        let ref_seeds = self.view.ref_seeds();
-        let mut result = SliceResult::default();
-        let mut seen_flows: HashSet<(StmtNode, StmtNode, usize)> = HashSet::new();
-        let mut heap_edges = 0usize;
-        for &(stmt, sc) in seeds {
-            if self.interrupted.is_some() {
-                break;
-            }
-            let mut run = SeedRun::new(stmt, sc.method);
-            run.seed(
-                Fact::Local(stmt.node, sc.dst, ApFields::value()),
-                vec![FlowStep { stmt, kind: StepKind::Seed }],
-            );
-            self.tabulate(&mut run, &mut result, &mut seen_flows, &mut heap_edges);
+        let view = self.view;
+        let mut found = Found::default();
+        let fact = |node, var| Fact::Local(node, var, ApFields::value());
+        slice_seeds(view, view.seeds(), view.ref_seeds(), &mut found, fact, |mut run, found| {
+            self.tabulate(&mut run, found);
             self.facts_created += run.visited.len();
-        }
-        // By-reference sources (footnote 2): the argument object's state
-        // is tainted — loads reading it become value seeds, and the
-        // object itself is an immediate taint carrier.
-        for rs in ref_seeds {
-            if self.interrupted.is_some() {
-                break;
-            }
-            let mut run = SeedRun::new(rs.stmt, rs.method);
-            for &(n, v) in &rs.facts {
-                run.seed(
-                    Fact::Local(n, v, ApFields::value()),
-                    vec![FlowStep { stmt: rs.stmt, kind: StepKind::Seed }],
-                );
-            }
-            for ik in rs.arg_pts.iter() {
-                if let Some(sinks) = self.view.spec.carrier_sinks.get(&ik) {
-                    for cs in sinks {
-                        if seen_flows.insert((rs.stmt, cs.stmt, cs.pos)) {
-                            result.flows.push(Flow {
-                                source: rs.stmt,
-                                source_method: rs.method,
-                                sink: cs.stmt,
-                                sink_method: cs.method,
-                                sink_pos: cs.pos,
-                                path: vec![
-                                    FlowStep { stmt: rs.stmt, kind: StepKind::Seed },
-                                    FlowStep { stmt: cs.stmt, kind: StepKind::CarrierEdge },
-                                ],
-                                heap_transitions: 1,
-                            });
-                        }
-                    }
-                }
-            }
-            self.tabulate(&mut run, &mut result, &mut seen_flows, &mut heap_edges);
-            self.facts_created += run.visited.len();
-        }
-        result.heap_transitions = heap_edges;
-        result.work = self.work;
+            self.interrupted.is_none()
+        });
+        let mut result = found.result;
+        result.work = self.work + self.summaries.work();
         result.interrupted = self.interrupted;
         result
     }
 
     /// Drains one seed's worklist to a fixpoint.
-    fn tabulate(
-        &mut self,
-        run: &mut SeedRun,
-        result: &mut SliceResult,
-        seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
-        heap_edges: &mut usize,
-    ) {
-        while let Some(fact) = run.queue.pop_front() {
+    fn tabulate(&mut self, run: &mut SeedRun<Fact>, found: &mut Found) {
+        while let Some(fact) = run.pop() {
             if self.interrupted.is_some() {
                 return;
             }
@@ -348,29 +271,22 @@ impl<'a> IfdsSlicer<'a> {
             }
             self.worklist_pops += 1;
             self.work += 1;
-            match fact.clone() {
+            let heap_edges = &mut found.result.heap_transitions;
+            match &fact {
                 Fact::Local(node, var, fields) => {
-                    self.process_local(
-                        run, result, seen_flows, heap_edges, node, var, &fields, &fact,
-                    );
+                    self.process_local(run, found, (*node, *var), fields, &fact);
                 }
-                Fact::Heap(ik, fields) => self.process_heap(run, heap_edges, ik, &fields, &fact),
-                Fact::Static(field, fields) => {
-                    self.process_static(run, heap_edges, field, &fields, &fact);
-                }
+                Fact::Heap(ik, fields) => self.process_heap(run, heap_edges, *ik, fields, &fact),
+                Fact::Static(f, fields) => self.process_static(run, heap_edges, *f, fields, &fact),
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn process_local(
         &mut self,
-        run: &mut SeedRun,
-        result: &mut SliceResult,
-        seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
-        heap_edges: &mut usize,
-        node: CGNodeId,
-        var: Var,
+        run: &mut SeedRun<Fact>,
+        found: &mut Found,
+        (node, var): (CGNodeId, Var),
         fields: &ApFields,
         fact: &Fact,
     ) {
@@ -385,19 +301,8 @@ impl<'a> IfdsSlicer<'a> {
                     );
                 }
                 Use::Store { loc, base, field } => {
-                    self.process_store(
-                        run,
-                        result,
-                        seen_flows,
-                        heap_edges,
-                        StmtNode { node, loc },
-                        node,
-                        base,
-                        field,
-                        fields,
-                        fact,
-                        vec![],
-                    );
+                    let store = (StmtNode { node, loc }, base, field);
+                    self.process_store(run, found, store, fields, fact, vec![]);
                 }
                 Use::StaticStore { loc, field } => {
                     run.push(
@@ -407,9 +312,7 @@ impl<'a> IfdsSlicer<'a> {
                     );
                 }
                 Use::Arg { loc, pos } => {
-                    self.process_arg(
-                        run, result, seen_flows, heap_edges, node, loc, pos, fields, fact,
-                    );
+                    self.process_arg(run, found, StmtNode { node, loc }, pos, fields, fact);
                     if self.interrupted.is_some() {
                         return;
                     }
@@ -430,17 +333,8 @@ impl<'a> IfdsSlicer<'a> {
                 }
                 Use::SinkArg { loc, method, pos } => {
                     if fields.is_value() {
-                        self.emit_flow(
-                            run,
-                            result,
-                            seen_flows,
-                            fact,
-                            vec![],
-                            StmtNode { node, loc },
-                            method,
-                            pos,
-                            StepKind::Local,
-                        );
+                        let sink = (StmtNode { node, loc }, method, pos);
+                        run.emit(found, fact, &[], sink, StepKind::Local);
                     }
                 }
                 Use::Sanitized { .. } => {}
@@ -453,7 +347,7 @@ impl<'a> IfdsSlicer<'a> {
             for l in view.index.loads(node).iter().filter(|l| l.base == Some(var)) {
                 let Some(lf) = l.field else { continue };
                 let Some(next) = fields.consume(lf) else { continue };
-                *heap_edges += 1;
+                found.result.heap_transitions += 1;
                 run.push(
                     Fact::Local(node, l.dst, next),
                     fact,
@@ -466,51 +360,29 @@ impl<'a> IfdsSlicer<'a> {
         }
     }
 
-    /// Handles a reached heap store `base.field = v` where `v` carries
-    /// `fields`: taint-carrier edges (for value suffixes), the new heap
-    /// fact with `field` prepended, and reflective-invoke bindings.
-    #[allow(clippy::too_many_arguments)]
+    /// Handles a reached heap store `base.field = v`, after `steps` from
+    /// `parent`, where `v` carries `fields`: taint-carrier edges (for
+    /// value suffixes), the new heap fact with `field` prepended, and
+    /// reflective-invoke bindings.
     fn process_store(
-        &mut self,
-        run: &mut SeedRun,
-        result: &mut SliceResult,
-        seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
-        heap_edges: &mut usize,
-        store_stmt: StmtNode,
-        store_node: CGNodeId,
-        base: Var,
-        field: FieldKey,
+        &self,
+        run: &mut SeedRun<Fact>,
+        found: &mut Found,
+        (store, base, field): (StmtNode, Var, FieldKey),
         fields: &ApFields,
         parent: &Fact,
-        pre_steps: Vec<FlowStep>,
+        mut steps: Vec<FlowStep>,
     ) {
         let view = self.view;
-        let base_pts = view.index.local_pts(store_node, base);
-        let mut steps = pre_steps;
-        steps.push(FlowStep { stmt: store_stmt, kind: StepKind::Local });
+        let base_pts = view.index.local_pts(store.node, base);
+        steps.push(FlowStep { stmt: store, kind: StepKind::Local });
 
         // Taint carriers (§4.1.1): a tainted *value* stored into an
         // object that may reach a sink argument. Suffixed facts don't
         // fire this — the chain must be consumed by loads first, which
         // keeps the carrier semantics identical to the hybrid slicer's.
         if fields.is_value() {
-            for ik in base_pts.iter() {
-                if let Some(sinks) = view.spec.carrier_sinks.get(&ik) {
-                    for cs in sinks {
-                        self.emit_flow(
-                            run,
-                            result,
-                            seen_flows,
-                            parent,
-                            steps.clone(),
-                            cs.stmt,
-                            cs.method,
-                            cs.pos,
-                            StepKind::CarrierEdge,
-                        );
-                    }
-                }
-            }
+            run.emit_carriers(view, found, parent, &steps, base_pts);
         }
 
         let stored = fields.prepend(field, self.depth);
@@ -523,21 +395,12 @@ impl<'a> IfdsSlicer<'a> {
         if field == FieldKey::Array {
             for &(inode, iloc, arr, callee) in &view.index.invoke_bindings {
                 if view.index.local_pts(inode, arr).intersects(base_pts) {
-                    *heap_edges += 1;
-                    let callee_method = view.pts.callgraph.method_of(callee);
-                    let m = view.program.method(callee_method);
-                    let off = usize::from(!m.is_static);
-                    for i in 0..m.params.len() {
+                    found.result.heap_transitions += 1;
+                    let stmt = StmtNode { node: inode, loc: iloc };
+                    for reg in view.param_registers(view.pts.callgraph.method_of(callee)) {
                         let mut s = steps.clone();
-                        s.push(FlowStep {
-                            stmt: StmtNode { node: inode, loc: iloc },
-                            kind: StepKind::HeapEdge,
-                        });
-                        run.push(
-                            Fact::Local(callee, Var((i + off) as u32), fields.clone()),
-                            parent,
-                            s,
-                        );
+                        s.push(FlowStep { stmt, kind: StepKind::HeapEdge });
+                        run.push(Fact::Local(callee, reg, fields.clone()), parent, s);
                     }
                 }
             }
@@ -549,7 +412,7 @@ impl<'a> IfdsSlicer<'a> {
     /// suffix (the injection that makes deeper chains explorable).
     fn process_heap(
         &self,
-        run: &mut SeedRun,
+        run: &mut SeedRun<Fact>,
         heap_edges: &mut usize,
         ik: u32,
         fields: &ApFields,
@@ -613,7 +476,7 @@ impl<'a> IfdsSlicer<'a> {
 
     fn process_static(
         &self,
-        run: &mut SeedRun,
+        run: &mut SeedRun<Fact>,
         heap_edges: &mut usize,
         field: FieldId,
         fields: &ApFields,
@@ -636,54 +499,33 @@ impl<'a> IfdsSlicer<'a> {
 
     /// Taint passed into a body callee: instantiate the field-generic
     /// RHS summary with the caller's suffix.
-    #[allow(clippy::too_many_arguments)]
     fn process_arg(
         &mut self,
-        run: &mut SeedRun,
-        result: &mut SliceResult,
-        seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
-        heap_edges: &mut usize,
-        node: CGNodeId,
-        loc: Loc,
+        run: &mut SeedRun<Fact>,
+        found: &mut Found,
+        call: StmtNode,
         pos: usize,
         fields: &ApFields,
         parent: &Fact,
     ) {
-        let call_stmt = StmtNode { node, loc };
         let view = self.view;
-        for &t in view.pts.callgraph.targets(node, loc) {
-            let callee_method = view.pts.callgraph.method_of(t);
-            let m = view.program.method(callee_method);
-            if view.spec.sanitizers.contains(&callee_method)
-                || view.spec.sources.contains(&callee_method)
-                || view.spec.sinks.contains_key(&callee_method)
-            {
-                continue; // handled via dedicated roles
-            }
-            let off = usize::from(!m.is_static);
-            if pos + off >= m.num_incoming() {
+        for &t in view.pts.callgraph.targets(call.node, call.loc) {
+            let Some(var) = view.callee_entry(view.pts.callgraph.method_of(t), pos) else {
                 continue;
-            }
-            let entry: SumKey = (t, Var((pos + off) as u32));
-            let summary = self.summary(entry).clone();
+            };
+            let summary = self.summaries.summary(
+                view,
+                (t, var),
+                &self.supervisor,
+                "ifds.summary",
+                &mut self.interrupted,
+            );
             if self.interrupted.is_some() {
                 return;
             }
-            let call_step = FlowStep { stmt: call_stmt, kind: StepKind::CallArg };
-            for (st, base, field) in summary.stores {
-                self.process_store(
-                    run,
-                    result,
-                    seen_flows,
-                    heap_edges,
-                    st,
-                    st.node,
-                    base,
-                    field,
-                    fields,
-                    parent,
-                    vec![call_step],
-                );
+            let call_step = FlowStep { stmt: call, kind: StepKind::CallArg };
+            for store in summary.stores {
+                self.process_store(run, found, store, fields, parent, vec![call_step]);
             }
             for (st, sfield) in summary.static_stores {
                 run.push(
@@ -693,255 +535,20 @@ impl<'a> IfdsSlicer<'a> {
                 );
             }
             if fields.is_value() {
-                for (st, method, spos) in summary.sinks {
-                    self.emit_flow(
-                        run,
-                        result,
-                        seen_flows,
-                        parent,
-                        vec![call_step],
-                        st,
-                        method,
-                        spos,
-                        StepKind::CallArg,
-                    );
+                for sink in summary.sinks {
+                    run.emit(found, parent, &[call_step], sink, StepKind::CallArg);
                 }
             }
             if summary.reaches_ret {
-                if let Some(d) = view.index.call_dst(node, loc) {
+                if let Some(d) = view.index.call_dst(call.node, call.loc) {
                     run.push(
-                        Fact::Local(node, d, fields.clone()),
+                        Fact::Local(call.node, d, fields.clone()),
                         parent,
-                        vec![call_step, FlowStep { stmt: call_stmt, kind: StepKind::ReturnTo }],
+                        vec![call_step, FlowStep { stmt: call, kind: StepKind::ReturnTo }],
                     );
                 }
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_flow(
-        &mut self,
-        run: &SeedRun,
-        result: &mut SliceResult,
-        seen_flows: &mut HashSet<(StmtNode, StmtNode, usize)>,
-        parent: &Fact,
-        mid_steps: Vec<FlowStep>,
-        sink: StmtNode,
-        sink_method: MethodId,
-        sink_pos: usize,
-        final_kind: StepKind,
-    ) {
-        if !seen_flows.insert((run.seed_stmt, sink, sink_pos)) {
-            return;
-        }
-        let mut path = run.reconstruct(parent);
-        path.extend(mid_steps);
-        path.push(FlowStep { stmt: sink, kind: final_kind });
-        let heap_transitions = path
-            .iter()
-            .filter(|s| matches!(s.kind, StepKind::HeapEdge | StepKind::CarrierEdge))
-            .count();
-        result.flows.push(Flow {
-            source: run.seed_stmt,
-            source_method: run.seed_method,
-            sink,
-            sink_method,
-            sink_pos,
-            path,
-            heap_transitions,
-        });
-    }
-
-    // ---- RHS endpoint summaries over the no-heap SDG ----
-
-    /// Returns the summary for taint entering `entry`, computing it (and
-    /// every transitive callee summary) to a fixpoint on first demand.
-    fn summary(&mut self, entry: SumKey) -> &Summary {
-        if !self.summaries.contains_key(&entry) {
-            let mut queue: VecDeque<SumKey> = VecDeque::new();
-            queue.push_back(entry);
-            while let Some(key) = queue.pop_front() {
-                if let Err(reason) = self.supervisor.check("ifds.summary") {
-                    self.interrupted = Some(reason);
-                    // An incomplete summary is an under-approximation;
-                    // the interrupt flag tells the driver the result is
-                    // partial.
-                    self.summaries.entry(entry).or_default();
-                    break;
-                }
-                self.worklist_pops += 1;
-                let computed = self.compute_summary(key, &mut queue);
-                let changed = match self.summaries.get(&key) {
-                    Some(old) => *old != computed,
-                    None => true,
-                };
-                if changed {
-                    self.summaries.insert(key, computed);
-                    if let Some(deps) = self.dependents.get(&key) {
-                        for d in deps.clone() {
-                            queue.push_back(d);
-                        }
-                    }
-                }
-            }
-        }
-        self.summaries.get(&entry).expect("computed above")
-    }
-
-    /// One monotone evaluation of a summary from the current table.
-    fn compute_summary(&mut self, entry: SumKey, queue: &mut VecDeque<SumKey>) -> Summary {
-        let (node, entry_var) = entry;
-        let mut out = Summary::default();
-        let mut visited: HashSet<Var> = HashSet::new();
-        let mut local_queue = vec![entry_var];
-        visited.insert(entry_var);
-        let view = self.view;
-        while let Some(v) = local_queue.pop() {
-            self.work += 1;
-            for &u in view.uses(node, v) {
-                match u {
-                    Use::Flow { to, .. } => {
-                        if visited.insert(to) {
-                            local_queue.push(to);
-                        }
-                    }
-                    Use::Store { loc, base, field } => {
-                        let st = (StmtNode { node, loc }, base, field);
-                        if !out.stores.contains(&st) {
-                            out.stores.push(st);
-                        }
-                    }
-                    Use::StaticStore { loc, field } => {
-                        let st = (StmtNode { node, loc }, field);
-                        if !out.static_stores.contains(&st) {
-                            out.static_stores.push(st);
-                        }
-                    }
-                    Use::SinkArg { loc, method, pos } => {
-                        let sk = (StmtNode { node, loc }, method, pos);
-                        if !out.sinks.contains(&sk) {
-                            out.sinks.push(sk);
-                        }
-                    }
-                    Use::Ret { .. } => out.reaches_ret = true,
-                    Use::Sanitized { .. } => {}
-                    Use::Arg { loc, pos } => {
-                        for &t in view.pts.callgraph.targets(node, loc) {
-                            let callee_method = view.pts.callgraph.method_of(t);
-                            let m = view.program.method(callee_method);
-                            if view.spec.sanitizers.contains(&callee_method)
-                                || view.spec.sources.contains(&callee_method)
-                                || view.spec.sinks.contains_key(&callee_method)
-                            {
-                                continue;
-                            }
-                            let off = usize::from(!m.is_static);
-                            if pos + off >= m.num_incoming() {
-                                continue;
-                            }
-                            let sub_key: SumKey = (t, Var((pos + off) as u32));
-                            self.dependents.entry(sub_key).or_default().insert(entry);
-                            let sub = match self.summaries.get(&sub_key) {
-                                Some(s) => s.clone(),
-                                None => {
-                                    // Schedule computation; use ⊥ for now.
-                                    queue.push_back(sub_key);
-                                    Summary::default()
-                                }
-                            };
-                            for st in sub.stores {
-                                if !out.stores.contains(&st) {
-                                    out.stores.push(st);
-                                }
-                            }
-                            for st in sub.static_stores {
-                                if !out.static_stores.contains(&st) {
-                                    out.static_stores.push(st);
-                                }
-                            }
-                            for sk in sub.sinks {
-                                if !out.sinks.contains(&sk) {
-                                    out.sinks.push(sk);
-                                }
-                            }
-                            if sub.reaches_ret {
-                                if let Some(d) = view.index.call_dst(node, loc) {
-                                    if visited.insert(d) {
-                                        local_queue.push(d);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Per-seed tabulation state with provenance for witness reconstruction.
-#[derive(Debug)]
-struct SeedRun {
-    seed_stmt: StmtNode,
-    seed_method: MethodId,
-    visited: HashSet<Fact>,
-    parents: HashMap<Fact, Parent>,
-    queue: VecDeque<Fact>,
-}
-
-#[derive(Debug, Clone)]
-struct Parent {
-    prev: Option<Fact>,
-    steps: Vec<FlowStep>,
-}
-
-impl SeedRun {
-    fn new(seed_stmt: StmtNode, seed_method: MethodId) -> Self {
-        SeedRun {
-            seed_stmt,
-            seed_method,
-            visited: HashSet::new(),
-            parents: HashMap::new(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Seeds an initial fact with no provenance predecessor.
-    fn seed(&mut self, fact: Fact, steps: Vec<FlowStep>) {
-        if self.visited.insert(fact.clone()) {
-            self.parents.insert(fact.clone(), Parent { prev: None, steps });
-            self.queue.push_back(fact);
-        }
-    }
-
-    /// Inserts a derived fact with provenance.
-    fn push(&mut self, fact: Fact, from: &Fact, steps: Vec<FlowStep>) {
-        if self.visited.insert(fact.clone()) {
-            self.parents.insert(fact.clone(), Parent { prev: Some(from.clone()), steps });
-            self.queue.push_back(fact);
-        }
-    }
-
-    /// Rebuilds the witness path from the seed to `fact`.
-    fn reconstruct(&self, fact: &Fact) -> Vec<FlowStep> {
-        let mut rev: Vec<FlowStep> = Vec::new();
-        let mut cur = Some(fact.clone());
-        let mut guard = 0usize;
-        while let Some(f) = cur {
-            let Some(p) = self.parents.get(&f) else { break };
-            for s in p.steps.iter().rev() {
-                rev.push(*s);
-            }
-            cur = p.prev.clone();
-            guard += 1;
-            if guard > 100_000 {
-                break; // defensive: provenance cycles should not happen
-            }
-        }
-        rev.reverse();
-        rev
     }
 }
 

@@ -18,10 +18,13 @@
 //!   paper observes;
 //! - [`view`] — the rule-independent slice index (def-use, loads, call
 //!   plumbing) built once per pass, and each rule's thin view on top;
+//! - `kernel` (crate-private) — what the four slicers share: the RHS
+//!   endpoint summary table (hybrid and IFDS), per-seed traversal state
+//!   and witness paths, flow emission, and the seed loop;
 //! - [`spec`] — rule projections in, tainted [`spec::Flow`]s out, and the
 //!   §6.2 bounds.
 //!
-//! The three slicers expose the same interface so the taint-analysis
+//! The four slicers expose the same interface so the taint-analysis
 //! driver (crate `taj-core`) can swap them per configuration (Table 1).
 
 #![warn(missing_docs)]
@@ -30,6 +33,7 @@ pub mod ci;
 pub mod cs;
 pub mod hybrid;
 pub mod ifds;
+mod kernel;
 pub mod mhp;
 pub mod spec;
 pub mod view;

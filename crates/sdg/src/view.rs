@@ -789,6 +789,33 @@ impl<'a> ProgramView<'a> {
         }
     }
 
+    /// The register of `callee` that receives argument `pos` (the
+    /// receiver not counted), if the callee has that many parameters.
+    pub(crate) fn param_register(&self, callee: MethodId, pos: usize) -> Option<Var> {
+        let m = self.program.method(callee);
+        let reg = pos + usize::from(!m.is_static);
+        (reg < m.num_incoming()).then_some(Var(reg as u32))
+    }
+
+    /// Every parameter register of `callee`, the receiver not counted.
+    pub(crate) fn param_registers(&self, callee: MethodId) -> impl Iterator<Item = Var> + '_ {
+        (0..).map_while(move |pos| self.param_register(callee, pos))
+    }
+
+    /// Where taint passed as argument `pos` enters the body of `callee`:
+    /// its parameter register, unless this rule makes the callee a
+    /// sanitizer, source or sink, whose classified use handles the call.
+    pub(crate) fn callee_entry(&self, callee: MethodId, pos: usize) -> Option<Var> {
+        let spec = self.spec;
+        if spec.sanitizers.contains(&callee)
+            || spec.sources.contains(&callee)
+            || spec.sinks.contains_key(&callee)
+        {
+            return None;
+        }
+        self.param_register(callee, pos)
+    }
+
     /// The registers whose only uses are this rule's classification of
     /// rule-sensitive call sites, in `(node, var)` order: with
     /// [`SliceIndex::registers_with_shared_uses`], every register that

@@ -493,15 +493,6 @@ fn mint_trace_id(state: &Arc<RouterState>) -> String {
     format!("taj-r-{:016x}", state.trace_seq.fetch_add(1, Ordering::SeqCst) + 1)
 }
 
-/// The router's per-request recorder, live only when its flight ring is.
-fn router_recorder(state: &Arc<RouterState>) -> Recorder {
-    if state.flight.is_enabled() {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    }
-}
-
 /// Captures one routed request into the router's flight ring: the hop
 /// events recorded so far under a synthetic `request` root span.
 fn capture_router_flight(
@@ -579,7 +570,7 @@ fn handle_line_inner(line: &str, state: &Arc<RouterState>, started: Instant) -> 
         Command::Analyze(req) => {
             state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
             let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
-            let rec = router_recorder(state);
+            let rec = state.flight.request_recorder();
             let shard_idx = shard_index(&req, state.shards.len());
             // Stamp trace context onto the forwarded line (a textual
             // splice that preserves every client byte), so the shard
@@ -605,7 +596,7 @@ fn handle_line_inner(line: &str, state: &Arc<RouterState>, started: Instant) -> 
         }
         Command::Trace { trace_id } => (trace_response(state, &id, &trace_id), false),
         Command::LastTraces { limit } => {
-            (ok_response_raw(&id, &last_traces_raw(state, limit)), false)
+            (ok_response_raw(&id, &state.flight.last_traces_json(limit)), false)
         }
         // `parse_request(_, debug=false)` already rejected these.
         Command::DebugSleep { .. } | Command::DebugPanic => {
@@ -675,21 +666,6 @@ fn fetch_shard_fragments(
             serde_json::to_string(&fragment).unwrap_or_else(|_| "{}".to_string())
         })
         .collect()
-}
-
-/// `last_traces` body from the router's ring, newest first.
-fn last_traces_raw(state: &Arc<RouterState>, limit: Option<u64>) -> String {
-    let limit = limit.map_or(usize::MAX, |n| n as usize);
-    let records = state.flight.recent(limit);
-    let mut out = format!("{{\"count\":{},\"traces\":[", records.len());
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&record.summary_json());
-    }
-    out.push_str("]}");
-    out
 }
 
 /// The `--trace-out` payload: every retained trace's fragments (router

@@ -440,7 +440,7 @@ fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
             let parent = req.trace_parent.clone();
             let threads = req.threads;
             let timeout_ms = req.timeout_ms.or(state.default_timeout_ms);
-            let rec = request_recorder(state);
+            let rec = state.flight.request_recorder();
             let started = Instant::now();
             let outcome = dispatch(state, timeout_ms, rec.clone(), {
                 let state = Arc::clone(state);
@@ -488,7 +488,7 @@ fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
             return (ok_response_raw(&id, &run_batch(state, batch)), false);
         }
         Command::Trace { trace_id } => trace_raw(state, &trace_id),
-        Command::LastTraces { limit } => Ok(last_traces_raw(state, limit)),
+        Command::LastTraces { limit } => Ok(state.flight.last_traces_json(limit)),
         Command::DebugSleep { ms, timeout_ms } => {
             let timeout_ms = timeout_ms.or(state.default_timeout_ms);
             dispatch(state, timeout_ms, Recorder::disabled(), move |sup: &Supervisor| {
@@ -684,16 +684,6 @@ fn mint_trace_id(state: &Arc<ServiceState>) -> String {
     format!("taj-{:016x}", state.trace_seq.fetch_add(1, Ordering::SeqCst) + 1)
 }
 
-/// The per-request recorder: wall-clock when the flight recorder is on,
-/// disabled (a single pointer test on every span site) otherwise.
-fn request_recorder(state: &Arc<ServiceState>) -> Recorder {
-    if state.flight.is_enabled() {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    }
-}
-
 /// Flight-record outcome classification for failed requests.
 fn outcome_of(code: ErrorCode) -> &'static str {
     match code {
@@ -796,21 +786,6 @@ fn trace_raw(state: &Arc<ServiceState>, trace_id: &str) -> Result<String, Protoc
     Ok(format!("{{\"trace_id\":{},\"fragments\":[{}]}}", id_json, record.fragment_json("daemon")))
 }
 
-/// `last_traces` body: ring summaries, newest first.
-fn last_traces_raw(state: &Arc<ServiceState>, limit: Option<u64>) -> String {
-    let limit = limit.map_or(usize::MAX, |n| n as usize);
-    let records = state.flight.recent(limit);
-    let mut out = format!("{{\"count\":{},\"traces\":[", records.len());
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&record.summary_json());
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Executes a `batch` envelope: every well-formed item is submitted to
 /// the pool up front, so items run concurrently up to the pool size, and
 /// results are collected in item order so the response array lines up
@@ -836,7 +811,7 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest) -> String {
                 state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
                 let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
                 let timeout_ms = req.timeout_ms.or(envelope_timeout).or(state.default_timeout_ms);
-                let rec = request_recorder(state);
+                let rec = state.flight.request_recorder();
                 let item = Item {
                     rec: rec.clone(),
                     parent: req.trace_parent.clone(),
