@@ -119,12 +119,16 @@ impl Program {
 
     /// All synthetic map-key fields created so far (name starts with
     /// `$map$`), used to expand non-constant-key `get` conservatively.
+    /// Sorted by id, so the order is the program's, not the hash map's.
     pub fn map_key_fields(&self) -> Vec<FieldId> {
-        self.synthetic_fields
+        let mut fields: Vec<FieldId> = self
+            .synthetic_fields
             .iter()
             .filter(|(n, _)| n.starts_with("$map$"))
             .map(|(_, &f)| f)
-            .collect()
+            .collect();
+        fields.sort_unstable();
+        fields
     }
 
     // ----- methods -----
@@ -375,6 +379,28 @@ mod tests {
         assert_eq!(p.map_key_fields(), vec![a]);
         assert_eq!(p.find_synthetic_field("$map$user"), Some(a));
         assert_eq!(p.find_synthetic_field("$nope"), None);
+    }
+
+    /// Each program's field map hashes with its own random keys; the
+    /// key fields must still come back in one order, the creation order.
+    #[test]
+    fn map_key_fields_are_in_id_order() {
+        let orders: Vec<Vec<FieldId>> = (0..17)
+            .map(|_| {
+                let mut p = Program::new();
+                p.add_class(Class::new("Object"));
+                let str_ty = p.types.string();
+                for key in ["user", "pass", "id", "name", "token"] {
+                    p.synthetic_field(&format!("$map${key}"), str_ty);
+                }
+                p.synthetic_field("$elems", str_ty);
+                p.map_key_fields()
+            })
+            .collect();
+        let first = &orders[0];
+        assert_eq!(first.len(), 5);
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+        assert!(orders.iter().all(|o| o == first), "{orders:?}");
     }
 
     #[test]

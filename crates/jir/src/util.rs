@@ -1,9 +1,11 @@
 //! Small utilities shared across the workspace: index newtypes, an interner,
-//! and a dense bitset used for points-to sets and worklists.
+//! an FxHash-style hasher for id-keyed tables, and a dense bitset used for
+//! points-to sets and worklists.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Declares a `u32`-backed index newtype with the standard trait surface.
 ///
@@ -55,28 +57,104 @@ macro_rules! index_type {
     };
 }
 
+/// An FxHash-style hasher (the rustc compiler's): one rotate, xor and
+/// multiply per word. Much cheaper than std's SipHash on small integer
+/// keys such as ids and code locations, but not collision-resistant, so
+/// only tables keyed by values the analysis mints itself use it. Tables
+/// keyed by text from the input program keep std's randomized hasher.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds [`FxHasher`]s (deterministic: no per-table keys).
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// A `HashMap` hashing with [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+/// A `HashSet` hashing with [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+
 /// A deduplicating interner mapping values of type `T` to dense `u32` ids.
 ///
 /// Used for contexts, selectors, strings, and every other entity whose
-/// identity must be cheap to compare and hash.
+/// identity must be cheap to compare and hash. Ids follow first-intern
+/// order whatever the hasher `S`; `Interner<T, FxBuildHasher>` suits keys
+/// the analysis mints itself (see [`FxHasher`]).
 #[derive(Clone)]
-pub struct Interner<T: Eq + Hash + Clone> {
+pub struct Interner<T: Eq + Hash + Clone, S = RandomState> {
     items: Vec<T>,
-    map: HashMap<T, u32>,
+    map: HashMap<T, u32, S>,
 }
 
-impl<T: Eq + Hash + Clone> Default for Interner<T> {
+impl<T: Eq + Hash + Clone, S: Default> Default for Interner<T, S> {
     fn default() -> Self {
-        Self::new()
+        Interner { items: Vec::new(), map: HashMap::default() }
     }
 }
 
 impl<T: Eq + Hash + Clone> Interner<T> {
-    /// Creates an empty interner.
+    /// Creates an empty interner with std's randomized hasher.
     pub fn new() -> Self {
-        Interner { items: Vec::new(), map: HashMap::new() }
+        Self::default()
     }
+}
 
+impl<T: Eq + Hash + Clone, S: BuildHasher> Interner<T, S> {
     /// Interns `value`, returning its dense id. Repeated calls with equal
     /// values return the same id.
     pub fn intern(&mut self, value: T) -> u32 {
@@ -118,7 +196,7 @@ impl<T: Eq + Hash + Clone> Interner<T> {
     }
 }
 
-impl<T: Eq + Hash + Clone + fmt::Debug> fmt::Debug for Interner<T> {
+impl<T: Eq + Hash + Clone + fmt::Debug, S> fmt::Debug for Interner<T, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Interner").field("len", &self.items.len()).finish()
     }
@@ -308,6 +386,37 @@ mod tests {
         assert_eq!(i.len(), 2);
         assert_eq!(i.lookup(&"y".to_string()), Some(b));
         assert_eq!(i.lookup(&"z".to_string()), None);
+    }
+
+    #[test]
+    fn fx_interner_ids_follow_first_intern_order() {
+        let mut fx: Interner<(u32, u32), FxBuildHasher> = Interner::default();
+        let mut std = Interner::new();
+        for key in [(3, 1), (0, 0), (3, 1), (7, 2), (0, 0), (1, 9)] {
+            assert_eq!(fx.intern(key), std.intern(key));
+        }
+        assert_eq!(fx.len(), 4);
+        assert_eq!(fx.lookup(&(7, 2)), Some(2));
+        assert_eq!(
+            fx.iter().map(|(_, &k)| k).collect::<Vec<_>>(),
+            [(3, 1), (0, 0), (7, 2), (1, 9)]
+        );
+    }
+
+    #[test]
+    fn fx_hasher_is_deterministic_and_separates_small_keys() {
+        let hash = |key: &(u32, u64)| FxBuildHasher::default().hash_one(key);
+        assert_eq!(hash(&(1, 2)), hash(&(1, 2)));
+        let distinct: HashSet<u64> =
+            (0..64u32).flat_map(|a| (0..64u64).map(move |b| (a, b))).map(|k| hash(&k)).collect();
+        assert_eq!(distinct.len(), 64 * 64);
+        // Unaligned byte tails still feed the hash.
+        let bytes = |b: &[u8]| {
+            let mut h = FxHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_ne!(bytes(b"abcdefghi"), bytes(b"abcdefghj"));
     }
 
     #[test]

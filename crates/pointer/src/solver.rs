@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use jir::inst::{CallTarget, ConstValue, Filter, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
-use jir::util::{BitSet, Interner};
+use jir::util::{BitSet, FxBuildHasher, FxHashMap, FxHashSet, Interner};
 use jir::{FieldId, MethodId, Program};
 use taj_supervise::{InterruptReason, Supervisor};
 
@@ -92,8 +92,8 @@ pub struct PointsTo {
     pub interrupted: Option<InterruptReason>,
     /// Reflective invoke bindings for SDG construction.
     pub invoke_bindings: Vec<InvokeBinding>,
-    pub(crate) ikeys: Interner<InstanceKey>,
-    pub(crate) pkeys: Interner<PointerKey>,
+    pub(crate) ikeys: Interner<InstanceKey, FxBuildHasher>,
+    pub(crate) pkeys: Interner<PointerKey, FxBuildHasher>,
     pub(crate) pts: Vec<BitSet>,
     /// Per call site, intrinsic callees `(method, intrinsic)` resolved
     /// there (body callees live in the call graph instead).
@@ -151,7 +151,7 @@ impl PointsTo {
 /// The solver's startup scan: static indices for the §6.1 priority
 /// heuristic. The vectors list method ids (resp. field ids) in table
 /// order, one entry per load/store occurrence in body order, duplicates
-/// included, because they drive node-exploration (and output) order.
+/// included.
 struct PreScan {
     /// field → methods containing loads of it (instance and static).
     field_loaders: HashMap<FieldId, Vec<MethodId>>,
@@ -281,13 +281,15 @@ enum Constraint {
     BindParams { callee: CGNodeId, nparams: usize },
 }
 
+/// The solver's id-keyed tables hash with [`jir::util::FxHasher`]: their
+/// keys are ids and locations the solver mints, never input text.
 struct Solver<'p> {
     program: &'p Program,
     config: &'p SolverConfig,
-    contexts: Interner<Vec<ContextElem>>,
-    node_ids: Interner<(MethodId, ContextId)>,
-    ikeys: Interner<InstanceKey>,
-    pkeys: Interner<PointerKey>,
+    contexts: Interner<Vec<ContextElem>, FxBuildHasher>,
+    node_ids: Interner<(MethodId, ContextId), FxBuildHasher>,
+    ikeys: Interner<InstanceKey, FxBuildHasher>,
+    pkeys: Interner<PointerKey, FxBuildHasher>,
     pts: Vec<BitSet>,
     delta: Vec<BitSet>,
     copy_out: Vec<Vec<(PointerKeyId, Option<Filter>)>>,
@@ -297,8 +299,14 @@ struct Solver<'p> {
     pending: NodeQueue,
     added: Vec<bool>,
     call_edges: Vec<CallEdge>,
-    edge_seen: HashSet<(CGNodeId, Loc, CGNodeId)>,
-    site_once: HashSet<(CGNodeId, Loc, u64)>,
+    /// Per node, the other end of each of its call edges (both
+    /// directions, one entry per edge): the call-graph part of §6.1's Tn.
+    neighbours: Vec<Vec<CGNodeId>>,
+    /// Per method (dense by id), the nodes created for it: the heap part
+    /// of Tn selects nodes by method.
+    method_nodes: Vec<Vec<CGNodeId>>,
+    edge_seen: FxHashSet<(CGNodeId, Loc, CGNodeId)>,
+    site_once: FxHashSet<(CGNodeId, Loc, u64)>,
     intrinsic_targets: HashMap<(CGNodeId, Loc), Vec<(MethodId, Intrinsic)>>,
     invoke_bindings: Vec<InvokeBinding>,
     entry_nodes: Vec<CGNodeId>,
@@ -307,7 +315,7 @@ struct Solver<'p> {
     nodes_dropped: usize,
     propagations: usize,
     /// Cached per-(node, block) exception targets.
-    exc_targets: HashMap<(CGNodeId, jir::BlockId), (PointerKeyId, Option<Filter>)>,
+    exc_targets: FxHashMap<(CGNodeId, jir::BlockId), (PointerKeyId, Option<Filter>)>,
     /// field → methods containing loads of it (for the §6.1 Tn heap match).
     field_loaders: HashMap<FieldId, Vec<MethodId>>,
     /// method → fields it stores (for Tn).
@@ -321,7 +329,7 @@ struct Solver<'p> {
 
 impl<'p> Solver<'p> {
     fn new(program: &'p Program, config: &'p SolverConfig) -> Self {
-        let mut contexts = Interner::new();
+        let mut contexts = Interner::default();
         let root = contexts.intern(Vec::new());
         debug_assert_eq!(ContextId(root), ROOT_CONTEXT);
         let PreScan { field_loaders, method_stores, source_adjacent } =
@@ -331,9 +339,9 @@ impl<'p> Solver<'p> {
             program,
             config,
             contexts,
-            node_ids: Interner::new(),
-            ikeys: Interner::new(),
-            pkeys: Interner::new(),
+            node_ids: Interner::default(),
+            ikeys: Interner::default(),
+            pkeys: Interner::default(),
             pts: Vec::new(),
             delta: Vec::new(),
             copy_out: Vec::new(),
@@ -343,8 +351,10 @@ impl<'p> Solver<'p> {
             pending: NodeQueue::new(config.priority, max),
             added: Vec::new(),
             call_edges: Vec::new(),
-            edge_seen: HashSet::new(),
-            site_once: HashSet::new(),
+            neighbours: Vec::new(),
+            method_nodes: vec![Vec::new(); program.methods.len()],
+            edge_seen: FxHashSet::default(),
+            site_once: FxHashSet::default(),
             intrinsic_targets: HashMap::new(),
             invoke_bindings: Vec::new(),
             entry_nodes: Vec::new(),
@@ -352,7 +362,7 @@ impl<'p> Solver<'p> {
             interrupted: None,
             nodes_dropped: 0,
             propagations: 0,
-            exc_targets: HashMap::new(),
+            exc_targets: FxHashMap::default(),
             field_loaders,
             method_stores,
             source_adjacent,
@@ -451,6 +461,8 @@ impl<'p> Solver<'p> {
         }
         let id = CGNodeId(self.node_ids.intern((method, ctx)));
         self.added.push(false);
+        self.neighbours.push(Vec::new());
+        self.method_nodes[method.index()].push(id);
         let is_source = self.source_adjacent.contains(&method);
         self.pending.push(id, is_source);
         Some(id)
@@ -611,12 +623,11 @@ impl<'p> Solver<'p> {
         }
         self.added[node.index()] = true;
         let method = self.node_method(node);
-        let m = self.program.method(method);
-        let Some(body) = m.body() else { return };
-        let body = body.clone(); // detach from &self.program borrow
+        let program: &'p Program = self.program;
+        let Some(body) = program.method(method).body() else { return };
 
         for (bid, block) in body.iter_blocks() {
-            let exc_target = self.exc_target_of(node, &body, bid);
+            let exc_target = self.exc_target_of(node, body, bid);
             for (i, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(bid, i);
                 self.add_inst_constraints(node, method, loc, inst, &exc_target);
@@ -998,6 +1009,8 @@ impl<'p> Solver<'p> {
     fn record_edge(&mut self, caller: CGNodeId, loc: Loc, callee: CGNodeId) {
         if self.edge_seen.insert((caller, loc, callee)) {
             self.call_edges.push(CallEdge { caller, loc, callee });
+            self.neighbours[caller.index()].push(callee);
+            self.neighbours[callee.index()].push(caller);
         }
     }
 
@@ -1257,55 +1270,35 @@ impl<'p> Solver<'p> {
 
     // ---- §6.1 priority propagation ----
 
+    /// Applies `π(t) := min(π(t), π(n)+1)` over Tn, propagated to a
+    /// fixpoint through call-graph neighbours. The fixpoint does not
+    /// depend on the order neighbours are visited in, and the queue
+    /// breaks ties by `(π, node id)`, so the pop order is a function of
+    /// the graph alone.
     fn update_neighborhood_priorities(&mut self, n: CGNodeId) {
-        // Tn: call-graph neighbors plus nodes whose methods load fields
-        // stored by n's method (possible heap flow).
-        let mut tn: Vec<CGNodeId> = Vec::new();
-        for e in &self.call_edges {
-            if e.caller == n && !tn.contains(&e.callee) {
-                tn.push(e.callee);
-            }
-            if e.callee == n && !tn.contains(&e.caller) {
-                tn.push(e.caller);
-            }
-        }
-        let method = self.node_method(n);
-        if let Some(stored) = self.method_stores.get(&method) {
-            let mut methods: Vec<MethodId> = Vec::new();
-            for f in stored {
-                if let Some(loaders) = self.field_loaders.get(f) {
-                    for &lm in loaders {
-                        if !methods.contains(&lm) {
-                            methods.push(lm);
-                        }
-                    }
-                }
-            }
-            for (id, &(m, _)) in self.node_ids.iter() {
-                if methods.contains(&m) {
-                    let cand = CGNodeId(id);
-                    if !tn.contains(&cand) {
-                        tn.push(cand);
-                    }
-                }
-            }
-        }
-        // Update rule π(t) := min(π(t), π(n)+1), propagated to a fixpoint.
-        let base = self.pending.priority_of(n);
+        // The work list starts as Tn: call-graph neighbours plus the nodes
+        // whose methods load fields stored by n's method (possible heap
+        // flow).
+        let next = self.pending.priority_of(n).saturating_add(1);
         let mut work: Vec<(CGNodeId, usize)> =
-            tn.into_iter().map(|t| (t, base.saturating_add(1))).collect();
+            self.neighbours[n.index()].iter().map(|&t| (t, next)).collect();
+        if let Some(stored) = self.method_stores.get(&self.node_method(n)) {
+            let mut methods: Vec<MethodId> = stored
+                .iter()
+                .filter_map(|f| self.field_loaders.get(f))
+                .flatten()
+                .copied()
+                .collect();
+            methods.sort_unstable();
+            methods.dedup();
+            for m in methods {
+                work.extend(self.method_nodes[m.index()].iter().map(|&t| (t, next)));
+            }
+        }
         while let Some((t, p)) = work.pop() {
             if self.pending.lower_priority(t, p) {
-                // Changed: propagate to t's own neighborhood (call-graph
-                // neighbors suffice for the fixpoint step).
-                for e in &self.call_edges {
-                    if e.caller == t {
-                        work.push((e.callee, p.saturating_add(1)));
-                    }
-                    if e.callee == t {
-                        work.push((e.caller, p.saturating_add(1)));
-                    }
-                }
+                let next = p.saturating_add(1);
+                work.extend(self.neighbours[t.index()].iter().map(|&u| (u, next)));
             }
         }
     }
