@@ -121,22 +121,18 @@ impl Recorder {
     /// An enabled recorder with wall-clock timestamps (microseconds since
     /// creation).
     pub fn new() -> Recorder {
-        Recorder::build(false)
+        Recorder::build(false, Instant::now())
     }
 
     /// An enabled recorder that strips wall-clock: every recorded
     /// timestamp and duration is zero. Used by the determinism harness.
     pub fn deterministic() -> Recorder {
-        Recorder::build(true)
+        Recorder::build(true, Instant::now())
     }
 
-    fn build(deterministic: bool) -> Recorder {
+    fn build(deterministic: bool, epoch: Instant) -> Recorder {
         Recorder {
-            inner: Some(Arc::new(Inner {
-                deterministic,
-                epoch: Instant::now(),
-                events: Mutex::new(Vec::new()),
-            })),
+            inner: Some(Arc::new(Inner { deterministic, epoch, events: Mutex::new(Vec::new()) })),
         }
     }
 
@@ -156,6 +152,17 @@ impl Recorder {
     pub fn now_us(&self) -> u64 {
         match &self.inner {
             Some(inner) if !inner.deterministic => inner.epoch.elapsed().as_micros() as u64,
+            _ => 0,
+        }
+    }
+
+    /// Microseconds from the recorder's origin to `at`; zero when
+    /// disabled or deterministic, or when `at` precedes the origin.
+    pub fn us_at(&self, at: Instant) -> u64 {
+        match &self.inner {
+            Some(inner) if !inner.deterministic => {
+                at.saturating_duration_since(inner.epoch).as_micros() as u64
+            }
             _ => 0,
         }
     }
@@ -591,9 +598,12 @@ impl FlightRecorder {
 
     /// The recorder for one request: wall-clock while this ring is on,
     /// disabled (a single pointer test on every span site) otherwise.
-    pub fn request_recorder(&self) -> Recorder {
+    /// Its timestamps count from `origin`, which may lie in the past, so
+    /// that a span which began before the recorder existed keeps an
+    /// unsigned offset.
+    pub fn request_recorder(&self, origin: Instant) -> Recorder {
         if self.is_enabled() {
-            Recorder::new()
+            Recorder::build(false, origin)
         } else {
             Recorder::disabled()
         }
@@ -653,6 +663,19 @@ mod tests {
         assert_eq!(events[0].dur_us, Some(0));
         assert_eq!(events[1].start_us, 0);
         assert_eq!(events[1].dur_us, None);
+    }
+
+    #[test]
+    fn recorder_counts_from_its_origin() {
+        let origin = Instant::now();
+        let later = origin + std::time::Duration::from_millis(5);
+        let flight = FlightRecorder::new(1);
+        let rec = flight.request_recorder(origin);
+        assert_eq!(rec.us_at(later), 5_000);
+        assert_eq!(rec.us_at(origin), 0);
+        let before = flight.request_recorder(later);
+        assert_eq!(before.us_at(origin), 0, "an instant before the origin saturates to zero");
+        assert_eq!(Recorder::disabled().us_at(later), 0);
     }
 
     #[test]
@@ -729,7 +752,10 @@ mod tests {
         let listing = flight.last_traces_json(Some(1));
         let newest = recent[0].summary_json();
         assert_eq!(listing, format!(r#"{{"count":1,"traces":[{newest}]}}"#));
-        assert!(flight.request_recorder().is_enabled(), "a live ring records requests");
+        assert!(
+            flight.request_recorder(Instant::now()).is_enabled(),
+            "a live ring records requests"
+        );
     }
 
     #[test]
@@ -747,7 +773,7 @@ mod tests {
         assert!(flight.get("taj-x").is_none());
         assert!(flight.recent(4).is_empty());
         assert_eq!(flight.last_traces_json(None), r#"{"count":0,"traces":[]}"#);
-        assert!(!flight.request_recorder().is_enabled());
+        assert!(!flight.request_recorder(Instant::now()).is_enabled());
     }
 
     #[test]

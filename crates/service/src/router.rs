@@ -52,8 +52,8 @@ use crate::protocol::{
     BatchRequest, Command, ErrorCode, PROTOCOL_VERSION,
 };
 use crate::server::{
-    accept_loop, analyze_uncached, bind_listener, configs_value, store_fingerprint, Bind,
-    BoundAddr, LineHandler,
+    accept_loop, analyze_uncached, bind_listener, configs_value, request_recorder,
+    store_fingerprint, Bind, BoundAddr, FirstLine, LineHandler, ShutdownSignal,
 };
 use crate::trace::{fragments_of, relabel_process, stitch_fragments};
 
@@ -348,7 +348,7 @@ struct RouterCounters {
 
 struct RouterState {
     shards: Vec<Shard>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownSignal,
     counters: RouterCounters,
     default_timeout_ms: Option<u64>,
     tuning: RouterTuning,
@@ -376,7 +376,7 @@ impl RouterHandle {
 
     /// Asks the router to stop accepting and exit.
     pub fn request_shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.shutdown.trigger();
     }
 
     /// Waits for the accept loop to exit.
@@ -402,7 +402,7 @@ pub fn route(options: RouterOptions) -> io::Result<RouterHandle> {
     let tuning = options.tuning;
     let state = Arc::new(RouterState {
         shards: options.shards.into_iter().map(|a| Shard::new(a, &tuning)).collect(),
-        shutdown: Arc::new(AtomicBool::new(false)),
+        shutdown: ShutdownSignal::new(addr.clone()),
         counters: RouterCounters::default(),
         default_timeout_ms: options.default_timeout_ms,
         tuning,
@@ -413,7 +413,7 @@ pub fn route(options: RouterOptions) -> io::Result<RouterHandle> {
     });
     let handler: LineHandler = {
         let state = Arc::clone(&state);
-        Arc::new(move |line: &str| handle_line(line, &state))
+        Arc::new(move |line: &str, first| handle_line(line, first, &state))
     };
     // The background health prober: the only thing that talks to a shard
     // whose breaker is open. Probes are synthetic `configs` pings over a
@@ -423,18 +423,17 @@ pub fn route(options: RouterOptions) -> io::Result<RouterHandle> {
         .name("taj-router-prober".to_string())
         .spawn(move || prober_loop(&prober_state))
         .expect("spawn router prober");
-    let shutdown = Arc::clone(&state.shutdown);
     let accept_addr = addr.clone();
     let trace_out = options.trace_out;
-    let trace_state = Arc::clone(&state);
+    let accept_state = Arc::clone(&state);
     let accept_thread = std::thread::Builder::new()
         .name("taj-router-accept".to_string())
         .spawn(move || {
-            accept_loop(&listener, &shutdown, &handler);
+            accept_loop(&listener, &accept_state.shutdown, &handler);
             // Stitch before the prober joins: shards are still likely
             // alive at this point, so their fragments can be fetched.
             if let Some(path) = &trace_out {
-                let _ = std::fs::write(path, stitched_ring_json(&trace_state));
+                let _ = std::fs::write(path, stitched_ring_json(&accept_state));
             }
             let _ = prober.join();
             if let BoundAddr::Unix(path) = &accept_addr {
@@ -447,7 +446,7 @@ pub fn route(options: RouterOptions) -> io::Result<RouterHandle> {
 
 fn prober_loop(state: &Arc<RouterState>) {
     let interval = Duration::from_millis(state.tuning.probe_interval_ms.max(1));
-    while !state.shutdown.load(Ordering::SeqCst) {
+    while !state.shutdown.is_set() {
         let now = Instant::now();
         for shard in &state.shards {
             if !shard.breaker.wants_probe(now) {
@@ -494,7 +493,8 @@ fn mint_trace_id(state: &Arc<RouterState>) -> String {
 }
 
 /// Captures one routed request into the router's flight ring: the hop
-/// events recorded so far under a synthetic `request` root span.
+/// events recorded so far under a synthetic `request` root span, which
+/// starts where any `conn.read` wait ended.
 fn capture_router_flight(
     state: &Arc<RouterState>,
     rec: &Recorder,
@@ -507,10 +507,13 @@ fn capture_router_flight(
     }
     let elapsed_us = started.elapsed().as_micros() as u64;
     let mut events = rec.events();
-    events.insert(
-        0,
-        TraceEvent { name: "request", start_us: 0, dur_us: Some(elapsed_us), attrs: Vec::new() },
-    );
+    let root = TraceEvent {
+        name: "request",
+        start_us: rec.us_at(started),
+        dur_us: Some(elapsed_us),
+        attrs: Vec::new(),
+    };
+    events.insert(0, root);
     state.flight.push(RequestRecord {
         trace_id: trace_id.to_string(),
         outcome,
@@ -542,14 +545,19 @@ fn traced_forward(
     response
 }
 
-fn handle_line(line: &str, state: &Arc<RouterState>) -> (String, bool) {
+fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<RouterState>) -> (String, bool) {
     let started = Instant::now();
-    let result = handle_line_inner(line, state, started);
+    let result = handle_line_inner(line, first, state, started);
     state.request_seconds.observe(started.elapsed().as_secs_f64());
     result
 }
 
-fn handle_line_inner(line: &str, state: &Arc<RouterState>, started: Instant) -> (String, bool) {
+fn handle_line_inner(
+    line: &str,
+    first: Option<FirstLine>,
+    state: &Arc<RouterState>,
+    started: Instant,
+) -> (String, bool) {
     state.counters.requests.fetch_add(1, Ordering::SeqCst);
     let request = match parse_request(line, false) {
         Ok(r) => r,
@@ -564,13 +572,13 @@ fn handle_line_inner(line: &str, state: &Arc<RouterState>, started: Instant) -> 
         Command::Stats => (ok_response_raw(&id, &stats_raw(state)), false),
         Command::Metrics => (ok_response_raw(&id, &metrics_raw(state)), false),
         Command::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.shutdown.trigger();
             (ok_response_raw(&id, "{\"draining\":true}"), true)
         }
         Command::Analyze(req) => {
             state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
             let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
-            let rec = state.flight.request_recorder();
+            let rec = request_recorder(&state.flight, first, started);
             let shard_idx = shard_index(&req, state.shards.len());
             // Stamp trace context onto the forwarded line (a textual
             // splice that preserves every client byte), so the shard

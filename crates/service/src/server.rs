@@ -3,12 +3,13 @@
 //! One handler thread per connection reads NDJSON requests sequentially;
 //! `analyze` (and the debug jobs) are dispatched to the shared worker
 //! pool, so parallelism comes from concurrent connections, bounded by the
-//! pool size. Networking is std-only: `TcpListener`/`UnixListener` set to
-//! non-blocking accept with a short poll so the accept loop can observe
-//! the shutdown flag without needing an async runtime.
+//! pool size. Networking is std-only: the accept loop blocks in
+//! `TcpListener`/`UnixListener::accept`, and shutdown sets a flag and then
+//! connects once to the bound address (`ShutdownSignal`), so the blocked
+//! `accept` returns and the loop sees the flag without an async runtime.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -44,7 +45,8 @@ use crate::protocol::{
 #[derive(Clone, Debug)]
 pub enum Bind {
     /// A Unix domain socket at this path (created on bind, removed on
-    /// shutdown).
+    /// shutdown). Binding fails with `AddrInUse` while a live daemon
+    /// still accepts on the path; a stale file is replaced.
     Unix(PathBuf),
     /// A TCP address such as `127.0.0.1:0` (port 0 picks an ephemeral
     /// port, reported by [`ServerHandle::addr`]).
@@ -165,7 +167,7 @@ struct ServiceState {
     /// across daemon processes pointed at one directory.
     store: Option<Arc<DiskStore>>,
     jobs: Mutex<Option<Sender<(Job, Supervisor)>>>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownSignal,
     counters: ServiceCounters,
     panicked: Arc<AtomicU64>,
     reclaimed: Arc<AtomicU64>,
@@ -209,7 +211,7 @@ impl ServerHandle {
     /// Asks the daemon to drain and exit, as if a `shutdown` request
     /// arrived.
     pub fn request_shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.shutdown.trigger();
     }
 
     /// Waits for the accept loop to exit and the worker pool to drain.
@@ -225,35 +227,123 @@ pub(crate) enum Listener {
     Unix(UnixListener),
 }
 
-/// Binds a listener (non-blocking, so accept loops can poll a shutdown
-/// flag) and resolves the bound address. Shared by the daemon and the
-/// router front-end.
+/// Binds a blocking listener and resolves the bound address. Shared by
+/// the daemon and the router front-end.
 pub(crate) fn bind_listener(bind: &Bind) -> io::Result<(Listener, BoundAddr)> {
-    let (listener, addr) = match bind {
+    match bind {
         Bind::Tcp(spec) => {
             let l = TcpListener::bind(spec.as_str())?;
             let a = l.local_addr()?;
-            (Listener::Tcp(l), BoundAddr::Tcp(a))
+            Ok((Listener::Tcp(l), BoundAddr::Tcp(a)))
         }
         Bind::Unix(path) => {
-            // A stale socket file from a crashed daemon would fail bind.
-            if path.exists() {
-                let _ = std::fs::remove_file(path);
+            // A socket file that still accepts belongs to a live daemon,
+            // and taking its path would strand that daemon. Only a
+            // refused connect marks the file as stale (left by a crashed
+            // daemon), and only then is it removed so that bind succeeds.
+            match UnixStream::connect(path) {
+                Ok(_) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::AddrInUse,
+                        format!("a live daemon is serving {}", path.display()),
+                    ))
+                }
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+                    let _ = std::fs::remove_file(path);
+                }
+                Err(_) => {}
             }
             let l = UnixListener::bind(path)?;
-            (Listener::Unix(l), BoundAddr::Unix(path.clone()))
+            Ok((Listener::Unix(l), BoundAddr::Unix(path.clone())))
         }
-    };
-    match &listener {
-        Listener::Tcp(l) => l.set_nonblocking(true)?,
-        Listener::Unix(l) => l.set_nonblocking(true)?,
     }
-    Ok((listener, addr))
+}
+
+/// How long a shutdown wake may take to connect before it gives up.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The shutdown flag of one accept loop, together with the address that
+/// wakes it. The loop blocks in `accept`, so a flag alone would go unseen
+/// until the next client connected: [`ShutdownSignal::trigger`] sets the
+/// flag and then connects once to the listener, which makes the blocked
+/// `accept` return. The daemon and the router each hold one, and every
+/// path that stops them goes through `trigger`.
+pub(crate) struct ShutdownSignal {
+    flag: AtomicBool,
+    addr: BoundAddr,
+}
+
+impl ShutdownSignal {
+    pub(crate) fn new(addr: BoundAddr) -> ShutdownSignal {
+        ShutdownSignal { flag: AtomicBool::new(false), addr }
+    }
+
+    pub(crate) fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag and wakes the accept loop. Only the call that sets
+    /// the flag connects, and once is enough: the loop checks the flag
+    /// after every accept. Connect errors are ignored, because the loop
+    /// may already have exited.
+    pub(crate) fn trigger(&self) {
+        if self.flag.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        match &self.addr {
+            BoundAddr::Tcp(addr) => {
+                // A listener on 0.0.0.0 or :: is reached through loopback.
+                let mut addr = *addr;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                // With a timeout, a full backlog cannot hang the caller.
+                let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+            }
+            BoundAddr::Unix(path) => {
+                let _ = UnixStream::connect(path);
+            }
+        }
+    }
+}
+
+/// When a connection's first request line arrived: `accepted` is when
+/// `accept` returned, `read` when the line had been read.
+#[derive(Clone, Copy)]
+pub(crate) struct FirstLine {
+    accepted: Instant,
+    read: Instant,
 }
 
 /// Per-line request handler: returns the response line and whether the
-/// connection should close afterwards.
-pub(crate) type LineHandler = Arc<dyn Fn(&str) -> (String, bool) + Send + Sync>;
+/// connection should close afterwards. A connection's first request line
+/// comes with its [`FirstLine`] times, later lines with `None`.
+pub(crate) type LineHandler = Arc<dyn Fn(&str, Option<FirstLine>) -> (String, bool) + Send + Sync>;
+
+/// The flight recorder of one request that started at `started`. For a
+/// connection's first request line its origin is the accept, and a
+/// `conn.read` span covers the wait from the accept until the line was
+/// read. Later lines get no such span, since their gap is the client's
+/// think time, and their origin is `started`.
+pub(crate) fn request_recorder(
+    flight: &FlightRecorder,
+    first: Option<FirstLine>,
+    started: Instant,
+) -> Recorder {
+    let rec = flight.request_recorder(first.map_or(started, |f| f.accepted));
+    if let Some(first) = first {
+        rec.record(TraceEvent {
+            name: "conn.read",
+            start_us: 0,
+            dur_us: Some(rec.us_at(first.read)),
+            attrs: Vec::new(),
+        });
+    }
+    rec
+}
 
 /// Binds and starts the daemon, returning once it is accepting.
 ///
@@ -273,7 +363,7 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         cache: Mutex::new(ArtifactCache::new(options.cache_bytes)),
         store,
         jobs: Mutex::new(None),
-        shutdown: Arc::new(AtomicBool::new(false)),
+        shutdown: ShutdownSignal::new(addr.clone()),
         counters: ServiceCounters::default(),
         panicked: pool.panic_counter(),
         reclaimed: pool.reclaim_counter(),
@@ -315,7 +405,7 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
     let accept_addr = addr.clone();
     let handler: LineHandler = {
         let state = Arc::clone(&state);
-        Arc::new(move |line: &str| handle_line(line, &state))
+        Arc::new(move |line: &str, first| handle_line(line, first, &state))
     };
     let accept_thread = std::thread::Builder::new()
         .name("taj-accept".to_string())
@@ -333,15 +423,11 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
     Ok(ServerHandle { addr, state, accept_thread: Some(accept_thread) })
 }
 
-pub(crate) fn accept_loop(listener: &Listener, shutdown: &Arc<AtomicBool>, handler: &LineHandler) {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Fault-injection site (no-op in default builds): a `Delay`
-        // action here stalls the accept loop deterministically, modeling
-        // a listener starved by the OS or a slow-accepting peer.
-        let _ = taj_supervise::fail_hook("service.accept.stall");
+/// Accepts connections until `shutdown` is triggered, one handler thread
+/// per connection. The loop blocks in `accept`; the trigger's own
+/// connection wakes it.
+pub(crate) fn accept_loop(listener: &Listener, shutdown: &ShutdownSignal, handler: &LineHandler) {
+    while !shutdown.is_set() {
         let accepted: io::Result<Box<dyn Conn>> = match listener {
             Listener::Tcp(l) => l.accept().map(|(s, _)| {
                 // One-line requests/responses: Nagle + delayed ACK would
@@ -351,16 +437,23 @@ pub(crate) fn accept_loop(listener: &Listener, shutdown: &Arc<AtomicBool>, handl
             }),
             Listener::Unix(l) => l.accept().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
         };
+        let accepted_at = Instant::now();
         match accepted {
+            // The shutdown wake, or a client that raced it: stop here.
+            Ok(_) if shutdown.is_set() => return,
             Ok(conn) => {
+                // Fault-injection site (no-op in default builds): a
+                // `Delay` action here holds each new connection before its
+                // thread starts, modeling a listener starved by the OS.
+                // Connections already on their threads keep answering.
+                let _ = taj_supervise::fail_hook("service.accept.stall");
                 let handler = Arc::clone(handler);
                 let _ = std::thread::Builder::new()
                     .name("taj-conn".to_string())
-                    .spawn(move || handle_conn(conn, &handler));
+                    .spawn(move || handle_conn(conn, accepted_at, &handler));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A real accept error (EMFILE, ECONNABORTED): back off, or the
+            // loop would spin on it.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -383,14 +476,16 @@ impl Conn for UnixStream {
     }
 }
 
-fn handle_conn(mut conn: Box<dyn Conn>, handler: &LineHandler) {
+fn handle_conn(mut conn: Box<dyn Conn>, accepted: Instant, handler: &LineHandler) {
     let Ok(read_half) = conn.reader() else { return };
     let mut lines = BufReader::new(read_half).lines();
+    let mut accepted = Some(accepted);
     while let Some(Ok(line)) = lines.next() {
         if line.trim().is_empty() {
             continue;
         }
-        let (response, close_after) = handler(&line);
+        let first = accepted.take().map(|accepted| FirstLine { accepted, read: Instant::now() });
+        let (response, close_after) = handler(&line, first);
         // Fault-injection site (no-op in default builds): when tripped,
         // write only half the response and drop the connection — the
         // client must treat the torn line as an I/O error, never as a
@@ -413,7 +508,7 @@ fn handle_conn(mut conn: Box<dyn Conn>, handler: &LineHandler) {
 
 /// Processes one request line; returns the response and whether the
 /// connection should close afterwards (shutdown acknowledged).
-fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
+fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) -> (String, bool) {
     state.counters.requests.fetch_add(1, Ordering::SeqCst);
     let request = match parse_request(line, state.debug) {
         Ok(r) => r,
@@ -428,7 +523,7 @@ fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
         Command::Stats => stats_raw(state),
         Command::Metrics => metrics_raw(state),
         Command::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.shutdown.trigger();
             return (ok_response_raw(&id, "{\"draining\":true}"), true);
         }
         Command::Analyze(req) => {
@@ -440,8 +535,8 @@ fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
             let parent = req.trace_parent.clone();
             let threads = req.threads;
             let timeout_ms = req.timeout_ms.or(state.default_timeout_ms);
-            let rec = state.flight.request_recorder();
             let started = Instant::now();
+            let rec = request_recorder(&state.flight, first, started);
             let outcome = dispatch(state, timeout_ms, rec.clone(), {
                 let state = Arc::clone(state);
                 let rec = rec.clone();
@@ -485,7 +580,7 @@ fn handle_line(line: &str, state: &Arc<ServiceState>) -> (String, bool) {
         }
         Command::Batch(batch) => {
             state.counters.batch_requests.fetch_add(1, Ordering::SeqCst);
-            return (ok_response_raw(&id, &run_batch(state, batch)), false);
+            return (ok_response_raw(&id, &run_batch(state, batch, first)), false);
         }
         Command::Trace { trace_id } => trace_raw(state, &trace_id),
         Command::LastTraces { limit } => Ok(state.flight.last_traces_json(limit)),
@@ -567,7 +662,7 @@ fn submit_job<F>(
 where
     F: FnOnce(&Supervisor) -> Result<String, ProtocolError> + Send + 'static,
 {
-    if state.shutdown.load(Ordering::SeqCst) {
+    if state.shutdown.is_set() {
         return Err((ErrorCode::ShuttingDown, "daemon is draining".to_string()));
     }
     // Admission control: reject immediately when the queue of not-yet-
@@ -755,15 +850,19 @@ fn capture_flight(
     }
     // A synthetic root span anchors the fragment's timeline and carries
     // the propagated parent span id, so stitched traces show which
-    // upstream hop this request continued.
+    // upstream hop this request continued. It starts where any
+    // `conn.read` wait ended.
     let mut root_attrs: Vec<(&'static str, AttrValue)> = Vec::new();
     if let Some(p) = parent {
         root_attrs.push(("parent", p.into()));
     }
-    events.insert(
-        0,
-        TraceEvent { name: "request", start_us: 0, dur_us: Some(elapsed_us), attrs: root_attrs },
-    );
+    let root = TraceEvent {
+        name: "request",
+        start_us: rec.us_at(started),
+        dur_us: Some(elapsed_us),
+        attrs: root_attrs,
+    };
+    events.insert(0, root);
     let record =
         RequestRecord { trace_id: trace_id.to_string(), outcome, elapsed_us, attrs, events };
     let slow = state.slow_ms.is_some_and(|ms| elapsed >= Duration::from_millis(ms));
@@ -792,7 +891,7 @@ fn trace_raw(state: &Arc<ServiceState>, trace_id: &str) -> Result<String, Protoc
 /// with the request array. Per-item failures — parse errors, analysis
 /// errors, deadlines — land in that item's slot; they never fail the
 /// envelope.
-fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest) -> String {
+fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<FirstLine>) -> String {
     struct Item {
         rec: Recorder,
         parent: Option<String>,
@@ -811,12 +910,13 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest) -> String {
                 state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
                 let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
                 let timeout_ms = req.timeout_ms.or(envelope_timeout).or(state.default_timeout_ms);
-                let rec = state.flight.request_recorder();
+                let started = Instant::now();
+                let rec = request_recorder(&state.flight, first, started);
                 let item = Item {
                     rec: rec.clone(),
                     parent: req.trace_parent.clone(),
                     threads: req.threads,
-                    started: Instant::now(),
+                    started,
                 };
                 let job = submit_job(state, timeout_ms, rec.clone(), {
                     let state = Arc::clone(state);

@@ -10,7 +10,9 @@ that every metric with unit `count` or `bytes` equals the value pinned
 for workload W under `traced_counters` in the bench file. Wall-clock
 metrics are not compared. Exits 1 on any difference, naming each moved
 counter; a change that moves one on purpose updates the file and says
-why in CHANGES.md.
+why in CHANGES.md. The analysis workloads' counters hold at any
+`--seconds`; serve-mixed's scale with the run length, so its pin is for
+`--seconds 1`.
 """
 
 import json

@@ -1,9 +1,12 @@
 //! Flight-recorder and distributed-tracing forensics, end to end:
 //! slow/degraded requests land in `last_traces` with outcome
 //! attribution, `trace <id>` returns a span fragment a human can read,
-//! a routed request stitches into one cross-process trace, and — the
+//! a routed request stitches into one cross-process trace, a
+//! connection's first request shows its wait after the accept, and — the
 //! determinism contract — report bytes are identical with the recorder
 //! on or off, at 1 and 8 threads.
+
+use std::time::Duration;
 
 use serde::Value;
 use taj::service::{route, serve, AnalyzeOpts, Client, RouterOptions, ServeOptions, ServerHandle};
@@ -186,6 +189,70 @@ fn routed_request_stitches_into_one_cross_process_trace() {
     router.join();
     shutdown_and_join(client_a, shard_a);
     shutdown_and_join(client_b, shard_b);
+}
+
+/// The first span named `name` in a fragment.
+fn span<'a>(fragment: &'a Value, name: &str) -> Option<&'a Value> {
+    fragment["spans"].as_array()?.iter().find(|s| s["name"].as_str() == Some(name))
+}
+
+/// Sends the primed program with `trace_id` over a fresh connection that
+/// stays idle for 60 ms first, then the same again on that connection.
+/// Returns the process's fragments for both trace ids.
+fn idle_then_repeat(addr: &taj::service::BoundAddr, process: &str, trace_id: &str) -> [Value; 2] {
+    let mut late = Client::connect(addr).expect("late client connects");
+    std::thread::sleep(Duration::from_millis(60));
+    let ids = [trace_id.to_string(), format!("{trace_id}-again")];
+    for id in &ids {
+        let opts = AnalyzeOpts { trace_id: Some(id.clone()), ..AnalyzeOpts::default() };
+        late.analyze(XSS_SERVLET, &opts).expect("cache-hit analyze");
+    }
+    ids.map(|id| {
+        let trace = late.trace(&id).expect("trace fetch");
+        let fragments = trace["fragments"].as_array().expect("fragments").clone();
+        fragments
+            .into_iter()
+            .find(|f| f["process"].as_str() == Some(process))
+            .unwrap_or_else(|| panic!("no {process} fragment for {id}: {trace:?}"))
+    })
+}
+
+/// `first` is a connection's first request: its `conn.read` covers the
+/// idle 60 ms (asserted as at least 50 ms, since the accept and the read
+/// are each timed a scheduler wake-up after the client's own clock) and
+/// ends where the `request` root starts; the cache hit itself is much
+/// shorter. `second`, later on the same connection, has no `conn.read`.
+fn assert_conn_read(first: &Value, second: &Value) {
+    let read = span(first, "conn.read").unwrap_or_else(|| panic!("no conn.read: {first:?}"));
+    let root = span(first, "request").expect("request root");
+    let read_us = read["dur"].as_u64().expect("conn.read is a span");
+    assert!(read_us >= 50_000, "conn.read covers the idle connection: {first:?}");
+    assert_eq!(read["ts"].as_u64(), Some(0), "the timeline starts at the accept: {first:?}");
+    let root_ts = root["ts"].as_u64().expect("root ts");
+    assert!(read_us <= root_ts, "conn.read ends before the request starts: {first:?}");
+    let elapsed_us = first["elapsed_us"].as_u64().expect("elapsed_us");
+    assert!(elapsed_us < read_us, "elapsed_us excludes the wait: {first:?}");
+    assert!(span(second, "conn.read").is_none(), "only the first line has conn.read: {second:?}");
+    assert_eq!(span(second, "request").and_then(|r| r["ts"].as_u64()), Some(0), "{second:?}");
+}
+
+#[test]
+fn first_request_on_a_connection_records_its_conn_read_wait() {
+    let (shard, shard_client) = start(ServeOptions { workers: 1, ..ServeOptions::tcp_ephemeral() });
+    let router =
+        route(RouterOptions::tcp_ephemeral(vec![tcp_addr(&shard)])).expect("router starts");
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
+    // Prime the report cache, so the requests below are cache hits.
+    via_router.analyze(XSS_SERVLET, &AnalyzeOpts::default()).expect("priming analyze");
+
+    let [first, second] = idle_then_repeat(shard.addr(), "daemon", "t-conn-daemon");
+    assert_conn_read(&first, &second);
+    let [first, second] = idle_then_repeat(router.addr(), "router", "t-conn-router");
+    assert_conn_read(&first, &second);
+
+    via_router.shutdown().expect("router drains");
+    router.join();
+    shutdown_and_join(shard_client, shard);
 }
 
 #[test]

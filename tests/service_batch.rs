@@ -1,10 +1,17 @@
 //! The batch request and the shard router, end to end: one envelope
 //! carries N programs and returns N ordered per-item results; the router
 //! hashes each program to its shard, forwards verbatim, splits batches,
-//! and fails over to local analysis when a shard dies.
+//! fails over to local analysis when a shard dies, restarts warm from its
+//! shards' stores, and wakes its idle accept loop on shutdown.
+
+use std::path::PathBuf;
+use std::sync::mpsc::channel;
+use std::time::Duration;
 
 use serde::Value;
-use taj::service::{route, serve, AnalyzeOpts, Client, RouterOptions, RouterTuning, ServeOptions};
+use taj::service::{
+    route, serve, AnalyzeOpts, Bind, Client, RouterOptions, RouterTuning, ServeOptions,
+};
 
 const XSS_SERVLET: &str = r#"
     class Page extends HttpServlet {
@@ -45,6 +52,25 @@ fn tcp_addr(handle: &taj::service::ServerHandle) -> String {
 fn shutdown_and_join(mut client: Client, handle: taj::service::ServerHandle) {
     client.shutdown().expect("shutdown acknowledged");
     handle.join();
+}
+
+/// Runs `join` on a helper thread and panics if it has not returned 10 s
+/// later, so a shutdown that fails to wake an accept loop fails the test
+/// instead of hanging it.
+fn join_within_10s(join: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).expect("still running 10 s after shutdown");
+}
+
+/// A fresh path under the system temp dir that no other test uses.
+fn temp_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("taj-batch-test-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    path
 }
 
 fn stat(stats: &Value, key: &str) -> u64 {
@@ -414,4 +440,101 @@ fn batch_survives_shard_restart_and_breaker_reintegrates_via_probes() {
     router.join();
     shutdown_and_join(client_a2, shard_a2);
     shutdown_and_join(client_b, shard_b);
+}
+
+#[test]
+fn request_shutdown_wakes_an_idle_router() {
+    // Neither router ever receives a connection, so only the shutdown's
+    // own wake can make the blocked accept return. Each waits 100 ms
+    // first, so that its accept loop is blocked in `accept`: a flag set
+    // before the loop first checks it needs no wake.
+    let (shard, client) = start(default_options());
+    let shards = vec![tcp_addr(&shard)];
+    let tcp = route(RouterOptions::tcp_ephemeral(shards.clone())).expect("TCP router starts");
+    std::thread::sleep(Duration::from_millis(100));
+    tcp.request_shutdown();
+    join_within_10s(move || tcp.join());
+
+    let path = temp_path("router.sock");
+    let unix = route(RouterOptions {
+        bind: Bind::Unix(path.clone()),
+        ..RouterOptions::tcp_ephemeral(shards)
+    })
+    .expect("Unix router starts");
+    std::thread::sleep(Duration::from_millis(100));
+    unix.request_shutdown();
+    join_within_10s(move || unix.join());
+    assert!(!path.exists(), "socket file removed on shutdown");
+    shutdown_and_join(client, shard);
+}
+
+#[test]
+fn router_and_two_shards_restart_warm_from_their_stores() {
+    // Two store-backed shards behind a router answer a cold pass. Then
+    // everything stops, and the shards restart on the same store
+    // directories (on new ports, behind a new router). The repeated
+    // requests must be answered from disk, byte for byte, without a
+    // single phase-1 run.
+    let stores: Vec<PathBuf> = (0..2).map(|i| temp_path(&format!("warm-store-{i}"))).collect();
+    let requests: Vec<String> = taj::webgen::securibench_cases()
+        .iter()
+        .take(6)
+        .enumerate()
+        .map(|(i, case)| {
+            let source = serde_json::to_string(&Value::String(case.source.clone())).unwrap();
+            format!(
+                "{{\"id\":{i},\"cmd\":\"analyze\",\"source\":{source},\"trace_id\":\"warm-{i}\"}}"
+            )
+        })
+        .collect();
+
+    // One pass: start the stack, send every request, stop the stack.
+    // Returns the raw responses and each shard's final stats.
+    let pass = || {
+        let shards: Vec<_> = stores
+            .iter()
+            .map(|dir| start(ServeOptions { store_dir: Some(dir.clone()), ..default_options() }))
+            .collect();
+        let addrs = shards.iter().map(|(handle, _)| tcp_addr(handle)).collect();
+        let router = route(RouterOptions::tcp_ephemeral(addrs)).expect("router starts");
+        let mut via_router = Client::connect(router.addr()).expect("connect router");
+        let responses: Vec<String> =
+            requests.iter().map(|r| via_router.request_raw(r).expect("routed analyze")).collect();
+        via_router.shutdown().expect("router drains");
+        router.join();
+        let stats: Vec<Value> = shards
+            .into_iter()
+            .map(|(handle, mut client)| {
+                let stats = client.stats().expect("shard stats");
+                shutdown_and_join(client, handle);
+                stats
+            })
+            .collect();
+        (responses, stats)
+    };
+
+    let (cold, cold_stats) = pass();
+    for response in &cold {
+        assert!(response.contains("\"ok\":true"), "{response}");
+    }
+    assert!(
+        cold_stats.iter().all(|s| stat(s, "analyze_requests") >= 1),
+        "the programs must spread over both shards: {cold_stats:?}"
+    );
+    let store_hits = |stats: &[Value]| stats.iter().map(|s| stat(&s["store"], "hits")).sum::<u64>();
+    assert_eq!(store_hits(&cold_stats), 0, "a cold pass has no store hits: {cold_stats:?}");
+
+    let (warm, warm_stats) = pass();
+    assert_eq!(warm, cold, "warm responses must match the cold ones byte for byte");
+    for stats in &warm_stats {
+        assert_eq!(stat(stats, "phase1_runs"), 0, "warm shards run no phase 1: {stats:?}");
+    }
+    assert_eq!(
+        store_hits(&warm_stats),
+        requests.len() as u64,
+        "every warm request is a store hit: {warm_stats:?}"
+    );
+    for dir in &stores {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

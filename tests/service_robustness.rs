@@ -1,7 +1,9 @@
 //! Daemon robustness: malformed input, strict protocol fields, request
-//! timeouts, worker-panic isolation, graceful shutdown drain, and the
-//! Unix-domain-socket transport.
+//! timeouts, worker-panic isolation, graceful shutdown drain, shutdown
+//! waking an idle accept loop, and the Unix-domain-socket transport.
 
+use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::time::Duration;
@@ -25,6 +27,35 @@ fn start_debug() -> (ServerHandle, Client) {
     let handle = serve(options).expect("server starts");
     let client = Client::connect(handle.addr()).expect("client connects");
     (handle, client)
+}
+
+/// Joins `handle` on a helper thread and panics if the daemon has not
+/// exited 10 s later, so a shutdown that fails to wake the accept loop
+/// fails the test instead of hanging it.
+fn join_within_10s(handle: ServerHandle) {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).expect("daemon still running 10 s after shutdown");
+}
+
+/// Gives a freshly started accept loop time to block in `accept`. A flag
+/// set before the loop first checks it stops the loop with no wake at
+/// all, and with no connection there is nothing else to wait on.
+fn let_accept_block() {
+    std::thread::sleep(Duration::from_millis(100));
+}
+
+/// A socket path no other test uses.
+fn temp_socket() -> PathBuf {
+    static UNIQUE: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "taj-service-test-{}-{}.sock",
+        std::process::id(),
+        UNIQUE.fetch_add(1, Ordering::SeqCst)
+    ))
 }
 
 fn error_code(raw: &str) -> String {
@@ -238,13 +269,85 @@ fn requests_after_shutdown_are_refused() {
 }
 
 #[test]
+fn request_shutdown_wakes_an_idle_daemon_over_tcp() {
+    // No client ever connects, so only the shutdown's own wake can make
+    // the blocked accept return.
+    let handle =
+        serve(ServeOptions { workers: 1, ..ServeOptions::tcp_ephemeral() }).expect("server starts");
+    let_accept_block();
+    handle.request_shutdown();
+    join_within_10s(handle);
+}
+
+#[test]
+fn request_shutdown_wakes_an_idle_daemon_over_unix() {
+    let path = temp_socket();
+    let options = ServeOptions {
+        bind: Bind::Unix(path.clone()),
+        workers: 1,
+        ..ServeOptions::tcp_ephemeral()
+    };
+    let handle = serve(options).expect("unix server starts");
+    let_accept_block();
+    handle.request_shutdown();
+    join_within_10s(handle);
+    assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+#[test]
+fn shutdown_command_wakes_a_daemon_bound_to_the_unspecified_address() {
+    // The listener's own address is 0.0.0.0:<port>; the wake must go
+    // through loopback to reach it.
+    let options = ServeOptions {
+        bind: Bind::Tcp("0.0.0.0:0".to_string()),
+        workers: 1,
+        ..ServeOptions::tcp_ephemeral()
+    };
+    let handle = serve(options).expect("server starts on 0.0.0.0");
+    let port = match handle.addr() {
+        taj::service::BoundAddr::Tcp(a) => {
+            assert!(a.ip().is_unspecified(), "bound to the unspecified address: {a}");
+            a.port()
+        }
+        other => panic!("expected TCP, got {other}"),
+    };
+    let mut client = Client::connect_tcp(&format!("127.0.0.1:{port}")).expect("client connects");
+    let ack = client.shutdown().expect("shutdown acknowledged");
+    assert_eq!(ack["draining"].as_bool(), Some(true), "{ack:?}");
+    join_within_10s(handle);
+}
+
+#[test]
+fn unix_bind_refuses_a_live_socket_and_replaces_a_stale_one() {
+    let path = temp_socket();
+    let unix = |path: &PathBuf| ServeOptions {
+        bind: Bind::Unix(path.clone()),
+        workers: 1,
+        ..ServeOptions::tcp_ephemeral()
+    };
+
+    // A socket file nobody accepts on, as a crashed daemon leaves it.
+    drop(std::os::unix::net::UnixListener::bind(&path).expect("stale listener binds"));
+    assert!(path.exists(), "the stale socket file stays behind");
+    let first = serve(unix(&path)).expect("a stale socket file is replaced");
+
+    // A second daemon on the same path must not take it from the first.
+    match serve(unix(&path)) {
+        Err(e) => assert_eq!(e.kind(), io::ErrorKind::AddrInUse, "{e}"),
+        Ok(_) => panic!("a second daemon bound a live daemon's socket"),
+    }
+    let mut client = Client::connect_unix(&path).expect("the first daemon still owns the path");
+    let stats = client.stats().expect("the first daemon still answers");
+    assert!(stats["requests"].as_u64().is_some(), "{stats:?}");
+
+    first.request_shutdown();
+    join_within_10s(first);
+    assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+#[test]
 fn unix_socket_round_trip() {
-    static UNIQUE: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "taj-service-test-{}-{}.sock",
-        std::process::id(),
-        UNIQUE.fetch_add(1, Ordering::SeqCst)
-    ));
+    let path = temp_socket();
     let options = ServeOptions {
         bind: Bind::Unix(path.clone()),
         workers: 1,
