@@ -369,7 +369,8 @@ fn rewrite_lookups(p: &mut Program, jndi: &str, home_class: ClassId) -> usize {
         }
         let mut body = std::mem::take(p.methods[mid].body_mut().expect("has body"));
         let dm_keys: Vec<(usize, usize, Var)> = {
-            let dm = jir::constprop::DefMap::build(&body);
+            // Built on the body's first `lookup` call: most bodies have none.
+            let mut dm: Option<jir::constprop::DefMap<'_>> = None;
             let mut hits = Vec::new();
             for (bi, block) in body.blocks.iter().enumerate() {
                 for (ii, inst) in block.insts.iter().enumerate() {
@@ -389,6 +390,7 @@ fn rewrite_lookups(p: &mut Program, jndi: &str, home_class: ClassId) -> usize {
                             CallTarget::Special(m) | CallTarget::Static(m) => *m == lookup,
                         };
                         if is_lookup {
+                            let dm = dm.get_or_insert_with(|| jir::constprop::DefMap::build(&body));
                             if let Some(&arg) = args.first() {
                                 if dm.constant_string(arg) == Some(jndi) {
                                     hits.push((bi, ii, *d));

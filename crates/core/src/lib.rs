@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::or_fun_call)]
 
 pub mod carriers;
 pub mod config;

@@ -98,7 +98,7 @@ pub fn parse_rules(text: &str) -> Result<RuleSet, RuleParseError> {
                         message: "nested `rule` (missing `end`?)".into(),
                     });
                 }
-                let name = parts.get(1).ok_or(RuleParseError {
+                let name = parts.get(1).ok_or_else(|| RuleParseError {
                     line: lineno,
                     message: "`rule` needs an issue type".into(),
                 })?;
@@ -120,18 +120,18 @@ pub fn parse_rules(text: &str) -> Result<RuleSet, RuleParseError> {
                 }
             },
             "whitelist" => {
-                let name = parts.get(1).ok_or(RuleParseError {
+                let name = parts.get(1).ok_or_else(|| RuleParseError {
                     line: lineno,
                     message: "`whitelist` needs a class name".into(),
                 })?;
                 set.whitelist.push((*name).to_string());
             }
             directive @ ("source" | "ref-source" | "sanitizer" | "sink") => {
-                let rule = current.as_mut().ok_or(RuleParseError {
+                let rule = current.as_mut().ok_or_else(|| RuleParseError {
                     line: lineno,
                     message: format!("`{directive}` outside a rule block"),
                 })?;
-                let spec = parts.get(1).ok_or(RuleParseError {
+                let spec = parts.get(1).ok_or_else(|| RuleParseError {
                     line: lineno,
                     message: format!("`{directive}` needs `Class.method`"),
                 })?;

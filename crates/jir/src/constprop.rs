@@ -6,28 +6,29 @@
 //! resolves only if it has exactly one definition whose value chain
 //! bottoms out in a literal.
 
-use std::collections::HashMap;
-
 use crate::inst::{ConstValue, Inst, Var};
 use crate::method::Body;
 
-/// Map from register to its defining instruction index, when unique.
+/// Map from register to its defining instruction, when unique, indexed
+/// by register.
 #[derive(Debug)]
 pub struct DefMap<'a> {
-    defs: HashMap<Var, &'a Inst>,
+    defs: Vec<Option<&'a Inst>>,
     multi: Vec<bool>,
 }
 
 impl<'a> DefMap<'a> {
     /// Builds the definition map for `body` (works pre- and post-SSA; a
-    /// register with several defs resolves to nothing).
+    /// register with several defs resolves to nothing, and so does one
+    /// outside `0..num_vars`, which [`crate::validate`] rejects).
     pub fn build(body: &'a Body) -> Self {
-        let mut defs: HashMap<Var, &'a Inst> = HashMap::new();
+        let mut defs: Vec<Option<&'a Inst>> = vec![None; body.num_vars as usize];
         let mut multi = vec![false; body.num_vars as usize];
         for block in &body.blocks {
             for inst in &block.insts {
-                if let Some(d) = inst.def() {
-                    if defs.insert(d, inst).is_some() {
+                let Some(d) = inst.def() else { continue };
+                if let Some(slot) = defs.get_mut(d.index()) {
+                    if slot.replace(inst).is_some() {
                         multi[d.index()] = true;
                     }
                 }
@@ -38,10 +39,10 @@ impl<'a> DefMap<'a> {
 
     /// The unique defining instruction of `v`, if any.
     pub fn def(&self, v: Var) -> Option<&'a Inst> {
-        if *self.multi.get(v.index()).unwrap_or(&true) {
+        if *self.multi.get(v.index())? {
             None
         } else {
-            self.defs.get(&v).copied()
+            self.defs[v.index()]
         }
     }
 
@@ -142,6 +143,25 @@ mod tests {
         let dm = DefMap::build(&b);
         assert_eq!(dm.constant(Var(0)), Some(&ConstValue::Int(4)));
         assert_eq!(dm.constant_string(Var(0)), None);
+    }
+
+    #[test]
+    fn out_of_range_def_resolves_to_nothing() {
+        // Registers 1 and 2 lie outside `num_vars`; 2 is defined twice.
+        let b = body_with(
+            vec![
+                Inst::Const { dst: Var(0), value: ConstValue::Str("a".into()) },
+                Inst::Const { dst: Var(1), value: ConstValue::Str("b".into()) },
+                Inst::Const { dst: Var(2), value: ConstValue::Str("c".into()) },
+                Inst::Const { dst: Var(2), value: ConstValue::Str("d".into()) },
+            ],
+            1,
+        );
+        let dm = DefMap::build(&b);
+        assert_eq!(dm.constant_string(Var(0)), Some("a"));
+        assert_eq!(dm.def(Var(1)), None);
+        assert_eq!(dm.def(Var(2)), None);
+        assert_eq!(dm.def(Var(7)), None);
     }
 
     #[test]

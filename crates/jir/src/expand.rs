@@ -38,11 +38,13 @@ pub fn expand_models(program: &mut Program) {
     for mid in 0..program.methods.len() {
         let m = &program.methods[mid];
         let Some(body) = m.body() else { continue };
-        let dm = DefMap::build(body);
+        // Built on the body's first `MapPut`: most bodies have none.
+        let mut dm: Option<DefMap<'_>> = None;
         for block in &body.blocks {
             for inst in &block.insts {
                 if let Inst::Call { target, args, .. } = inst {
                     if resolve_intrinsic(program, body, target, inst) == Some(Intrinsic::MapPut) {
+                        let dm = dm.get_or_insert_with(|| DefMap::build(body));
                         if let Some(k) = args.first().and_then(|&k| dm.constant_string(k)) {
                             keys.insert(k.to_owned());
                         }

@@ -205,6 +205,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             b'"' => {
                 bump!();
                 let mut s = String::new();
+                // Start of the pending run of unescaped text. Runs are
+                // copied as UTF-8 slices: a run ends on `"` or `\`, which
+                // are ASCII and never inside a multi-byte character, and
+                // restarts after a whole escaped character.
+                let mut run = i;
                 loop {
                     if i >= bytes.len() {
                         return Err(LexError {
@@ -215,25 +220,25 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     }
                     match bytes[i] {
                         b'"' => {
+                            s.push_str(&src[run..i]);
                             bump!();
                             break;
                         }
                         b'\\' if i + 1 < bytes.len() => {
-                            let esc = bytes[i + 1];
+                            s.push_str(&src[run..i]);
+                            let esc = src[i + 1..].chars().next().expect("a character follows");
                             s.push(match esc {
-                                b'n' => '\n',
-                                b't' => '\t',
-                                b'"' => '"',
-                                b'\\' => '\\',
-                                other => other as char,
+                                'n' => '\n',
+                                't' => '\t',
+                                other => other,
                             });
                             bump!();
-                            bump!();
+                            for _ in 0..esc.len_utf8() {
+                                bump!();
+                            }
+                            run = i;
                         }
-                        other => {
-                            s.push(other as char);
-                            bump!();
-                        }
+                        _ => bump!(),
                     }
                 }
                 out.push(Token { tok: Tok::Str(s), line: tl, col: tc });
@@ -323,12 +328,15 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     b'+' => Tok::Plus,
                     b'-' => Tok::Minus,
                     b'*' => Tok::Star,
-                    other => {
+                    _ => {
+                        // `i` sits on a character boundary: every token
+                        // and literal before it ends on one.
+                        let ch = src[i..].chars().next().expect("a character at `i`");
                         return Err(LexError {
-                            msg: format!("unexpected character `{}`", other as char),
+                            msg: format!("unexpected character `{ch}`"),
                             line: tl,
                             col: tc,
-                        })
+                        });
                     }
                 };
                 bump!();
@@ -405,6 +413,29 @@ mod tests {
     #[test]
     fn unterminated_string_errors() {
         assert!(lex("\"abc").is_err());
+    }
+
+    #[test]
+    fn accented_string_literal_keeps_its_characters() {
+        assert_eq!(toks("\"café\""), vec![Tok::Str("café".into()), Tok::Eof]);
+    }
+
+    #[test]
+    fn cjk_string_literal_keeps_its_character() {
+        assert_eq!(toks("\"中\""), vec![Tok::Str("中".into()), Tok::Eof]);
+    }
+
+    #[test]
+    fn escapes_mix_with_non_ascii_text() {
+        assert_eq!(toks(r#""a\"é""#), vec![Tok::Str("a\"é".into()), Tok::Eof]);
+        assert_eq!(toks(r#""\é\n中""#), vec![Tok::Str("é\n中".into()), Tok::Eof]);
+    }
+
+    #[test]
+    fn stray_non_ascii_character_is_named_whole() {
+        let err = lex("a é").unwrap_err();
+        assert_eq!(err.msg, "unexpected character `é`");
+        assert_eq!((err.line, err.col), (1, 3));
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::or_fun_call)]
 
 pub mod ast;
 pub mod cfg;

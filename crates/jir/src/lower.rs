@@ -95,7 +95,7 @@ pub fn lower(program: &mut Program, ast: &ProgramAst) -> Result<(), ParseError> 
 }
 
 fn resolve_class(program: &Program, name: &str, line: u32) -> Result<ClassId, ParseError> {
-    program.class_by_name(name).ok_or(ParseError {
+    program.class_by_name(name).ok_or_else(|| ParseError {
         msg: format!("unknown class `{name}`"),
         line,
         col: 0,
@@ -242,7 +242,7 @@ impl<'a> BodyLowerer<'a> {
             }
             Stmt::Assign { lhs, rhs, line } => match lhs {
                 LValue::Var(name) => {
-                    let (dst, _ty) = self.lookup(name).ok_or(ParseError {
+                    let (dst, _ty) = self.lookup(name).ok_or_else(|| ParseError {
                         msg: format!("unknown variable `{name}`"),
                         line: *line,
                         col: 0,
@@ -393,7 +393,7 @@ impl<'a> BodyLowerer<'a> {
                 }
                 Ok((Var(0), self.program.types.class(self.class)))
             }
-            Expr::Var(name, line) => self.lookup(name).ok_or(ParseError {
+            Expr::Var(name, line) => self.lookup(name).ok_or_else(|| ParseError {
                 msg: format!("unknown variable `{name}`"),
                 line: *line,
                 col: 0,
@@ -551,7 +551,7 @@ impl<'a> BodyLowerer<'a> {
                     .program
                     .method_by_name(cid, name)
                     .filter(|&m| self.program.method(m).params.len() == args.len())
-                    .ok_or(ParseError {
+                    .ok_or_else(|| ParseError {
                         msg: format!(
                             "no static method `{}.{name}/{}`",
                             self.program.class(cid).name,
@@ -670,7 +670,7 @@ impl<'a> BodyLowerer<'a> {
     }
 
     fn resolve_field(&self, class: ClassId, name: &str, line: u32) -> Result<FieldId, ParseError> {
-        self.program.field_by_name(class, name).ok_or(ParseError {
+        self.program.field_by_name(class, name).ok_or_else(|| ParseError {
             msg: format!("no field `{name}` on `{}`", self.program.class(class).name),
             line,
             col: 0,

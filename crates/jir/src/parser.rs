@@ -70,12 +70,17 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
+    /// Consumes the current token and returns it. `pos` never moves
+    /// back, so the token is moved out rather than cloned; the final
+    /// `Eof` is never consumed, only copied.
     fn advance(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
         if self.pos < self.tokens.len() - 1 {
+            let t = std::mem::replace(&mut self.tokens[self.pos].tok, Tok::Eof);
             self.pos += 1;
+            t
+        } else {
+            self.tokens[self.pos].tok.clone()
         }
-        t
     }
 
     fn eat(&mut self, expected: &Tok) -> Result<(), ParseError> {
@@ -88,11 +93,11 @@ impl Parser {
     }
 
     fn eat_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
+        match self.peek() {
+            Tok::Ident(_) => match self.advance() {
+                Tok::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
     }
@@ -147,7 +152,7 @@ impl Parser {
                 self.advance();
                 is_static = true;
             }
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::FieldKw => {
                     self.advance();
                     let ty = self.parse_type()?;
@@ -259,7 +264,7 @@ impl Parser {
     }
 
     fn stmt(&mut self, out: &mut Vec<Stmt>) -> Result<(), ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::If => {
                 self.advance();
                 self.eat(&Tok::LParen)?;
@@ -524,7 +529,7 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Dot => {
                     self.advance();
                     let line = self.line();

@@ -5,8 +5,6 @@
 //! measure of flow sensitivity for points-to sets of local variables"
 //! (§3.1); every analysis in this workspace assumes bodies are in SSA form.
 
-use std::collections::HashMap;
-
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::inst::{BlockId, Inst, Var};
@@ -36,16 +34,23 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
     // Clear unreachable blocks first: the renaming walk only visits the
     // dominator tree of the entry, so stale instructions in dead blocks
     // would otherwise keep their original (now duplicated) names.
-    {
+    // Clearing a block drops its edges, so the CFG is rebuilt only then.
+    let cfg = {
         let pre = Cfg::build(body);
+        let mut cleared = false;
         for (i, block) in body.blocks.iter_mut().enumerate() {
             if !pre.is_reachable(crate::inst::BlockId(i as u32)) {
                 block.insts.clear();
                 block.term = crate::inst::Terminator::Unreachable;
+                cleared = true;
             }
         }
-    }
-    let cfg = Cfg::build(body);
+        if cleared {
+            Cfg::build(body)
+        } else {
+            pre
+        }
+    };
     let dom = DomTree::build(&cfg);
     let orig_vars = body.num_vars;
 
@@ -53,25 +58,29 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
     let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); orig_vars as usize];
     let mut globals = vec![false; orig_vars as usize];
     let mut uses_buf = Vec::new();
+    // `killed[v] == stamp` iff `v` is defined earlier in the current
+    // block; the stamp is the block's index plus one, so one array serves
+    // every block.
+    let mut killed = vec![0u32; orig_vars as usize];
     for (bid, block) in body.iter_blocks() {
-        let mut killed = vec![false; orig_vars as usize];
+        let stamp = bid.0 + 1;
         for inst in &block.insts {
             uses_buf.clear();
             inst.uses(&mut uses_buf);
             for &u in &uses_buf {
-                if !killed[u.index()] {
+                if killed[u.index()] != stamp {
                     globals[u.index()] = true;
                 }
             }
             if let Some(d) = inst.def() {
-                killed[d.index()] = true;
+                killed[d.index()] = stamp;
                 if !def_blocks[d.index()].contains(&bid) {
                     def_blocks[d.index()].push(bid);
                 }
             }
         }
         if let Some(u) = block.term.use_var() {
-            if !killed[u.index()] {
+            if killed[u.index()] != stamp {
                 globals[u.index()] = true;
             }
         }
@@ -84,25 +93,25 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
     }
 
     // ---- 2. Place φ-functions at iterated dominance frontiers.
-    // phis[block] : orig var -> operand vector position
     let nblocks = body.blocks.len();
-    let mut phi_for: Vec<HashMap<Var, usize>> = vec![HashMap::new(); nblocks];
     let mut phi_list: Vec<Vec<Var>> = vec![Vec::new(); nblocks]; // orig vars, insertion order
+
+    // `has_phi[b] == v + 1` iff block `b` already has a φ for `v`.
+    let mut has_phi = vec![0u32; nblocks];
+    let mut work: Vec<BlockId> = Vec::new();
     for v in 0..orig_vars {
         let var = Var(v);
         if !globals[v as usize] && def_blocks[v as usize].len() <= 1 {
             continue; // semi-pruned: single-block locals need no φ
         }
-        let mut work: Vec<BlockId> = def_blocks[v as usize].clone();
-        let mut has_phi = vec![false; nblocks];
+        work.extend_from_slice(&def_blocks[v as usize]);
         while let Some(d) = work.pop() {
             if !cfg.is_reachable(d) {
                 continue;
             }
             for &f in &dom.frontier[d.index()] {
-                if !has_phi[f.index()] {
-                    has_phi[f.index()] = true;
-                    phi_for[f.index()].insert(var, phi_list[f.index()].len());
+                if has_phi[f.index()] != v + 1 {
+                    has_phi[f.index()] = v + 1;
                     phi_list[f.index()].push(var);
                     if !def_blocks[v as usize].contains(&f) {
                         work.push(f);
@@ -136,7 +145,7 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
     }
     // Fresh-name allocation preserving declared types.
     let mut var_types = std::mem::take(&mut body.var_types);
-    let default_ty = crate::types::TypeTable::new().null();
+    let default_ty = crate::types::NULL;
     let mut fresh = |body: &mut Body, orig: Var| -> Var {
         let nv = body.fresh_var();
         let ty = var_types.get(orig.index()).copied().unwrap_or(default_ty);
@@ -357,6 +366,27 @@ mod tests {
             matches!(body.blocks[1].insts.first(), Some(Inst::Phi { .. })),
             "loop header needs a φ for x"
         );
+    }
+
+    #[test]
+    fn dead_block_adds_no_phi_operand() {
+        // The branchy body plus a dead block that also jumps to the join:
+        // clearing it must drop its edge before φs get their operands.
+        let mut body = branchy_body();
+        body.blocks.push(BasicBlock {
+            insts: vec![Inst::Const { dst: Var(1), value: ConstValue::Int(3) }],
+            term: Terminator::Goto(BlockId(2)),
+            ..Default::default()
+        });
+        to_ssa(&mut body, 1);
+        assert!(body.blocks[3].insts.is_empty(), "the dead block is cleared");
+        match &body.blocks[2].insts[0] {
+            Inst::Phi { srcs, .. } => {
+                let preds: Vec<BlockId> = srcs.iter().map(|&(p, _)| p).collect();
+                assert_eq!(preds, vec![BlockId(0), BlockId(1)]);
+            }
+            other => panic!("expected a φ at the join, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! threads, Struts/EJB hooks) in jweb source, then patches selected
 //! body-less methods with [`Intrinsic`] semantics.
 
+use std::sync::OnceLock;
+
 use crate::method::{Intrinsic, MethodKind};
 use crate::program::Program;
 
@@ -258,13 +260,23 @@ library interface EJBObject {
 }
 "#;
 
-/// Builds a program containing exactly the model library, with intrinsic
+/// Returns a program containing exactly the model library, with intrinsic
 /// semantics patched in and collection/factory markers set.
+///
+/// The library is parsed and lowered once per process. Each call returns
+/// its own copy: the analyses mutate the program they are given
+/// (whitelisting, EJB rewrites, model expansion, SSA), so no two programs
+/// ever share the library.
 ///
 /// # Panics
 /// Panics if the embedded library source fails to parse (a bug, covered by
 /// tests).
 pub fn stdlib_program() -> Program {
+    static LIBRARY: OnceLock<Program> = OnceLock::new();
+    LIBRARY.get_or_init(build_library).clone()
+}
+
+fn build_library() -> Program {
     let mut p = Program::new();
     let ast = crate::parser::parse(STDLIB_SRC).expect("stdlib source parses");
     crate::lower::lower(&mut p, &ast).expect("stdlib source lowers");

@@ -50,6 +50,10 @@ impl Type {
     }
 }
 
+/// The id every [`TypeTable`] gives the `null` type, for code that has
+/// no table at hand.
+pub(crate) const NULL: TypeId = TypeId(4);
+
 /// Interner for [`Type`]s; guarantees `TypeId` equality iff type equality.
 #[derive(Debug, Clone, Default)]
 pub struct TypeTable {
@@ -102,7 +106,7 @@ impl TypeTable {
 
     /// The id of the `null` type.
     pub fn null(&self) -> TypeId {
-        TypeId(4)
+        NULL
     }
 
     /// Interns `Class(c)`.

@@ -2,7 +2,10 @@
 //! (footnote 2), whitelist-based library exclusion (§4.2.1), and EJB
 //! descriptor-driven call modeling (§4.2.2).
 
-use taj::core::{analyze_source, DeploymentDescriptor, EjbEntry, IssueType, RuleSet, TajConfig};
+use taj::core::{
+    analyze_source, prepare, DeploymentDescriptor, EjbEntry, IssueType, PreparedProgram, RuleSet,
+    TajConfig,
+};
 
 #[test]
 fn by_reference_source_taints_argument_state() {
@@ -94,6 +97,34 @@ fn whitelisted_class_is_excluded() {
     rules.whitelist.push("Relay".into());
     let without = analyze_source(src, None, rules, &TajConfig::hybrid_unbounded()).unwrap();
     assert_eq!(without.issue_count(), 0, "whitelisting Relay must sever the flow: {without:#?}");
+}
+
+#[test]
+fn whitelisting_a_library_class_leaves_the_next_program_intact() {
+    // The model library is built once per process and each program
+    // starts from its own copy, so one program's whitelist must not strip
+    // a library body from the next program prepared in the process.
+    let src = r#"
+        class Page extends HttpServlet {
+            method void doGet(HttpServletRequest req, HttpServletResponse resp) {
+                HttpSession s = req.getSession();
+            }
+        }
+    "#;
+    let get_session_has_body = |prepared: &PreparedProgram| {
+        let program = &prepared.program;
+        let req = program.class_by_name("HttpServletRequest").expect("library class");
+        let get_session = program.method_by_name(req, "getSession").expect("library method");
+        program.method(get_session).body().is_some()
+    };
+
+    let mut rules = RuleSet::default_rules();
+    rules.whitelist.push("HttpServletRequest".into());
+    let whitelisted = prepare(src, None, rules).unwrap();
+    assert!(!get_session_has_body(&whitelisted), "the whitelist replaces getSession's body");
+
+    let default = prepare(src, None, RuleSet::default_rules()).unwrap();
+    assert!(get_session_has_body(&default), "getSession keeps its body in the next program");
 }
 
 #[test]
