@@ -8,18 +8,17 @@
 //! - `table3` — issues + running time per benchmark × configuration;
 //! - `figure2` — a DOT rendering of an HSDG fragment;
 //! - `figure4` — true/false-positive classification on the 9 evaluated
-//!   benchmarks;
-//! - `smoke` — a quick sanity run over selected presets.
+//!   benchmarks.
 //!
-//! Criterion benches live in `benches/`.
+//! `serve_chaos` drives the serving stack through a shard outage and
+//! overload. Per-layer timings (prepare, phase 1, phase 2) come from the
+//! end-to-end benchmark in `e2ebench/`.
 
 pub mod svg;
 
 use std::time::Instant;
 
-use taj_core::{
-    analyze_prepared, prepare, score, GroundTruth, RuleSet, Score, TajConfig, TajError, TajReport,
-};
+use taj_core::{analyze_source, score, RuleSet, Score, TajConfig, TajError, TajReport};
 use taj_webgen::{generate, BenchmarkPreset, GeneratedBenchmark, Scale};
 
 /// Outcome of one (benchmark, configuration) cell of Table 3.
@@ -69,11 +68,7 @@ impl CellOutcome {
 /// Runs one configuration over a generated benchmark.
 pub fn run_cell(bench: &GeneratedBenchmark, config: &TajConfig) -> CellOutcome {
     let t0 = Instant::now();
-    let prepared = match prepare(&bench.source, Some(&bench.descriptor), RuleSet::default_rules()) {
-        Ok(p) => p,
-        Err(e) => panic!("generated benchmark `{}` must prepare: {e}", bench.name),
-    };
-    match analyze_prepared(&prepared, config) {
+    match analyze_source(&bench.source, Some(&bench.descriptor), RuleSet::default_rules(), config) {
         Ok(report) => {
             let ms = t0.elapsed().as_millis();
             let s = score(&report, &bench.truth);
@@ -114,9 +109,4 @@ pub fn aggregate(scores: impl IntoIterator<Item = Score>) -> Score {
         out.false_negatives += s.false_negatives;
     }
     out
-}
-
-/// Ground-truth accessor re-exported for binaries.
-pub fn truth_of(bench: &GeneratedBenchmark) -> &GroundTruth {
-    &bench.truth
 }

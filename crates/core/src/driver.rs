@@ -306,7 +306,9 @@ pub fn prepare_traced(
     Ok(PreparedProgram { program, synthetic_sites, rules })
 }
 
-/// Runs the full analysis for one configuration.
+/// Runs the full analysis for one configuration: [`prepare`], then
+/// [`run_phase1_traced`] and [`analyze_with_phase1_opts`] under the
+/// default [`RunOptions`] (unsupervised, untraced, no degradation).
 ///
 /// # Errors
 /// [`TajError::Parse`] on frontend failures, [`TajError::OutOfMemory`]
@@ -318,7 +320,9 @@ pub fn analyze_source(
     config: &TajConfig,
 ) -> Result<TajReport, TajError> {
     let prepared = prepare(src, descriptor, rules)?;
-    analyze_prepared(&prepared, config)
+    let opts = RunOptions::default();
+    let phase1 = run_phase1_traced(&prepared, config, &opts.supervisor, &opts.recorder);
+    analyze_with_phase1_opts(&prepared, &phase1, config, &opts)
 }
 
 /// Cached phase-1 results (pointer analysis + heap graph), reusable across
@@ -354,30 +358,17 @@ impl Phase1 {
 }
 
 /// Runs phase 1 (pointer analysis & call-graph construction, §3.1/§6.1)
-/// for the given configuration's call-graph settings.
-pub fn run_phase1(prepared: &PreparedProgram, config: &TajConfig) -> Phase1 {
-    run_phase1_supervised(prepared, config, &Supervisor::new())
-}
-
-/// [`run_phase1`] under a supervision handle. An interrupt truncates the
-/// call graph consistently (exactly like an exhausted `max_cg_nodes`
-/// budget) and replaces escape/MHP with their conservative top elements
-/// (everything escapes; single-threaded), so downstream slicing stays
-/// sound with respect to the truncated graph. The interrupt reason is
-/// recorded in [`Phase1::interrupted`]; interrupted results must not be
-/// cached.
-pub fn run_phase1_supervised(
-    prepared: &PreparedProgram,
-    config: &TajConfig,
-    supervisor: &Supervisor,
-) -> Phase1 {
-    run_phase1_traced(prepared, config, supervisor, &Recorder::disabled())
-}
-
-/// [`run_phase1_supervised`] under a tracing recorder. The whole phase
+/// for the given configuration's call-graph settings. The whole phase
 /// runs inside a `phase1` span — spans are the single timing source —
 /// with `phase1.solve` (inside the pointer solver), `phase1.heapgraph`,
 /// `phase1.escape`, and `phase1.mhp` child spans.
+///
+/// An interrupt from `supervisor` truncates the call graph consistently
+/// (exactly like an exhausted `max_cg_nodes` budget) and replaces
+/// escape/MHP with their conservative top elements (everything escapes;
+/// single-threaded), so downstream slicing stays sound with respect to
+/// the truncated graph. The interrupt reason is recorded in
+/// [`Phase1::interrupted`]; interrupted results must not be cached.
 pub fn run_phase1_traced(
     prepared: &PreparedProgram,
     config: &TajConfig,
@@ -430,65 +421,6 @@ pub fn run_phase1_traced(
     Phase1 { pts, heap, escape, mhp, interrupted, cg_key: (config.max_cg_nodes, config.priority) }
 }
 
-/// Runs one configuration over an already-prepared program.
-///
-/// # Errors
-/// [`TajError::OutOfMemory`] when the CS slicer exceeds its budget.
-pub fn analyze_prepared(
-    prepared: &PreparedProgram,
-    config: &TajConfig,
-) -> Result<TajReport, TajError> {
-    let phase1 = run_phase1(prepared, config);
-    analyze_with_phase1(prepared, &phase1, config)
-}
-
-/// [`analyze_prepared`] under supervision/degradation options.
-///
-/// # Errors
-/// [`TajError::OutOfMemory`] when the CS slicer exceeds its budget and
-/// degradation is off (or the ladder is exhausted).
-pub fn analyze_prepared_opts(
-    prepared: &PreparedProgram,
-    config: &TajConfig,
-    opts: &RunOptions,
-) -> Result<TajReport, TajError> {
-    let phase1 = run_phase1_traced(prepared, config, &opts.supervisor, &opts.recorder);
-    analyze_with_phase1_opts(prepared, &phase1, config, opts)
-}
-
-/// [`analyze_source`] under supervision/degradation options.
-///
-/// # Errors
-/// [`TajError::Parse`] on frontend failures; [`TajError::OutOfMemory`]
-/// as for [`analyze_prepared_opts`].
-pub fn analyze_source_opts(
-    src: &str,
-    descriptor: Option<&DeploymentDescriptor>,
-    rules: RuleSet,
-    config: &TajConfig,
-    opts: &RunOptions,
-) -> Result<TajReport, TajError> {
-    let prepared = prepare_traced(src, descriptor, rules, &opts.recorder)?;
-    analyze_prepared_opts(&prepared, config, opts)
-}
-
-/// Runs phase 2 (slicing, carriers, bounds, LCP) over cached phase-1
-/// results — incremental re-analysis across rule sets or slicing bounds.
-///
-/// # Panics
-/// Panics if `phase1` was computed under different call-graph settings
-/// (check with [`Phase1::matches`]).
-///
-/// # Errors
-/// [`TajError::OutOfMemory`] when the CS slicer exceeds its budget.
-pub fn analyze_with_phase1(
-    prepared: &PreparedProgram,
-    phase1: &Phase1,
-    config: &TajConfig,
-) -> Result<TajReport, TajError> {
-    analyze_with_phase1_opts(prepared, phase1, config, &RunOptions::default())
-}
-
 /// The next rung down the degradation ladder from `config`, if any. Each
 /// rung preserves the call-graph settings (`max_cg_nodes`, `priority`)
 /// so the phase-1 result stays reusable — the whole point of degrading
@@ -537,12 +469,14 @@ fn next_rung(config: &TajConfig) -> Option<(TajConfig, &'static str)> {
     }
 }
 
-/// [`analyze_with_phase1`] under supervision/degradation options: the
-/// degradation ladder. Budget-class interrupts (the CS path-edge budget
-/// or a supervisor step/memory budget) fall down [`next_rung`] when
-/// `opts.degrade` is set, reusing the same phase-1 artifacts; deadline
-/// and cancellation interrupts deliver whatever partial results exist.
-/// Every fall is recorded in [`TajReport::degradation`].
+/// Runs phase 2 (slicing, carriers, bounds, LCP) over phase-1 results,
+/// which stay reusable across every configuration with the same
+/// call-graph settings. `opts` drives the degradation ladder:
+/// budget-class interrupts (the CS path-edge budget or a supervisor
+/// step/memory budget) fall down [`next_rung`] when `opts.degrade` is
+/// set, reusing the same phase-1 artifacts; deadline and cancellation
+/// interrupts deliver whatever partial results exist. Every fall is
+/// recorded in [`TajReport::degradation`].
 ///
 /// # Panics
 /// Panics if `phase1` was computed under different call-graph settings
@@ -1233,7 +1167,9 @@ mod tests {
     fn all_configs_run_the_servlet() {
         let prepared = prepare(XSS_SERVLET, None, RuleSet::default_rules()).unwrap();
         for config in TajConfig::all() {
-            let report = analyze_prepared(&prepared, &config).unwrap();
+            let opts = RunOptions::default();
+            let phase1 = run_phase1_traced(&prepared, &config, &opts.supervisor, &opts.recorder);
+            let report = analyze_with_phase1_opts(&prepared, &phase1, &config, &opts).unwrap();
             assert_eq!(report.issue_count(), 1, "{}", config.name);
         }
     }
@@ -1250,7 +1186,8 @@ mod tests {
     fn phase1_matches_pins_the_validity_domain() {
         let prepared = prepare(XSS_SERVLET, None, RuleSet::default_rules()).unwrap();
         let config = TajConfig::hybrid_unbounded();
-        let phase1 = run_phase1(&prepared, &config);
+        let phase1 =
+            run_phase1_traced(&prepared, &config, &Supervisor::new(), &Recorder::disabled());
 
         // Exhaustive destructuring: a new `Phase1` field fails to compile
         // until it is audited for thread-count independence.

@@ -54,11 +54,9 @@ pub mod scoring;
 
 pub use config::{Algorithm, TajConfig};
 pub use driver::{
-    analyze_prepared, analyze_prepared_opts, analyze_source, analyze_source_opts,
-    analyze_with_phase1, analyze_with_phase1_opts, prepare, prepare_traced, run_phase1,
-    run_phase1_supervised, run_phase1_traced, AnalysisStats, AnalyzedFlow, ConcurrencyReport,
-    DegradationReport, DegradationStep, Phase1, PreparedProgram, RunOptions, TajError, TajFinding,
-    TajReport,
+    analyze_source, analyze_with_phase1_opts, prepare, prepare_traced, run_phase1_traced,
+    AnalysisStats, AnalyzedFlow, ConcurrencyReport, DegradationReport, DegradationStep, Phase1,
+    PreparedProgram, RunOptions, TajError, TajFinding, TajReport,
 };
 pub use frameworks::{DeploymentDescriptor, EjbEntry};
 pub use lcp::Finding;

@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use taj_core::{
-    analyze_with_phase1_opts, parse_rules, prepare, run_phase1_traced, Phase1, PreparedProgram,
-    Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError, TajReport,
+    analyze_with_phase1_opts, parse_rules, prepare, prepare_traced, run_phase1_traced, Phase1,
+    PreparedProgram, Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError, TajReport,
 };
 
 use taj_obs::metrics::{Exposition, Histogram};
@@ -1087,7 +1087,7 @@ fn run_analyze(
                 }
                 None => RuleSet::default_rules(),
             };
-            let p = prepare(&req.source, None, rules).map_err(|e| match e {
+            let p = prepare_traced(&req.source, None, rules, rec).map_err(|e| match e {
                 TajError::Parse(p) => (ErrorCode::ParseError, p.to_string()),
                 other => (ErrorCode::ParseError, other.to_string()),
             })?;

@@ -1,10 +1,13 @@
-//! Bounded analysis (§6 of the paper): run all five Table 1
-//! configurations over one generated web application and compare issue
-//! counts, accuracy, and cost.
+//! Bounded analysis (§6 of the paper): run every configuration over one
+//! generated web application and compare issue counts, accuracy, and
+//! cost.
 //!
 //! Run with: `cargo run --release --example bounded_audit`
 
-use taj::core::{analyze_prepared, prepare, score, RuleSet, TajConfig, TajError};
+use taj::core::{
+    analyze_with_phase1_opts, prepare, run_phase1_traced, score, RuleSet, RunOptions, TajConfig,
+    TajError,
+};
 use taj::webgen::{generate, presets, Scale};
 
 fn main() {
@@ -30,8 +33,12 @@ fn main() {
         "configuration", "issues", "TP", "FP", "FN", "cg nodes", "work", "truncated?"
     );
     println!("{}", "-".repeat(80));
+    let opts = RunOptions::default();
     for config in TajConfig::all() {
-        match analyze_prepared(&prepared, &config) {
+        // Phase 1 builds the call graph under the config's node budget;
+        // phase 2 slices over it.
+        let phase1 = run_phase1_traced(&prepared, &config, &opts.supervisor, &opts.recorder);
+        match analyze_with_phase1_opts(&prepared, &phase1, &config, &opts) {
             Ok(report) => {
                 let s = score(&report, &bench.truth);
                 println!(

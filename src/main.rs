@@ -25,7 +25,10 @@ use std::process::ExitCode;
 
 use std::time::Duration;
 
-use taj::core::{analyze_source_opts, RuleSet, RunOptions, Supervisor, TajConfig, TajError};
+use taj::core::{
+    analyze_with_phase1_opts, prepare_traced, run_phase1_traced, RuleSet, RunOptions, Supervisor,
+    TajConfig, TajError,
+};
 use taj::obs::Recorder;
 use taj::service::{AnalyzeOpts, Bind, Client, RouterOptions, RouterTuning, ServeOptions};
 
@@ -705,16 +708,14 @@ fn run_analysis(
     run: &RunOptions,
 ) -> ExitCode {
     let OutputOpts { json, sarif, flows, concurrency, ir, profile, .. } = *opts;
-    if ir {
-        match jir::frontend::build_program(source) {
-            Ok(program) => print!("{}", jir::pretty::program_to_string(&program)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    let result = prepare_traced(source, None, rules, &run.recorder).and_then(|prepared| {
+        // `--ir` prints the program the analysis runs on: modeled and in SSA.
+        if ir {
+            print!("{}", jir::pretty::program_to_string(&prepared.program));
         }
-    }
-    let result = analyze_source_opts(source, None, rules, config, run);
+        let phase1 = run_phase1_traced(&prepared, config, &run.supervisor, &run.recorder);
+        analyze_with_phase1_opts(&prepared, &phase1, config, run)
+    });
     // Trace output is useful even for aborted runs (the spans recorded up
     // to the failure are flushed by `Span::drop`), so write it first.
     if let Some(path) = &opts.trace_out {

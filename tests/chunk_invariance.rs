@@ -9,7 +9,8 @@ mod common;
 
 use common::securibench_joined;
 use taj::core::{
-    analyze_with_phase1, prepare, run_phase1, DeploymentDescriptor, RuleSet, TajConfig,
+    analyze_with_phase1_opts, prepare, run_phase1_traced, DeploymentDescriptor, RuleSet,
+    RunOptions, TajConfig,
 };
 use taj::webgen::{generate, presets, Scale};
 
@@ -42,10 +43,11 @@ fn chunked_units_match_whole_rule_units() {
             [TajConfig::hybrid_unbounded(), TajConfig::hybrid_prioritized(), TajConfig::ci_thin()]
         {
             let whole = TajConfig { max_heap_transitions: Some(usize::MAX), ..chunked };
-            let phase1 = run_phase1(&prepared, &chunked);
+            let opts = RunOptions::default();
+            let phase1 = run_phase1_traced(&prepared, &chunked, &opts.supervisor, &opts.recorder);
             let label = format!("{name} / {}", chunked.name);
-            let got = analyze_with_phase1(&prepared, &phase1, &chunked).expect(&label);
-            let want = analyze_with_phase1(&prepared, &phase1, &whole).expect(&label);
+            let got = analyze_with_phase1_opts(&prepared, &phase1, &chunked, &opts).expect(&label);
+            let want = analyze_with_phase1_opts(&prepared, &phase1, &whole, &opts).expect(&label);
             assert!(!want.stats.slice_budget_exhausted, "{label}: the reference bound tripped");
             assert_eq!(json(&got.findings), json(&want.findings), "{label}: findings diverge");
             assert_eq!(json(&got.flows), json(&want.flows), "{label}: flows diverge");

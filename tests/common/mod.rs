@@ -1,21 +1,38 @@
-//! Helpers shared by the determinism and differential integration
-//! suites: the reproducible corpus (securibench + micro + webgen), the
-//! verdict/triage machinery of the three-way differential harness, and
-//! the report byte-identity helpers of the thread-invariance harness.
-//! Each test binary compiles its own copy and uses a subset, hence the
-//! file-wide `dead_code` allow.
+//! Helpers shared by the integration suites: the driver's stages
+//! composed for a prepared program, the reproducible corpus
+//! (securibench + micro + webgen), the verdict/triage machinery of the
+//! three-way differential harness, and the report byte-identity helpers
+//! of the thread-invariance harness. Each test binary compiles its own
+//! copy and uses a subset, hence the file-wide `dead_code` allow.
 
 #![allow(dead_code)]
 
 use std::collections::BTreeSet;
 
 use taj::core::{
-    analyze_prepared, analyze_prepared_opts, prepare, to_sarif, to_text, DeploymentDescriptor,
+    analyze_with_phase1_opts, prepare, run_phase1_traced, to_sarif, to_text, DeploymentDescriptor,
     GroundTruth, PreparedProgram, RuleSet, RunOptions, TajConfig, TajError, TajReport,
 };
 use taj::webgen::{
     generate, micro_suite, motivating, securibench_cases, standard_mix, BenchmarkSpec, Pattern,
 };
+
+/// Phase 1 then phase 2 over `prepared`, both under `opts`'s supervisor
+/// and recorder.
+pub fn analyze_opts(
+    prepared: &PreparedProgram,
+    config: &TajConfig,
+    opts: &RunOptions,
+) -> Result<TajReport, TajError> {
+    let phase1 = run_phase1_traced(prepared, config, &opts.supervisor, &opts.recorder);
+    analyze_with_phase1_opts(prepared, &phase1, config, opts)
+}
+
+/// [`analyze_opts`] under the default options: unsupervised, untraced,
+/// no degradation.
+pub fn analyze(prepared: &PreparedProgram, config: &TajConfig) -> Result<TajReport, TajError> {
+    analyze_opts(prepared, config, &RunOptions::default())
+}
 
 /// Holds the failpoint scenario lock for the caller's scope. Failpoints
 /// are process-global, so under `--features taj_failpoints` a scenario
@@ -103,7 +120,7 @@ pub fn assert_thread_invariant(
     label: &str,
 ) {
     let run = |threads: usize| -> Result<TajReport, TajError> {
-        analyze_prepared_opts(prepared, config, &make_opts(threads))
+        analyze_opts(prepared, config, &make_opts(threads))
     };
     let reference = run(1);
     for threads in &THREADS[1..] {
@@ -229,7 +246,7 @@ pub fn corpus() -> Vec<Case> {
 pub fn verdicts(case: &Case, config: &TajConfig) -> BTreeSet<(String, String)> {
     let prepared = prepare(&case.source, case.descriptor.as_ref(), RuleSet::default_rules())
         .unwrap_or_else(|e| panic!("{}/{}: {e}", case.suite, case.name));
-    let report = analyze_prepared(&prepared, config)
+    let report = analyze(&prepared, config)
         .unwrap_or_else(|e| panic!("{}/{} under {}: {e}", case.suite, case.name, config.name));
     report
         .findings

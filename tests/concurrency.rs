@@ -9,13 +9,14 @@
 //!   impossible cross-thread store→load edges), never add them, and must
 //!   not lose any true positive.
 
+mod common;
+
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use taj::core::{
-    analyze_prepared, analyze_source, prepare, score, IssueType, RuleSet, TajConfig, TajReport,
-};
+use common::analyze;
+use taj::core::{analyze_source, prepare, score, IssueType, RuleSet, TajConfig, TajReport};
 use taj::webgen::{generate, micro_suite, presets, BenchmarkSpec, Pattern, Scale};
 
 /// Hybrid with the cross-thread edge filter enabled (not one of the six
@@ -36,8 +37,8 @@ fn cs_escape_recovers_multithreaded_trio_false_negatives() {
         let bench = generate(&preset.spec(scale));
         let prepared = prepare(&bench.source, Some(&bench.descriptor), RuleSet::default_rules())
             .expect("preset prepares");
-        let cs = analyze_prepared(&prepared, &TajConfig::cs_thin()).expect("CS runs");
-        let ce = analyze_prepared(&prepared, &TajConfig::cs_escape()).expect("CS-Escape runs");
+        let cs = analyze(&prepared, &TajConfig::cs_thin()).expect("CS runs");
+        let ce = analyze(&prepared, &TajConfig::cs_escape()).expect("CS-Escape runs");
         let cs_found = detected(&cs);
         let ce_found = detected(&ce);
 
@@ -88,8 +89,8 @@ fn cs_escape_is_superset_of_cs_on_micro_suite() {
     for t in micro_suite() {
         let prepared = prepare(&t.source, Some(&t.descriptor), RuleSet::default_rules())
             .unwrap_or_else(|e| panic!("{}: {e}", t.name));
-        let cs = analyze_prepared(&prepared, &TajConfig::cs_thin()).unwrap();
-        let ce = analyze_prepared(&prepared, &TajConfig::cs_escape()).unwrap();
+        let cs = analyze(&prepared, &TajConfig::cs_thin()).unwrap();
+        let ce = analyze(&prepared, &TajConfig::cs_escape()).unwrap();
         assert!(
             detected(&ce).is_superset(&detected(&cs)),
             "{}: CS-Escape lost a finding CS had",
@@ -105,8 +106,8 @@ fn cs_escape_fixes_thread_shared_micro_case() {
         .find(|t| t.name == format!("Micro_{}", Pattern::ThreadShared.tag()))
         .expect("ThreadShared in suite");
     let prepared = prepare(&t.source, Some(&t.descriptor), RuleSet::default_rules()).unwrap();
-    let cs = score(&analyze_prepared(&prepared, &TajConfig::cs_thin()).unwrap(), &t.truth);
-    let ce = score(&analyze_prepared(&prepared, &TajConfig::cs_escape()).unwrap(), &t.truth);
+    let cs = score(&analyze(&prepared, &TajConfig::cs_thin()).unwrap(), &t.truth);
+    let ce = score(&analyze(&prepared, &TajConfig::cs_escape()).unwrap(), &t.truth);
     assert_eq!(cs.false_negatives, 1, "plain CS misses the flow: {cs:?}");
     assert_eq!(ce.false_negatives, 0, "escape repair finds it: {ce:?}");
     assert_eq!(ce.false_positives, cs.false_positives, "no new FPs: {ce:?}");
@@ -117,8 +118,8 @@ fn hybrid_escape_filter_is_subset_on_micro_suite() {
     for t in micro_suite() {
         let prepared = prepare(&t.source, Some(&t.descriptor), RuleSet::default_rules())
             .unwrap_or_else(|e| panic!("{}: {e}", t.name));
-        let plain = analyze_prepared(&prepared, &TajConfig::hybrid_unbounded()).unwrap();
-        let filtered = analyze_prepared(&prepared, &hybrid_escape()).unwrap();
+        let plain = analyze(&prepared, &TajConfig::hybrid_unbounded()).unwrap();
+        let filtered = analyze(&prepared, &hybrid_escape()).unwrap();
         assert!(
             detected(&plain).is_superset(&detected(&filtered)),
             "{}: escape filter invented a finding",
@@ -238,8 +239,8 @@ proptest! {
             RuleSet::default_rules(),
         )
         .expect("generated benchmark prepares");
-        let plain = analyze_prepared(&prepared, &TajConfig::hybrid_unbounded()).unwrap();
-        let filtered = analyze_prepared(&prepared, &hybrid_escape()).unwrap();
+        let plain = analyze(&prepared, &TajConfig::hybrid_unbounded()).unwrap();
+        let filtered = analyze(&prepared, &hybrid_escape()).unwrap();
         prop_assert!(
             detected(&plain).is_superset(&detected(&filtered)),
             "escape filter added a finding; spec {:?}",
@@ -264,8 +265,8 @@ proptest! {
             RuleSet::default_rules(),
         )
         .expect("generated benchmark prepares");
-        let cs = analyze_prepared(&prepared, &TajConfig::cs_thin()).unwrap();
-        let ce = analyze_prepared(&prepared, &TajConfig::cs_escape()).unwrap();
+        let cs = analyze(&prepared, &TajConfig::cs_thin()).unwrap();
+        let ce = analyze(&prepared, &TajConfig::cs_escape()).unwrap();
         let ce_found = detected(&ce);
         prop_assert!(
             ce_found.is_superset(&detected(&cs)),

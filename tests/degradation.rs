@@ -6,10 +6,9 @@
 
 mod common;
 
-use common::no_failpoints;
+use common::{analyze_opts, no_failpoints};
 use taj::core::{
-    analyze_source, analyze_source_opts, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
-    TajReport,
+    analyze_source, prepare_traced, RuleSet, RunOptions, Supervisor, TajConfig, TajError, TajReport,
 };
 
 const SERVLET: &str = r#"
@@ -22,7 +21,8 @@ const SERVLET: &str = r#"
 "#;
 
 fn run(config: &TajConfig, opts: &RunOptions) -> Result<TajReport, TajError> {
-    analyze_source_opts(SERVLET, None, RuleSet::default_rules(), config, opts)
+    let prepared = prepare_traced(SERVLET, None, RuleSet::default_rules(), &opts.recorder)?;
+    analyze_opts(&prepared, config, opts)
 }
 
 #[test]

@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::assert_reports_byte_identical;
-use taj::core::{analyze_prepared, prepare, RuleSet, TajConfig, TajError, TajReport};
+use common::{analyze, assert_reports_byte_identical};
+use taj::core::{prepare, RuleSet, TajConfig, TajError, TajReport};
 use taj::webgen::{generate, presets, Scale};
 
 fn finding_set(report: &TajReport) -> Vec<(String, String, String)> {
@@ -31,7 +31,7 @@ fn repeated_runs_agree_on_findings() {
         let run = || {
             let prepared =
                 prepare(&bench.source, Some(&bench.descriptor), RuleSet::default_rules()).unwrap();
-            match analyze_prepared(&prepared, &config) {
+            match analyze(&prepared, &config) {
                 Ok(r) => Some(r),
                 Err(TajError::OutOfMemory { .. }) => None,
                 Err(e) => panic!("{e}"),

@@ -12,8 +12,8 @@ mod common;
 
 use std::collections::BTreeSet;
 
-use common::{backends, corpus, known_delta, verdicts};
-use taj::core::{analyze_prepared, prepare, score, RuleSet};
+use common::{analyze, backends, corpus, known_delta, verdicts};
+use taj::core::{prepare, score, RuleSet};
 
 #[test]
 fn three_way_differential_has_no_untriaged_disagreements() {
@@ -68,7 +68,7 @@ fn per_backend_scores_against_ground_truth() {
             .unwrap_or_else(|e| panic!("{}/{}: {e}", case.suite, case.name));
         let mut fps = std::collections::HashMap::new();
         for (name, config) in backends() {
-            let report = analyze_prepared(&prepared, &config).expect("runs");
+            let report = analyze(&prepared, &config).expect("runs");
             let s = score(&report, truth);
             match name {
                 "Hybrid" | "IFDS" => assert_eq!(

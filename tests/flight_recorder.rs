@@ -108,8 +108,18 @@ fn trace_command_returns_fragment_with_queue_cache_and_phase_spans() {
     let names = span_names(fragment);
     // The synthetic root anchors the timeline; queue.wait/run bracket
     // the pool dispatch; cache probes and analysis phases fill the rest.
+    // A cold miss prepares, so the prepare stages are in the track too.
     assert_eq!(names.first().map(String::as_str), Some("request"), "{names:?}");
-    for expected in ["queue.wait", "run", "cache.probe", "phase1", "phase2"] {
+    for expected in [
+        "queue.wait",
+        "run",
+        "cache.probe",
+        "prepare.parse",
+        "prepare.model",
+        "prepare.ssa",
+        "phase1",
+        "phase2",
+    ] {
         assert!(names.iter().any(|n| n == expected), "missing span `{expected}`: {names:?}");
     }
     // A cold daemon's probes all miss.

@@ -1,14 +1,18 @@
 //! Evaluation-shape assertions at benchmark scale (quick scale so this
-//! stays fast in CI): the headline §7.2 claims must hold on every run,
-//! not just in the printed tables.
+//! stays fast in CI, standard scale where a budget binds only there):
+//! the headline §7.2 claims must hold on every run, not just in the
+//! printed tables.
 
-use taj::core::{analyze_prepared, prepare, score, RuleSet, Score, TajConfig, TajError};
+mod common;
+
+use common::analyze;
+use taj::core::{prepare, score, RuleSet, Score, TajConfig, TajError};
 use taj::webgen::{generate, presets, Scale};
 
 fn run(bench: &taj::webgen::GeneratedBenchmark, config: &TajConfig) -> Option<(usize, Score)> {
     let prepared =
         prepare(&bench.source, Some(&bench.descriptor), RuleSet::default_rules()).unwrap();
-    match analyze_prepared(&prepared, config) {
+    match analyze(&prepared, config) {
         Ok(r) => {
             let s = score(&r, &bench.truth);
             Some((r.issue_count(), s))
@@ -78,5 +82,38 @@ fn optimized_is_at_least_as_precise_as_prioritized() {
             optim,
             prior
         );
+    }
+}
+
+/// §6.1's ablation: under the call-graph node budget, priority-driven
+/// construction reaches the code near taint first, so it finds at least
+/// as many true positives as FIFO construction under the same budget,
+/// and strictly more on GridSphere and ST. These six presets are the
+/// ones whose budget binds at standard scale.
+#[test]
+fn prioritized_call_graph_finds_at_least_as_many_true_positives_as_fifo() {
+    let prioritized = TajConfig::hybrid_prioritized();
+    let fifo = TajConfig { priority: false, ..prioritized };
+    for (name, strictly_more) in [
+        ("Webgoat", false),
+        ("GridSphere", true),
+        ("MVNForum", false),
+        ("Roller", false),
+        ("SnipSnap", false),
+        ("ST", true),
+    ] {
+        let preset = presets().into_iter().find(|p| p.name == name).expect("preset");
+        let bench = generate(&preset.spec(Scale::standard()));
+        let prepared =
+            prepare(&bench.source, Some(&bench.descriptor), RuleSet::default_rules()).unwrap();
+        let [prio, plain] = [&prioritized, &fifo].map(|config| {
+            let report = analyze(&prepared, config).unwrap();
+            assert!(report.stats.cg_budget_exhausted, "{name}: {} budget must bind", config.name);
+            score(&report, &bench.truth).true_positives
+        });
+        assert!(prio >= plain, "{name}: prioritized {prio} TPs < FIFO {plain}");
+        if strictly_more {
+            assert!(prio > plain, "{name}: prioritized {prio} TPs, FIFO {plain}");
+        }
     }
 }

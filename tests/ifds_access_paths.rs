@@ -4,9 +4,12 @@
 //! field-insensitive taint ("the object is tainted"), where storing into
 //! one field taints loads of every other field.
 
+mod common;
+
 use proptest::prelude::*;
 
-use taj::core::{analyze_prepared, prepare, score, RuleSet, TajConfig};
+use common::analyze;
+use taj::core::{prepare, score, RuleSet, TajConfig};
 use taj::webgen::{generate, BenchmarkSpec, Pattern};
 
 /// Patterns with seeded vulnerable entries the IFDS backend must detect
@@ -78,8 +81,8 @@ proptest! {
             RuleSet::default_rules(),
         )
         .expect("generated benchmark prepares");
-        let lo = analyze_prepared(&prepared, &ifds_at(k)).expect("runs at k");
-        let hi = analyze_prepared(&prepared, &ifds_at(k + 1)).expect("runs at k+1");
+        let lo = analyze(&prepared, &ifds_at(k)).expect("runs at k");
+        let hi = analyze(&prepared, &ifds_at(k + 1)).expect("runs at k+1");
         let (lo_set, hi_set) = (verdicts(&lo), verdicts(&hi));
         for key in &hi_set {
             prop_assert!(
@@ -128,14 +131,14 @@ const DISJOINT_FIELDS: &str = r#"
 fn k0_degenerates_to_field_insensitive_taint() {
     let prepared = prepare(DISJOINT_FIELDS, None, RuleSet::default_rules()).expect("prepares");
     for k in [1, 2, 4] {
-        let report = analyze_prepared(&prepared, &ifds_at(k)).expect("runs");
+        let report = analyze(&prepared, &ifds_at(k)).expect("runs");
         assert_eq!(
             report.issue_count(),
             0,
             "k={k}: a load of `b` must not consume the precise path `[a]`: {report:#?}"
         );
     }
-    let report = analyze_prepared(&prepared, &ifds_at(0)).expect("runs");
+    let report = analyze(&prepared, &ifds_at(0)).expect("runs");
     assert_eq!(
         report.issue_count(),
         1,
@@ -151,8 +154,8 @@ fn k0_degenerates_to_field_insensitive_taint() {
 #[test]
 fn default_depth_agrees_with_hybrid_on_disjoint_fields() {
     let prepared = prepare(DISJOINT_FIELDS, None, RuleSet::default_rules()).expect("prepares");
-    let hybrid = analyze_prepared(&prepared, &TajConfig::hybrid_unbounded()).expect("hybrid runs");
-    let ifds = analyze_prepared(&prepared, &TajConfig::ifds()).expect("ifds runs");
+    let hybrid = analyze(&prepared, &TajConfig::hybrid_unbounded()).expect("hybrid runs");
+    let ifds = analyze(&prepared, &TajConfig::ifds()).expect("ifds runs");
     assert_eq!(hybrid.issue_count(), 0);
     assert_eq!(ifds.issue_count(), 0);
 }

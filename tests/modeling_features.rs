@@ -196,7 +196,9 @@ fn numeric_validation_severs_string_taint() {
 fn phase1_reuse_is_equivalent() {
     // Incremental re-analysis: slicing twice over one cached phase-1
     // result must equal two full runs.
-    use taj::core::{analyze_prepared, analyze_with_phase1, prepare, run_phase1};
+    use taj::core::{
+        analyze_with_phase1_opts, run_phase1_traced, Recorder, RunOptions, Supervisor,
+    };
     let src = r#"
         class Page extends HttpServlet {
             method void doGet(HttpServletRequest req, HttpServletResponse resp) {
@@ -206,17 +208,18 @@ fn phase1_reuse_is_equivalent() {
     "#;
     let prepared = prepare(src, None, RuleSet::default_rules()).unwrap();
     let config = TajConfig::hybrid_unbounded();
-    let phase1 = run_phase1(&prepared, &config);
+    let phase1 = run_phase1_traced(&prepared, &config, &Supervisor::new(), &Recorder::disabled());
     assert!(phase1.matches(&config));
-    let a = analyze_with_phase1(&prepared, &phase1, &config).unwrap();
-    let b = analyze_with_phase1(&prepared, &phase1, &config).unwrap();
-    let c = analyze_prepared(&prepared, &config).unwrap();
+    let opts = RunOptions::default();
+    let a = analyze_with_phase1_opts(&prepared, &phase1, &config, &opts).unwrap();
+    let b = analyze_with_phase1_opts(&prepared, &phase1, &config, &opts).unwrap();
+    let c = analyze_source(src, None, RuleSet::default_rules(), &config).unwrap();
     assert_eq!(a.issue_count(), b.issue_count());
     assert_eq!(a.issue_count(), c.issue_count());
     // CI shares the unbounded call-graph settings: reuse works across
     // algorithms too.
     let ci = TajConfig::ci_thin();
     assert!(phase1.matches(&ci));
-    let d = analyze_with_phase1(&prepared, &phase1, &ci).unwrap();
+    let d = analyze_with_phase1_opts(&prepared, &phase1, &ci, &opts).unwrap();
     assert_eq!(d.issue_count(), 1);
 }

@@ -130,8 +130,8 @@ fn interrupted_ifds_runs_are_thread_invariant() {
 /// Serialized via `FailScenario::setup`'s global lock.
 #[cfg(feature = "taj_failpoints")]
 mod failpoint_scenarios {
-    use crate::common::{big_app, report_json, THREADS};
-    use taj::core::{analyze_prepared_opts, to_text, RunOptions, TajConfig};
+    use crate::common::{analyze_opts, big_app, report_json, THREADS};
+    use taj::core::{to_text, RunOptions, TajConfig};
     use taj::supervise::failpoints::{self, FailAction, FailScenario};
 
     /// Like `assert_thread_invariant`, but re-arms the failpoint
@@ -147,7 +147,7 @@ mod failpoint_scenarios {
         let run = |threads: usize| {
             let _scenario = FailScenario::setup();
             failpoints::configure(site, action.clone());
-            analyze_prepared_opts(
+            analyze_opts(
                 &prepared,
                 config,
                 &RunOptions { degrade, threads, ..RunOptions::default() },

@@ -3,11 +3,12 @@
 //! configurations), flow containment (hybrid ⊆ CI), and budget
 //! monotonicity.
 
+mod common;
+
 use proptest::prelude::*;
 
-use taj::core::{
-    analyze_prepared, analyze_prepared_opts, prepare, score, RuleSet, RunOptions, TajConfig,
-};
+use common::{analyze, analyze_opts};
+use taj::core::{prepare, score, RuleSet, RunOptions, TajConfig};
 use taj::webgen::{generate, BenchmarkSpec, Pattern};
 
 /// Patterns with seeded *vulnerable* entries that every sound
@@ -67,7 +68,7 @@ proptest! {
         )
         .expect("generated benchmark prepares");
         for config in [TajConfig::hybrid_unbounded(), TajConfig::ci_thin()] {
-            let report = analyze_prepared(&prepared, &config).expect("runs");
+            let report = analyze(&prepared, &config).expect("runs");
             let s = score(&report, &bench.truth);
             prop_assert_eq!(
                 s.false_negatives, 0,
@@ -89,8 +90,8 @@ proptest! {
             RuleSet::default_rules(),
         )
         .expect("prepares");
-        let hybrid = analyze_prepared(&prepared, &TajConfig::hybrid_unbounded()).unwrap();
-        let ci = analyze_prepared(&prepared, &TajConfig::ci_thin()).unwrap();
+        let hybrid = analyze(&prepared, &TajConfig::hybrid_unbounded()).unwrap();
+        let ci = analyze(&prepared, &TajConfig::ci_thin()).unwrap();
         let key = |f: &taj::core::TajFinding| {
             (f.flow.sink_owner_class.clone(), f.flow.issue)
         };
@@ -133,13 +134,13 @@ proptest! {
             set.sort();
             set
         };
-        let sequential = analyze_prepared_opts(
+        let sequential = analyze_opts(
             &prepared,
             &config,
             &RunOptions { threads: 1, ..RunOptions::default() },
         )
         .expect("sequential run succeeds");
-        let parallel = analyze_prepared_opts(
+        let parallel = analyze_opts(
             &prepared,
             &config,
             &RunOptions { threads, ..RunOptions::default() },
@@ -172,8 +173,8 @@ proptest! {
         lo_cfg.max_cg_nodes = Some(small);
         let mut hi_cfg = TajConfig::hybrid_prioritized();
         hi_cfg.max_cg_nodes = Some(small * 50);
-        let lo = analyze_prepared(&prepared, &lo_cfg).unwrap();
-        let hi = analyze_prepared(&prepared, &hi_cfg).unwrap();
+        let lo = analyze(&prepared, &lo_cfg).unwrap();
+        let hi = analyze(&prepared, &hi_cfg).unwrap();
         let lo_s = score(&lo, &bench.truth);
         let hi_s = score(&hi, &bench.truth);
         prop_assert!(

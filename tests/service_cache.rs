@@ -292,7 +292,7 @@ fn configs_command_lists_all_seven() {
 /// itself, or the artifact cache would silently miss for it).
 #[test]
 fn config_registration_agrees_across_front_doors() {
-    use taj::core::{prepare, run_phase1, RuleSet, TajConfig};
+    use taj::core::{prepare, run_phase1_traced, Recorder, RuleSet, Supervisor, TajConfig};
 
     let all_names: Vec<&str> = TajConfig::all().iter().map(|c| c.name).collect();
 
@@ -318,7 +318,8 @@ fn config_registration_agrees_across_front_doors() {
     // Leg 4: each config's own phase-1 result passes its validity check.
     let prepared = prepare(XSS_SERVLET, None, RuleSet::default_rules()).expect("prepares");
     for config in TajConfig::all() {
-        let phase1 = run_phase1(&prepared, &config);
+        let phase1 =
+            run_phase1_traced(&prepared, &config, &Supervisor::new(), &Recorder::disabled());
         assert!(phase1.matches(&config), "{}: phase-1 validity domain rejects it", config.name);
     }
 }

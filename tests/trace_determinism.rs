@@ -7,10 +7,10 @@
 
 mod common;
 
-use common::{big_app, report_json, THREADS};
+use common::{analyze_opts, big_app, report_json, THREADS};
 use taj::core::{
-    analyze_prepared_opts, analyze_source_opts, PreparedProgram, Recorder, RuleSet, RunOptions,
-    Supervisor, TajConfig, TajError, TajReport,
+    prepare_traced, PreparedProgram, Recorder, RuleSet, RunOptions, Supervisor, TajConfig,
+    TajError, TajReport,
 };
 use taj::webgen::{generate, standard_mix, BenchmarkSpec};
 
@@ -29,7 +29,7 @@ fn run_traced(
         supervisor.cancel();
     }
     let opts = RunOptions { supervisor, degrade, threads, recorder: recorder.clone() };
-    let result = analyze_prepared_opts(prepared, config, &opts);
+    let result = analyze_opts(prepared, config, &opts);
     (result, recorder.signature())
 }
 
@@ -107,13 +107,10 @@ fn reports_are_byte_identical_with_tracing_on_or_off() {
     let prepared = big_app("trace-determinism");
     for config in TajConfig::all() {
         for threads in [1, 4] {
-            let off = analyze_prepared_opts(
-                &prepared,
-                &config,
-                &RunOptions { threads, ..RunOptions::default() },
-            )
-            .expect("untraced run completes");
-            let on = analyze_prepared_opts(
+            let off =
+                analyze_opts(&prepared, &config, &RunOptions { threads, ..RunOptions::default() })
+                    .expect("untraced run completes");
+            let on = analyze_opts(
                 &prepared,
                 &config,
                 &RunOptions { threads, recorder: Recorder::new(), ..RunOptions::default() },
@@ -141,14 +138,10 @@ fn traced_run_emits_mandatory_spans_and_valid_chrome_json() {
     let bench = generate(&spec);
     let recorder = Recorder::new();
     let opts = RunOptions { recorder: recorder.clone(), ..RunOptions::default() };
-    analyze_source_opts(
-        &bench.source,
-        Some(&bench.descriptor),
-        RuleSet::default_rules(),
-        &TajConfig::hybrid_unbounded(),
-        &opts,
-    )
-    .expect("benchmark analyzes");
+    let prepared =
+        prepare_traced(&bench.source, Some(&bench.descriptor), RuleSet::default_rules(), &recorder)
+            .expect("benchmark prepares");
+    analyze_opts(&prepared, &TajConfig::hybrid_unbounded(), &opts).expect("benchmark analyzes");
 
     let signature = recorder.signature();
     for span in [

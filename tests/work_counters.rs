@@ -29,11 +29,10 @@
 
 mod common;
 
-use common::{no_failpoints, securibench_joined};
+use common::{analyze_opts, no_failpoints, securibench_joined};
 use taj::core::{
-    analyze_source_opts, analyze_with_phase1_opts, prepare, run_phase1_traced,
-    DeploymentDescriptor, PreparedProgram, Recorder, RuleSet, RunOptions, Supervisor, TajConfig,
-    TajError,
+    analyze_with_phase1_opts, prepare, run_phase1_traced, DeploymentDescriptor, PreparedProgram,
+    Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
 };
 use taj::jir::{Inst, MethodKind};
 use taj::pointer::SolverStats;
@@ -139,14 +138,15 @@ const TABLE: [(&str, Pinned); 8] = [
 #[test]
 fn phase2_work_counters_match_the_pinned_table() {
     let _guard = no_failpoints();
-    let source = securibench_joined(1);
+    let prepared = prepare(&securibench_joined(1), None, RuleSet::default_rules())
+        .expect("securibench prepares");
     let opts = RunOptions { threads: 1, ..RunOptions::default() };
     let mut configs = TajConfig::all();
     configs.push(TajConfig::cs_tiny());
     assert_eq!(configs.len(), TABLE.len(), "one row per configuration");
     for (config, (name, pinned)) in configs.iter().zip(&TABLE) {
         assert_eq!(config.name, *name, "rows follow the configuration order");
-        let got = analyze_source_opts(&source, None, RuleSet::default_rules(), config, &opts);
+        let got = analyze_opts(&prepared, config, &opts);
         match (got, pinned) {
             (Ok(report), Pinned::Report { stats, findings, flows }) => {
                 let json = serde_json::to_string(&report.stats).expect("stats serialize");
