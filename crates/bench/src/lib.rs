@@ -11,7 +11,10 @@
 //!   benchmarks.
 //!
 //! `serve_chaos` drives the serving stack through a shard outage and
-//! overload. Per-layer timings (prepare, phase 1, phase 2) come from the
+//! overload. `report_digests` prints digests of every report of the nine
+//! Figure-4 apps and securibench joined ×1/×4/×16 under every
+//! configuration, so two builds can be compared byte for byte with
+//! `diff`. Per-layer timings (prepare, phase 1, phase 2) come from the
 //! end-to-end benchmark in `e2ebench/`.
 
 pub mod svg;

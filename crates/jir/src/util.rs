@@ -206,8 +206,10 @@ impl<T: Eq + Hash + Clone + fmt::Debug, S> fmt::Debug for Interner<T, S> {
 ///
 /// Points-to sets and reachability marks use this; it grows on demand and
 /// supports fast union with difference reporting (the core operation of
-/// difference propagation in the Andersen solver).
-#[derive(Clone, Default, PartialEq, Eq)]
+/// difference propagation in the Andersen solver). Equality compares
+/// members: a set may keep trailing zero words after `remove` or
+/// `union_into`, and those do not count.
+#[derive(Clone, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
@@ -318,6 +320,21 @@ impl BitSet {
         self.len = 0;
     }
 }
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &BitSet) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.len == other.len
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for BitSet {}
 
 impl fmt::Debug for BitSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -463,6 +480,26 @@ mod tests {
         assert!(!s.remove(7));
         assert!(!s.contains(7));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn bitset_equality_compares_members_not_words() {
+        let one: BitSet = [1].into_iter().collect();
+        let mut shrunk = one.clone();
+        shrunk.insert(100);
+        shrunk.remove(100);
+        assert_eq!(shrunk, one, "a trailing zero word is not a member");
+        assert_eq!(one, shrunk);
+        let mut copied = BitSet::new();
+        assert_eq!(copied.union_into(&shrunk), vec![1]);
+        assert_eq!(copied, one, "union_into copies the zero word, not a member");
+        shrunk.insert(2);
+        assert_ne!(shrunk, one);
+        assert_ne!(one, shrunk);
+        assert_ne!(BitSet::new(), one);
+        let mut emptied: BitSet = [64].into_iter().collect();
+        emptied.remove(64);
+        assert_eq!(emptied, BitSet::new(), "an emptied set equals the empty set");
     }
 
     #[test]

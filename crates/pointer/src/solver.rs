@@ -13,6 +13,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use jir::inst::{CallTarget, ConstValue, Filter, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
 use jir::util::{BitSet, FxBuildHasher, FxHashMap, FxHashSet, Interner};
+use jir::BlockId;
 use jir::{FieldId, MethodId, Program};
 use taj_supervise::{InterruptReason, Supervisor};
 
@@ -93,7 +94,7 @@ pub struct PointsTo {
     /// Reflective invoke bindings for SDG construction.
     pub invoke_bindings: Vec<InvokeBinding>,
     pub(crate) ikeys: Interner<InstanceKey, FxBuildHasher>,
-    pub(crate) pkeys: Interner<PointerKey, FxBuildHasher>,
+    pub(crate) pkeys: PointerKeys,
     pub(crate) pts: Vec<BitSet>,
     /// Per call site, intrinsic callees `(method, intrinsic)` resolved
     /// there (body callees live in the call graph instead).
@@ -103,8 +104,7 @@ pub struct PointsTo {
 impl PointsTo {
     /// The points-to set of `key`, if the key ever arose.
     pub fn pts_of(&self, key: &PointerKey) -> Option<&BitSet> {
-        // PointerKey is Copy-able and hashable; clone for lookup.
-        self.pkeys.lookup(key).map(|id| &self.pts[id as usize])
+        self.pkeys.lookup(key).map(|id| &self.pts[id.index()])
     }
 
     /// The points-to set of a local register in a node.
@@ -139,7 +139,7 @@ impl PointsTo {
 
     /// Iterates `(id, key, pts)` over all pointer keys.
     pub fn iter_pointer_keys(&self) -> impl Iterator<Item = (PointerKeyId, &PointerKey, &BitSet)> {
-        self.pkeys.iter().map(|(i, k)| (PointerKeyId(i), k, &self.pts[i as usize]))
+        self.pkeys.keys.iter().enumerate().map(|(i, k)| (PointerKeyId::new(i), k, &self.pts[i]))
     }
 
     /// Intrinsic callees resolved at a call site.
@@ -148,10 +148,152 @@ impl PointsTo {
     }
 }
 
+/// Marks an empty entry: a register slot with no key yet, a key with no
+/// pending delta, a list with no cells.
+const NONE: u32 = u32::MAX;
+
+/// Pointer-key ids, dense in first-intern order. A register's key sits
+/// in its node's slot table (one slot per register of the body,
+/// reserved when the node is created), so finding it hashes nothing.
+/// Every other key, and a register outside its body's `num_vars` (which
+/// well-formed IR never has), goes through a hash map.
+#[derive(Debug, Default)]
+pub(crate) struct PointerKeys {
+    keys: Vec<PointerKey>,
+    ids: FxHashMap<PointerKey, u32>,
+    /// Per node, the index of its first register slot in `slots`.
+    node_slots: Vec<u32>,
+    /// Per register of every node, its key id or `NONE`.
+    slots: Vec<u32>,
+}
+
+impl PointerKeys {
+    /// Reserves the register slots of the next node.
+    fn add_node(&mut self, num_vars: u32) {
+        self.node_slots.push(self.slots.len() as u32);
+        self.slots.resize(self.slots.len() + num_vars as usize, NONE);
+    }
+
+    /// The slot of a register key, if its node has one for it.
+    fn register_slot(&self, key: &PointerKey) -> Option<usize> {
+        let PointerKey::Local { node, var } = *key else { return None };
+        let start = *self.node_slots.get(node.index())? as usize;
+        let end = self.node_slots.get(node.index() + 1).map_or(self.slots.len(), |&e| e as usize);
+        let slot = start + var.index();
+        (slot < end).then_some(slot)
+    }
+
+    /// The id of `key`, and whether this call created it.
+    fn intern(&mut self, key: PointerKey) -> (PointerKeyId, bool) {
+        let next = self.keys.len() as u32;
+        let id = match self.register_slot(&key) {
+            Some(slot) => {
+                if self.slots[slot] == NONE {
+                    self.slots[slot] = next;
+                }
+                self.slots[slot]
+            }
+            None => *self.ids.entry(key).or_insert(next),
+        };
+        if id == next {
+            self.keys.push(key);
+        }
+        (PointerKeyId(id), id == next)
+    }
+
+    fn lookup(&self, key: &PointerKey) -> Option<PointerKeyId> {
+        let id = match self.register_slot(key) {
+            Some(slot) => self.slots[slot],
+            None => *self.ids.get(key)?,
+        };
+        (id != NONE).then_some(PointerKeyId(id))
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
+
+/// Append-only lists, one per pointer key, whose cells share one `Vec`:
+/// a key costs no allocation of its own. Each list keeps its first and
+/// last cell and iterates in append order.
+struct ArenaLists<T> {
+    /// A value and the next cell of its list, or `NONE`.
+    cells: Vec<(T, u32)>,
+    /// Per list, its first and last cell, or `NONE` while empty.
+    ends: Vec<(u32, u32)>,
+}
+
+impl<T: Copy> ArenaLists<T> {
+    fn new() -> Self {
+        ArenaLists { cells: Vec::new(), ends: Vec::new() }
+    }
+
+    fn add_list(&mut self) {
+        self.ends.push((NONE, NONE));
+    }
+
+    fn push(&mut self, list: usize, value: T) {
+        let cell = self.cells.len() as u32;
+        self.cells.push((value, NONE));
+        let (first, last) = &mut self.ends[list];
+        if *last == NONE {
+            *first = cell;
+        } else {
+            self.cells[*last as usize].1 = cell;
+        }
+        *last = cell;
+    }
+
+    /// A walk over the cells `list` holds now; cells appended while it
+    /// runs are not visited.
+    fn walk(&self, list: usize) -> Walk {
+        let (first, last) = self.ends[list];
+        Walk { cell: first, last }
+    }
+}
+
+impl<T: Copy + PartialEq> ArenaLists<T> {
+    fn contains(&self, list: usize, value: T) -> bool {
+        let mut walk = self.walk(list);
+        std::iter::from_fn(|| walk.next(self)).any(|v| v == value)
+    }
+}
+
+/// A cursor over a prefix of one arena list. It borrows the arena only
+/// inside [`Walk::next`], so the list may grow between steps.
+struct Walk {
+    cell: u32,
+    last: u32,
+}
+
+impl Walk {
+    fn next<T: Copy>(&mut self, lists: &ArenaLists<T>) -> Option<T> {
+        if self.cell == NONE {
+            return None;
+        }
+        let (value, next) = lists.cells[self.cell as usize];
+        self.cell = if self.cell == self.last { NONE } else { next };
+        Some(value)
+    }
+}
+
+/// A copy edge's target and filter; the filter indexes `Solver::filters`,
+/// where [`NO_FILTER`] is the unfiltered edge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CopyEdge {
+    to: PointerKeyId,
+    filter: u32,
+}
+
+/// The id of `None` in `Solver::filters`.
+const NO_FILTER: u32 = 0;
+
 /// The solver's startup scan: static indices for the §6.1 priority
 /// heuristic. The vectors list method ids (resp. field ids) in table
 /// order, one entry per load/store occurrence in body order, duplicates
 /// included.
+#[derive(Default)]
 struct PreScan {
     /// field → methods containing loads of it (instance and static).
     field_loaders: HashMap<FieldId, Vec<MethodId>>,
@@ -256,7 +398,7 @@ pub fn analyze_traced(
 
 /// A complex (base-dependent) constraint, triggered as the base pointer
 /// key's points-to set grows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Constraint {
     /// `dst = base.field`
     Load { field: FieldId, dst: PointerKeyId },
@@ -266,19 +408,11 @@ enum Constraint {
     ArrayLoad { dst: PointerKeyId },
     /// `base[*] = src`
     ArrayStore { src: PointerKeyId },
-    /// A receiver-dispatched call (virtual, or special with receiver).
-    Dispatch {
-        node: CGNodeId,
-        loc: Loc,
-        /// Fixed target for special calls; `None` resolves per receiver.
-        fixed: Option<MethodId>,
-        sel: Option<jir::SelectorId>,
-        recv: Var,
-        args: Vec<Var>,
-        dst: Option<Var>,
-    },
+    /// A receiver-dispatched call (virtual, or special with receiver):
+    /// the `Inst::Call` at `loc` in `node`'s body, read when it fires.
+    Dispatch { node: CGNodeId, loc: Loc },
     /// `Method.invoke` parameter binding: array contents → callee param.
-    BindParams { callee: CGNodeId, nparams: usize },
+    BindParams { callee: CGNodeId, nparams: u32 },
 }
 
 /// The solver's id-keyed tables hash with [`jir::util::FxHasher`]: their
@@ -289,13 +423,27 @@ struct Solver<'p> {
     contexts: Interner<Vec<ContextElem>, FxBuildHasher>,
     node_ids: Interner<(MethodId, ContextId), FxBuildHasher>,
     ikeys: Interner<InstanceKey, FxBuildHasher>,
-    pkeys: Interner<PointerKey, FxBuildHasher>,
+    pkeys: PointerKeys,
     pts: Vec<BitSet>,
-    delta: Vec<BitSet>,
-    copy_out: Vec<Vec<(PointerKeyId, Option<Filter>)>>,
-    base_deps: Vec<Vec<Constraint>>,
+    /// Per key, the `deltas` slot of its pending delta while it is
+    /// queued, else `NONE`.
+    delta_of: Vec<u32>,
+    /// Pending deltas, one slot per queued key, in the order the
+    /// members arrived; slots and their buffers are reused.
+    deltas: Vec<Vec<u32>>,
+    free_deltas: Vec<u32>,
+    /// Reused buffers for the points-to snapshot that seeds a new copy
+    /// edge or constraint. Seeding nests (dispatch → `bind_call` →
+    /// `add_copy`), so there is a stack of them.
+    spare: Vec<Vec<u32>>,
+    /// Per key, its outgoing copy edges.
+    copies: ArenaLists<CopyEdge>,
+    /// Per key, the constraints that fire as its points-to set grows.
+    deps: ArenaLists<Constraint>,
+    /// Interned copy-edge filters; `None` is [`NO_FILTER`]. Method-name
+    /// filters carry input text, so this table keeps std's hasher.
+    filters: Interner<Option<Filter>>,
     wl: VecDeque<PointerKeyId>,
-    on_wl: Vec<bool>,
     pending: NodeQueue,
     added: Vec<bool>,
     call_edges: Vec<CallEdge>,
@@ -315,7 +463,7 @@ struct Solver<'p> {
     nodes_dropped: usize,
     propagations: usize,
     /// Cached per-(node, block) exception targets.
-    exc_targets: FxHashMap<(CGNodeId, jir::BlockId), (PointerKeyId, Option<Filter>)>,
+    exc_targets: FxHashMap<(CGNodeId, BlockId), CopyEdge>,
     /// field → methods containing loads of it (for the §6.1 Tn heap match).
     field_loaders: HashMap<FieldId, Vec<MethodId>>,
     /// method → fields it stores (for Tn).
@@ -332,8 +480,15 @@ impl<'p> Solver<'p> {
         let mut contexts = Interner::default();
         let root = contexts.intern(Vec::new());
         debug_assert_eq!(ContextId(root), ROOT_CONTEXT);
-        let PreScan { field_loaders, method_stores, source_adjacent } =
-            PreScan::scan(program, &config.source_methods);
+        let mut filters = Interner::new();
+        let none = filters.intern(None);
+        debug_assert_eq!(none, NO_FILTER);
+        // Only the §6.1 queue reads π, so a FIFO run skips the scan.
+        let PreScan { field_loaders, method_stores, source_adjacent } = if config.priority {
+            PreScan::scan(program, &config.source_methods)
+        } else {
+            PreScan::default()
+        };
         let max = config.max_cg_nodes.unwrap_or(usize::MAX);
         Solver {
             program,
@@ -341,13 +496,16 @@ impl<'p> Solver<'p> {
             contexts,
             node_ids: Interner::default(),
             ikeys: Interner::default(),
-            pkeys: Interner::default(),
+            pkeys: PointerKeys::default(),
             pts: Vec::new(),
-            delta: Vec::new(),
-            copy_out: Vec::new(),
-            base_deps: Vec::new(),
+            delta_of: Vec::new(),
+            deltas: Vec::new(),
+            free_deltas: Vec::new(),
+            spare: Vec::new(),
+            copies: ArenaLists::new(),
+            deps: ArenaLists::new(),
+            filters,
             wl: VecDeque::new(),
-            on_wl: Vec::new(),
             pending: NodeQueue::new(config.priority, max),
             added: Vec::new(),
             call_edges: Vec::new(),
@@ -426,15 +584,14 @@ impl<'p> Solver<'p> {
     // ---- interning helpers ----
 
     fn pkey(&mut self, key: PointerKey) -> PointerKeyId {
-        let id = self.pkeys.intern(key);
-        if id as usize >= self.pts.len() {
+        let (id, new) = self.pkeys.intern(key);
+        if new {
             self.pts.push(BitSet::new());
-            self.delta.push(BitSet::new());
-            self.copy_out.push(Vec::new());
-            self.base_deps.push(Vec::new());
-            self.on_wl.push(false);
+            self.delta_of.push(NONE);
+            self.copies.add_list();
+            self.deps.add_list();
         }
-        PointerKeyId(id)
+        id
     }
 
     fn ikey(&mut self, key: InstanceKey) -> InstanceKeyId {
@@ -460,6 +617,7 @@ impl<'p> Solver<'p> {
             }
         }
         let id = CGNodeId(self.node_ids.intern((method, ctx)));
+        self.pkeys.add_node(self.program.method(method).body().map_or(0, |b| b.num_vars));
         self.added.push(false);
         self.neighbours.push(Vec::new());
         self.method_nodes[method.index()].push(id);
@@ -471,40 +629,62 @@ impl<'p> Solver<'p> {
     // ---- propagation machinery ----
 
     fn add_to_pts(&mut self, key: PointerKeyId, ik: InstanceKeyId) {
-        if self.pts[key.index()].insert(ik.0) {
-            self.delta[key.index()].insert(ik.0);
-            self.enqueue(key);
+        if !self.pts[key.index()].insert(ik.0) {
+            return;
         }
-    }
-
-    fn enqueue(&mut self, key: PointerKeyId) {
-        if !self.on_wl[key.index()] {
-            self.on_wl[key.index()] = true;
+        let mut slot = self.delta_of[key.index()];
+        if slot == NONE {
+            slot = self.free_deltas.pop().unwrap_or_else(|| {
+                self.deltas.push(Vec::new());
+                self.deltas.len() as u32 - 1
+            });
+            self.delta_of[key.index()] = slot;
             self.wl.push_back(key);
         }
+        self.deltas[slot as usize].push(ik.0);
     }
 
-    fn add_copy(&mut self, from: PointerKeyId, to: PointerKeyId, filter: Option<Filter>) {
+    /// The id of a copy-edge filter.
+    fn filter_id(&mut self, filter: &Option<Filter>) -> u32 {
+        match self.filters.lookup(filter) {
+            Some(id) => id,
+            None => self.filters.intern(filter.clone()),
+        }
+    }
+
+    /// `key`'s current points-to set, ascending, in a pooled buffer; hand
+    /// it back with [`Solver::recycle`].
+    fn snapshot(&mut self, key: PointerKeyId) -> Vec<u32> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.extend(self.pts[key.index()].iter());
+        buf
+    }
+
+    fn recycle(&mut self, mut buf: Vec<u32>) {
+        buf.clear();
+        self.spare.push(buf);
+    }
+
+    fn add_copy(&mut self, from: PointerKeyId, to: PointerKeyId, filter: u32) {
         if from == to {
             return;
         }
-        if self.copy_out[from.index()].iter().any(|(t, f)| *t == to && *f == filter) {
+        let edge = CopyEdge { to, filter };
+        if self.copies.contains(from.index(), edge) {
             return;
         }
-        self.copy_out[from.index()].push((to, filter.clone()));
+        self.copies.push(from.index(), edge);
         // Seed with the current points-to set.
-        let current: Vec<u32> = self.pts[from.index()].iter().collect();
-        self.flow(&current, to, &filter);
+        let current = self.snapshot(from);
+        self.flow(&current, to, filter);
+        self.recycle(current);
     }
 
-    fn flow(&mut self, iks: &[u32], to: PointerKeyId, filter: &Option<Filter>) {
+    fn flow(&mut self, iks: &[u32], to: PointerKeyId, filter: u32) {
         for &raw in iks {
-            let passes = match filter {
+            let passes = match self.filters.resolve(filter) {
                 None => true,
-                Some(f) => {
-                    let ik = self.ikeys.resolve(raw).clone();
-                    ik.passes(self.program, f)
-                }
+                Some(f) => self.ikeys.resolve(raw).passes(self.program, f),
             };
             if passes {
                 self.add_to_pts(to, InstanceKeyId(raw));
@@ -514,13 +694,18 @@ impl<'p> Solver<'p> {
     }
 
     fn register_constraint(&mut self, base: PointerKeyId, c: Constraint) {
-        self.base_deps[base.index()].push(c.clone());
-        let current: Vec<u32> = self.pts[base.index()].iter().collect();
-        if !current.is_empty() {
-            self.process_constraint(base, &c, &current);
+        self.deps.push(base.index(), c);
+        if !self.pts[base.index()].is_empty() {
+            let current = self.snapshot(base);
+            self.process_constraint(c, &current);
+            self.recycle(current);
         }
     }
 
+    /// Difference propagation. A popped key's delta walks the copy edges
+    /// and then the constraints the key had when it was popped, in place:
+    /// both lists only grow meanwhile, and what they gain was seeded from
+    /// the full points-to set already.
     fn solve(&mut self) {
         while let Some(p) = self.wl.pop_front() {
             if self.interrupted.is_none() {
@@ -528,66 +713,71 @@ impl<'p> Solver<'p> {
                     self.interrupted = Some(reason);
                 }
             }
-            if self.interrupted.is_some() {
-                // Drain the worklist without doing further propagation so
-                // the `on_wl` bookkeeping stays consistent.
-                self.on_wl[p.index()] = false;
-                continue;
+            let slot = std::mem::replace(&mut self.delta_of[p.index()], NONE) as usize;
+            let mut d = std::mem::take(&mut self.deltas[slot]);
+            // After an interrupt, drain the worklist without further
+            // propagation so the slot bookkeeping stays consistent.
+            if self.interrupted.is_none() {
+                // Members arrive in flow order; a dense set yielded them
+                // ascending, and the pop order depends on it.
+                d.sort_unstable();
+                let mut copies = self.copies.walk(p.index());
+                while let Some(CopyEdge { to, filter }) = copies.next(&self.copies) {
+                    self.flow(&d, to, filter);
+                }
+                let mut deps = self.deps.walk(p.index());
+                while let Some(c) = deps.next(&self.deps) {
+                    self.process_constraint(c, &d);
+                }
             }
-            self.on_wl[p.index()] = false;
-            let d: Vec<u32> = std::mem::take(&mut self.delta[p.index()]).iter().collect();
-            if d.is_empty() {
-                continue;
-            }
-            let copies = self.copy_out[p.index()].clone();
-            for (to, filter) in copies {
-                self.flow(&d, to, &filter);
-            }
-            let deps = self.base_deps[p.index()].clone();
-            for c in deps {
-                self.process_constraint(p, &c, &d);
-            }
+            d.clear();
+            self.deltas[slot] = d;
+            self.free_deltas.push(slot as u32);
         }
     }
 
-    fn process_constraint(&mut self, _base: PointerKeyId, c: &Constraint, new_iks: &[u32]) {
+    fn process_constraint(&mut self, c: Constraint, new_iks: &[u32]) {
         match c {
             Constraint::Load { field, dst } => {
                 for &raw in new_iks {
-                    let fk = self.pkey(PointerKey::Field { ik: InstanceKeyId(raw), field: *field });
-                    self.add_copy(fk, *dst, None);
+                    let fk = self.pkey(PointerKey::Field { ik: InstanceKeyId(raw), field });
+                    self.add_copy(fk, dst, NO_FILTER);
                 }
             }
             Constraint::Store { field, src } => {
                 for &raw in new_iks {
-                    let fk = self.pkey(PointerKey::Field { ik: InstanceKeyId(raw), field: *field });
-                    self.add_copy(*src, fk, None);
+                    let fk = self.pkey(PointerKey::Field { ik: InstanceKeyId(raw), field });
+                    self.add_copy(src, fk, NO_FILTER);
                 }
             }
             Constraint::ArrayLoad { dst } => {
                 for &raw in new_iks {
                     let ak = self.pkey(PointerKey::ArrayElem(InstanceKeyId(raw)));
-                    self.add_copy(ak, *dst, None);
+                    self.add_copy(ak, dst, NO_FILTER);
                 }
             }
             Constraint::ArrayStore { src } => {
                 for &raw in new_iks {
                     let ak = self.pkey(PointerKey::ArrayElem(InstanceKeyId(raw)));
-                    self.add_copy(*src, ak, None);
+                    self.add_copy(src, ak, NO_FILTER);
                 }
             }
-            Constraint::Dispatch { node, loc, fixed, sel, recv, args, dst } => {
+            Constraint::Dispatch { node, loc } => {
+                let program: &'p Program = self.program;
+                let call = program
+                    .method(self.node_method(node))
+                    .body()
+                    .map(|body| &body.blocks[loc.block.index()].insts[loc.idx as usize]);
+                let Some(Inst::Call { target, recv: Some(recv), args, dst }) = call else {
+                    unreachable!("a dispatch constraint names a call with a receiver")
+                };
+                let (fixed, sel) = match *target {
+                    CallTarget::Special(m) => (Some(m), None),
+                    CallTarget::Virtual(sel) => (None, Some(sel)),
+                    CallTarget::Static(_) => unreachable!("static calls do not dispatch"),
+                };
                 for &raw in new_iks {
-                    self.dispatch_one(
-                        *node,
-                        *loc,
-                        *fixed,
-                        *sel,
-                        *recv,
-                        args,
-                        *dst,
-                        InstanceKeyId(raw),
-                    );
+                    self.dispatch_one(node, loc, fixed, sel, *recv, args, *dst, InstanceKeyId(raw));
                 }
             }
             Constraint::BindParams { callee, nparams } => {
@@ -595,12 +785,12 @@ impl<'p> Solver<'p> {
                 // invoke loses positions; real arities are 1 in practice).
                 for &raw in new_iks {
                     let ak = self.pkey(PointerKey::ArrayElem(InstanceKeyId(raw)));
-                    let callee_method = self.node_method(*callee);
+                    let callee_method = self.node_method(callee);
                     let m = self.program.method(callee_method);
-                    let recv_offset = usize::from(!m.is_static);
-                    for i in 0..*nparams {
-                        let pk = self.local(*callee, Var((i + recv_offset) as u32));
-                        self.add_copy(ak, pk, None);
+                    let recv_offset = u32::from(!m.is_static);
+                    for i in 0..nparams {
+                        let pk = self.local(callee, Var(i + recv_offset));
+                        self.add_copy(ak, pk, NO_FILTER);
                     }
                 }
             }
@@ -630,18 +820,17 @@ impl<'p> Solver<'p> {
             let exc_target = self.exc_target_of(node, body, bid);
             for (i, inst) in block.insts.iter().enumerate() {
                 let loc = Loc::new(bid, i);
-                self.add_inst_constraints(node, method, loc, inst, &exc_target);
+                self.add_inst_constraints(node, method, loc, inst);
             }
             match &block.term {
                 Terminator::Return(Some(v)) => {
                     let from = self.local(node, *v);
                     let ret = self.pkey(PointerKey::Ret(node));
-                    self.add_copy(from, ret, None);
+                    self.add_copy(from, ret, NO_FILTER);
                 }
                 Terminator::Throw(v) => {
                     let from = self.local(node, *v);
-                    let (target, filter) = exc_target.clone();
-                    self.add_copy(from, target, filter);
+                    self.add_copy(from, exc_target.to, exc_target.filter);
                 }
                 _ => {}
             }
@@ -650,46 +839,29 @@ impl<'p> Solver<'p> {
 
     /// Where exceptions raised in `block` go: the handler's catch binder
     /// (with its class filter) or the node's exceptional escape.
-    fn exc_target_of(
-        &mut self,
-        node: CGNodeId,
-        body: &jir::Body,
-        block: jir::BlockId,
-    ) -> (PointerKeyId, Option<Filter>) {
-        if let Some(t) = self.exc_targets.get(&(node, block)) {
-            return t.clone();
+    fn exc_target_of(&mut self, node: CGNodeId, body: &jir::Body, block: BlockId) -> CopyEdge {
+        if let Some(&t) = self.exc_targets.get(&(node, block)) {
+            return t;
         }
         let computed = self.compute_exc_target(node, body, block);
-        self.exc_targets.insert((node, block), computed.clone());
+        self.exc_targets.insert((node, block), computed);
         computed
     }
 
-    fn compute_exc_target(
-        &mut self,
-        node: CGNodeId,
-        body: &jir::Body,
-        block: jir::BlockId,
-    ) -> (PointerKeyId, Option<Filter>) {
+    fn compute_exc_target(&mut self, node: CGNodeId, body: &jir::Body, block: BlockId) -> CopyEdge {
         if let Some(h) = body.blocks[block.index()].handler {
             for inst in &body.blocks[h.index()].insts {
                 if let Inst::CatchBind { dst, class } = inst {
-                    let pk = self.local(node, *dst);
-                    return (pk, Some(Filter::InstanceOf(*class)));
+                    let to = self.local(node, *dst);
+                    let filter = self.filter_id(&Some(Filter::InstanceOf(*class)));
+                    return CopyEdge { to, filter };
                 }
             }
         }
-        (self.pkey(PointerKey::Exc(node)), None)
+        CopyEdge { to: self.pkey(PointerKey::Exc(node)), filter: NO_FILTER }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn add_inst_constraints(
-        &mut self,
-        node: CGNodeId,
-        method: MethodId,
-        loc: Loc,
-        inst: &Inst,
-        exc_target: &(PointerKeyId, Option<Filter>),
-    ) {
+    fn add_inst_constraints(&mut self, node: CGNodeId, method: MethodId, loc: Loc, inst: &Inst) {
         match inst {
             Inst::New { dst, class } => {
                 let ik = self.alloc_key(node, method, loc, *class);
@@ -711,20 +883,21 @@ impl<'p> Solver<'p> {
             Inst::Assign { dst, src, filter } => {
                 let s = self.local(node, *src);
                 let d = self.local(node, *dst);
-                self.add_copy(s, d, filter.clone());
+                let filter = self.filter_id(filter);
+                self.add_copy(s, d, filter);
             }
             Inst::Phi { dst, srcs } => {
                 let d = self.local(node, *dst);
                 for (_, v) in srcs {
                     let s = self.local(node, *v);
-                    self.add_copy(s, d, None);
+                    self.add_copy(s, d, NO_FILTER);
                 }
             }
             Inst::Select { dst, srcs } => {
                 let d = self.local(node, *dst);
                 for v in srcs {
                     let s = self.local(node, *v);
-                    self.add_copy(s, d, None);
+                    self.add_copy(s, d, NO_FILTER);
                 }
             }
             Inst::Load { dst, base, field } => {
@@ -740,12 +913,12 @@ impl<'p> Solver<'p> {
             Inst::StaticLoad { dst, field } => {
                 let st = self.pkey(PointerKey::Static(*field));
                 let d = self.local(node, *dst);
-                self.add_copy(st, d, None);
+                self.add_copy(st, d, NO_FILTER);
             }
             Inst::StaticStore { field, src } => {
                 let st = self.pkey(PointerKey::Static(*field));
                 let s = self.local(node, *src);
-                self.add_copy(s, st, None);
+                self.add_copy(s, st, NO_FILTER);
             }
             Inst::ArrayLoad { dst, base, .. } => {
                 let b = self.local(node, *base);
@@ -758,7 +931,7 @@ impl<'p> Solver<'p> {
                 self.register_constraint(b, Constraint::ArrayStore { src: s });
             }
             Inst::Call { dst, target, recv, args } => {
-                self.add_call(node, method, loc, dst, target, recv, args, exc_target);
+                self.add_call(node, method, loc, dst, target, recv, args);
             }
         }
     }
@@ -809,9 +982,7 @@ impl<'p> Solver<'p> {
         target: &CallTarget,
         recv: &Option<Var>,
         args: &[Var],
-        exc_target: &(PointerKeyId, Option<Filter>),
     ) {
-        let _ = exc_target;
         match target {
             CallTarget::Static(m) => {
                 self.direct_call(node, method, loc, *m, None, args, *dst);
@@ -822,36 +993,14 @@ impl<'p> Solver<'p> {
                     // object so e.g. constructor bodies are cloned per
                     // allocation (1-object-sensitivity).
                     let b = self.local(node, *r);
-                    self.register_constraint(
-                        b,
-                        Constraint::Dispatch {
-                            node,
-                            loc,
-                            fixed: Some(*m),
-                            sel: None,
-                            recv: *r,
-                            args: args.to_vec(),
-                            dst: *dst,
-                        },
-                    );
+                    self.register_constraint(b, Constraint::Dispatch { node, loc });
                 }
                 None => self.direct_call(node, method, loc, *m, None, args, *dst),
             },
-            CallTarget::Virtual(sel) => {
+            CallTarget::Virtual(_) => {
                 let Some(r) = recv else { return };
                 let b = self.local(node, *r);
-                self.register_constraint(
-                    b,
-                    Constraint::Dispatch {
-                        node,
-                        loc,
-                        fixed: None,
-                        sel: Some(*sel),
-                        recv: *r,
-                        args: args.to_vec(),
-                        dst: *dst,
-                    },
-                );
+                self.register_constraint(b, Constraint::Dispatch { node, loc });
             }
         }
     }
@@ -971,7 +1120,7 @@ impl<'p> Solver<'p> {
                 None => {
                     if let Some(r) = recv {
                         let rp = self.local(node, r);
-                        self.add_copy(rp, this_pk, None);
+                        self.add_copy(rp, this_pk, NO_FILTER);
                     }
                 }
             }
@@ -986,23 +1135,23 @@ impl<'p> Solver<'p> {
             }
             let ap = self.local(node, a);
             let fp = self.local(callee_node, Var((i + recv_offset) as u32));
-            self.add_copy(ap, fp, None);
+            self.add_copy(ap, fp, NO_FILTER);
         }
         if let Some(d) = dst {
             let ret = self.pkey(PointerKey::Ret(callee_node));
             let dp = self.local(node, d);
-            self.add_copy(ret, dp, None);
+            self.add_copy(ret, dp, NO_FILTER);
         }
         // Exceptional flow: callee's escaping exceptions reach this block's
         // handler (or escape further). The caller's exception targets were
         // cached when its constraints were added.
-        if let Some((target, filter)) = self.exc_targets.get(&(node, loc.block)).cloned() {
+        if let Some(&CopyEdge { to, filter }) = self.exc_targets.get(&(node, loc.block)) {
             let exc = self.pkey(PointerKey::Exc(callee_node));
-            self.add_copy(exc, target, filter);
+            self.add_copy(exc, to, filter);
         } else {
             let exc = self.pkey(PointerKey::Exc(callee_node));
             let out = self.pkey(PointerKey::Exc(node));
-            self.add_copy(exc, out, None);
+            self.add_copy(exc, out, NO_FILTER);
         }
     }
 
@@ -1047,11 +1196,11 @@ impl<'p> Solver<'p> {
                     let dp = self.local(node, d);
                     if let Some(r) = recv {
                         let rp = self.local(node, r);
-                        self.add_copy(rp, dp, None);
+                        self.add_copy(rp, dp, NO_FILTER);
                     }
                     for &a in args {
                         let ap = self.local(node, a);
-                        self.add_copy(ap, dp, None);
+                        self.add_copy(ap, dp, NO_FILTER);
                     }
                 }
             }
@@ -1059,7 +1208,7 @@ impl<'p> Solver<'p> {
                 if let (Some(d), Some(r)) = (dst, recv) {
                     let dp = self.local(node, d);
                     let rp = self.local(node, r);
-                    self.add_copy(rp, dp, None);
+                    self.add_copy(rp, dp, NO_FILTER);
                 }
             }
             Intrinsic::FreshObject(class) => {
@@ -1152,13 +1301,13 @@ impl<'p> Solver<'p> {
                     if let Some(&target_obj) = args.first() {
                         let tp = self.local(node, target_obj);
                         let this_pk = self.local(callee_node, Var(0));
-                        self.add_copy(tp, this_pk, None);
+                        self.add_copy(tp, this_pk, NO_FILTER);
                     }
                 }
                 // Parameters: contents of the Object[] argument.
                 if let Some(&arr) = args.get(1) {
                     let ap = self.local(node, arr);
-                    let nparams = mm.params.len();
+                    let nparams = mm.params.len() as u32;
                     self.register_constraint(
                         ap,
                         Constraint::BindParams { callee: callee_node, nparams },
@@ -1174,7 +1323,7 @@ impl<'p> Solver<'p> {
                 if let Some(d) = dst {
                     let ret = self.pkey(PointerKey::Ret(callee_node));
                     let dp = self.local(node, d);
-                    self.add_copy(ret, dp, None);
+                    self.add_copy(ret, dp, NO_FILTER);
                 }
             }
             Intrinsic::ThreadStart => {
@@ -1239,7 +1388,7 @@ impl<'p> Solver<'p> {
                 if let (Some(r), Some(d)) = (recv, dst) {
                     let rp = self.local(node, r);
                     let dp = self.local(node, d);
-                    self.add_copy(rp, dp, None);
+                    self.add_copy(rp, dp, NO_FILTER);
                 }
             }
         }

@@ -1,7 +1,9 @@
 //! Integration tests for the pointer analysis: dispatch, heap flow,
 //! contexts, reflection, exceptions, and budgets.
 
-use taj_pointer::{analyze, InstanceKey, PointsTo, SolverConfig};
+use std::collections::BTreeSet;
+
+use taj_pointer::{analyze, CGNodeId, InstanceKey, PointerKey, PointsTo, SolverConfig};
 
 fn build(src: &str, entry: (&str, &str)) -> (jir::Program, PointsTo) {
     let mut p = jir::frontend::build_program(src).expect("program builds");
@@ -437,4 +439,86 @@ fn session_attribute_flow_through_request() {
         vec!["A"],
         "both getSession() calls must return the same session object"
     );
+}
+
+#[test]
+fn every_pointer_key_is_found_by_its_own_lookup() {
+    let (p, pts) = build(
+        r#"
+        class Box { field Object f; }
+        class Animal { method Object speak() { return new Object(); } }
+        class Dog extends Animal { method Object speak() { return this; } }
+        class Target { method Object id(Object x) { return x; } }
+        class Main {
+            static field Object shared;
+            static method void main() {
+                Animal a = new Dog();
+                Box b = new Box();
+                b.f = a.speak();
+                Object[] arr = new Object[] { b.f };
+                Main.shared = arr[0];
+                try { Main.boom(); } catch (Exception e) { Object o = e; }
+                Class k = Class.forName("Target");
+                Method m = k.getMethod("id");
+                Object r = m.invoke(new Target(), new Object[] { Main.shared });
+                int untouched = 1;
+            }
+            static method void boom() { throw new RuntimeException("x"); }
+        }
+        "#,
+        ("Main", "main"),
+    );
+    let mut kinds = BTreeSet::new();
+    let mut registers = BTreeSet::new();
+    for (id, key, set) in pts.iter_pointer_keys() {
+        let found = |got: Option<&jir::util::BitSet>| got.is_some_and(|s| std::ptr::eq(s, set));
+        assert!(found(pts.pts_of(key)), "{id:?} {key:?}: pts_of finds its own set");
+        let kind = match *key {
+            PointerKey::Local { node, var } => {
+                assert!(found(pts.local(node, var)), "{id:?} {key:?}: local agrees");
+                registers.insert((node, var));
+                "register"
+            }
+            PointerKey::Ret(_) => "return",
+            PointerKey::Exc(_) => "exception",
+            PointerKey::Field { ik, field } => {
+                assert!(found(pts.field_pts(ik, field)), "{id:?} {key:?}: field_pts agrees");
+                "field"
+            }
+            PointerKey::ArrayElem(ik) => {
+                assert!(found(pts.array_pts(ik)), "{id:?} {key:?}: array_pts agrees");
+                "array"
+            }
+            PointerKey::Static(_) => "static",
+        };
+        kinds.insert(kind);
+    }
+    assert_eq!(
+        kinds,
+        ["array", "exception", "field", "register", "return", "static"].into_iter().collect(),
+        "the program makes every kind of pointer key"
+    );
+    assert!(!pts.invoke_bindings.is_empty(), "the reflective invoke is bound");
+
+    // Registers without a key, and registers or nodes that do not exist,
+    // have no points-to set.
+    let num_vars =
+        |node: CGNodeId| p.method(pts.callgraph.method_of(node)).body().map_or(0, |b| b.num_vars);
+    let mut untouched = 0;
+    for node in pts.callgraph.iter_nodes() {
+        for var in (0..num_vars(node)).map(jir::Var) {
+            if !registers.contains(&(node, var)) {
+                assert_eq!(pts.local(node, var), None, "{node:?} {var:?} was never touched");
+                untouched += 1;
+            }
+        }
+        for var in [jir::Var(num_vars(node)), jir::Var(u32::MAX)] {
+            assert_eq!(pts.local(node, var), None, "{node:?} {var:?} is past num_vars");
+        }
+    }
+    assert!(untouched > 0, "some register (the int) never gets a key");
+    for node in [CGNodeId::new(pts.callgraph.len()), CGNodeId(u32::MAX)] {
+        assert_eq!(pts.local(node, jir::Var(0)), None, "{node:?} is past the call graph");
+        assert_eq!(pts.pts_of(&PointerKey::Ret(node)), None);
+    }
 }

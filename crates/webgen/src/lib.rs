@@ -25,5 +25,5 @@ pub use generate::{generate, standard_mix, BenchmarkSpec, GenStats, GeneratedBen
 pub use interp::{run_program, DynHit, InterpConfig};
 pub use micro::{micro_suite, motivating, MicroTest};
 pub use patterns::Pattern;
-pub use securibench::{cases as securibench_cases, SecuriCase};
+pub use securibench::{cases as securibench_cases, joined as securibench_joined, SecuriCase};
 pub use table2::{presets, BenchmarkPreset, Scale};

@@ -5,14 +5,11 @@
 //! `usize::MAX` makes the driver plan whole-rule units, and it never
 //! trips, so that twin configuration is the reference.
 
-mod common;
-
-use common::securibench_joined;
 use taj::core::{
     analyze_with_phase1_opts, prepare, run_phase1_traced, DeploymentDescriptor, RuleSet,
     RunOptions, TajConfig,
 };
-use taj::webgen::{generate, presets, Scale};
+use taj::webgen::{generate, presets, securibench_joined, Scale};
 
 /// The Figure-4 applications plus securibench joined ×1 and ×4.
 fn programs() -> Vec<(String, String, Option<DeploymentDescriptor>)> {

@@ -73,37 +73,6 @@ pub fn big_app(name: &str) -> PreparedProgram {
         .expect("generated benchmark prepares")
 }
 
-/// Every securibench case joined into one program, replicated `copies`
-/// times. Replica `k > 0` appends `R{k}` to every declared class name,
-/// token-wise, so the replicas share only the library.
-pub fn securibench_joined(copies: usize) -> String {
-    let joined: String = securibench_cases().iter().map(|c| format!("{}\n", c.source)).collect();
-    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    let classes: BTreeSet<&str> = joined
-        .lines()
-        .filter_map(|line| line.trim_start().strip_prefix("class "))
-        .filter_map(|rest| rest.split(|c: char| !is_ident(c)).next())
-        .collect();
-    let mut out = joined.clone();
-    for k in 1..copies {
-        let mut token = String::new();
-        for c in joined.chars() {
-            if is_ident(c) {
-                token.push(c);
-                continue;
-            }
-            out.push_str(&token);
-            if classes.contains(token.as_str()) {
-                out.push_str(&format!("R{k}"));
-            }
-            token.clear();
-            out.push(c);
-        }
-        out.push_str(&token);
-    }
-    out
-}
-
 /// Serializes a report — the byte-stream under comparison. Reports hold
 /// no wall-clock, so raw bytes compare across runs.
 pub fn report_json(report: &TajReport) -> String {

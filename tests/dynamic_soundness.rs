@@ -10,11 +10,10 @@
 //! call-graph construction of phase 1 must keep every observed flow of
 //! these inputs under both sound configurations.
 
-mod common;
-
-use common::securibench_joined;
 use taj::core::{analyze_source, prepare, DeploymentDescriptor, GroundTruth, RuleSet, TajConfig};
-use taj::webgen::{generate, micro_suite, presets, run_program, DynHit, InterpConfig, Scale};
+use taj::webgen::{
+    generate, micro_suite, presets, run_program, securibench_joined, DynHit, InterpConfig, Scale,
+};
 
 /// Runs the interpreter over `source` on the unexpanded program, with the
 /// real entrypoints and the EJB descriptor applied.

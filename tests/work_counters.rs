@@ -20,6 +20,15 @@
 //! synthetic sites. A frontend or modeling refactor that changes one IR
 //! byte fails here.
 //!
+//! A fourth table pins phase 1's exact output on the same ten inputs,
+//! each under Hybrid-Unbounded (FIFO) and Hybrid-Prioritized (the §6.1
+//! queue, whose call-graph budget binds on Webgoat): the full
+//! `SolverStats` and a 64-bit FNV-1a fingerprint over raw ids of every
+//! pointer key in id order with its points-to set, every instance key in
+//! id order, the call graph's nodes, edges and entry nodes, and the
+//! reflective invoke bindings. Reports and counters survive many changes
+//! of interning or propagation order; this table does not.
+//!
 //! The determinism suites prove a report a pure function of its inputs;
 //! these tables prove a refactor moved no counter (solver propagations,
 //! dropped nodes, slicer work, heap transitions, IFDS facts, summary
@@ -29,14 +38,14 @@
 
 mod common;
 
-use common::{analyze_opts, no_failpoints, securibench_joined};
+use common::{analyze_opts, no_failpoints};
 use taj::core::{
     analyze_with_phase1_opts, prepare, run_phase1_traced, DeploymentDescriptor, PreparedProgram,
     Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
 };
 use taj::jir::{Inst, MethodKind};
-use taj::pointer::SolverStats;
-use taj::webgen::{generate, presets, Scale};
+use taj::pointer::{InstanceKey, PointerKey, PointsTo, SolverStats};
+use taj::webgen::{generate, presets, securibench_joined, Scale};
 
 /// What one configuration must produce.
 enum Pinned {
@@ -279,6 +288,12 @@ impl Fnv1a {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+
+    fn words(&mut self, words: &[u32]) {
+        for w in words {
+            self.feed(&w.to_le_bytes());
+        }
+    }
 }
 
 fn prepared_ir(prepared: &PreparedProgram) -> PreparedIr {
@@ -496,9 +511,9 @@ const PREPARED: [(&str, PreparedIr); 10] = [
     ),
 ];
 
-#[test]
-fn prepared_ir_matches_the_pinned_table() {
-    let _guard = no_failpoints();
+/// The nine Figure-4 apps at `Scale::standard()` in preset order, then
+/// securibench joined ×1: `(name, source, descriptor)`.
+fn figure4_and_securibench() -> Vec<(String, String, Option<DeploymentDescriptor>)> {
     let mut inputs: Vec<(String, String, Option<DeploymentDescriptor>)> = presets()
         .into_iter()
         .filter(|p| p.in_figure4)
@@ -508,11 +523,417 @@ fn prepared_ir_matches_the_pinned_table() {
         })
         .collect();
     inputs.push(("securibench x1".to_string(), securibench_joined(1), None));
+    inputs
+}
+
+#[test]
+fn prepared_ir_matches_the_pinned_table() {
+    let _guard = no_failpoints();
+    let inputs = figure4_and_securibench();
     assert_eq!(inputs.len(), PREPARED.len(), "one row per input");
     for ((name, source, descriptor), (want_name, want)) in inputs.iter().zip(&PREPARED) {
         assert_eq!(name, want_name, "rows follow the input order");
         let prepared = prepare(source, descriptor.as_ref(), RuleSet::default_rules())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(prepared_ir(&prepared), *want, "{name}: prepared IR");
+    }
+}
+
+/// FNV-1a over phase 1's solution, fed raw ids as little-endian words:
+/// pointer keys in id order with their points-to sets, instance keys in
+/// id order, the call graph's nodes, edges and entries, then the invoke
+/// bindings. Each key starts with a variant tag and each list with its
+/// length, so no two solutions feed the same words.
+fn phase1_fingerprint(pts: &PointsTo) -> u64 {
+    let mut fnv = Fnv1a::new();
+    fnv.words(&[pts.stats.pointer_keys as u32]);
+    for (id, key, set) in pts.iter_pointer_keys() {
+        let key = match *key {
+            PointerKey::Local { node, var } => [0, node.0, var.0],
+            PointerKey::Ret(node) => [1, node.0, 0],
+            PointerKey::Exc(node) => [2, node.0, 0],
+            PointerKey::Field { ik, field } => [3, ik.0, field.0],
+            PointerKey::ArrayElem(ik) => [4, ik.0, 0],
+            PointerKey::Static(field) => [5, field.0, 0],
+        };
+        fnv.words(&[id.0]);
+        fnv.words(&key);
+        fnv.words(&[set.len() as u32]);
+        set.iter().for_each(|ik| fnv.words(&[ik]));
+    }
+    fnv.words(&[pts.num_instance_keys() as u32]);
+    for (id, key) in pts.iter_instance_keys() {
+        let key = match *key {
+            InstanceKey::Alloc { site, ctx, class } => {
+                [0, site.method.0, site.loc.block.0, site.loc.idx, ctx.0, class.0]
+            }
+            InstanceKey::AllocArray { site, elem } => {
+                [1, site.method.0, site.loc.block.0, site.loc.idx, elem.0, 0]
+            }
+            InstanceKey::ClassObj(class) => [2, class.0, 0, 0, 0, 0],
+            InstanceKey::MethodObj(class, method) => [3, class.0, method.0, 0, 0, 0],
+            InstanceKey::MethodArray(class) => [4, class.0, 0, 0, 0, 0],
+            InstanceKey::Synthetic { label, class } => [5, label, class.0, 0, 0, 0],
+        };
+        fnv.words(&[id.0]);
+        fnv.words(&key);
+    }
+    let cg = &pts.callgraph;
+    fnv.words(&[cg.nodes.len() as u32]);
+    for (method, ctx) in &cg.nodes {
+        fnv.words(&[method.0, ctx.0]);
+    }
+    fnv.words(&[cg.edges.len() as u32]);
+    for e in &cg.edges {
+        fnv.words(&[e.caller.0, e.loc.block.0, e.loc.idx, e.callee.0]);
+    }
+    fnv.words(&[cg.entry_nodes.len() as u32]);
+    cg.entry_nodes.iter().for_each(|n| fnv.words(&[n.0]));
+    fnv.words(&[pts.invoke_bindings.len() as u32]);
+    for b in &pts.invoke_bindings {
+        fnv.words(&[b.caller.0, b.loc.block.0, b.loc.idx, b.arg_array.0, b.callee.0]);
+    }
+    fnv.0
+}
+
+/// Phase 1 of one configuration on one input.
+struct Phase1Row {
+    input: &'static str,
+    config: &'static str,
+    solver: SolverStats,
+    fingerprint: u64,
+}
+
+/// One row per input of [`figure4_and_securibench`] and mode, in that
+/// order; the FIFO row of each input comes first.
+const PHASE1: [Phase1Row; 20] = [
+    Phase1Row {
+        input: "A",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 722,
+            call_edges: 672,
+            pointer_keys: 4205,
+            instance_keys: 437,
+            pts_entries: 2393,
+            propagations: 1987,
+            nodes_dropped: 0,
+            contexts: 377,
+        },
+        fingerprint: 0x0ede6a5cdabbaa34,
+    },
+    Phase1Row {
+        input: "A",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 722,
+            call_edges: 672,
+            pointer_keys: 4205,
+            instance_keys: 437,
+            pts_entries: 2393,
+            propagations: 1987,
+            nodes_dropped: 0,
+            contexts: 377,
+        },
+        fingerprint: 0xa9693cd6ef8d8c91,
+    },
+    Phase1Row {
+        input: "B",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 2433,
+            call_edges: 2294,
+            pointer_keys: 15555,
+            instance_keys: 1339,
+            pts_entries: 8432,
+            propagations: 7198,
+            nodes_dropped: 0,
+            contexts: 1190,
+        },
+        fingerprint: 0x895c3b46a58f7785,
+    },
+    Phase1Row {
+        input: "B",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 2433,
+            call_edges: 2294,
+            pointer_keys: 15555,
+            instance_keys: 1339,
+            pts_entries: 8432,
+            propagations: 7198,
+            nodes_dropped: 0,
+            contexts: 1190,
+        },
+        fingerprint: 0xb8fcf40ed73ef3fa,
+    },
+    Phase1Row {
+        input: "BlueBlog",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 498,
+            call_edges: 459,
+            pointer_keys: 2705,
+            instance_keys: 316,
+            pts_entries: 1387,
+            propagations: 1016,
+            nodes_dropped: 0,
+            contexts: 267,
+        },
+        fingerprint: 0x66b2a399f753e579,
+    },
+    Phase1Row {
+        input: "BlueBlog",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 498,
+            call_edges: 459,
+            pointer_keys: 2705,
+            instance_keys: 316,
+            pts_entries: 1387,
+            propagations: 1016,
+            nodes_dropped: 0,
+            contexts: 267,
+        },
+        fingerprint: 0xa9f4c66fc7939642,
+    },
+    Phase1Row {
+        input: "Friki",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 518,
+            call_edges: 478,
+            pointer_keys: 2827,
+            instance_keys: 331,
+            pts_entries: 1517,
+            propagations: 1156,
+            nodes_dropped: 0,
+            contexts: 281,
+        },
+        fingerprint: 0xcf7a2f3349aee9a0,
+    },
+    Phase1Row {
+        input: "Friki",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 518,
+            call_edges: 478,
+            pointer_keys: 2827,
+            instance_keys: 331,
+            pts_entries: 1517,
+            propagations: 1156,
+            nodes_dropped: 0,
+            contexts: 281,
+        },
+        fingerprint: 0xf0e18e121e5123ea,
+    },
+    Phase1Row {
+        input: "GestCV",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 1431,
+            call_edges: 1343,
+            pointer_keys: 8961,
+            instance_keys: 796,
+            pts_entries: 4376,
+            propagations: 3483,
+            nodes_dropped: 0,
+            contexts: 698,
+        },
+        fingerprint: 0xb25ee209262d3f6e,
+    },
+    Phase1Row {
+        input: "GestCV",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 1431,
+            call_edges: 1343,
+            pointer_keys: 8961,
+            instance_keys: 796,
+            pts_entries: 4376,
+            propagations: 3483,
+            nodes_dropped: 0,
+            contexts: 698,
+        },
+        fingerprint: 0x1719ed67505948e7,
+    },
+    Phase1Row {
+        input: "I",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 461,
+            call_edges: 424,
+            pointer_keys: 2504,
+            instance_keys: 291,
+            pts_entries: 1337,
+            propagations: 1015,
+            nodes_dropped: 0,
+            contexts: 244,
+        },
+        fingerprint: 0x05e7c4039ae5598f,
+    },
+    Phase1Row {
+        input: "I",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 461,
+            call_edges: 424,
+            pointer_keys: 2504,
+            instance_keys: 291,
+            pts_entries: 1337,
+            propagations: 1015,
+            nodes_dropped: 0,
+            contexts: 244,
+        },
+        fingerprint: 0x56af5a3a4a65faff,
+    },
+    Phase1Row {
+        input: "S",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 3377,
+            call_edges: 3149,
+            pointer_keys: 20462,
+            instance_keys: 1971,
+            pts_entries: 10698,
+            propagations: 8634,
+            nodes_dropped: 0,
+            contexts: 1713,
+        },
+        fingerprint: 0x49c85ba9f28474cd,
+    },
+    Phase1Row {
+        input: "S",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 3377,
+            call_edges: 3149,
+            pointer_keys: 20462,
+            instance_keys: 1971,
+            pts_entries: 10698,
+            propagations: 8634,
+            nodes_dropped: 0,
+            contexts: 1713,
+        },
+        fingerprint: 0x0bea8795d512fe74,
+    },
+    Phase1Row {
+        input: "SBM",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 1907,
+            call_edges: 1785,
+            pointer_keys: 11755,
+            instance_keys: 1092,
+            pts_entries: 6214,
+            propagations: 5118,
+            nodes_dropped: 0,
+            contexts: 958,
+        },
+        fingerprint: 0x0b301c94d17bf592,
+    },
+    Phase1Row {
+        input: "SBM",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 1907,
+            call_edges: 1785,
+            pointer_keys: 11755,
+            instance_keys: 1092,
+            pts_entries: 6214,
+            propagations: 5118,
+            nodes_dropped: 0,
+            contexts: 958,
+        },
+        fingerprint: 0x35d0e008a0e60583,
+    },
+    Phase1Row {
+        input: "Webgoat",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 3678,
+            call_edges: 3471,
+            pointer_keys: 23744,
+            instance_keys: 2012,
+            pts_entries: 12260,
+            propagations: 10313,
+            nodes_dropped: 0,
+            contexts: 1795,
+        },
+        fingerprint: 0xd66109e393ec8cd7,
+    },
+    Phase1Row {
+        input: "Webgoat",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 3500,
+            call_edges: 3293,
+            pointer_keys: 22796,
+            instance_keys: 1987,
+            pts_entries: 11715,
+            propagations: 9844,
+            nodes_dropped: 225,
+            contexts: 1770,
+        },
+        fingerprint: 0x4e2cfe1e799fe666,
+    },
+    Phase1Row {
+        input: "securibench x1",
+        config: "Hybrid-Unbounded",
+        solver: SolverStats {
+            nodes: 268,
+            call_edges: 229,
+            pointer_keys: 1084,
+            instance_keys: 227,
+            pts_entries: 625,
+            propagations: 331,
+            nodes_dropped: 0,
+            contexts: 180,
+        },
+        fingerprint: 0x4765144848d72897,
+    },
+    Phase1Row {
+        input: "securibench x1",
+        config: "Hybrid-Prioritized",
+        solver: SolverStats {
+            nodes: 268,
+            call_edges: 229,
+            pointer_keys: 1084,
+            instance_keys: 227,
+            pts_entries: 625,
+            propagations: 331,
+            nodes_dropped: 0,
+            contexts: 180,
+        },
+        fingerprint: 0xe5116d9707143b1e,
+    },
+];
+
+#[test]
+fn phase1_solution_matches_the_pinned_table() {
+    let _guard = no_failpoints();
+    let configs: Vec<TajConfig> = TajConfig::all()
+        .into_iter()
+        .filter(|c| c.name == "Hybrid-Unbounded" || c.name == "Hybrid-Prioritized")
+        .collect();
+    let inputs = figure4_and_securibench();
+    assert_eq!(PHASE1.len(), inputs.len() * configs.len(), "one row per input and mode");
+    let mut rows = PHASE1.iter();
+    for (name, source, descriptor) in &inputs {
+        let prepared = prepare(source, descriptor.as_ref(), RuleSet::default_rules())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for config in &configs {
+            let row = rows.next().expect("one row per input and mode");
+            assert_eq!((row.input, row.config), (name.as_str(), config.name), "row order");
+            let phase1 =
+                run_phase1_traced(&prepared, config, &Supervisor::new(), &Recorder::disabled());
+            assert_eq!(phase1.pts.stats, row.solver, "{name} / {}: solver stats", config.name);
+            let fingerprint = phase1_fingerprint(&phase1.pts);
+            assert_eq!(
+                fingerprint, row.fingerprint,
+                "{name} / {}: phase-1 fingerprint",
+                config.name
+            );
+        }
     }
 }
