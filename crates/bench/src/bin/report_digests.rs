@@ -11,6 +11,10 @@
 //! `TajConfig::all()`, each at `threads` 1 and 4. Each line gives 64-bit
 //! FNV-1a digests of the text report, the serde JSON and the SARIF
 //! rendering, or the path-edge count of an out-of-memory verdict.
+//!
+//! `crates/bench/report_digests.txt` holds the expected output, and CI
+//! diffs a fresh run against it. A change that alters reports on purpose
+//! regenerates that file.
 
 use taj_core::{
     analyze_with_phase1_opts, prepare_traced, run_phase1_traced, to_sarif, to_text,

@@ -6,9 +6,7 @@
 //! The reachability search is bounded by the nested-taint depth (§6.2.3);
 //! the paper found 2 dereference levels sufficient in practice.
 
-use std::collections::HashMap;
-
-use jir::util::BitSet;
+use jir::util::{BitSet, FxHashMap};
 use taj_pointer::HeapGraph;
 use taj_sdg::{CarrierSink, SliceIndex, StmtNode};
 
@@ -31,9 +29,9 @@ pub fn build_carrier_index(
     heap: &HeapGraph,
     rule: &ResolvedRule,
     nested_depth: Option<usize>,
-) -> HashMap<u32, Vec<CarrierSink>> {
-    let mut carriers: HashMap<u32, Vec<CarrierSink>> = HashMap::new();
-    let sink_positions: HashMap<jir::MethodId, &[usize]> =
+) -> FxHashMap<u32, Vec<CarrierSink>> {
+    let mut carriers: FxHashMap<u32, Vec<CarrierSink>> = FxHashMap::default();
+    let sink_positions: FxHashMap<jir::MethodId, &[usize]> =
         rule.sinks.iter().map(|(m, p)| (*m, p.as_slice())).collect();
     let pts = index.pts;
     for site in index.sites_calling(sink_positions.keys().copied()) {

@@ -2,7 +2,6 @@
 //! analysis & call-graph construction, then per-rule slicing, bounds, and
 //! LCP report minimization.
 
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -10,6 +9,7 @@ use serde::Serialize;
 
 use taj_obs::{AttrValue, Recorder, Span, TraceEvent};
 
+use jir::util::FxHashSet;
 use jir::Program;
 use taj_pointer::{EscapeAnalysis, HeapGraph, PointsTo, PolicyConfig, SolverConfig};
 use taj_sdg::{
@@ -937,8 +937,8 @@ fn slice_pass(
     // them from the workers would leak scheduling (which units ran before
     // the abort floor rose) into the event set.
     let mut rule_flows: Vec<Vec<Flow>> = resolved.iter().map(|_| Vec::new()).collect();
-    let mut seen: Vec<HashSet<(StmtNode, StmtNode, usize)>> =
-        resolved.iter().map(|_| HashSet::new()).collect();
+    let mut seen: Vec<FxHashSet<(StmtNode, StmtNode, usize)>> =
+        resolved.iter().map(|_| FxHashSet::default()).collect();
     let mut summary_edges = 0usize;
     for (index, (unit, (status, timing))) in units.iter().zip(statuses).enumerate() {
         match status {
@@ -947,6 +947,17 @@ fn slice_pass(
             UnitStatus::Skipped => break,
             UnitStatus::Oom { path_edges } => {
                 if recorder.is_enabled() {
+                    recorder.record(TraceEvent {
+                        name: "phase2.unit",
+                        start_us: timing.start_us,
+                        dur_us: Some(timing.dur_us),
+                        attrs: vec![
+                            ("unit", index.into()),
+                            ("rule", resolved[unit.rule].issue.to_string().into()),
+                            ("kind", unit.kind.label().into()),
+                            ("path_edges", path_edges.into()),
+                        ],
+                    });
                     recorder.event("phase2.oom", vec![("path_edges", path_edges.into())]);
                 }
                 return Err(TajError::OutOfMemory { path_edges });

@@ -7,8 +7,7 @@
 //! fixing the representative (inserting a sanitizer at the LCP) fixes the
 //! whole class.
 
-use std::collections::HashMap;
-
+use jir::util::FxHashMap;
 use taj_sdg::{Flow, SliceIndex, StmtNode};
 
 use crate::rules::IssueType;
@@ -55,7 +54,7 @@ pub fn lcp_of(index: &SliceIndex<'_>, flow: &Flow) -> StmtNode {
 /// Groups raw flows into findings by `(LCP, issue)` equivalence (§5),
 /// keeping the shortest flow of each class as its representative.
 pub fn deduplicate(index: &SliceIndex<'_>, flows: &[(IssueType, Flow)]) -> Vec<Finding> {
-    let mut groups: HashMap<(StmtNode, IssueType), Vec<&Flow>> = HashMap::new();
+    let mut groups: FxHashMap<(StmtNode, IssueType), Vec<&Flow>> = FxHashMap::default();
     for (issue, flow) in flows {
         let lcp = lcp_of(index, flow);
         groups.entry((lcp, *issue)).or_default().push(flow);

@@ -1,9 +1,8 @@
 //! The context-qualified call graph built on the fly during pointer
 //! analysis (§3.1).
 
-use std::collections::HashMap;
-
 use jir::inst::Loc;
+use jir::util::FxHashMap;
 use jir::MethodId;
 
 use crate::context::ContextId;
@@ -33,7 +32,7 @@ pub struct CallGraph {
     pub edges: Vec<CallEdge>,
     /// Entry nodes (entrypoints in the root context).
     pub entry_nodes: Vec<CGNodeId>,
-    site_targets: HashMap<(CGNodeId, Loc), Vec<CGNodeId>>,
+    site_targets: FxHashMap<(CGNodeId, Loc), Vec<CGNodeId>>,
     succs: Vec<Vec<CGNodeId>>,
     preds: Vec<Vec<CGNodeId>>,
 }
@@ -45,7 +44,7 @@ impl CallGraph {
         edges: Vec<CallEdge>,
         entry_nodes: Vec<CGNodeId>,
     ) -> Self {
-        let mut site_targets: HashMap<(CGNodeId, Loc), Vec<CGNodeId>> = HashMap::new();
+        let mut site_targets: FxHashMap<(CGNodeId, Loc), Vec<CGNodeId>> = FxHashMap::default();
         let mut succs = vec![Vec::new(); nodes.len()];
         let mut preds = vec![Vec::new(); nodes.len()];
         for e in &edges {

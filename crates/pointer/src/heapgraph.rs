@@ -2,9 +2,7 @@
 //! with instance-key nodes and pointer-key nodes, supporting the
 //! reachability queries that taint-carrier detection needs.
 
-use std::collections::HashMap;
-
-use jir::util::BitSet;
+use jir::util::{BitSet, FxHashMap};
 use jir::FieldId;
 
 use crate::keys::{InstanceKeyId, PointerKey};
@@ -17,13 +15,14 @@ use crate::solver::PointsTo;
 #[derive(Debug)]
 pub struct HeapGraph {
     /// For each instance key: its field pointer keys `(field, pts)`.
-    fields_of: HashMap<InstanceKeyId, Vec<(Option<FieldId>, BitSet)>>,
+    fields_of: FxHashMap<InstanceKeyId, Vec<(Option<FieldId>, BitSet)>>,
 }
 
 impl HeapGraph {
     /// Builds the heap graph from a points-to solution.
     pub fn build(pts: &PointsTo) -> HeapGraph {
-        let mut fields_of: HashMap<InstanceKeyId, Vec<(Option<FieldId>, BitSet)>> = HashMap::new();
+        let mut fields_of: FxHashMap<InstanceKeyId, Vec<(Option<FieldId>, BitSet)>> =
+            FxHashMap::default();
         for (_, key, set) in pts.iter_pointer_keys() {
             match key {
                 PointerKey::Field { ik, field } => {

@@ -98,7 +98,7 @@ pub struct PointsTo {
     pub(crate) pts: Vec<BitSet>,
     /// Per call site, intrinsic callees `(method, intrinsic)` resolved
     /// there (body callees live in the call graph instead).
-    pub(crate) intrinsic_targets: HashMap<(CGNodeId, Loc), Vec<(MethodId, Intrinsic)>>,
+    pub(crate) intrinsic_targets: FxHashMap<(CGNodeId, Loc), Vec<(MethodId, Intrinsic)>>,
 }
 
 impl PointsTo {
@@ -455,7 +455,7 @@ struct Solver<'p> {
     method_nodes: Vec<Vec<CGNodeId>>,
     edge_seen: FxHashSet<(CGNodeId, Loc, CGNodeId)>,
     site_once: FxHashSet<(CGNodeId, Loc, u64)>,
-    intrinsic_targets: HashMap<(CGNodeId, Loc), Vec<(MethodId, Intrinsic)>>,
+    intrinsic_targets: FxHashMap<(CGNodeId, Loc), Vec<(MethodId, Intrinsic)>>,
     invoke_bindings: Vec<InvokeBinding>,
     entry_nodes: Vec<CGNodeId>,
     budget_exhausted: bool,
@@ -513,7 +513,7 @@ impl<'p> Solver<'p> {
             method_nodes: vec![Vec::new(); program.methods.len()],
             edge_seen: FxHashSet::default(),
             site_once: FxHashSet::default(),
-            intrinsic_targets: HashMap::new(),
+            intrinsic_targets: FxHashMap::default(),
             invoke_bindings: Vec::new(),
             entry_nodes: Vec::new(),
             budget_exhausted: false,

@@ -5,12 +5,13 @@
 //! `(method, register)` pairs, call returns flow to *every* call site, and
 //! heap direct edges match on points-to sets unioned across contexts.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use jir::inst::{Loc, Var};
-use jir::util::BitSet;
+use jir::util::{BitSet, FxHashMap};
 use jir::MethodId;
-use taj_pointer::CGNodeId;
+use taj_pointer::{CGNodeId, PointsTo};
 use taj_supervise::Supervisor;
 
 use crate::kernel::{clamp_range, slice_seeds, Found, SeedRun};
@@ -21,6 +22,32 @@ type Fact = (MethodId, Var);
 /// Method-level load inventory entries.
 type MethodLoad = (MethodId, Loc, Option<Var>, Var);
 
+/// A method's calling contexts, and its registers' points-to sets
+/// merged across them.
+#[derive(Debug)]
+struct Contexts {
+    /// Every call-graph node of the method, in node order. The first is
+    /// the representative node for reporting statements.
+    nodes: Vec<CGNodeId>,
+    /// Per register of the body: the union of the register's points-to
+    /// sets over `nodes`, `None` if no context has one. Filled on first
+    /// use, since a slice reads few registers.
+    merged_pts: Box<[OnceLock<Option<BitSet>>]>,
+}
+
+impl Contexts {
+    /// The union of `v`'s points-to sets over the method's contexts,
+    /// `None` if no context has a pointer key for it.
+    fn merge(&self, pts: &PointsTo, v: Var) -> Option<BitSet> {
+        let mut sets = self.nodes.iter().filter_map(|&n| pts.local(n, v));
+        let mut merged = sets.next()?.clone();
+        for set in sets {
+            merged.extend(set.iter());
+        }
+        Some(merged)
+    }
+}
+
 /// The rule-independent part of the context collapse: each method's
 /// contexts, merged points-to sets, call plumbing, and load inventories.
 /// Build it once per analysis and share it across every rule's
@@ -28,19 +55,16 @@ type MethodLoad = (MethodId, Loc, Option<Var>, Var);
 /// which the slicer reads from the view across a method's contexts).
 #[derive(Debug)]
 pub struct CiCache {
-    /// Every call-graph node of a method, in node order. The first is
-    /// the representative node for reporting statements.
-    contexts: HashMap<MethodId, Vec<CGNodeId>>,
-    /// Merged register points-to sets across contexts.
-    merged_pts: HashMap<Fact, BitSet>,
+    /// Each method's contexts and merged register points-to sets.
+    contexts: FxHashMap<MethodId, Contexts>,
     /// Method-level call targets per call site.
-    site_targets: HashMap<(MethodId, Loc), Vec<MethodId>>,
+    site_targets: FxHashMap<(MethodId, Loc), Vec<MethodId>>,
     /// Method-level return plumbing: callee → (caller, loc, dst).
-    return_sites: HashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>>,
+    return_sites: FxHashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>>,
     /// Loads by field, method level, in node order of the methods'
     /// first contexts.
-    loads_by_field: HashMap<FieldKey, Vec<MethodLoad>>,
-    static_loads: HashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>>,
+    loads_by_field: FxHashMap<FieldKey, Vec<MethodLoad>>,
+    static_loads: FxHashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>>,
     /// Invoke bindings method level: (caller, loc, array var, callee).
     invoke_bindings: Vec<(MethodId, Loc, Var, MethodId)>,
 }
@@ -52,17 +76,21 @@ impl CiCache {
     pub fn build(index: &SliceIndex<'_>) -> Self {
         let pts = index.pts;
         let cg = &pts.callgraph;
-        let mut contexts: HashMap<MethodId, Vec<CGNodeId>> = HashMap::new();
-        let mut merged_pts: HashMap<Fact, BitSet> = HashMap::new();
-        let mut site_targets: HashMap<(MethodId, Loc), Vec<MethodId>> = HashMap::new();
-        let mut return_sites: HashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>> = HashMap::new();
-        let mut loads_by_field: HashMap<FieldKey, Vec<MethodLoad>> = HashMap::new();
-        let mut static_loads: HashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>> = HashMap::new();
+        let mut contexts: FxHashMap<MethodId, Contexts> = FxHashMap::default();
+        let mut site_targets: FxHashMap<(MethodId, Loc), Vec<MethodId>> = FxHashMap::default();
+        let mut return_sites: FxHashMap<MethodId, Vec<(MethodId, Loc, Option<Var>)>> =
+            FxHashMap::default();
+        let mut loads_by_field: FxHashMap<FieldKey, Vec<MethodLoad>> = FxHashMap::default();
+        let mut static_loads: FxHashMap<jir::FieldId, Vec<(MethodId, Loc, Var)>> =
+            FxHashMap::default();
         for node in cg.iter_nodes() {
             let m = cg.method_of(node);
-            let nodes = contexts.entry(m).or_default();
-            nodes.push(node);
-            if nodes.len() > 1 {
+            let entry = contexts.entry(m).or_insert_with(|| Contexts {
+                nodes: Vec::new(),
+                merged_pts: (0..index.num_vars(node)).map(|_| OnceLock::new()).collect(),
+            });
+            entry.nodes.push(node);
+            if entry.nodes.len() > 1 {
                 continue;
             }
             // Method-level load inventory: the loads of the first context
@@ -73,13 +101,6 @@ impl CiCache {
                 } else if let Some(sf) = l.static_field {
                     static_loads.entry(sf).or_default().push((m, l.loc, l.dst));
                 }
-            }
-        }
-        // Merge points-to sets across contexts (single pass).
-        for (_, key, set) in pts.iter_pointer_keys() {
-            if let taj_pointer::PointerKey::Local { node: kn, var } = key {
-                let m = cg.method_of(*kn);
-                merged_pts.entry((m, *var)).or_default().extend(set.iter());
             }
         }
         for e in &cg.edges {
@@ -102,7 +123,6 @@ impl CiCache {
             .collect();
         CiCache {
             contexts,
-            merged_pts,
             site_targets,
             return_sites,
             loads_by_field,
@@ -138,11 +158,19 @@ impl<'a> CiSlicer<'a> {
     }
 
     fn stmt(&self, m: MethodId, loc: Loc) -> StmtNode {
-        StmtNode { node: self.cache.contexts.get(&m).map_or(CGNodeId(0), |c| c[0]), loc }
+        StmtNode { node: self.cache.contexts.get(&m).map_or(CGNodeId(0), |c| c.nodes[0]), loc }
     }
 
-    fn pts_of(&self, m: MethodId, v: Var) -> Option<&BitSet> {
-        self.cache.merged_pts.get(&(m, v))
+    /// `v`'s points-to sets merged across `m`'s contexts, `None` if no
+    /// context has a pointer key for it. A register past its body's
+    /// registers (which well-formed IR never has) is merged per call.
+    fn pts_of(&self, m: MethodId, v: Var) -> Option<Cow<'_, BitSet>> {
+        let contexts = self.cache.contexts.get(&m)?;
+        let pts = self.view.pts;
+        match contexts.merged_pts.get(v.index()) {
+            Some(cell) => cell.get_or_init(|| contexts.merge(pts, v)).as_ref().map(Cow::Borrowed),
+            None => contexts.merge(pts, v).map(Cow::Owned),
+        }
     }
 
     /// Runs the slice from every source.
@@ -184,11 +212,11 @@ impl<'a> CiSlicer<'a> {
             // repeated in a later context is a no-op under the visited,
             // processed-store and reported-flow guards.
             let view = self.view;
-            for &u in contexts.iter().flat_map(|&n| view.uses(n, v)) {
+            for &u in contexts.nodes.iter().flat_map(|&n| view.uses(n, v)) {
                 match u {
                     Use::Flow { to, loc } => {
                         let step = FlowStep { stmt: self.stmt(m, loc), kind: StepKind::Local };
-                        run.push((m, to), &fact, vec![step]);
+                        run.push((m, to), &fact, &[step]);
                     }
                     Use::Store { loc, base, field } => {
                         let store = self.stmt(m, loc);
@@ -196,6 +224,7 @@ impl<'a> CiSlicer<'a> {
                             continue;
                         }
                         let Some(base_pts) = self.pts_of(m, base) else { continue };
+                        let base_pts = &*base_pts;
                         let pre = FlowStep { stmt: store, kind: StepKind::Local };
                         run.emit_carriers(view, found, &fact, &[pre], base_pts);
                         // Direct edges (context-collapsed aliasing).
@@ -214,7 +243,7 @@ impl<'a> CiSlicer<'a> {
                                 }
                                 let load = self.stmt(lm, lloc);
                                 let edge = FlowStep { stmt: load, kind: StepKind::HeapEdge };
-                                run.push((lm, ldst), &fact, vec![pre, edge]);
+                                run.push((lm, ldst), &fact, &[pre, edge]);
                             }
                         }
                         if field == FieldKey::Array {
@@ -224,7 +253,7 @@ impl<'a> CiSlicer<'a> {
                                     let stmt = self.stmt(im, iloc);
                                     for r in view.param_registers(callee) {
                                         let edge = FlowStep { stmt, kind: StepKind::HeapEdge };
-                                        run.push((callee, r), &fact, vec![pre, edge]);
+                                        run.push((callee, r), &fact, &[pre, edge]);
                                     }
                                 }
                             }
@@ -242,14 +271,14 @@ impl<'a> CiSlicer<'a> {
                             found.result.heap_transitions += 1;
                             let edge =
                                 FlowStep { stmt: self.stmt(lm, lloc), kind: StepKind::HeapEdge };
-                            run.push((lm, ldst), &fact, vec![pre, edge]);
+                            run.push((lm, ldst), &fact, &[pre, edge]);
                         }
                     }
                     Use::Arg { loc, pos } => {
                         let call = FlowStep { stmt: self.stmt(m, loc), kind: StepKind::CallArg };
                         for &t in self.cache.site_targets.get(&(m, loc)).into_iter().flatten() {
                             if let Some(r) = view.callee_entry(t, pos) {
-                                run.push((t, r), &fact, vec![call]);
+                                run.push((t, r), &fact, &[call]);
                             }
                         }
                     }
@@ -263,7 +292,7 @@ impl<'a> CiSlicer<'a> {
                                     stmt: self.stmt(cm, cloc),
                                     kind: StepKind::ReturnTo,
                                 };
-                                run.push((cm, d), &fact, vec![step]);
+                                run.push((cm, d), &fact, &[step]);
                             }
                         }
                     }
@@ -283,7 +312,58 @@ mod tests {
     use super::*;
     use crate::spec::SliceSpec;
     use crate::view::reference::setup;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
+
+    #[test]
+    fn merged_points_to_sets_match_the_eager_union() {
+        // Two maps and two lists: the collection methods run in one
+        // context per receiver.
+        let (p, pts) = setup(
+            r#"
+            class Main {
+                static method void main() {
+                    Map a = new HashMap();
+                    Map b = new HashMap();
+                    a.put("k", new Object());
+                    b.put("k", new Main());
+                    Object x = a.get("k");
+                    Object y = b.get("k");
+                    List l = new ArrayList();
+                    List n = new ArrayList();
+                    l.add(x);
+                    n.add(y);
+                }
+            }
+            "#,
+        );
+        let spec = SliceSpec::default();
+        let index = SliceIndex::build(&p, &pts, [&spec]);
+        let view = ProgramView::build(&index, &spec);
+        let cache = CiCache::build(&index);
+        let slicer = CiSlicer::with_cache(&view, SliceBounds::default(), &cache);
+        assert!(
+            cache.contexts.values().any(|c| c.nodes.len() >= 2),
+            "some method runs in two contexts"
+        );
+        // The eager merge over every register pointer key.
+        let mut eager: HashMap<Fact, BitSet> = HashMap::new();
+        for (_, key, set) in pts.iter_pointer_keys() {
+            if let taj_pointer::PointerKey::Local { node, var } = key {
+                let m = pts.callgraph.method_of(*node);
+                eager.entry((m, *var)).or_default().extend(set.iter());
+            }
+        }
+        for (&(m, v), set) in &eager {
+            assert_eq!(slicer.pts_of(m, v).as_deref(), Some(set), "{m:?} {v:?}");
+        }
+        // Every register of every method, and two past its body's last:
+        // no key, no set.
+        for (&m, contexts) in &cache.contexts {
+            for v in (0..contexts.merged_pts.len() as u32 + 2).map(Var) {
+                assert_eq!(slicer.pts_of(m, v).as_deref(), eager.get(&(m, v)), "{m:?} {v:?}");
+            }
+        }
+    }
 
     #[test]
     fn cache_load_lists_do_not_depend_on_hash_order() {

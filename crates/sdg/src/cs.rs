@@ -22,9 +22,10 @@
 //! edge, so the repair recovers the multithreading false negatives
 //! without readmitting the full fact explosion.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use jir::inst::{Loc, Var};
+use jir::util::{FxHashMap, FxHashSet};
 use taj_pointer::{spawn_edges, CGNodeId, EscapeAnalysis};
 use taj_supervise::Supervisor;
 
@@ -63,13 +64,13 @@ pub struct CsSlicer<'a> {
     view: &'a ProgramView<'a>,
     bounds: SliceBounds,
     /// Call sites per node (for pushing heap facts into callees).
-    callees_of: HashMap<CGNodeId, Vec<(Loc, CGNodeId)>>,
+    callees_of: FxHashMap<CGNodeId, Vec<(Loc, CGNodeId)>>,
     /// Spawn edges keyed by the full `(caller, loc, callee)` triple —
     /// `Thread.start` edges whose heap effects never return. Keying on
     /// the callee too means an ordinary return from a *different* callee
     /// invoked at the same call site is never mistaken for a spawn
     /// return.
-    spawn_sites: HashSet<(CGNodeId, Loc, CGNodeId)>,
+    spawn_sites: FxHashSet<(CGNodeId, Loc, CGNodeId)>,
     /// When set, the CS-Escape repair: heap facts on escaping objects
     /// (and all static facts) may return across spawn edges after all.
     escape: Option<&'a EscapeAnalysis>,
@@ -100,7 +101,7 @@ impl<'a> CsSlicer<'a> {
         bounds: SliceBounds,
         escape: Option<&'a EscapeAnalysis>,
     ) -> Self {
-        let mut callees_of: HashMap<CGNodeId, Vec<(Loc, CGNodeId)>> = HashMap::new();
+        let mut callees_of: FxHashMap<CGNodeId, Vec<(Loc, CGNodeId)>> = FxHashMap::default();
         for e in &view.pts.callgraph.edges {
             callees_of.entry(e.caller).or_default().push((e.loc, e.callee));
         }
@@ -119,7 +120,7 @@ impl<'a> CsSlicer<'a> {
     }
 
     /// The spawn-edge triples this slicer treats as thread boundaries.
-    pub fn spawn_sites(&self) -> &HashSet<(CGNodeId, Loc, CGNodeId)> {
+    pub fn spawn_sites(&self) -> &FxHashSet<(CGNodeId, Loc, CGNodeId)> {
         &self.spawn_sites
     }
 
@@ -219,7 +220,7 @@ impl<'a> CsSlicer<'a> {
         total_path_edges: &mut usize,
         result: &mut SliceResult,
     ) -> Result<(), SliceError> {
-        let mut visited: HashSet<Fact> = HashSet::new();
+        let mut visited: FxHashSet<Fact> = FxHashSet::default();
         let mut queue: VecDeque<Fact> = VecDeque::new();
         // Seed: all stores (heap and static), program-wide. The closure
         // is a fixpoint, so the seeding order moves no counter.
@@ -256,7 +257,7 @@ impl<'a> CsSlicer<'a> {
             result.work += 1;
             self.charge(total_path_edges)?;
             let (node, cs) = fact;
-            let push_plain = |f: Fact, q: &mut VecDeque<Fact>, v: &mut HashSet<Fact>| {
+            let push_plain = |f: Fact, q: &mut VecDeque<Fact>, v: &mut FxHashSet<Fact>| {
                 if v.insert(f) {
                     q.push_back(f);
                 }
@@ -388,7 +389,7 @@ impl<'a> CsSlicer<'a> {
                 Use::Flow { to, loc } => run.push(
                     (node, CsFact::Var(to)),
                     fact,
-                    vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                    &[FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                 ),
                 Use::Store { loc, base, field } => {
                     let store_step =
@@ -398,13 +399,13 @@ impl<'a> CsSlicer<'a> {
                     run.emit_carriers(view, found, fact, &[store_step], base_pts);
                     // Heap facts instead of direct edges.
                     for ik in base_pts.iter() {
-                        run.push((node, CsFact::Heap(ik, field, Dir::Up)), fact, vec![store_step]);
+                        run.push((node, CsFact::Heap(ik, field, Dir::Up)), fact, &[store_step]);
                     }
                 }
                 Use::StaticStore { loc, field } => run.push(
                     (node, CsFact::Static(field, Dir::Up)),
                     fact,
-                    vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                    &[FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                 ),
                 Use::Arg { loc, pos } => {
                     let call_step =
@@ -412,7 +413,7 @@ impl<'a> CsSlicer<'a> {
                     for &t in view.pts.callgraph.targets(node, loc) {
                         let cm = view.pts.callgraph.method_of(t);
                         if let Some(r) = view.callee_entry(cm, pos) {
-                            run.push((t, CsFact::Var(r)), fact, vec![call_step]);
+                            run.push((t, CsFact::Var(r)), fact, &[call_step]);
                         }
                     }
                 }
@@ -422,7 +423,7 @@ impl<'a> CsSlicer<'a> {
                             run.push(
                                 (caller, CsFact::Var(d)),
                                 fact,
-                                vec![FlowStep {
+                                &[FlowStep {
                                     stmt: StmtNode { node: caller, loc: cloc },
                                     kind: StepKind::ReturnTo,
                                 }],
@@ -460,10 +461,7 @@ impl<'a> CsSlicer<'a> {
                 run.push(
                     (node, CsFact::Var(l.dst)),
                     fact,
-                    vec![FlowStep {
-                        stmt: StmtNode { node, loc: l.loc },
-                        kind: StepKind::HeapEdge,
-                    }],
+                    &[FlowStep { stmt: StmtNode { node, loc: l.loc }, kind: StepKind::HeapEdge }],
                 );
             }
         }
@@ -478,7 +476,7 @@ impl<'a> CsSlicer<'a> {
                     let stmt = StmtNode { node: inode, loc: iloc };
                     for r in view.param_registers(view.pts.callgraph.method_of(callee)) {
                         let step = FlowStep { stmt, kind: StepKind::HeapEdge };
-                        run.push((callee, CsFact::Var(r)), fact, vec![step]);
+                        run.push((callee, CsFact::Var(r)), fact, &[step]);
                     }
                 }
             }
@@ -490,7 +488,7 @@ impl<'a> CsSlicer<'a> {
                 run.push(
                     (callee, CsFact::Heap(ik, field, Dir::Down)),
                     fact,
-                    vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg }],
+                    &[FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg }],
                 );
             }
         }
@@ -505,7 +503,7 @@ impl<'a> CsSlicer<'a> {
                 run.push(
                     (caller, CsFact::Heap(ik, field, Dir::Up)),
                     fact,
-                    vec![FlowStep {
+                    &[FlowStep {
                         stmt: StmtNode { node: caller, loc: cloc },
                         kind: StepKind::ReturnTo,
                     }],
@@ -522,10 +520,7 @@ impl<'a> CsSlicer<'a> {
                 run.push(
                     (node, CsFact::Var(l.dst)),
                     fact,
-                    vec![FlowStep {
-                        stmt: StmtNode { node, loc: l.loc },
-                        kind: StepKind::HeapEdge,
-                    }],
+                    &[FlowStep { stmt: StmtNode { node, loc: l.loc }, kind: StepKind::HeapEdge }],
                 );
             }
         }
@@ -534,7 +529,7 @@ impl<'a> CsSlicer<'a> {
                 run.push(
                     (callee, CsFact::Static(field, Dir::Down)),
                     fact,
-                    vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg }],
+                    &[FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::CallArg }],
                 );
             }
         }
@@ -546,7 +541,7 @@ impl<'a> CsSlicer<'a> {
                 run.push(
                     (caller, CsFact::Static(field, Dir::Up)),
                     fact,
-                    vec![FlowStep {
+                    &[FlowStep {
                         stmt: StmtNode { node: caller, loc: cloc },
                         kind: StepKind::ReturnTo,
                     }],
@@ -605,14 +600,14 @@ mod tests {
         let sites = slicer.spawn_sites();
         assert_eq!(sites.len(), 2, "one triple per Thread.start edge: {sites:?}");
         // Each triple matches the canonical spawn-edge list exactly.
-        let canonical: HashSet<(CGNodeId, Loc, CGNodeId)> =
+        let canonical: FxHashSet<(CGNodeId, Loc, CGNodeId)> =
             spawn_edges(&pts).into_iter().map(|e| (e.caller, e.loc, e.callee)).collect();
         assert_eq!(sites, &canonical);
         // The callees are distinct run() nodes (A.run and B.run), each at
         // a distinct call-site location of the same caller.
-        let callees: HashSet<CGNodeId> = sites.iter().map(|&(_, _, c)| c).collect();
+        let callees: FxHashSet<CGNodeId> = sites.iter().map(|&(_, _, c)| c).collect();
         assert_eq!(callees.len(), 2, "distinct spawned run() nodes");
-        let locs: HashSet<(CGNodeId, Loc)> = sites.iter().map(|&(n, l, _)| (n, l)).collect();
+        let locs: FxHashSet<(CGNodeId, Loc)> = sites.iter().map(|&(n, l, _)| (n, l)).collect();
         assert_eq!(locs.len(), 2, "distinct spawn call sites");
     }
 

@@ -188,15 +188,15 @@ impl<'a> HybridSlicer<'a> {
                 match u {
                     Use::Flow { to, loc } => {
                         let step = FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local };
-                        run.push((node, to), &fact, vec![step]);
+                        run.push((node, to), &fact, &[step]);
                     }
                     Use::Store { loc, base, field } => {
                         let store = (StmtNode { node, loc }, base, field);
-                        self.process_store(run, found, store, &fact, vec![]);
+                        self.process_store(run, found, store, &fact, &[]);
                     }
                     Use::StaticStore { loc, field } => {
                         let store = (StmtNode { node, loc }, field);
-                        self.process_static_store(run, &mut found.result, store, &fact, vec![]);
+                        self.process_static_store(run, &mut found.result, store, &fact, &[]);
                     }
                     Use::Arg { loc, pos } => {
                         self.process_arg(run, found, StmtNode { node, loc }, pos, &fact);
@@ -208,7 +208,7 @@ impl<'a> HybridSlicer<'a> {
                                 run.push(
                                     (caller, d),
                                     &fact,
-                                    vec![FlowStep { stmt, kind: StepKind::ReturnTo }],
+                                    &[FlowStep { stmt, kind: StepKind::ReturnTo }],
                                 );
                             }
                         }
@@ -223,7 +223,7 @@ impl<'a> HybridSlicer<'a> {
         }
     }
 
-    /// Handles a reached heap store, after `steps` from `parent`:
+    /// Handles a reached heap store, after `prefix` from `parent`:
     /// taint-carrier edges (§4.1.1) and direct store→load edges (§3.2),
     /// plus reflective-invoke bindings.
     fn process_store(
@@ -232,13 +232,14 @@ impl<'a> HybridSlicer<'a> {
         found: &mut Found,
         (store, base, field): (StmtNode, Var, FieldKey),
         parent: &Fact,
-        mut steps: Vec<FlowStep>,
+        prefix: &[FlowStep],
     ) {
         if !run.processed_stores.insert(store) {
             return;
         }
         let view = self.view;
         let base_pts = view.index.local_pts(store.node, base);
+        let mut steps = prefix.to_vec();
         steps.push(FlowStep { stmt: store, kind: StepKind::Local });
         run.emit_carriers(view, found, parent, &steps, base_pts);
 
@@ -262,12 +263,10 @@ impl<'a> HybridSlicer<'a> {
                         result.budget_exhausted = true;
                         return;
                     }
-                    let mut s = steps.clone();
-                    s.push(FlowStep {
-                        stmt: StmtNode { node: lnode, loc: load.loc },
-                        kind: StepKind::HeapEdge,
-                    });
-                    run.push((lnode, load.dst), parent, s);
+                    let load_stmt = StmtNode { node: lnode, loc: load.loc };
+                    steps.push(FlowStep { stmt: load_stmt, kind: StepKind::HeapEdge });
+                    run.push((lnode, load.dst), parent, &steps);
+                    steps.pop();
                 }
             }
         }
@@ -282,11 +281,11 @@ impl<'a> HybridSlicer<'a> {
                     }
                     result.heap_transitions += 1;
                     let stmt = StmtNode { node: inode, loc: iloc };
+                    steps.push(FlowStep { stmt, kind: StepKind::HeapEdge });
                     for reg in view.param_registers(view.pts.callgraph.method_of(callee)) {
-                        let mut s = steps.clone();
-                        s.push(FlowStep { stmt, kind: StepKind::HeapEdge });
-                        run.push((callee, reg), parent, s);
+                        run.push((callee, reg), parent, &steps);
                     }
+                    steps.pop();
                 }
             }
         }
@@ -298,11 +297,12 @@ impl<'a> HybridSlicer<'a> {
         result: &mut SliceResult,
         (store, field): (StmtNode, FieldId),
         parent: &Fact,
-        mut steps: Vec<FlowStep>,
+        prefix: &[FlowStep],
     ) {
         if !run.processed_stores.insert(store) {
             return;
         }
+        let mut steps = prefix.to_vec();
         steps.push(FlowStep { stmt: store, kind: StepKind::Local });
         if let Some(loads) = self.view.index.static_loads.get(&field) {
             for &(lnode, load) in loads {
@@ -311,12 +311,10 @@ impl<'a> HybridSlicer<'a> {
                     result.budget_exhausted = true;
                     return;
                 }
-                let mut s = steps.clone();
-                s.push(FlowStep {
-                    stmt: StmtNode { node: lnode, loc: load.loc },
-                    kind: StepKind::HeapEdge,
-                });
-                run.push((lnode, load.dst), parent, s);
+                let load_stmt = StmtNode { node: lnode, loc: load.loc };
+                steps.push(FlowStep { stmt: load_stmt, kind: StepKind::HeapEdge });
+                run.push((lnode, load.dst), parent, &steps);
+                steps.pop();
             }
         }
     }
@@ -344,10 +342,10 @@ impl<'a> HybridSlicer<'a> {
             );
             let call_step = FlowStep { stmt: call, kind: StepKind::CallArg };
             for store in summary.stores {
-                self.process_store(run, found, store, parent, vec![call_step]);
+                self.process_store(run, found, store, parent, &[call_step]);
             }
             for store in summary.static_stores {
-                self.process_static_store(run, &mut found.result, store, parent, vec![call_step]);
+                self.process_static_store(run, &mut found.result, store, parent, &[call_step]);
             }
             for sink in summary.sinks {
                 run.emit(found, parent, &[call_step], sink, StepKind::CallArg);
@@ -355,7 +353,7 @@ impl<'a> HybridSlicer<'a> {
             if summary.reaches_ret {
                 if let Some(d) = view.index.call_dst(call.node, call.loc) {
                     let ret_step = FlowStep { stmt: call, kind: StepKind::ReturnTo };
-                    run.push((call.node, d), parent, vec![call_step, ret_step]);
+                    run.push((call.node, d), parent, &[call_step, ret_step]);
                 }
             }
         }

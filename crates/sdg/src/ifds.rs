@@ -49,9 +49,8 @@
 //! at every thread count (the parallel engine runs IFDS rules as whole
 //! units; see `taj_core::parallel`).
 
-use std::collections::HashMap;
-
 use jir::inst::Var;
+use jir::util::FxHashMap;
 use jir::FieldId;
 use taj_pointer::CGNodeId;
 use taj_supervise::{InterruptReason, Supervisor};
@@ -139,13 +138,13 @@ type AliasList = Vec<(CGNodeId, Var)>;
 /// difference (see [`IfdsSlicer::new`]). Built once per phase-2 pass.
 #[derive(Debug)]
 pub struct IfdsAliases {
-    by_ik: HashMap<u32, AliasList>,
+    by_ik: FxHashMap<u32, AliasList>,
 }
 
 impl IfdsAliases {
     /// Builds the shared alias lists from the slice index.
     pub fn build(index: &SliceIndex<'_>) -> Self {
-        let mut by_ik: HashMap<u32, AliasList> = HashMap::new();
+        let mut by_ik: FxHashMap<u32, AliasList> = FxHashMap::default();
         let mut vars: Vec<Var> = Vec::new();
         for node in index.pts.callgraph.iter_nodes() {
             vars.extend(index.registers_with_shared_uses(node));
@@ -173,7 +172,7 @@ pub struct IfdsSlicer<'a> {
     aliases: &'a IfdsAliases,
     /// The alias lists this rule changes, in full: the shared list plus
     /// the locals only this rule's classification uses.
-    rule_aliases: HashMap<u32, AliasList>,
+    rule_aliases: FxHashMap<u32, AliasList>,
     /// Distinct facts inserted into any seed's visited set.
     facts_created: usize,
     /// Tabulation worklist pops; the summary table counts its own.
@@ -189,7 +188,7 @@ impl<'a> IfdsSlicer<'a> {
     /// slice index) and adding the locals only this rule uses.
     pub fn new(view: &'a ProgramView<'a>, depth: usize, aliases: &'a IfdsAliases) -> Self {
         let index = view.index;
-        let mut rule_aliases: HashMap<u32, AliasList> = HashMap::new();
+        let mut rule_aliases: FxHashMap<u32, AliasList> = FxHashMap::default();
         for (node, v) in view.rule_only_registers() {
             if index.loads(node).iter().any(|l| l.base == Some(v)) {
                 continue; // a load base: already listed
@@ -250,7 +249,7 @@ impl<'a> IfdsSlicer<'a> {
         let fact = |node, var| Fact::Local(node, var, ApFields::value());
         slice_seeds(view, view.seeds(), view.ref_seeds(), &mut found, fact, |mut run, found| {
             self.tabulate(&mut run, found);
-            self.facts_created += run.visited.len();
+            self.facts_created += run.facts();
             self.interrupted.is_none()
         });
         let mut result = found.result;
@@ -297,18 +296,18 @@ impl<'a> IfdsSlicer<'a> {
                     run.push(
                         Fact::Local(node, to, fields.clone()),
                         fact,
-                        vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                        &[FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                     );
                 }
                 Use::Store { loc, base, field } => {
                     let store = (StmtNode { node, loc }, base, field);
-                    self.process_store(run, found, store, fields, fact, vec![]);
+                    self.process_store(run, found, store, fields, fact, &[]);
                 }
                 Use::StaticStore { loc, field } => {
                     run.push(
                         Fact::Static(field, fields.clone()),
                         fact,
-                        vec![FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
+                        &[FlowStep { stmt: StmtNode { node, loc }, kind: StepKind::Local }],
                     );
                 }
                 Use::Arg { loc, pos } => {
@@ -323,7 +322,7 @@ impl<'a> IfdsSlicer<'a> {
                             run.push(
                                 Fact::Local(caller, d, fields.clone()),
                                 fact,
-                                vec![FlowStep {
+                                &[FlowStep {
                                     stmt: StmtNode { node: caller, loc: cloc },
                                     kind: StepKind::ReturnTo,
                                 }],
@@ -351,16 +350,13 @@ impl<'a> IfdsSlicer<'a> {
                 run.push(
                     Fact::Local(node, l.dst, next),
                     fact,
-                    vec![FlowStep {
-                        stmt: StmtNode { node, loc: l.loc },
-                        kind: StepKind::HeapEdge,
-                    }],
+                    &[FlowStep { stmt: StmtNode { node, loc: l.loc }, kind: StepKind::HeapEdge }],
                 );
             }
         }
     }
 
-    /// Handles a reached heap store `base.field = v`, after `steps` from
+    /// Handles a reached heap store `base.field = v`, after `prefix` from
     /// `parent`, where `v` carries `fields`: taint-carrier edges (for
     /// value suffixes), the new heap fact with `field` prepended, and
     /// reflective-invoke bindings.
@@ -371,10 +367,11 @@ impl<'a> IfdsSlicer<'a> {
         (store, base, field): (StmtNode, Var, FieldKey),
         fields: &ApFields,
         parent: &Fact,
-        mut steps: Vec<FlowStep>,
+        prefix: &[FlowStep],
     ) {
         let view = self.view;
         let base_pts = view.index.local_pts(store.node, base);
+        let mut steps = prefix.to_vec();
         steps.push(FlowStep { stmt: store, kind: StepKind::Local });
 
         // Taint carriers (§4.1.1): a tainted *value* stored into an
@@ -387,7 +384,7 @@ impl<'a> IfdsSlicer<'a> {
 
         let stored = fields.prepend(field, self.depth);
         for ik in base_pts.iter() {
-            run.push(Fact::Heap(ik, stored.clone()), parent, steps.clone());
+            run.push(Fact::Heap(ik, stored.clone()), parent, &steps);
         }
 
         // Reflective invoke: array stores feed the invoked method's
@@ -397,11 +394,11 @@ impl<'a> IfdsSlicer<'a> {
                 if view.index.local_pts(inode, arr).intersects(base_pts) {
                     found.result.heap_transitions += 1;
                     let stmt = StmtNode { node: inode, loc: iloc };
+                    steps.push(FlowStep { stmt, kind: StepKind::HeapEdge });
                     for reg in view.param_registers(view.pts.callgraph.method_of(callee)) {
-                        let mut s = steps.clone();
-                        s.push(FlowStep { stmt, kind: StepKind::HeapEdge });
-                        run.push(Fact::Local(callee, reg, fields.clone()), parent, s);
+                        run.push(Fact::Local(callee, reg, fields.clone()), parent, &steps);
                     }
+                    steps.pop();
                 }
             }
         }
@@ -430,7 +427,7 @@ impl<'a> IfdsSlicer<'a> {
                         run.push(
                             Fact::Local(lnode, l.dst, next),
                             fact,
-                            vec![FlowStep {
+                            &[FlowStep {
                                 stmt: StmtNode { node: lnode, loc: l.loc },
                                 kind: StepKind::HeapEdge,
                             }],
@@ -450,7 +447,7 @@ impl<'a> IfdsSlicer<'a> {
                         run.push(
                             Fact::Local(lnode, l.dst, fields.clone()),
                             fact,
-                            vec![FlowStep {
+                            &[FlowStep {
                                 stmt: StmtNode { node: lnode, loc: l.loc },
                                 kind: StepKind::HeapEdge,
                             }],
@@ -463,7 +460,7 @@ impl<'a> IfdsSlicer<'a> {
         // adopts the suffix, so stores of carrier objects build deeper
         // paths and callee summaries see suffixed arguments.
         for &(n, w) in self.aliases_of(ik) {
-            run.push(Fact::Local(n, w, fields.clone()), fact, vec![]);
+            run.push(Fact::Local(n, w, fields.clone()), fact, &[]);
         }
     }
 
@@ -488,7 +485,7 @@ impl<'a> IfdsSlicer<'a> {
                 run.push(
                     Fact::Local(lnode, l.dst, fields.clone()),
                     fact,
-                    vec![FlowStep {
+                    &[FlowStep {
                         stmt: StmtNode { node: lnode, loc: l.loc },
                         kind: StepKind::HeapEdge,
                     }],
@@ -525,13 +522,13 @@ impl<'a> IfdsSlicer<'a> {
             }
             let call_step = FlowStep { stmt: call, kind: StepKind::CallArg };
             for store in summary.stores {
-                self.process_store(run, found, store, fields, parent, vec![call_step]);
+                self.process_store(run, found, store, fields, parent, &[call_step]);
             }
             for (st, sfield) in summary.static_stores {
                 run.push(
                     Fact::Static(sfield, fields.clone()),
                     parent,
-                    vec![call_step, FlowStep { stmt: st, kind: StepKind::Local }],
+                    &[call_step, FlowStep { stmt: st, kind: StepKind::Local }],
                 );
             }
             if fields.is_value() {
@@ -544,7 +541,7 @@ impl<'a> IfdsSlicer<'a> {
                     run.push(
                         Fact::Local(call.node, d, fields.clone()),
                         parent,
-                        vec![call_step, FlowStep { stmt: call, kind: StepKind::ReturnTo }],
+                        &[call_step, FlowStep { stmt: call, kind: StepKind::ReturnTo }],
                     );
                 }
             }
@@ -556,6 +553,7 @@ impl<'a> IfdsSlicer<'a> {
 mod tests {
     use super::*;
     use crate::view::reference::{self, rule_sensitive_specs, setup, RULE_SENSITIVE};
+    use std::collections::HashMap;
 
     #[test]
     fn rule_aliases_match_the_per_node_reference() {

@@ -14,12 +14,13 @@
 //! The callee-entry mapping (argument position → callee register, with
 //! and without the rule's role filter) is on [`ProgramView`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::hash::Hash;
 use std::ops::Range;
 
 use jir::inst::Var;
-use jir::util::BitSet;
+use jir::util::{BitSet, FxHashMap, FxHashSet};
 use jir::{FieldId, MethodId};
 use taj_pointer::CGNodeId;
 use taj_supervise::{InterruptReason, Supervisor};
@@ -69,9 +70,11 @@ fn add<T: PartialEq>(list: &mut Vec<T>, item: T) {
 /// The memo table of callee-entry summaries, private to one slicer.
 #[derive(Debug, Default)]
 pub(crate) struct SummaryTable {
-    summaries: HashMap<Register, Summary>,
-    /// Reverse dependencies: when `key`'s summary grows, recompute these.
-    dependents: HashMap<Register, HashSet<Register>>,
+    summaries: FxHashMap<Register, Summary>,
+    /// Reverse dependencies: when `key`'s summary grows, recompute these,
+    /// in first-dependence order so the fixpoint's evaluation order (and
+    /// `work`) is a function of the program.
+    dependents: FxHashMap<Register, Vec<Register>>,
     /// Fixpoint-queue pops: summary evaluations started.
     evaluations: usize,
     /// Local-flow pops inside the evaluations.
@@ -149,7 +152,7 @@ impl SummaryTable {
     ) -> Summary {
         let (node, entry_var) = entry;
         let mut out = Summary::default();
-        let mut visited = HashSet::from([entry_var]);
+        let mut visited: FxHashSet<Var> = [entry_var].into_iter().collect();
         let mut local_queue = vec![entry_var];
         while let Some(v) = local_queue.pop() {
             self.work += 1;
@@ -176,7 +179,7 @@ impl SummaryTable {
                             let cm = view.pts.callgraph.method_of(t);
                             let Some(var) = view.callee_entry(cm, pos) else { continue };
                             let sub_key = (t, var);
-                            self.dependents.entry(sub_key).or_default().insert(entry);
+                            add(self.dependents.entry(sub_key).or_default(), entry);
                             let reaches_ret = match self.summaries.get(&sub_key) {
                                 Some(sub) => {
                                     out.join(sub);
@@ -205,21 +208,20 @@ impl SummaryTable {
 }
 
 /// One seed's traversal state, generic over the slicer's fact type: the
-/// facts visited, each one's parent link (the fact it came from and the
-/// steps taken), the work queue, and the stores already expanded.
+/// facts visited with each one's parent link (the fact it came from and
+/// the steps taken), the work queue, and the stores already expanded.
 #[derive(Debug)]
 pub(crate) struct SeedRun<F> {
     /// The seed statement.
     stmt: StmtNode,
     /// The method whose call generated the taint.
     method: MethodId,
-    /// Every fact reached from the seed.
-    pub(crate) visited: HashSet<F>,
-    parents: HashMap<F, (Option<F>, Vec<FlowStep>)>,
+    /// Every fact reached from the seed, with its parent link.
+    parents: FxHashMap<F, (Option<F>, Vec<FlowStep>)>,
     queue: VecDeque<F>,
     /// Stores whose heap edges this seed has followed (hybrid and CI
     /// expand a store once per seed).
-    pub(crate) processed_stores: HashSet<StmtNode>,
+    pub(crate) processed_stores: FxHashSet<StmtNode>,
 }
 
 impl<F: Clone + Eq + Hash> SeedRun<F> {
@@ -228,28 +230,34 @@ impl<F: Clone + Eq + Hash> SeedRun<F> {
         SeedRun {
             stmt,
             method,
-            visited: HashSet::new(),
-            parents: HashMap::new(),
+            parents: FxHashMap::default(),
             queue: VecDeque::new(),
-            processed_stores: HashSet::new(),
+            processed_stores: FxHashSet::default(),
         }
     }
 
     /// Adds an initial fact: its path starts at the seed statement.
     pub(crate) fn seed(&mut self, fact: F) {
-        self.insert(fact, None, vec![FlowStep { stmt: self.stmt, kind: StepKind::Seed }]);
+        self.insert(fact, None, &[FlowStep { stmt: self.stmt, kind: StepKind::Seed }]);
     }
 
     /// Adds `fact`, reached from `from` through `steps`, unless visited.
-    pub(crate) fn push(&mut self, fact: F, from: &F, steps: Vec<FlowStep>) {
+    pub(crate) fn push(&mut self, fact: F, from: &F, steps: &[FlowStep]) {
         self.insert(fact, Some(from), steps);
     }
 
-    fn insert(&mut self, fact: F, from: Option<&F>, steps: Vec<FlowStep>) {
-        if self.visited.insert(fact.clone()) {
-            self.parents.insert(fact.clone(), (from.cloned(), steps));
-            self.queue.push_back(fact);
+    /// Records a new fact's parent link and queues it; a visited fact
+    /// keeps its first parent, and nothing is allocated for it.
+    fn insert(&mut self, fact: F, from: Option<&F>, steps: &[FlowStep]) {
+        if let Entry::Vacant(slot) = self.parents.entry(fact) {
+            self.queue.push_back(slot.key().clone());
+            slot.insert((from.cloned(), steps.to_vec()));
         }
+    }
+
+    /// The number of facts reached from the seed.
+    pub(crate) fn facts(&self) -> usize {
+        self.parents.len()
     }
 
     /// The next fact to expand, in insertion order.
@@ -322,7 +330,7 @@ impl<F: Clone + Eq + Hash> SeedRun<F> {
 pub(crate) struct Found {
     /// The result so far.
     pub(crate) result: SliceResult,
-    seen: HashSet<(StmtNode, StmtNode, usize)>,
+    seen: FxHashSet<(StmtNode, StmtNode, usize)>,
 }
 
 impl Found {
@@ -400,4 +408,38 @@ pub(crate) fn slice_seeds<F: Clone + Eq + Hash>(
 pub(crate) fn clamp_range(r: &Range<usize>, len: usize) -> Range<usize> {
     let start = r.start.min(len);
     start..r.end.min(len).max(start)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jir::inst::Loc;
+    use jir::BlockId;
+
+    fn stmt(i: usize) -> StmtNode {
+        StmtNode { node: CGNodeId(0), loc: Loc::new(BlockId(0), i) }
+    }
+
+    fn step(i: usize) -> FlowStep {
+        FlowStep { stmt: stmt(i), kind: StepKind::Local }
+    }
+
+    #[test]
+    fn a_visited_fact_keeps_its_first_parent() {
+        let mut run: SeedRun<u32> = SeedRun::new(stmt(0), MethodId(0));
+        run.seed(0);
+        assert_eq!(run.pop(), Some(0));
+        run.push(1, &0, &[step(1)]);
+        run.push(2, &0, &[step(2)]);
+        assert_eq!(run.pop(), Some(1));
+        // Fact 2 is queued and then expanded; each time, a second parent
+        // neither queues it again nor changes its witness path.
+        run.push(2, &1, &[step(3)]);
+        assert_eq!(run.pop(), Some(2));
+        run.push(2, &1, &[step(4), step(5)]);
+        assert_eq!(run.pop(), None);
+        assert_eq!(run.facts(), 3);
+        let seed = FlowStep { stmt: stmt(0), kind: StepKind::Seed };
+        assert_eq!(run.reconstruct(&2), vec![seed, step(2)]);
+    }
 }

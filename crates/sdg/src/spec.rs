@@ -2,9 +2,8 @@
 //! the slicers consume ([`SliceSpec`]) and the tainted flows they produce
 //! ([`Flow`]).
 
-use std::collections::{HashMap, HashSet};
-
 use jir::inst::Loc;
+use jir::util::{FxHashMap, FxHashSet};
 use jir::MethodId;
 use taj_pointer::CGNodeId;
 use taj_supervise::InterruptReason;
@@ -24,12 +23,12 @@ pub struct StmtNode {
 #[derive(Clone, Debug, Default)]
 pub struct SliceSpec {
     /// Source methods: their return value is tainted.
-    pub sources: HashSet<MethodId>,
+    pub sources: FxHashSet<MethodId>,
     /// Sink methods → 0-based positions of their vulnerable parameters.
-    pub sinks: HashMap<MethodId, Vec<usize>>,
+    pub sinks: FxHashMap<MethodId, Vec<usize>>,
     /// Sanitizer methods: flow stops at their arguments (§3.2: the no-heap
     /// SDG has no successor edges for sanitizer returns).
-    pub sanitizers: HashSet<MethodId>,
+    pub sanitizers: FxHashSet<MethodId>,
     /// Additional synthetic source *statements* (e.g. the `getMessage`
     /// calls synthesized at catch sites, §4.1.2). Each is a call statement
     /// whose result is tainted.
@@ -38,12 +37,12 @@ pub struct SliceSpec {
     /// `RandomAccessFile.readFully` that "receive parameters by reference
     /// and taint their internal state"): `(method, parameter position)`.
     /// Calling one taints the contents of the argument object.
-    pub ref_sources: HashMap<MethodId, Vec<usize>>,
+    pub ref_sources: FxHashMap<MethodId, Vec<usize>>,
     /// Taint-carrier index (§4.1.1): for an abstract object (raw instance
     /// key id), the sink call statements whose sensitive arguments may
     /// reach it in the heap graph. A store whose base points to the object
     /// adds a direct HSDG edge to each listed sink.
-    pub carrier_sinks: HashMap<u32, Vec<CarrierSink>>,
+    pub carrier_sinks: FxHashMap<u32, Vec<CarrierSink>>,
 }
 
 impl SliceSpec {

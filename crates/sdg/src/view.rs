@@ -12,11 +12,9 @@
 //! classification of the sensitive sites, merged into the few use lists
 //! they touch, and the rule's seed lists. All slicers consume the view.
 
-use std::collections::{HashMap, HashSet};
-
 use jir::inst::{Inst, Loc, Terminator, Var};
 use jir::method::{Body, Intrinsic};
-use jir::util::BitSet;
+use jir::util::{BitSet, FxHashMap, FxHashSet};
 use jir::{FieldId, MethodId, Program};
 use taj_pointer::{CGNodeId, PointsTo};
 
@@ -237,7 +235,7 @@ pub struct SliceIndex<'a> {
     /// Phase-1 results.
     pub pts: &'a PointsTo,
     /// Methods some rule classifies: their call sites are rule-sensitive.
-    sensitive_methods: HashSet<MethodId>,
+    sensitive_methods: FxHashSet<MethodId>,
     /// Each node's first register slot (one slot per SSA register of its
     /// body, `Body::num_vars`), then the total.
     node_slot: Vec<u32>,
@@ -253,9 +251,9 @@ pub struct SliceIndex<'a> {
     /// included.
     loads: Grouped<LoadStmt>,
     /// All instance/array loads, grouped by field key, in node order.
-    pub loads_by_field: HashMap<FieldKey, Vec<(CGNodeId, LoadStmt)>>,
+    pub loads_by_field: FxHashMap<FieldKey, Vec<(CGNodeId, LoadStmt)>>,
     /// All static loads by field, in node order.
-    pub static_loads: HashMap<FieldId, Vec<(CGNodeId, LoadStmt)>>,
+    pub static_loads: FxHashMap<FieldId, Vec<(CGNodeId, LoadStmt)>>,
     /// Per callee node: incoming call sites `(caller, loc, dst)` — where
     /// its return value lands.
     return_sites: Grouped<(CGNodeId, Loc, Option<Var>)>,
@@ -266,7 +264,7 @@ pub struct SliceIndex<'a> {
     sites: Vec<CallSite<'a>>,
     /// Sensitive callee method → positions of its sites in `sites`,
     /// ascending.
-    sites_by_callee: HashMap<MethodId, Vec<u32>>,
+    sites_by_callee: FxHashMap<MethodId, Vec<u32>>,
     /// What `local_pts` lends for registers without a points-to set.
     empty_pts: BitSet,
 }
@@ -290,12 +288,12 @@ impl<'a> SliceIndex<'a> {
             sensitive_rank: Vec::new(),
             sensitive: Vec::new(),
             loads: Grouped::new(),
-            loads_by_field: HashMap::new(),
-            static_loads: HashMap::new(),
+            loads_by_field: FxHashMap::default(),
+            static_loads: FxHashMap::default(),
             return_sites: Grouped::new(),
             invoke_bindings: Vec::new(),
             sites: Vec::new(),
-            sites_by_callee: HashMap::new(),
+            sites_by_callee: FxHashMap::default(),
             empty_pts: BitSet::new(),
         };
         let mut pairs: Vec<(u32, Use)> = Vec::new();
@@ -916,6 +914,7 @@ fn call_at(index: &SliceIndex<'_>, node: CGNodeId, loc: Loc) -> Option<(Option<V
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use std::collections::HashMap;
 
     /// The method `class.name`.
     pub(crate) fn method(p: &Program, class: &str, name: &str) -> MethodId {
@@ -1247,6 +1246,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{method, rule_sensitive_specs, setup, RULE_SENSITIVE};
     use super::*;
+    use std::collections::HashSet;
 
     fn default_spec(p: &Program) -> SliceSpec {
         let mut spec = SliceSpec::default();

@@ -15,8 +15,8 @@ fn setup(src: &str) -> (jir::Program, taj_pointer::PointsTo, SliceSpec) {
     let pw = program.class_by_name("PrintWriter").unwrap();
     spec.sinks.insert(program.method_by_name(pw, "println").unwrap(), vec![0]);
     let cfg = SolverConfig {
-        policy: PolicyConfig { taint_methods: spec.sources.clone() },
-        source_methods: spec.sources.clone(),
+        policy: PolicyConfig { taint_methods: spec.sources.iter().copied().collect() },
+        source_methods: spec.sources.iter().copied().collect(),
         ..Default::default()
     };
     let pts = analyze(&program, &cfg);

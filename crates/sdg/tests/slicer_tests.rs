@@ -34,8 +34,8 @@ fn setup(src: &str) -> Setup {
     spec.sanitizers.insert(program.method_by_name(enc, "encode").unwrap());
 
     let cfg = SolverConfig {
-        source_methods: spec.sources.clone(),
-        policy: taj_pointer::PolicyConfig { taint_methods: spec.sources.clone() },
+        source_methods: spec.sources.iter().copied().collect(),
+        policy: taj_pointer::PolicyConfig { taint_methods: spec.sources.iter().copied().collect() },
         ..Default::default()
     };
     let pts = analyze(&program, &cfg);

@@ -24,8 +24,8 @@ fn setup(src: &str) -> Setup {
     let enc = program.class_by_name("URLEncoder").unwrap();
     spec.sanitizers.insert(program.method_by_name(enc, "encode").unwrap());
     let cfg = SolverConfig {
-        policy: PolicyConfig { taint_methods: spec.sources.clone() },
-        source_methods: spec.sources.clone(),
+        policy: PolicyConfig { taint_methods: spec.sources.iter().copied().collect() },
+        source_methods: spec.sources.iter().copied().collect(),
         ..Default::default()
     };
     let pts = analyze(&program, &cfg);

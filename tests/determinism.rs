@@ -45,6 +45,35 @@ fn repeated_runs_agree_on_findings() {
     }
 }
 
+/// Mutually recursive callees: each summary change re-queues its
+/// dependents, so the fixpoint's evaluation order, and with it
+/// `slicer_work`, follows the order dependents are kept in.
+const MUTUAL_RECURSION: &str = r#"
+    class Rec {
+        static method String f(String x) { return Rec.g(x) + Rec.h(x); }
+        static method String g(String x) { return Rec.f(Rec.h(x)); }
+        static method String h(String x) { return Rec.f(x) + x; }
+    }
+    class Page extends HttpServlet {
+        method void doGet(HttpServletRequest req, HttpServletResponse resp) {
+            String name = req.getParameter("name");
+            resp.getWriter().println(Rec.f(name));
+        }
+    }
+"#;
+
+#[test]
+fn summary_fixpoint_order_is_a_function_of_the_program() {
+    let prepared = prepare(MUTUAL_RECURSION, None, RuleSet::default_rules()).unwrap();
+    for config in TajConfig::all() {
+        let first = common::report_json(&analyze(&prepared, &config).unwrap());
+        for run in 1..64 {
+            let got = common::report_json(&analyze(&prepared, &config).unwrap());
+            assert_eq!(got, first, "{}: run {run}'s JSON report differs", config.name);
+        }
+    }
+}
+
 #[test]
 fn generation_plus_analysis_is_reproducible() {
     // The full path from preset to report is a pure function of the seed.

@@ -82,15 +82,24 @@ fn degraded_runs_have_thread_invariant_traces() {
 #[test]
 fn hard_failing_runs_have_thread_invariant_traces() {
     // Without the ladder the starved CS run aborts with OutOfMemory; the
-    // abort path (span drops + the phase2.oom event) must trace
-    // identically at every thread count.
+    // abort path (span drops, the out-of-budget unit's span and the
+    // phase2.oom event) must trace identically at every thread count.
     let prepared = big_app("trace-determinism");
     assert_trace_invariant(&prepared, &TajConfig::cs_tiny(), false, false, "CS-Tiny hard-fail");
     let (result, signature) = run_traced(&prepared, &TajConfig::cs_tiny(), 4, false, false);
-    assert!(matches!(result, Err(TajError::OutOfMemory { .. })), "starved CS hard-fails");
+    let Err(TajError::OutOfMemory { path_edges }) = result else {
+        panic!("starved CS hard-fails: {result:?}")
+    };
     assert!(
         signature.iter().any(|l| l.starts_with("phase2.oom")),
         "abort leaves a phase2.oom event: {signature:?}"
+    );
+    assert!(
+        signature
+            .iter()
+            .any(|l| l.starts_with("phase2.unit ")
+                && l.ends_with(&format!(" path_edges={path_edges}"))),
+        "the out-of-budget unit has a phase2.unit span: {signature:?}"
     );
 }
 
