@@ -1,6 +1,5 @@
-//! Prints one line of report digests per input × configuration × thread
-//! count, so two builds can be checked for byte-identical reports with
-//! `diff`:
+//! Prints one line of report digests per input × configuration, so two
+//! builds can be checked for byte-identical reports with `diff`:
 //!
 //! ```text
 //! cargo run --release -q -p taj-bench --bin report_digests > digests.txt
@@ -8,9 +7,9 @@
 //!
 //! The inputs are the nine Figure-4 apps at `Scale::standard()` and
 //! securibench joined ×1, ×4 and ×16; the configurations are
-//! `TajConfig::all()`, each at `threads` 1 and 4. Each line gives 64-bit
-//! FNV-1a digests of the text report, the serde JSON and the SARIF
-//! rendering, or the path-edge count of an out-of-memory verdict.
+//! `TajConfig::all()`. Each line gives 64-bit FNV-1a digests of the text
+//! report, the serde JSON and the SARIF rendering, or the path-edge
+//! count of an out-of-memory verdict.
 //!
 //! `crates/bench/report_digests.txt` holds the expected output, and CI
 //! diffs a fresh run against it. A change that alters reports on purpose
@@ -42,32 +41,30 @@ fn main() {
         inputs.push((format!("securibench-x{copies}"), securibench_joined(copies), None));
     }
     let recorder = Recorder::disabled();
+    let opts = RunOptions::default();
     for (name, source, descriptor) in &inputs {
         let prepared =
             prepare_traced(source, descriptor.as_ref(), RuleSet::default_rules(), &recorder)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         for config in TajConfig::all() {
             let phase1 = run_phase1_traced(&prepared, &config, &Supervisor::new(), &recorder);
-            for threads in [1, 4] {
-                let opts = RunOptions { threads, ..RunOptions::default() };
-                let outcome = match analyze_with_phase1_opts(&prepared, &phase1, &config, &opts) {
-                    Ok(report) => {
-                        let json = serde_json::to_string(&report).expect("report serializes");
-                        let sarif = to_sarif(&report).expect("sarif renders");
-                        format!(
-                            "text={:016x} json={:016x} sarif={:016x}",
-                            fnv1a(to_text(&report).as_bytes()),
-                            fnv1a(json.as_bytes()),
-                            fnv1a(sarif.as_bytes())
-                        )
-                    }
-                    Err(TajError::OutOfMemory { path_edges }) => {
-                        format!("out-of-memory path_edges={path_edges}")
-                    }
-                    Err(e) => panic!("{name} / {}: {e}", config.name),
-                };
-                println!("{name} {} threads={threads} {outcome}", config.name);
-            }
+            let outcome = match analyze_with_phase1_opts(&prepared, &phase1, &config, &opts) {
+                Ok(report) => {
+                    let json = serde_json::to_string(&report).expect("report serializes");
+                    let sarif = to_sarif(&report).expect("sarif renders");
+                    format!(
+                        "text={:016x} json={:016x} sarif={:016x}",
+                        fnv1a(to_text(&report).as_bytes()),
+                        fnv1a(json.as_bytes()),
+                        fnv1a(sarif.as_bytes())
+                    )
+                }
+                Err(TajError::OutOfMemory { path_edges }) => {
+                    format!("out-of-memory path_edges={path_edges}")
+                }
+                Err(e) => panic!("{name} / {}: {e}", config.name),
+            };
+            println!("{name} {} {outcome}", config.name);
         }
     }
 }

@@ -188,7 +188,7 @@ fn spawn_chaos_workers(
                         RetryPolicy { max_attempts: 4, base_backoff_ms: 10, max_backoff_ms: 200 },
                     );
                 let _ = client.set_io_timeout(Some(Duration::from_secs(10)));
-                let opts = AnalyzeOpts { threads: Some(1), ..AnalyzeOpts::default() };
+                let opts = AnalyzeOpts::default();
                 let mut k = w;
                 while !stop.load(Ordering::SeqCst) {
                     let idx = k % corpus.len();
@@ -290,7 +290,7 @@ fn overload_phase(program: &str, baseline_bytes: &str) -> OverloadResult {
     for k in 0..burst {
         let mut client = Client::connect_tcp(&addr).expect("connect burst client");
         client.set_retry(RetryPolicy::none());
-        let opts = AnalyzeOpts { threads: Some(1), ..AnalyzeOpts::default() };
+        let opts = AnalyzeOpts::default();
         match client.analyze(program, &opts) {
             Ok(result) => {
                 assert_eq!(
@@ -316,7 +316,7 @@ fn overload_phase(program: &str, baseline_bytes: &str) -> OverloadResult {
     let mut patient = Client::connect_tcp(&addr)
         .expect("connect patient client")
         .with_retry(RetryPolicy { max_attempts: 10, base_backoff_ms: 100, max_backoff_ms: 2_000 });
-    let opts = AnalyzeOpts { threads: Some(1), ..AnalyzeOpts::default() };
+    let opts = AnalyzeOpts::default();
     let patient_retry_ok = match patient.analyze(program, &opts) {
         Ok(result) => report_bytes(result) == baseline_bytes,
         Err(e) => panic!("patient retry never got through: {e:?}"),
@@ -380,7 +380,7 @@ fn main() {
     let mut shards = start_shards(&store_base, shard_count);
     let (router, router_addr) = start_router(&shards);
     let mut baseline_client = Client::connect_tcp(&router_addr).expect("connect baseline client");
-    let opts = AnalyzeOpts { threads: Some(1), ..AnalyzeOpts::default() };
+    let opts = AnalyzeOpts::default();
     let mut baseline = Vec::with_capacity(corpus.len());
     let mut baseline_ms: Vec<f64> = Vec::with_capacity(corpus.len());
     for source in corpus.iter() {
@@ -504,11 +504,8 @@ fn main() {
     // reconstructable end-to-end — the router's flight recorder plus the
     // serving shard's stitch into one cross-process trace.
     let trace_id = "chaos-forensics-1";
-    let traced_opts = AnalyzeOpts {
-        threads: Some(1),
-        trace_id: Some(trace_id.to_string()),
-        ..AnalyzeOpts::default()
-    };
+    let traced_opts =
+        AnalyzeOpts { trace_id: Some(trace_id.to_string()), ..AnalyzeOpts::default() };
     baseline_client.analyze(&corpus[0], &traced_opts).expect("traced analyze");
     let trace = baseline_client.trace(trace_id).expect("fetch trace from router");
     let fragments = taj_service::fragments_of(&trace);

@@ -2,14 +2,10 @@
 //! analysis & call-graph construction, then per-rule slicing, bounds, and
 //! LCP report minimization.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use serde::Serialize;
 
-use taj_obs::{AttrValue, Recorder, Span, TraceEvent};
+use taj_obs::{Recorder, Span};
 
-use jir::util::FxHashSet;
 use jir::Program;
 use taj_pointer::{EscapeAnalysis, HeapGraph, PointsTo, PolicyConfig, SolverConfig};
 use taj_sdg::{
@@ -21,7 +17,6 @@ use taj_supervise::{InterruptReason, Supervisor};
 use crate::config::{Algorithm, TajConfig};
 use crate::frameworks::DeploymentDescriptor;
 use crate::lcp;
-use crate::parallel;
 use crate::rules::{IssueType, RuleSet};
 
 /// A reported flow with human-readable anchors (serializable).
@@ -153,18 +148,14 @@ pub struct RunOptions {
     /// (CS → hybrid → bounded hybrid) instead of returning
     /// [`TajError::OutOfMemory`].
     pub degrade: bool,
-    /// Phase-2 worker threads: `0` (the default) means one per available
-    /// core, `1` runs the work units inline on the calling thread, any
-    /// other value spawns exactly that many workers. The thread count is
-    /// an *execution* parameter, never an *analysis* parameter: reports
-    /// are byte-identical at every value, which is why it lives here and
-    /// not in [`TajConfig`] (and therefore cannot leak into any cache
-    /// validity domain — see [`Phase1::matches`]).
+    /// Ignored. Phase 2 runs on the calling thread; the field stays only
+    /// so that callers which still set it keep compiling, and goes in a
+    /// later release.
     pub threads: usize,
     /// Tracing recorder. The default is disabled (every guard is a single
     /// pointer test); an enabled recorder collects the span taxonomy of
-    /// docs/observability.md. Tracing is an *observation* parameter like
-    /// `threads`: reports are byte-identical whether or not it is on.
+    /// docs/observability.md. Tracing is an *observation* parameter:
+    /// reports are byte-identical whether or not it is on.
     pub recorder: Recorder,
 }
 
@@ -514,7 +505,7 @@ pub fn analyze_with_phase1_opts(
     }
     let mut current = *config;
     loop {
-        match run_phase2(prepared, phase1, &current, &supervisor, opts.threads, recorder) {
+        match run_phase2(prepared, phase1, &current, &supervisor, recorder) {
             Ok((mut report, interrupted)) => match interrupted {
                 Some(reason) if reason.is_budget() && opts.degrade => {
                     match next_rung(&current) {
@@ -607,124 +598,33 @@ fn partial_step(config: &TajConfig, reason: &str) -> DegradationStep {
     }
 }
 
-/// One parallel work unit: which part of one rule's seed lists to slice.
-///
-/// Rules whose slicer couples seeds through a shared budget (the CS
-/// path-edge budget, the bounded hybrid's heap-transition budget) stay
-/// whole; unbounded hybrid/CI rules split into contiguous seed chunks of
-/// [`parallel::SEED_CHUNK`]. The plan depends only on the configuration
-/// and the phase-1 artifacts — never on the thread count — so the unit
-/// list (and therefore the merged output) is thread-count-invariant.
-#[derive(Clone, Debug)]
-enum UnitKind {
-    /// The rule's full seed lists in one run (budget-coupled slicers).
-    Whole,
-    /// A chunk of the rule's regular seed list.
-    Seeds(Range<usize>),
-    /// A chunk of the rule's by-reference seed list (hybrid only).
-    RefSeeds(Range<usize>),
-}
-
-impl UnitKind {
-    /// Stable label for the per-unit trace span.
-    fn label(&self) -> &'static str {
-        match self {
-            UnitKind::Whole => "whole",
-            UnitKind::Seeds(_) => "seeds",
-            UnitKind::RefSeeds(_) => "ref_seeds",
-        }
-    }
-}
-
-/// A planned unit: rule index plus seed partition.
-#[derive(Clone, Debug)]
-struct Unit {
-    rule: usize,
-    kind: UnitKind,
-}
-
-/// What one executed unit produced.
-struct UnitOut {
+/// What slicing one rule produced.
+#[derive(Default)]
+struct RuleOut {
     result: SliceResult,
     edges_dropped: usize,
-    /// RHS summaries tabulated (hybrid slicer only; 0 elsewhere).
+    /// RHS summaries tabulated (hybrid) or summary edges (IFDS); 0
+    /// elsewhere.
     summaries: usize,
-    /// The unit's private supervisor meters after the run — deterministic
-    /// per unit (fresh meters, work is a function of the unit's input).
-    steps: u64,
-    mem: u64,
     /// IFDS counters (0 for the other slicers): distinct facts created
     /// and worklist pops.
     facts: usize,
     pops: usize,
 }
 
-/// A unit's outcome as seen by the deterministic merge.
-enum UnitStatus {
-    /// Ran to completion (possibly interrupted mid-run).
-    Done(UnitOut),
-    /// The CS slicer exceeded its path-edge budget.
-    Oom { path_edges: usize },
-    /// Never started: an earlier unit (by index) already went abnormal.
-    /// Skipped units are always behind the first abnormal unit, so the
-    /// prefix merge drops them regardless — skipping only saves work,
-    /// it cannot change output.
-    Skipped,
-}
-
-/// Splits `0..len` into [`parallel::SEED_CHUNK`]-sized chunk units.
-fn push_chunks(
-    units: &mut Vec<Unit>,
-    rule: usize,
-    len: usize,
-    make: impl Fn(Range<usize>) -> UnitKind,
-) {
-    let mut start = 0;
-    while start < len {
-        let end = (start + parallel::SEED_CHUNK).min(len);
-        units.push(Unit { rule, kind: make(start..end) });
-        start = end;
-    }
-}
-
-/// Plans the unit list for one configuration over built rule views.
-fn plan_units(config: &TajConfig, views: &[ProgramView<'_>]) -> Vec<Unit> {
-    // Seed-splitting is valid only when seeds are independent: the CS
-    // slicer tabulates all seeds jointly under one path-edge budget, and
-    // a heap-transition bound couples seeds through the shared counter.
-    let splittable = config.max_heap_transitions.is_none()
-        && matches!(config.algorithm, Algorithm::Hybrid | Algorithm::CiThin);
-    let mut units = Vec::new();
-    for (rule, view) in views.iter().enumerate() {
-        if !splittable {
-            units.push(Unit { rule, kind: UnitKind::Whole });
-            continue;
-        }
-        push_chunks(&mut units, rule, view.seeds().len(), UnitKind::Seeds);
-        if matches!(config.algorithm, Algorithm::Hybrid) {
-            push_chunks(&mut units, rule, view.ref_seeds().len(), UnitKind::RefSeeds);
-        }
-    }
-    units
-}
-
 /// One phase-2 pass under a fixed configuration. Returns the report plus
 /// the supervisor interrupt that stopped it early, if any.
 ///
-/// Work is fanned out over `threads` scoped workers (see
-/// [`parallel::par_map`]); each unit runs under its own
-/// [`Supervisor::fresh_meters`] handle so cancellation and deadlines
-/// still interrupt every worker while budget meters stay per-unit
-/// deterministic. Results merge by unit index: the prefix of units up to
-/// and including the first abnormal one (interrupt or out-of-budget) is
-/// kept, the rest dropped — the sequential break semantics, which makes
-/// the report byte-identical at every thread count.
+/// Each rule runs as one slicer pass over all its seeds, under its own
+/// [`Supervisor::fresh_meters`] handle: cancellation and the deadline
+/// are shared with the caller, the step and memory meters are the
+/// rule's own. The pass stops after the first interrupted rule, and a
+/// CS rule over its path-edge budget fails the pass.
 fn run_phase2(
     prepared: &PreparedProgram,
     phase1: &Phase1,
     config: &TajConfig,
     supervisor: &Supervisor,
-    threads: usize,
     recorder: &Recorder,
 ) -> Result<(TajReport, Option<InterruptReason>), TajError> {
     assert!(
@@ -735,7 +635,7 @@ fn run_phase2(
     // pass state (index, views, slicer results) drops when `slice_pass`
     // returns, before the span finishes.
     let mut phase_span = recorder.span("phase2");
-    let out = slice_pass(prepared, phase1, config, supervisor, threads, recorder, &mut phase_span);
+    let out = slice_pass(prepared, phase1, config, supervisor, recorder, &mut phase_span);
     phase_span.finish();
     out
 }
@@ -746,14 +646,12 @@ fn slice_pass(
     phase1: &Phase1,
     config: &TajConfig,
     supervisor: &Supervisor,
-    threads: usize,
     recorder: &Recorder,
     phase_span: &mut Span,
 ) -> Result<(TajReport, Option<InterruptReason>), TajError> {
     let program = &prepared.program;
     let pts = &phase1.pts;
     let heap = &phase1.heap;
-    let threads = parallel::resolve_threads(threads);
 
     // ---- Phase 2: per-rule slicing (§3.2) + modeling + bounds (§6.2).
     let resolved = prepared.rules.resolve(program);
@@ -785,14 +683,12 @@ fn slice_pass(
     specs_span.finish();
     let mut views_span = recorder.span("phase2.views");
     let index = SliceIndex::build(program, pts, &specs);
-    let carriers = parallel::par_map(threads, resolved.len(), |i| {
-        crate::carriers::build_carrier_index(&index, heap, &resolved[i], config.nested_depth)
-    });
-    for (spec, carrier_sinks) in specs.iter_mut().zip(carriers) {
-        spec.carrier_sinks = carrier_sinks;
+    for (spec, rule) in specs.iter_mut().zip(&resolved) {
+        spec.carrier_sinks =
+            crate::carriers::build_carrier_index(&index, heap, rule, config.nested_depth);
     }
     let views: Vec<ProgramView<'_>> =
-        parallel::par_map(threads, resolved.len(), |i| ProgramView::build(&index, &specs[i]));
+        specs.iter().map(|spec| ProgramView::build(&index, spec)).collect();
     let ci_cache = matches!(config.algorithm, Algorithm::CiThin).then(|| CiCache::build(&index));
     let ifds_aliases =
         matches!(config.algorithm, Algorithm::Ifds).then(|| IfdsAliases::build(&index));
@@ -808,19 +704,13 @@ fn slice_pass(
     }
     views_span.finish();
 
-    // Stage B: slice the planned units over the work-stealing queue.
-    let units = plan_units(config, &views);
+    // Stage B: slice each rule, in rule order. `Err` carries the path
+    // edges of a CS slicer over its budget.
     let bounds = SliceBounds {
         max_heap_transitions: config.max_heap_transitions,
         max_path_edges: config.cs_path_edge_budget,
     };
-    let run_unit = |unit: &Unit| -> UnitStatus {
-        let view = &views[unit.rule];
-        let unit_supervisor = supervisor.fresh_meters();
-        // Clone shares the unit's private meters: read back after the run
-        // for the per-unit trace span (deterministic — fresh meters, and
-        // the work is a function of the unit's input alone).
-        let meters = unit_supervisor.clone();
+    let slice_rule = |view: &ProgramView<'_>, supervisor: Supervisor| -> Result<RuleOut, usize> {
         match config.algorithm {
             Algorithm::Hybrid => {
                 let mut slicer = if config.escape_analysis {
@@ -828,199 +718,104 @@ fn slice_pass(
                 } else {
                     HybridSlicer::new(view, bounds)
                 }
-                .with_supervisor(unit_supervisor);
-                let result = match &unit.kind {
-                    UnitKind::Whole => slicer.run(),
-                    UnitKind::Seeds(r) => slicer.run_partition(r.clone(), 0..0),
-                    UnitKind::RefSeeds(r) => slicer.run_partition(0..0, r.clone()),
-                };
-                UnitStatus::Done(UnitOut {
+                .with_supervisor(supervisor);
+                Ok(RuleOut {
+                    result: slicer.run(),
                     edges_dropped: slicer.edges_dropped(),
                     summaries: slicer.summaries_tabulated(),
-                    steps: meters.steps(),
-                    mem: meters.mem(),
-                    facts: 0,
-                    pops: 0,
-                    result,
+                    ..RuleOut::default()
                 })
             }
             Algorithm::Ifds => {
                 let aliases = ifds_aliases.as_ref().expect("built for IFDS above");
                 let mut slicer = IfdsSlicer::new(view, config.access_path_depth, aliases)
-                    .with_supervisor(unit_supervisor);
-                let result = match &unit.kind {
-                    UnitKind::Whole => slicer.run(),
-                    // IFDS units are never split: access-path facts from
-                    // different seeds share the summary table, and v1
-                    // plans whole-rule units (see `plan_units`).
-                    UnitKind::Seeds(_) | UnitKind::RefSeeds(_) => {
-                        unreachable!("IFDS plans whole-rule units only")
-                    }
-                };
-                UnitStatus::Done(UnitOut {
-                    edges_dropped: 0,
+                    .with_supervisor(supervisor);
+                Ok(RuleOut {
+                    result: slicer.run(),
                     summaries: slicer.summary_edges(),
-                    steps: meters.steps(),
-                    mem: meters.mem(),
                     facts: slicer.facts_created(),
                     pops: slicer.worklist_pops(),
-                    result,
+                    ..RuleOut::default()
                 })
             }
             Algorithm::CiThin => {
-                let mut slicer = CiSlicer::with_cache(
-                    view,
-                    bounds,
-                    ci_cache.as_ref().expect("built for CI above"),
-                )
-                .with_supervisor(unit_supervisor);
-                let result = match &unit.kind {
-                    UnitKind::Whole => slicer.run(),
-                    UnitKind::Seeds(r) => slicer.run_partition(r.clone()),
-                    UnitKind::RefSeeds(_) => unreachable!("CI plans no by-reference units"),
-                };
-                UnitStatus::Done(UnitOut {
-                    edges_dropped: 0,
-                    summaries: 0,
-                    steps: meters.steps(),
-                    mem: meters.mem(),
-                    facts: 0,
-                    pops: 0,
-                    result,
-                })
+                let cache = ci_cache.as_ref().expect("built for CI above");
+                let result =
+                    CiSlicer::with_cache(view, bounds, cache).with_supervisor(supervisor).run();
+                Ok(RuleOut { result, ..RuleOut::default() })
             }
             Algorithm::CsThin => {
-                let run = if config.escape_analysis {
+                let slicer = if config.escape_analysis {
                     CsSlicer::with_escape(view, bounds, &phase1.escape)
                 } else {
                     CsSlicer::new(view, bounds)
-                }
-                .with_supervisor(unit_supervisor)
-                .run();
-                match run {
-                    Ok(result) => UnitStatus::Done(UnitOut {
-                        edges_dropped: 0,
-                        summaries: 0,
-                        steps: meters.steps(),
-                        mem: meters.mem(),
-                        facts: 0,
-                        pops: 0,
-                        result,
-                    }),
-                    Err(taj_sdg::SliceError::OutOfBudget { path_edges }) => {
-                        UnitStatus::Oom { path_edges }
-                    }
+                };
+                match slicer.with_supervisor(supervisor).run() {
+                    Ok(result) => Ok(RuleOut { result, ..RuleOut::default() }),
+                    Err(taj_sdg::SliceError::OutOfBudget { path_edges }) => Err(path_edges),
                 }
             }
         }
     };
-    // Units queued behind the first abnormal one are dead weight — the
-    // prefix merge will drop them — so workers skip them once any unit
-    // goes abnormal (`fetch_min` keeps the floor at the lowest index).
-    let abort_floor = AtomicUsize::new(usize::MAX);
-    let statuses = parallel::par_map_timed(threads, units.len(), recorder, |i| {
-        if i > abort_floor.load(Ordering::Relaxed) {
-            return UnitStatus::Skipped;
-        }
-        let status = run_unit(&units[i]);
-        let abnormal = matches!(&status, UnitStatus::Oom { .. })
-            || matches!(&status, UnitStatus::Done(o) if o.result.interrupted.is_some());
-        if abnormal {
-            abort_floor.fetch_min(i, Ordering::Relaxed);
-        }
-        status
-    });
-
-    // Deterministic merge, in unit-index order: keep everything up to and
-    // including the first abnormal unit, drop the rest. Per-unit trace
-    // spans are emitted HERE, for exactly the merged prefix — emitting
-    // them from the workers would leak scheduling (which units ran before
-    // the abort floor rose) into the event set.
-    let mut rule_flows: Vec<Vec<Flow>> = resolved.iter().map(|_| Vec::new()).collect();
-    let mut seen: Vec<FxHashSet<(StmtNode, StmtNode, usize)>> =
-        resolved.iter().map(|_| FxHashSet::default()).collect();
+    let mut rule_flows: Vec<Vec<Flow>> = Vec::with_capacity(views.len());
     let mut summary_edges = 0usize;
-    for (index, (unit, (status, timing))) in units.iter().zip(statuses).enumerate() {
-        match status {
-            // Skipped units are strictly behind an abnormal unit, which
-            // this in-order scan reaches first; defensive break.
-            UnitStatus::Skipped => break,
-            UnitStatus::Oom { path_edges } => {
+    for (i, view) in views.iter().enumerate() {
+        let rule_supervisor = supervisor.fresh_meters();
+        // The clone shares the rule's meters, read back for its span.
+        let meters = rule_supervisor.clone();
+        let mut unit_span = recorder.span("phase2.unit");
+        if recorder.is_enabled() {
+            unit_span.attr("unit", i);
+            unit_span.attr("rule", resolved[i].issue.to_string());
+        }
+        let out = match slice_rule(view, rule_supervisor) {
+            Ok(out) => out,
+            Err(path_edges) => {
+                unit_span.attr("path_edges", path_edges);
+                unit_span.finish();
                 if recorder.is_enabled() {
-                    recorder.record(TraceEvent {
-                        name: "phase2.unit",
-                        start_us: timing.start_us,
-                        dur_us: Some(timing.dur_us),
-                        attrs: vec![
-                            ("unit", index.into()),
-                            ("rule", resolved[unit.rule].issue.to_string().into()),
-                            ("kind", unit.kind.label().into()),
-                            ("path_edges", path_edges.into()),
-                        ],
-                    });
                     recorder.event("phase2.oom", vec![("path_edges", path_edges.into())]);
                 }
                 return Err(TajError::OutOfMemory { path_edges });
             }
-            UnitStatus::Done(out) => {
-                stats.heap_transitions += out.result.heap_transitions;
-                stats.slicer_work += out.result.work;
-                stats.slice_budget_exhausted |= out.result.budget_exhausted;
-                edges_dropped += out.edges_dropped;
-                summary_edges += out.summaries;
-                stats.ifds_facts += out.facts;
-                stats.ifds_worklist_pops += out.pops;
-                if matches!(config.algorithm, Algorithm::Ifds) {
-                    stats.ifds_summary_edges += out.summaries;
-                }
-                if recorder.is_enabled() {
-                    let mut attrs: Vec<(&'static str, AttrValue)> = vec![
-                        ("unit", index.into()),
-                        ("rule", resolved[unit.rule].issue.to_string().into()),
-                        ("kind", unit.kind.label().into()),
-                        ("flows", out.result.flows.len().into()),
-                        ("work", out.result.work.into()),
-                        ("heap_transitions", out.result.heap_transitions.into()),
-                        ("summaries", out.summaries.into()),
-                        ("steps", out.steps.into()),
-                        ("mem", out.mem.into()),
-                    ];
-                    if matches!(config.algorithm, Algorithm::Ifds) {
-                        attrs.push(("facts", out.facts.into()));
-                        attrs.push(("pops", out.pops.into()));
-                    }
-                    if let Some(reason) = out.result.interrupted {
-                        attrs.push(("interrupted", reason.as_str().into()));
-                    }
-                    recorder.record(TraceEvent {
-                        name: "phase2.unit",
-                        start_us: timing.start_us,
-                        dur_us: Some(timing.dur_us),
-                        attrs,
-                    });
-                }
-                for f in out.result.flows {
-                    // Replays the sequential engine's `seen_flows` dedup
-                    // across partitions of the same rule: its key is
-                    // exactly `(seed stmt, sink, position)`.
-                    if seen[unit.rule].insert((f.source, f.sink, f.sink_pos)) {
-                        rule_flows[unit.rule].push(f);
-                    }
-                }
-                if out.result.interrupted.is_some() {
-                    interrupted = out.result.interrupted;
-                    break;
-                }
+        };
+        if recorder.is_enabled() {
+            unit_span.attr("flows", out.result.flows.len());
+            unit_span.attr("work", out.result.work);
+            unit_span.attr("heap_transitions", out.result.heap_transitions);
+            unit_span.attr("summaries", out.summaries);
+            unit_span.attr("steps", meters.steps());
+            unit_span.attr("mem", meters.mem());
+            if matches!(config.algorithm, Algorithm::Ifds) {
+                unit_span.attr("facts", out.facts);
+                unit_span.attr("pops", out.pops);
             }
+            if let Some(reason) = out.result.interrupted {
+                unit_span.attr("interrupted", reason.as_str());
+            }
+        }
+        unit_span.finish();
+        stats.heap_transitions += out.result.heap_transitions;
+        stats.slicer_work += out.result.work;
+        stats.slice_budget_exhausted |= out.result.budget_exhausted;
+        edges_dropped += out.edges_dropped;
+        summary_edges += out.summaries;
+        stats.ifds_facts += out.facts;
+        stats.ifds_worklist_pops += out.pops;
+        if matches!(config.algorithm, Algorithm::Ifds) {
+            stats.ifds_summary_edges += out.summaries;
+        }
+        rule_flows.push(out.result.flows);
+        if out.result.interrupted.is_some() {
+            interrupted = out.result.interrupted;
+            break;
         }
     }
 
     // Per-rule post-processing in rule order: flow-length filter
-    // (§6.2.2), flow description, and LCP dedup — all over the merged,
-    // order-stable flow lists.
+    // (§6.2.2), flow description, and LCP dedup.
     let mut post_span = recorder.span("phase2.post");
-    for (i, rule) in resolved.iter().enumerate() {
-        let mut flows: Vec<Flow> = std::mem::take(&mut rule_flows[i]);
+    for (rule, mut flows) in resolved.iter().zip(rule_flows) {
         if flows.is_empty() {
             continue;
         }
@@ -1052,7 +847,7 @@ fn slice_pass(
     }
     post_span.finish();
     if recorder.is_enabled() {
-        phase_span.attr("units", units.len());
+        phase_span.attr("units", views.len());
         phase_span.attr("slicer_work", stats.slicer_work);
         phase_span.attr("heap_transitions", stats.heap_transitions);
         phase_span.attr("summary_edges", summary_edges);
@@ -1186,10 +981,10 @@ mod tests {
     }
 
     /// Pins the field list of [`Phase1`] and the validity domain of
-    /// [`Phase1::matches`]. `Phase1` is shared read-only across phase-2
-    /// worker threads and keyed in the daemon's artifact cache purely by
+    /// [`Phase1::matches`]. `Phase1` is shared read-only across the
+    /// daemon's requests and keyed in its artifact cache purely by
     /// `(max_cg_nodes, priority)` — so it must never grow state that
-    /// depends on the thread count (or any other execution parameter).
+    /// depends on an execution parameter.
     /// Adding a field to `Phase1` breaks this destructuring on purpose:
     /// whoever adds one must decide here whether it belongs in the cache
     /// validity domain.
@@ -1201,7 +996,7 @@ mod tests {
             run_phase1_traced(&prepared, &config, &Supervisor::new(), &Recorder::disabled());
 
         // Exhaustive destructuring: a new `Phase1` field fails to compile
-        // until it is audited for thread-count independence.
+        // until it is audited for execution-parameter independence.
         let Phase1 { pts: _, heap: _, escape: _, mhp: _, interrupted, cg_key } = &phase1;
         assert!(interrupted.is_none());
         assert_eq!(*cg_key, (config.max_cg_nodes, config.priority));

@@ -46,7 +46,6 @@ pub mod driver;
 pub mod exceptions;
 pub mod frameworks;
 pub mod lcp;
-pub mod parallel;
 pub mod report;
 pub mod rulefile;
 pub mod rules;

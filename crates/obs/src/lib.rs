@@ -15,7 +15,7 @@
 //! - [`Recorder::chrome_trace`] — Chrome `trace_event`-format JSON for
 //!   `--trace-out`, openable in Perfetto / `chrome://tracing`;
 //! - [`Recorder::signature`] — the timestamp-free event *set*, which the
-//!   determinism harness asserts is identical at every thread count.
+//!   determinism harness asserts is identical across repeat runs.
 //!
 //! A recorder built with [`Recorder::deterministic`] strips wall-clock at
 //! record time (every timestamp becomes zero), so test-mode traces are
@@ -106,7 +106,7 @@ struct Inner {
 /// recorder drops every event at a single-branch cost; [`Recorder::new`]
 /// records wall-clock spans; [`Recorder::deterministic`] records spans
 /// with all timestamps zeroed so event buffers compare byte-identically
-/// across runs and thread counts.
+/// across runs.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -210,7 +210,7 @@ impl Recorder {
     /// The timestamp-free event-set signature: one line per event
     /// (`name key=value ...`), sorted. Two runs are trace-equivalent iff
     /// their signatures are equal — this is what the determinism harness
-    /// compares across thread counts.
+    /// compares across repeat runs.
     pub fn signature(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .events()
@@ -400,7 +400,7 @@ impl Drop for Span {
 /// [`FlightRecorder`]. The events are the request's private recorder
 /// buffer in record order; `attrs` carries the outcome attribution the
 /// serving layer derives at response-build time (outcome, cache tier,
-/// degradation, thread count, error code).
+/// degradation, error code).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestRecord {
     /// The request's trace id (daemon-minted or propagated).
@@ -409,7 +409,7 @@ pub struct RequestRecord {
     pub outcome: &'static str,
     /// End-to-end elapsed time on the serving side, in microseconds.
     pub elapsed_us: u64,
-    /// Outcome attribution (degraded, cache_tier, threads, code, ...).
+    /// Outcome attribution (degraded, cache_tier, code, ...).
     pub attrs: Vec<(&'static str, AttrValue)>,
     /// The request's recorded span tree (empty when recording was off).
     pub events: Vec<TraceEvent>,
@@ -737,7 +737,7 @@ mod tests {
                 trace_id: format!("taj-{i:016x}"),
                 outcome: "ok",
                 elapsed_us: i,
-                attrs: vec![("threads", AttrValue::U64(1))],
+                attrs: vec![("degraded", AttrValue::Bool(false))],
                 events: Vec::new(),
             });
         }

@@ -6,7 +6,7 @@
 //! heap direct edges match on points-to sets unioned across contexts.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 use jir::inst::{Loc, Var};
 use jir::util::{BitSet, FxHashMap};
@@ -14,7 +14,7 @@ use jir::MethodId;
 use taj_pointer::{CGNodeId, PointsTo};
 use taj_supervise::Supervisor;
 
-use crate::kernel::{clamp_range, slice_seeds, Found, SeedRun};
+use crate::kernel::{slice_seeds, Found, SeedRun};
 use crate::spec::{FlowStep, SliceBounds, SliceResult, StepKind, StmtNode};
 use crate::view::{FieldKey, ProgramView, SliceIndex, Use};
 
@@ -32,7 +32,7 @@ struct Contexts {
     /// Per register of the body: the union of the register's points-to
     /// sets over `nodes`, `None` if no context has one. Filled on first
     /// use, since a slice reads few registers.
-    merged_pts: Box<[OnceLock<Option<BitSet>>]>,
+    merged_pts: Box<[OnceCell<Option<BitSet>>]>,
 }
 
 impl Contexts {
@@ -87,7 +87,7 @@ impl CiCache {
             let m = cg.method_of(node);
             let entry = contexts.entry(m).or_insert_with(|| Contexts {
                 nodes: Vec::new(),
-                merged_pts: (0..index.num_vars(node)).map(|_| OnceLock::new()).collect(),
+                merged_pts: (0..index.num_vars(node)).map(|_| OnceCell::new()).collect(),
             });
             entry.nodes.push(node);
             if entry.nodes.len() > 1 {
@@ -175,24 +175,10 @@ impl<'a> CiSlicer<'a> {
 
     /// Runs the slice from every source.
     pub fn run(&mut self) -> SliceResult {
-        self.run_partition(0..usize::MAX)
-    }
-
-    /// Runs the slice over a contiguous partition of the seed list
-    /// (`seed_range` indexes into [`ProgramView::seeds`], clamped to its
-    /// length) — the unit of work the parallel engine dispatches. Seed
-    /// traversals are independent (flows are keyed by the seed
-    /// statement), so the flow set of a whole run is the ordered union
-    /// of its partitions'; the heap-transition counter is additive. As
-    /// with the hybrid slicer, bounded configurations must keep a rule
-    /// in one partition because the budget counter is per-slicer.
-    pub fn run_partition(&mut self, seed_range: std::ops::Range<usize>) -> SliceResult {
         let view = self.view;
-        let seeds = view.seeds();
-        let seeds = &seeds[clamp_range(&seed_range, seeds.len())];
         let mut found = Found::default();
         let fact = |node, var| (view.pts.callgraph.method_of(node), var);
-        slice_seeds(view, seeds, &[], &mut found, fact, |mut run, found| {
+        slice_seeds(view, view.seeds(), &[], &mut found, fact, |mut run, found| {
             self.slice_one(&mut run, found);
             found.result.interrupted.is_none()
         });

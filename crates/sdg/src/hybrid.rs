@@ -26,7 +26,7 @@ use jir::FieldId;
 use taj_pointer::{CGNodeId, EscapeAnalysis};
 use taj_supervise::{InterruptReason, Supervisor};
 
-use crate::kernel::{clamp_range, slice_seeds, Found, Register, SeedRun, SummaryTable};
+use crate::kernel::{slice_seeds, Found, Register, SeedRun, SummaryTable};
 use crate::mhp::MhpRelation;
 use crate::spec::{FlowStep, SliceBounds, SliceResult, StepKind, StmtNode};
 use crate::view::{FieldKey, ProgramView, Use};
@@ -128,37 +128,12 @@ impl<'a> HybridSlicer<'a> {
 
     /// Runs the slice from every source and returns the tainted flows.
     pub fn run(&mut self) -> SliceResult {
-        self.run_partition(0..usize::MAX, 0..usize::MAX)
-    }
-
-    /// Runs the slice over a contiguous partition of the seed lists:
-    /// `seed_range` indexes into [`ProgramView::seeds`] and `ref_range`
-    /// into [`ProgramView::ref_seeds`] (both clamped to the list length).
-    ///
-    /// This is the unit of work the parallel engine dispatches. Each
-    /// seed's traversal state is independent, and flows are keyed by the
-    /// seed statement, so the flow set of a whole run equals
-    /// the ordered union of its partitions' flow sets. The summary memo
-    /// table is private to one slicer: splitting a rule across slicers
-    /// recomputes summaries per partition, which changes the `work`
-    /// accounting (a function of the partitioning, never of the thread
-    /// count) but not the flows — summaries are unique fixpoints. Heap
-    /// budgets are also per-slicer, which is why bounded configurations
-    /// must keep a rule in one partition (see `taj_core::parallel`).
-    pub fn run_partition(
-        &mut self,
-        seed_range: std::ops::Range<usize>,
-        ref_range: std::ops::Range<usize>,
-    ) -> SliceResult {
         let view = self.view;
-        let (seeds, refs) = (view.seeds(), view.ref_seeds());
-        let seeds = &seeds[clamp_range(&seed_range, seeds.len())];
-        let refs = &refs[clamp_range(&ref_range, refs.len())];
         let mut found = Found::default();
         slice_seeds(
             view,
-            seeds,
-            refs,
+            view.seeds(),
+            view.ref_seeds(),
             &mut found,
             |node, var| (node, var),
             |mut run, found| {

@@ -46,8 +46,7 @@
 //! order, the alias index sorted by `(node, var)`, ref-seed facts sorted
 //! before seeding. No `HashMap` iteration order is ever observable in
 //! the flow set or the witness paths, so the result is byte-identical
-//! at every thread count (the parallel engine runs IFDS rules as whole
-//! units; see `taj_core::parallel`).
+//! across runs.
 
 use jir::inst::Var;
 use jir::util::FxHashMap;

@@ -17,7 +17,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::Hash;
-use std::ops::Range;
 
 use jir::inst::Var;
 use jir::util::{BitSet, FxHashMap, FxHashSet};
@@ -402,12 +401,6 @@ pub(crate) fn slice_seeds<F: Clone + Eq + Hash>(
             return;
         }
     }
-}
-
-/// Clamps a requested partition range to a list of `len` elements.
-pub(crate) fn clamp_range(r: &Range<usize>, len: usize) -> Range<usize> {
-    let start = r.start.min(len);
-    start..r.end.min(len).max(start)
 }
 
 #[cfg(test)]

@@ -132,8 +132,9 @@ pub struct AnalyzeOpts {
     /// Allow the server to degrade down the precision ladder on budget
     /// exhaustion instead of failing with `out_of_memory`.
     pub degrade: bool,
-    /// Phase-2 worker threads (`None`/`0` = one per server core). Never
-    /// affects the report bytes, only how fast they are produced.
+    /// Ignored and never sent: the daemon no longer takes a thread
+    /// count. The field stays only so that callers which still set it
+    /// keep compiling, and goes in a later release.
     pub threads: Option<u64>,
     /// Trace id echoed back in the response envelope (`None` → the
     /// server mints one).
@@ -542,9 +543,6 @@ fn analyze_body(source: &str, opts: &AnalyzeOpts) -> Value {
     }
     if let Some(t) = opts.timeout_ms {
         req.insert("timeout_ms", Value::UInt(u128::from(t)));
-    }
-    if let Some(t) = opts.threads {
-        req.insert("threads", Value::UInt(u128::from(t)));
     }
     if opts.degrade {
         req.insert("degrade", Value::Bool(true));

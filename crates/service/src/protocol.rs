@@ -11,7 +11,7 @@
 use serde::Value;
 
 /// Protocol version reported by `stats`.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Upper bound on `batch` items per envelope: enough to amortize
 /// dispatch over a corpus, small enough that one envelope cannot pin
@@ -105,10 +105,6 @@ pub struct AnalyzeRequest {
     /// Degrade down the precision ladder on budget exhaustion instead of
     /// failing with `out_of_memory`.
     pub degrade: bool,
-    /// Phase-2 worker threads (`0`/absent = one per core). An execution
-    /// parameter only: reports are byte-identical at every value, so it
-    /// is deliberately *not* part of the report-cache key.
-    pub threads: Option<u64>,
     /// Client-chosen trace id echoed back in the response envelope; the
     /// server generates one when absent. Lives in the envelope (not the
     /// cached result bytes), so it never perturbs cache identity.
@@ -238,7 +234,6 @@ fn parse_analyze_body(
         "format",
         "timeout_ms",
         "degrade",
-        "threads",
         "trace_id",
         "trace",
     ]);
@@ -253,7 +248,6 @@ fn parse_analyze_body(
     };
     let timeout_ms = get_u64(value, "timeout_ms")?;
     let degrade = get_bool(value, "degrade")?.unwrap_or(false);
-    let threads = get_u64(value, "threads")?;
     let mut trace_id = get_str(value, "trace_id")?;
     let mut trace_parent = None;
     if let Some(trace) = value.get("trace") {
@@ -273,7 +267,6 @@ fn parse_analyze_body(
         format,
         timeout_ms,
         degrade,
-        threads,
         trace_id,
         trace_parent,
     })
@@ -556,6 +549,19 @@ mod tests {
             let line = format!(r#"{{"cmd": "{cmd}", "source": "x", "base_source": "y"}}"#);
             let e = parse_request(&line, false).unwrap_err();
             assert_eq!(e.0, ErrorCode::UnknownCommand, "{cmd}");
+        }
+        // The retired phase-2 thread count, on a request and a batch item.
+        let e =
+            parse_request(r#"{"cmd": "analyze", "source": "x", "threads": 1}"#, false).unwrap_err();
+        assert_eq!(e.0, ErrorCode::BadRequest);
+        let r =
+            parse_request(r#"{"cmd": "batch", "items": [{"source": "x", "threads": 1}]}"#, false)
+                .expect("a bad item does not fail the envelope");
+        match r.command {
+            Command::Batch(b) => {
+                assert!(matches!(&b.items[..], [Err((ErrorCode::BadRequest, _))]), "{b:?}")
+            }
+            other => panic!("wrong command: {other:?}"),
         }
         let e = parse_request("{oops", false).unwrap_err();
         assert_eq!(e.0, ErrorCode::BadRequest);

@@ -533,7 +533,6 @@ fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) 
             // envelope, never in the cacheable result bytes.
             let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
             let parent = req.trace_parent.clone();
-            let threads = req.threads;
             let timeout_ms = req.timeout_ms.or(state.default_timeout_ms);
             let started = Instant::now();
             let rec = request_recorder(&state.flight, first, started);
@@ -545,16 +544,7 @@ fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) 
             return match outcome {
                 Ok(raw) => {
                     let line = ok_response_raw_traced(&id, &trace_id, &raw);
-                    capture_flight(
-                        state,
-                        &rec,
-                        &trace_id,
-                        parent.as_deref(),
-                        threads,
-                        started,
-                        "ok",
-                        None,
-                    );
+                    capture_flight(state, &rec, &trace_id, parent.as_deref(), started, "ok", None);
                     (line, false)
                 }
                 Err((code, msg)) => {
@@ -569,7 +559,6 @@ fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) 
                         &rec,
                         &trace_id,
                         parent.as_deref(),
-                        threads,
                         started,
                         outcome_of(code),
                         Some(code),
@@ -802,13 +791,11 @@ fn probe_event(rec: &Recorder, tier: &'static str, hit: bool) {
 /// triggered (slower than `--slow-ms`, degraded, panicked, shed, or
 /// timed out). Runs on the connection thread after the response envelope
 /// is already built: one O(1) ring push, never on the worker pool.
-#[allow(clippy::too_many_arguments)]
 fn capture_flight(
     state: &Arc<ServiceState>,
     rec: &Recorder,
     trace_id: &str,
     parent: Option<&str>,
-    threads: Option<u64>,
     started: Instant,
     outcome: &'static str,
     error_code: Option<ErrorCode>,
@@ -842,9 +829,6 @@ fn capture_flight(
         ("degraded", AttrValue::Bool(degraded)),
         ("cache_tier", cache_tier.unwrap_or_else(|| "none".into())),
     ];
-    if let Some(t) = threads {
-        attrs.push(("threads", AttrValue::U64(t)));
-    }
     if let Some(code) = error_code {
         attrs.push(("code", code.as_str().into()));
     }
@@ -895,7 +879,6 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<First
     struct Item {
         rec: Recorder,
         parent: Option<String>,
-        threads: Option<u64>,
         started: Instant,
     }
     enum Slot {
@@ -912,12 +895,7 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<First
                 let timeout_ms = req.timeout_ms.or(envelope_timeout).or(state.default_timeout_ms);
                 let started = Instant::now();
                 let rec = request_recorder(&state.flight, first, started);
-                let item = Item {
-                    rec: rec.clone(),
-                    parent: req.trace_parent.clone(),
-                    threads: req.threads,
-                    started,
-                };
+                let item = Item { rec: rec.clone(), parent: req.trace_parent.clone(), started };
                 let job = submit_job(state, timeout_ms, rec.clone(), {
                     let state = Arc::clone(state);
                     move |sup: &Supervisor| run_analyze(&state, &req, sup, &rec)
@@ -935,7 +913,6 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<First
                             &item.rec,
                             &trace_id,
                             item.parent.as_deref(),
-                            item.threads,
                             item.started,
                             outcome_of(code),
                             Some(code),
@@ -962,7 +939,6 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<First
                         &item.rec,
                         &trace_id,
                         item.parent.as_deref(),
-                        item.threads,
                         item.started,
                         "ok",
                         None,
@@ -979,7 +955,6 @@ fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<First
                         &item.rec,
                         &trace_id,
                         item.parent.as_deref(),
-                        item.threads,
                         item.started,
                         outcome_of(code),
                         Some(code),
@@ -1184,8 +1159,8 @@ pub(crate) fn analyze_uncached(
     serialize(&phase2(&prepared, &phase1, &config, req, supervisor, &disabled)?, req.format)
 }
 
-/// Phase 2 under the request's degradation and thread options, with the
-/// driver's errors mapped onto wire codes.
+/// Phase 2 under the request's degradation option, with the driver's
+/// errors mapped onto wire codes.
 fn phase2(
     prepared: &PreparedProgram,
     phase1: &Phase1,
@@ -1197,8 +1172,8 @@ fn phase2(
     let opts = RunOptions {
         supervisor: supervisor.clone(),
         degrade: req.degrade,
-        threads: req.threads.map_or(0, |n| n as usize),
         recorder: rec.clone(),
+        ..RunOptions::default()
     };
     analyze_with_phase1_opts(prepared, phase1, config, &opts).map_err(|e| match e {
         TajError::OutOfMemory { path_edges } => (

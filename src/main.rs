@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! taj analyze <file.jweb> [--config NAME] [--json] [--flows] [--concurrency] [--ir]
-//!             [--deadline-ms N] [--degrade] [--threads N] [--profile] [--trace-out FILE]
+//!             [--deadline-ms N] [--degrade] [--profile] [--trace-out FILE]
 //! taj configs
 //! taj demo
 //! taj serve [--socket PATH | --tcp ADDR] [--workers N] [--cache-mb N] [--timeout-ms N]
@@ -10,7 +10,7 @@
 //! taj router (--socket PATH | --tcp ADDR) --shard ADDR [--shard ADDR ...] [--timeout-ms N]
 //!            [--failure-threshold N] [--cooldown-ms N] [--flight-records N] [--trace-out FILE]
 //! taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--sarif]
-//!            [--timeout-ms N] [--degrade] [--threads N] [--trace-id ID]
+//!            [--timeout-ms N] [--degrade] [--trace-id ID]
 //! taj client (--socket PATH | --tcp ADDR) analyze --batch <file.jweb> [<file.jweb> ...]
 //! taj client (--socket PATH | --tcp ADDR) trace <trace-id> [--trace-out FILE]
 //! taj client (--socket PATH | --tcp ADDR) last-traces [--limit N]
@@ -63,7 +63,7 @@ fn main() -> ExitCode {
         Some("client") => client_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: taj analyze <file.jweb> [--config NAME] [--rules FILE] [--json] [--sarif] [--flows] [--concurrency] [--ir] [--deadline-ms N] [--degrade] [--threads N] [--profile] [--trace-out FILE]"
+                "usage: taj analyze <file.jweb> [--config NAME] [--rules FILE] [--json] [--sarif] [--flows] [--concurrency] [--ir] [--deadline-ms N] [--degrade] [--profile] [--trace-out FILE]"
             );
             eprintln!("       taj configs          list configuration names");
             eprintln!("       taj demo             analyze the paper's Figure 1 program");
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
                 "       taj router (--socket PATH | --tcp ADDR) --shard ADDR [--shard ADDR ...] [--timeout-ms N] [--failure-threshold N] [--cooldown-ms N] [--flight-records N] [--trace-out FILE]"
             );
             eprintln!(
-                "       taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--rules FILE] [--sarif] [--timeout-ms N] [--degrade] [--threads N] [--trace-id ID]"
+                "       taj client (--socket PATH | --tcp ADDR) analyze <file.jweb> [--config NAME] [--rules FILE] [--sarif] [--timeout-ms N] [--degrade] [--trace-id ID]"
             );
             eprintln!(
                 "       taj client (--socket PATH | --tcp ADDR) analyze --batch <file.jweb> [<file.jweb> ...]"
@@ -214,7 +214,6 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
         flag("ir"),
         opt("deadline-ms"),
         flag("degrade"),
-        opt("threads"),
         flag("profile"),
         opt("trace-out"),
     ];
@@ -254,19 +253,17 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
             Err(_) => return usage_error("`--deadline-ms` must be a non-negative integer"),
         }
     }
-    let threads = match parsed.value("threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return usage_error("`--threads` must be a non-negative integer (0 = auto)"),
-        },
-        None => 0,
-    };
     let recorder = if opts.profile || opts.trace_out.is_some() {
         Recorder::new()
     } else {
         Recorder::disabled()
     };
-    let run = RunOptions { supervisor, degrade: parsed.has("degrade"), threads, recorder };
+    let run = RunOptions {
+        supervisor,
+        degrade: parsed.has("degrade"),
+        recorder,
+        ..RunOptions::default()
+    };
     run_analysis(&source, rules, &config, &opts, &run)
 }
 
@@ -442,7 +439,6 @@ fn client_cmd(args: &[String]) -> ExitCode {
         flag("sarif"),
         opt("timeout-ms"),
         flag("degrade"),
-        opt("threads"),
         flag("batch"),
         opt("limit"),
         opt("trace-out"),
@@ -496,23 +492,14 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 },
                 None => None,
             };
-            let threads = match parsed.value("threads") {
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) => Some(n),
-                    Err(_) => {
-                        return usage_error("`--threads` must be a non-negative integer (0 = auto)")
-                    }
-                },
-                None => None,
-            };
             let opts = AnalyzeOpts {
                 config: parsed.value("config").map(str::to_string),
                 rules,
                 sarif: parsed.has("sarif"),
                 timeout_ms: if parsed.has("batch") { None } else { timeout_ms },
                 degrade: parsed.has("degrade"),
-                threads,
                 trace_id: parsed.value("trace-id").map(str::to_string),
+                ..AnalyzeOpts::default()
             };
             if parsed.has("batch") {
                 // One envelope, one response: every input file becomes an

@@ -1,7 +1,7 @@
 //! The `taj` binary end to end. `analyze --ir` must print the program the
 //! analysis runs on: after the whitelist, entrypoint synthesis, EJB
 //! rewrites, §4.1.2 exception modelling and SSA, not the bare frontend
-//! output.
+//! output. A retired flag is a usage error.
 
 use std::process::Command;
 
@@ -19,10 +19,16 @@ class Page extends HttpServlet {
 }
 "#;
 
+/// Writes `source` to a temp file named after `tag` and the process.
+fn input_file(tag: &str, source: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("taj-cli-{tag}-{}.jweb", std::process::id()));
+    std::fs::write(&path, source).expect("input written");
+    path
+}
+
 #[test]
 fn analyze_ir_prints_the_prepared_program() {
-    let path = std::env::temp_dir().join(format!("taj-cli-test-{}.jweb", std::process::id()));
-    std::fs::write(&path, LEAKY_SERVLET).expect("input written");
+    let path = input_file("ir", LEAKY_SERVLET);
     let out = Command::new(env!("CARGO_BIN_EXE_taj"))
         .arg("analyze")
         .arg(&path)
@@ -39,4 +45,20 @@ fn analyze_ir_prints_the_prepared_program() {
     // The report below the IR is the flow exception modelling created.
     let report = &stdout[ir.len()..];
     assert!(report.contains("getMessage → println"), "{report}");
+}
+
+#[test]
+fn analyze_rejects_the_retired_threads_flag() {
+    let path = input_file("threads", LEAKY_SERVLET);
+    let out = Command::new(env!("CARGO_BIN_EXE_taj"))
+        .arg("analyze")
+        .arg(&path)
+        .args(["--threads", "2"])
+        .output()
+        .expect("taj runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert_eq!(out.status.code(), Some(1), "usage-error exit code: {stderr}");
+    assert!(stderr.contains("--threads"), "the error names the flag: {stderr}");
+    assert!(out.stdout.is_empty(), "no report on a usage error");
 }

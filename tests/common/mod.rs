@@ -2,8 +2,8 @@
 //! composed for a prepared program, the reproducible corpus
 //! (securibench + micro + webgen), the verdict/triage machinery of the
 //! three-way differential harness, and the report byte-identity helpers
-//! of the thread-invariance harness. Each test binary compiles its own
-//! copy and uses a subset, hence the file-wide `dead_code` allow.
+//! of the determinism suites. Each test binary compiles its own copy and
+//! uses a subset, hence the file-wide `dead_code` allow.
 
 #![allow(dead_code)]
 
@@ -50,13 +50,7 @@ pub fn no_failpoints() -> NoFailpoints {
     }
 }
 
-/// Thread counts every determinism scenario is differenced across. `1`
-/// is the inline sequential reference path; the rest fan out over
-/// scoped workers.
-pub const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// A web application big enough that every rule's seed list splits into
-/// multiple parallel units (the chunk size is 4): the standard webgen
+/// A web application with several seeds per rule: the standard webgen
 /// pattern mix, twice over, plus filler classes. The `name` only labels
 /// the generated source's banner comment — analysis results are
 /// identical across names.
@@ -77,42 +71,6 @@ pub fn big_app(name: &str) -> PreparedProgram {
 /// no wall-clock, so raw bytes compare across runs.
 pub fn report_json(report: &TajReport) -> String {
     serde_json::to_string_pretty(report).expect("report serializes")
-}
-
-/// Runs `prepared` under `config`/`opts` at each thread count and
-/// asserts all three renderings are byte-identical to the single-thread
-/// reference run.
-pub fn assert_thread_invariant(
-    prepared: &PreparedProgram,
-    config: &TajConfig,
-    make_opts: impl Fn(usize) -> RunOptions,
-    label: &str,
-) {
-    let run = |threads: usize| -> Result<TajReport, TajError> {
-        analyze_opts(prepared, config, &make_opts(threads))
-    };
-    let reference = run(1);
-    for threads in &THREADS[1..] {
-        let got = run(*threads);
-        match (&reference, &got) {
-            (Ok(want), Ok(got)) => {
-                assert_reports_byte_identical(
-                    want,
-                    got,
-                    &format!("[{label}] at {threads} threads"),
-                );
-            }
-            (
-                Err(TajError::OutOfMemory { path_edges: want }),
-                Err(TajError::OutOfMemory { path_edges: got }),
-            ) => {
-                assert_eq!(want, got, "[{label}] OutOfMemory count diverges at {threads} threads");
-            }
-            (want, got) => {
-                panic!("[{label}] outcome diverges at {threads} threads: {want:?} vs {got:?}")
-            }
-        }
-    }
 }
 
 /// Asserts two reports render byte-identically (JSON, text, SARIF).

@@ -1,12 +1,12 @@
 //! The degradation ladder end to end: budget exhaustion falls CS →
 //! Hybrid-Unbounded → Hybrid-Optimized with provenance, deadlines and
-//! cancellation deliver partial results, and budget-driven degraded runs
-//! are byte-deterministic. Failpoint-driven edges (exact interrupt
+//! cancellation deliver partial results, and degraded or interrupted
+//! runs are byte-deterministic. Failpoint-driven edges (exact interrupt
 //! sites, ladder bottom) run under `--features taj_failpoints`.
 
 mod common;
 
-use common::{analyze_opts, no_failpoints};
+use common::{analyze_opts, assert_reports_byte_identical, big_app, no_failpoints};
 use taj::core::{
     analyze_source, prepare_traced, RuleSet, RunOptions, Supervisor, TajConfig, TajError, TajReport,
 };
@@ -23,6 +23,20 @@ const SERVLET: &str = r#"
 fn run(config: &TajConfig, opts: &RunOptions) -> Result<TajReport, TajError> {
     let prepared = prepare_traced(SERVLET, None, RuleSet::default_rules(), &opts.recorder)?;
     analyze_opts(&prepared, config, opts)
+}
+
+/// Runs `run` twice, asserts that both reports render byte-identically
+/// (JSON, text and SARIF), and returns the first.
+fn twice(label: &str, run: impl Fn() -> TajReport) -> TajReport {
+    let first = run();
+    assert_reports_byte_identical(&first, &run(), label);
+    first
+}
+
+/// Every degradation step of `report` as `(stage, from, to, reason)`.
+fn steps(report: &TajReport) -> Vec<(&str, &str, &str, &str)> {
+    let steps = report.degradation.steps.iter();
+    steps.map(|s| (&*s.stage, &*s.from, &*s.to, &*s.reason)).collect()
 }
 
 #[test]
@@ -88,10 +102,84 @@ fn budget_degraded_runs_are_byte_deterministic() {
     assert_eq!(serialize(), serialize(), "degraded runs must be reproducible");
 }
 
+#[test]
+fn pre_cancelled_ifds_delivers_the_same_partial_report_twice() {
+    let _quiet = no_failpoints();
+    // The cancel truncates phase 1 at its first check, before the call
+    // graph reaches a source, so IFDS has no seed left to interrupt.
+    let prepared = big_app("degradation");
+    let report = twice("IFDS pre-cancelled", || {
+        let supervisor = Supervisor::new();
+        supervisor.cancel();
+        let opts = RunOptions { supervisor, ..RunOptions::default() };
+        analyze_opts(&prepared, &TajConfig::ifds(), &opts).expect("partial, not an error")
+    });
+    assert!(report.flows.is_empty(), "{:?}", report.flows);
+    assert_eq!(
+        steps(&report),
+        [("phase1", "pointer-analysis", "truncated-callgraph", "cancelled")]
+    );
+}
+
+#[test]
+fn expired_deadline_ifds_delivers_the_same_truncated_report_twice() {
+    let _quiet = no_failpoints();
+    // The deadline truncates phase 1 only: the finishing handle drops it,
+    // so IFDS slices the truncated call graph to the end.
+    let prepared = big_app("degradation");
+    let report = twice("IFDS expired deadline", || {
+        let supervisor = Supervisor::new().with_deadline(std::time::Duration::from_millis(0));
+        let opts = RunOptions { supervisor, ..RunOptions::default() };
+        analyze_opts(&prepared, &TajConfig::ifds(), &opts).expect("partial, not an error")
+    });
+    assert_eq!(steps(&report), [("phase1", "pointer-analysis", "truncated-callgraph", "deadline")]);
+}
+
 #[cfg(feature = "taj_failpoints")]
 mod failpoint_edges {
     use super::*;
     use taj::supervise::failpoints::{self, FailAction, FailScenario};
+
+    /// Runs `config` twice over the generated app with `site` armed to
+    /// fire `action` at every hit, asserts that both reports are
+    /// byte-identical, and returns the first. Each run arms the
+    /// failpoint afresh, since the scenario lock clears every point.
+    fn twice_with_failpoint(
+        config: &TajConfig,
+        site: &str,
+        action: FailAction,
+        degrade: bool,
+    ) -> TajReport {
+        let prepared = big_app("degradation");
+        twice(&format!("{} with {site}={action:?}", config.name), || {
+            let _scenario = FailScenario::setup();
+            failpoints::configure(site, action.clone());
+            let opts = RunOptions { degrade, ..RunOptions::default() };
+            analyze_opts(&prepared, config, &opts).expect("partial, not an error")
+        })
+    }
+
+    #[test]
+    fn injected_cancel_in_ifds_tabulation_delivers_a_partial_report() {
+        let report =
+            twice_with_failpoint(&TajConfig::ifds(), "ifds.tabulate", FailAction::Cancel, false);
+        assert_eq!(steps(&report), [("slice", "IFDS", "partial", "cancelled")]);
+    }
+
+    #[test]
+    fn injected_ifds_budget_with_degrade_falls_to_hybrid() {
+        let report =
+            twice_with_failpoint(&TajConfig::ifds(), "ifds.tabulate", FailAction::StepBudget, true);
+        assert_eq!(report.config, "Hybrid-Unbounded");
+        assert_eq!(steps(&report), [("slice", "IFDS", "Hybrid-Unbounded", "step_budget")]);
+    }
+
+    #[test]
+    fn injected_deadline_in_cs_tabulation_delivers_a_partial_report() {
+        let report =
+            twice_with_failpoint(&TajConfig::cs_thin(), "cs.tabulate", FailAction::Deadline, false);
+        assert_eq!(steps(&report), [("slice", "CS", "partial", "deadline")]);
+    }
 
     #[test]
     fn injected_budget_in_cs_descends_one_rung() {

@@ -4,7 +4,7 @@
 //! a routed request stitches into one cross-process trace, a
 //! connection's first request shows its wait after the accept, and — the
 //! determinism contract — report bytes are identical with the recorder
-//! on or off, at 1 and 8 threads.
+//! on or off.
 
 use std::time::Duration;
 
@@ -268,41 +268,35 @@ fn first_request_on_a_connection_records_its_conn_read_wait() {
 #[test]
 fn report_bytes_identical_with_flight_recorder_on_and_off() {
     // The recorder must be a pure observer: same program, same config,
-    // same bytes — ring on or off, 1 thread or 8.
-    for threads in [1u64, 8] {
-        let on = ServeOptions {
-            workers: 2,
-            flight_records: 256,
-            slow_ms: Some(0),
-            ..ServeOptions::tcp_ephemeral()
-        };
-        let off = ServeOptions { workers: 2, flight_records: 0, ..ServeOptions::tcp_ephemeral() };
-        let opts = AnalyzeOpts {
-            threads: Some(threads),
-            trace_id: Some(format!("t-bytes-{threads}")),
-            ..AnalyzeOpts::default()
-        };
+    // same bytes — ring on or off.
+    let on = ServeOptions {
+        workers: 2,
+        flight_records: 256,
+        slow_ms: Some(0),
+        ..ServeOptions::tcp_ephemeral()
+    };
+    let off = ServeOptions { workers: 2, flight_records: 0, ..ServeOptions::tcp_ephemeral() };
+    let opts = AnalyzeOpts { trace_id: Some("t-bytes".to_string()), ..AnalyzeOpts::default() };
 
-        let (handle_on, mut client_on) = start(on);
-        let report_on = client_on.analyze(XSS_SERVLET, &opts).expect("analyze with recorder on");
+    let (handle_on, mut client_on) = start(on);
+    let report_on = client_on.analyze(XSS_SERVLET, &opts).expect("analyze with recorder on");
 
-        let (handle_off, mut client_off) = start(off);
-        let report_off = client_off.analyze(XSS_SERVLET, &opts).expect("analyze with recorder off");
+    let (handle_off, mut client_off) = start(off);
+    let report_off = client_off.analyze(XSS_SERVLET, &opts).expect("analyze with recorder off");
 
-        assert_eq!(
-            serde_json::to_string(&report_on).expect("serialize report"),
-            serde_json::to_string(&report_off).expect("serialize report"),
-            "flight recorder changed report bytes at {threads} thread(s)"
-        );
+    assert_eq!(
+        serde_json::to_string(&report_on).expect("serialize report"),
+        serde_json::to_string(&report_off).expect("serialize report"),
+        "flight recorder changed report bytes"
+    );
 
-        // The off daemon must also report the ring as absent, and refuse
-        // trace lookups with a readable error.
-        let stats = client_off.stats().expect("stats");
-        assert_eq!(stats["flight"]["capacity"].as_u64(), Some(0), "{stats:?}");
-        let listing = client_off.last_traces(None).expect("last_traces with ring off");
-        assert_eq!(listing["count"].as_u64(), Some(0), "{listing:?}");
+    // The off daemon must also report the ring as absent, and refuse
+    // trace lookups with a readable error.
+    let stats = client_off.stats().expect("stats");
+    assert_eq!(stats["flight"]["capacity"].as_u64(), Some(0), "{stats:?}");
+    let listing = client_off.last_traces(None).expect("last_traces with ring off");
+    assert_eq!(listing["count"].as_u64(), Some(0), "{listing:?}");
 
-        shutdown_and_join(client_on, handle_on);
-        shutdown_and_join(client_off, handle_off);
-    }
+    shutdown_and_join(client_on, handle_on);
+    shutdown_and_join(client_off, handle_off);
 }

@@ -7,8 +7,8 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{analyze, analyze_opts};
-use taj::core::{prepare, score, RuleSet, RunOptions, TajConfig};
+use common::analyze;
+use taj::core::{prepare, score, RuleSet, TajConfig};
 use taj::webgen::{generate, BenchmarkSpec, Pattern};
 
 /// Patterns with seeded *vulnerable* entries that every sound
@@ -102,60 +102,6 @@ proptest! {
                 "hybrid finding {:?} missing from CI", key(f)
             );
         }
-    }
-
-    /// Thread invariance: whatever the composition and the thread
-    /// count, the parallel engine reports the same issues and does the
-    /// same amount of slicing work as the sequential reference — the
-    /// thread count is an execution parameter, never an analysis
-    /// parameter (`tests/parallel_determinism.rs` pins the full byte
-    /// stream; this pins the invariant over *random* programs).
-    #[test]
-    fn thread_count_never_changes_issues_or_work(
-        spec in spec_strategy(),
-        threads in 1usize..9,
-    ) {
-        let bench = generate(&spec);
-        let prepared = prepare(
-            &bench.source,
-            Some(&bench.descriptor),
-            RuleSet::default_rules(),
-        )
-        .expect("prepares");
-        let config = TajConfig::hybrid_unbounded();
-        let issue_set = |r: &taj::core::TajReport| {
-            let mut set: Vec<_> = r
-                .findings
-                .iter()
-                .map(|f| {
-                    (f.flow.issue, f.flow.sink_owner_class.clone(), f.flow.sink_method.clone())
-                })
-                .collect();
-            set.sort();
-            set
-        };
-        let sequential = analyze_opts(
-            &prepared,
-            &config,
-            &RunOptions { threads: 1, ..RunOptions::default() },
-        )
-        .expect("sequential run succeeds");
-        let parallel = analyze_opts(
-            &prepared,
-            &config,
-            &RunOptions { threads, ..RunOptions::default() },
-        )
-        .expect("parallel run succeeds");
-        prop_assert_eq!(
-            issue_set(&sequential),
-            issue_set(&parallel),
-            "issue set diverges at {} threads", threads
-        );
-        prop_assert_eq!(
-            sequential.stats.slicer_work,
-            parallel.stats.slicer_work,
-            "slicer_work diverges at {} threads", threads
-        );
     }
 
     /// Budget monotonicity: a larger call-graph budget never reports

@@ -26,7 +26,7 @@ fn torn_response_is_an_io_error_and_retry_heals_after_the_fault_clears() {
     let handle = serve(options).expect("server starts");
     let mut client = Client::connect(handle.addr()).expect("client connects");
     client.set_retry(RetryPolicy::none());
-    let opts = AnalyzeOpts { threads: Some(1), ..AnalyzeOpts::default() };
+    let opts = AnalyzeOpts::default();
 
     let healthy = client.analyze(SERVLET, &opts).expect("healthy request succeeds");
 

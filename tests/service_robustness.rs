@@ -365,51 +365,13 @@ fn unix_socket_round_trip() {
 }
 
 #[test]
-fn threads_never_splits_the_report_cache() {
-    // The thread count is an execution parameter: reports are
-    // byte-identical at every value, so the report-cache key must not
-    // include it. Requests differing only in `threads` share one cache
-    // entry — one phase 1, one phase 2, and hits for everything after.
-    let (handle, mut client) = start_debug();
-    let first = AnalyzeOpts { threads: Some(8), ..AnalyzeOpts::default() };
-    let report = client.analyze(SERVLET, &first).expect("first analyze");
-    assert_eq!(report["findings"].as_array().map(Vec::len), Some(1));
-
-    // Concurrent follow-ups at other thread counts, on their own
-    // connections: all must be served from the same cached report.
-    let mut joins = Vec::new();
-    for threads in [1u64, 2, 4] {
-        let addr = handle.addr().clone();
-        joins.push(std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("client connects");
-            let opts = AnalyzeOpts { threads: Some(threads), ..AnalyzeOpts::default() };
-            let r = c.analyze(SERVLET, &opts).expect("cached analyze");
-            assert_eq!(r["findings"].as_array().map(Vec::len), Some(1), "threads={threads}");
-        }));
-    }
-    for j in joins {
-        j.join().expect("concurrent client succeeds");
-    }
-
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats["phase1_runs"].as_u64(), Some(1), "{stats:?}");
-    assert_eq!(stats["phase2_runs"].as_u64(), Some(1), "{stats:?}");
-    assert!(
-        stats["cache"]["hits"].as_u64().unwrap_or(0) >= 3,
-        "thread-differing requests must hit the shared report entry: {stats:?}"
-    );
-    client.shutdown().unwrap();
-    handle.join();
-}
-
-#[test]
-fn timeout_reclaims_worker_running_multithreaded_slice() {
+fn timeout_reclaims_worker_running_a_large_slice() {
     // `timeout_ms` cancels the job's supervisor; the cancel token is
-    // shared by every phase-2 slice worker (per-unit meters are fresh,
-    // the token is not), so a multi-threaded slice must also stop
-    // cooperatively and hand its pool worker back.
+    // shared by every rule's slicer (per-rule meters are fresh, the token
+    // is not), so a large analysis must stop cooperatively and hand its
+    // pool worker back.
     let spec = taj::webgen::BenchmarkSpec {
-        name: "reclaim-mt".into(),
+        name: "reclaim".into(),
         pattern_counts: taj::webgen::standard_mix(6, 2, true),
         filler_classes: 10,
         methods_per_class: 6,
@@ -417,7 +379,7 @@ fn timeout_reclaims_worker_running_multithreaded_slice() {
     };
     let bench = taj::webgen::generate(&spec);
     let (handle, mut client) = start_debug();
-    let opts = AnalyzeOpts { threads: Some(8), timeout_ms: Some(1), ..AnalyzeOpts::default() };
+    let opts = AnalyzeOpts { timeout_ms: Some(1), ..AnalyzeOpts::default() };
     match client.analyze(&bench.source, &opts) {
         Err(ClientError::Remote { code, .. }) => assert_eq!(code, "timeout"),
         // A partial (cancelled) report beating a 1ms deadline would mean
@@ -433,7 +395,7 @@ fn timeout_reclaims_worker_running_multithreaded_slice() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "multi-threaded slice never released its worker: {stats:?}"
+            "the timed-out analysis never released its worker: {stats:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -1,13 +1,13 @@
 //! Determinism harness for the tracing layer itself: the *event set* a
 //! run records (span names + attributes, timestamps excluded) must be
-//! identical at every thread count and across repeat runs — including
-//! degraded, hard-failing, and pre-cancelled runs. The byte-identical
-//! report contract must also survive turning tracing on: the recorder is
-//! an observation parameter, never an analysis parameter.
+//! identical across repeat runs — including degraded, hard-failing, and
+//! pre-cancelled runs. The byte-identical report contract must also
+//! survive turning tracing on: the recorder is an observation parameter,
+//! never an analysis parameter.
 
 mod common;
 
-use common::{analyze_opts, big_app, report_json, THREADS};
+use common::{analyze_opts, big_app, report_json};
 use taj::core::{
     prepare_traced, PreparedProgram, Recorder, RuleSet, RunOptions, Supervisor, TajConfig,
     TajError, TajReport,
@@ -19,7 +19,6 @@ use taj::webgen::{generate, standard_mix, BenchmarkSpec};
 fn run_traced(
     prepared: &PreparedProgram,
     config: &TajConfig,
-    threads: usize,
     degrade: bool,
     cancel: bool,
 ) -> (Result<TajReport, TajError>, Vec<String>) {
@@ -28,14 +27,14 @@ fn run_traced(
     if cancel {
         supervisor.cancel();
     }
-    let opts = RunOptions { supervisor, degrade, threads, recorder: recorder.clone() };
+    let opts =
+        RunOptions { supervisor, degrade, recorder: recorder.clone(), ..RunOptions::default() };
     let result = analyze_opts(prepared, config, &opts);
     (result, recorder.signature())
 }
 
-/// Asserts the trace signature matches the single-thread reference at
-/// every thread count, twice each (repeat runs catch buffers polluted by
-/// scheduling rather than inputs).
+/// Asserts the trace signature of three repeat runs matches the first
+/// run's (repeat runs catch buffers polluted by anything but the inputs).
 fn assert_trace_invariant(
     prepared: &PreparedProgram,
     config: &TajConfig,
@@ -43,16 +42,11 @@ fn assert_trace_invariant(
     cancel: bool,
     label: &str,
 ) {
-    let (_, reference) = run_traced(prepared, config, 1, degrade, cancel);
+    let (_, reference) = run_traced(prepared, config, degrade, cancel);
     assert!(!reference.is_empty(), "[{label}] traced run records no events");
-    for threads in THREADS {
-        for repeat in 0..2 {
-            let (_, signature) = run_traced(prepared, config, threads, degrade, cancel);
-            assert_eq!(
-                reference, signature,
-                "[{label}] trace event set diverges at {threads} threads (repeat {repeat})"
-            );
-        }
+    for repeat in 1..=3 {
+        let (_, signature) = run_traced(prepared, config, degrade, cancel);
+        assert_eq!(reference, signature, "[{label}] trace event set diverges on repeat {repeat}");
     }
 }
 
@@ -67,11 +61,10 @@ fn all_six_configurations_have_thread_invariant_traces() {
 #[test]
 fn degraded_runs_have_thread_invariant_traces() {
     // The starved CS config walks the degradation ladder; the `degrade`
-    // instant events and the rescued run's spans must not depend on the
-    // thread count.
+    // instant events and the rescued run's spans must repeat exactly.
     let prepared = big_app("trace-determinism");
     assert_trace_invariant(&prepared, &TajConfig::cs_tiny(), true, false, "CS-Tiny degraded");
-    let (result, signature) = run_traced(&prepared, &TajConfig::cs_tiny(), 2, true, false);
+    let (result, signature) = run_traced(&prepared, &TajConfig::cs_tiny(), true, false);
     assert!(result.expect("degraded run completes").degradation.degraded);
     assert!(
         signature.iter().any(|l| l.starts_with("degrade ")),
@@ -82,11 +75,11 @@ fn degraded_runs_have_thread_invariant_traces() {
 #[test]
 fn hard_failing_runs_have_thread_invariant_traces() {
     // Without the ladder the starved CS run aborts with OutOfMemory; the
-    // abort path (span drops, the out-of-budget unit's span and the
-    // phase2.oom event) must trace identically at every thread count.
+    // abort path (span drops, the out-of-budget rule's span and the
+    // phase2.oom event) must trace identically on every run.
     let prepared = big_app("trace-determinism");
     assert_trace_invariant(&prepared, &TajConfig::cs_tiny(), false, false, "CS-Tiny hard-fail");
-    let (result, signature) = run_traced(&prepared, &TajConfig::cs_tiny(), 4, false, false);
+    let (result, signature) = run_traced(&prepared, &TajConfig::cs_tiny(), false, false);
     let Err(TajError::OutOfMemory { path_edges }) = result else {
         panic!("starved CS hard-fails: {result:?}")
     };
@@ -99,7 +92,7 @@ fn hard_failing_runs_have_thread_invariant_traces() {
             .iter()
             .any(|l| l.starts_with("phase2.unit ")
                 && l.ends_with(&format!(" path_edges={path_edges}"))),
-        "the out-of-budget unit has a phase2.unit span: {signature:?}"
+        "the out-of-budget rule has a phase2.unit span: {signature:?}"
     );
 }
 
@@ -115,23 +108,20 @@ fn reports_are_byte_identical_with_tracing_on_or_off() {
     // compared between a disabled recorder and a live wall-clock recorder.
     let prepared = big_app("trace-determinism");
     for config in TajConfig::all() {
-        for threads in [1, 4] {
-            let off =
-                analyze_opts(&prepared, &config, &RunOptions { threads, ..RunOptions::default() })
-                    .expect("untraced run completes");
-            let on = analyze_opts(
-                &prepared,
-                &config,
-                &RunOptions { threads, recorder: Recorder::new(), ..RunOptions::default() },
-            )
-            .expect("traced run completes");
-            assert_eq!(
-                report_json(&off),
-                report_json(&on),
-                "[{}] tracing changed the report at {threads} threads",
-                config.name
-            );
-        }
+        let off = analyze_opts(&prepared, &config, &RunOptions::default())
+            .expect("untraced run completes");
+        let on = analyze_opts(
+            &prepared,
+            &config,
+            &RunOptions { recorder: Recorder::new(), ..RunOptions::default() },
+        )
+        .expect("traced run completes");
+        assert_eq!(
+            report_json(&off),
+            report_json(&on),
+            "[{}] tracing changed the report",
+            config.name
+        );
     }
 }
 

@@ -1,9 +1,9 @@
 //! Pins phase 2's work counters to absolute values. Every Table 1
-//! configuration analyzes securibench joined ×1 on one thread, and the
-//! full `stats` object of its report, with the finding and flow counts,
-//! must equal the table below, recorded from the code as it stood when
-//! the table was written. `CS-Tiny` adds an out-of-memory verdict,
-//! pinned by its path-edge count.
+//! configuration analyzes securibench joined ×1, and the full `stats`
+//! object of its report, with the finding and flow counts, must equal
+//! the table below, recorded from the code as it stood when the table
+//! was written. `CS-Tiny` adds an out-of-memory verdict, pinned by its
+//! path-edge count.
 //!
 //! A second table pins Webgoat at `Scale::standard()` under the two
 //! configurations whose phase 1 differs only in exploration order:
@@ -149,7 +149,7 @@ fn phase2_work_counters_match_the_pinned_table() {
     let _guard = no_failpoints();
     let prepared = prepare(&securibench_joined(1), None, RuleSet::default_rules())
         .expect("securibench prepares");
-    let opts = RunOptions { threads: 1, ..RunOptions::default() };
+    let opts = RunOptions::default();
     let mut configs = TajConfig::all();
     configs.push(TajConfig::cs_tiny());
     assert_eq!(configs.len(), TABLE.len(), "one row per configuration");
@@ -186,8 +186,8 @@ struct WebgoatRow {
     flows: usize,
 }
 
-/// Webgoat at `Scale::standard()`, one thread. The prioritized row drops
-/// nodes at the budget: a reordered pop moves its counters.
+/// Webgoat at `Scale::standard()`. The prioritized row drops nodes at
+/// the budget: a reordered pop moves its counters.
 const WEBGOAT: [WebgoatRow; 2] = [
     WebgoatRow {
         config: "Hybrid-Unbounded",
@@ -238,7 +238,7 @@ fn webgoat_exploration_counters_match_the_pinned_table() {
     let app = generate(&preset.spec(Scale::standard()));
     let prepared = prepare(&app.source, Some(&app.descriptor), RuleSet::default_rules())
         .expect("Webgoat prepares");
-    let opts = RunOptions { threads: 1, ..RunOptions::default() };
+    let opts = RunOptions::default();
     for row in &WEBGOAT {
         let config = TajConfig::all()
             .into_iter()
