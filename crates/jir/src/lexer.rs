@@ -1,12 +1,15 @@
 //! Hand-written lexer for jweb source.
 
+use std::collections::HashMap;
 use std::fmt;
+
+use crate::ast::{Names, Sym};
 
 /// A lexical token kind (with payload for literals and identifiers).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
-    /// Identifier or keyword-free name.
-    Ident(String),
+    /// Identifier or keyword-free name, interned in the parse's [`Names`].
+    Ident(Sym),
     /// Integer literal.
     Int(i64),
     /// String literal (unescaped).
@@ -107,14 +110,16 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Tok {
+    /// Describes the token for an error message, quoting an identifier's
+    /// text from `names`.
+    pub fn describe(&self, names: &Names) -> String {
         match self {
-            Tok::Ident(s) => write!(f, "identifier `{s}`"),
-            Tok::Int(n) => write!(f, "integer `{n}`"),
-            Tok::Str(_) => write!(f, "string literal"),
-            Tok::Eof => write!(f, "end of input"),
-            other => write!(f, "`{other:?}`"),
+            Tok::Ident(s) => format!("identifier `{}`", names.text(*s)),
+            Tok::Int(n) => format!("integer `{n}`"),
+            Tok::Str(_) => "string literal".into(),
+            Tok::Eof => "end of input".into(),
+            other => format!("`{other:?}`"),
         }
     }
 }
@@ -149,14 +154,20 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes `src`, appending a trailing [`Tok::Eof`].
+/// Tokenizes `src`, appending a trailing [`Tok::Eof`], and returns the
+/// tokens with the table their identifiers index.
+///
+/// Each distinct identifier is allocated once. The interning map hashes
+/// with std's SipHash because the text comes from clients.
 ///
 /// # Errors
 /// Returns a [`LexError`] on unterminated strings or unexpected characters.
 /// Line comments (`// …`) and block comments (`/* … */`) are skipped.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<(Vec<Token>, Names), LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
+    let mut names = Names::new();
+    let mut syms: HashMap<&str, Sym> = Names::fixed().collect();
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
@@ -290,7 +301,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     "true" => Tok::True,
                     "false" => Tok::False,
                     "this" => Tok::This,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(*syms.entry(word).or_insert_with(|| names.push(word))),
                 };
                 out.push(Token { tok, line: tl, col: tc });
             }
@@ -345,7 +356,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         }
     }
     out.push(Token { tok: Tok::Eof, line, col });
-    Ok(out)
+    Ok((out, names))
 }
 
 #[cfg(test)]
@@ -353,20 +364,21 @@ mod tests {
     use super::*;
 
     fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+        lex(src).unwrap().0.into_iter().map(|t| t.tok).collect()
+    }
+
+    /// The tokens as error messages describe them, identifiers quoted
+    /// from the name table.
+    fn described(src: &str) -> Vec<String> {
+        let (tokens, names) = lex(src).unwrap();
+        tokens.iter().map(|t| t.tok.describe(&names)).collect()
     }
 
     #[test]
     fn keywords_and_idents() {
         assert_eq!(
-            toks("class Foo extends Bar"),
-            vec![
-                Tok::Class,
-                Tok::Ident("Foo".into()),
-                Tok::Extends,
-                Tok::Ident("Bar".into()),
-                Tok::Eof
-            ]
+            described("class Foo extends Bar"),
+            ["`Class`", "identifier `Foo`", "`Extends`", "identifier `Bar`", "end of input"]
         );
     }
 
@@ -378,19 +390,19 @@ mod tests {
     #[test]
     fn two_char_operators() {
         assert_eq!(
-            toks("a == b != c && d || !e"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::EqEq,
-                Tok::Ident("b".into()),
-                Tok::NotEq,
-                Tok::Ident("c".into()),
-                Tok::AndAnd,
-                Tok::Ident("d".into()),
-                Tok::OrOr,
-                Tok::Bang,
-                Tok::Ident("e".into()),
-                Tok::Eof
+            described("a == b != c && d || !e"),
+            [
+                "identifier `a`",
+                "`EqEq`",
+                "identifier `b`",
+                "`NotEq`",
+                "identifier `c`",
+                "`AndAnd`",
+                "identifier `d`",
+                "`OrOr`",
+                "`Bang`",
+                "identifier `e`",
+                "end of input"
             ]
         );
     }
@@ -398,14 +410,14 @@ mod tests {
     #[test]
     fn comments_skipped() {
         assert_eq!(
-            toks("a // comment\n /* block\n comment */ b"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            described("a // comment\n /* block\n comment */ b"),
+            ["identifier `a`", "identifier `b`", "end of input"]
         );
     }
 
     #[test]
     fn line_numbers_tracked() {
-        let ts = lex("a\nb").unwrap();
+        let (ts, _) = lex("a\nb").unwrap();
         assert_eq!(ts[0].line, 1);
         assert_eq!(ts[1].line, 2);
     }
@@ -440,6 +452,23 @@ mod tests {
 
     #[test]
     fn dollar_identifiers() {
-        assert_eq!(toks("$map$k"), vec![Tok::Ident("$map$k".into()), Tok::Eof]);
+        assert_eq!(described("$map$k 7"), ["identifier `$map$k`", "integer `7`", "end of input"]);
+    }
+
+    #[test]
+    fn each_distinct_name_is_interned_once() {
+        let (tokens, names) = lex("a b a String").unwrap();
+        let syms: Vec<Sym> = tokens
+            .iter()
+            .filter_map(|t| match t.tok {
+                Tok::Ident(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(syms[0], syms[2]);
+        assert_ne!(syms[0], syms[1]);
+        assert_eq!(syms[3], Sym::STRING, "fixed names keep their symbols");
+        assert_eq!(names.len(), 6 + 2);
+        assert_eq!(names.text(syms[1]), "b");
     }
 }

@@ -1,16 +1,20 @@
 //! AST → IR lowering: names resolved, expressions flattened to registers,
 //! control flow structured into basic blocks, casts and the reflective
 //! method-name-narrowing idiom turned into [`Filter`]ed copies (§4.2.3).
+//!
+//! Names resolve through tables indexed by [`Sym`], built once per parse:
+//! each symbol's class, each symbol's innermost local (one table for all
+//! scopes, with an undo log that a block unwinds on exit), and caches of
+//! selectors and methods by name and arity.
 
-use std::collections::HashMap;
-
-use crate::ast::{self, AstBinOp, Block, Expr, LValue, ProgramAst, Stmt, TypeAst};
-use crate::class::{Class, ClassId, Field, FieldId};
+use crate::ast::{self, AstBinOp, Block, Expr, LValue, Names, ProgramAst, Stmt, Sym, TypeAst};
+use crate::class::{Class, ClassId, Field, FieldId, SelectorId};
 use crate::inst::{BinOp, BlockId, CallTarget, ConstValue, Filter, Inst, Terminator, Var};
 use crate::method::{BasicBlock, Body, Method, MethodId, MethodKind};
 use crate::parser::ParseError;
 use crate::program::Program;
 use crate::types::{Type, TypeId};
+use crate::util::FxHashMap;
 
 /// Lowers `ast` into `program` (which usually already contains the
 /// intrinsic model library).
@@ -19,39 +23,41 @@ use crate::types::{Type, TypeId};
 /// Returns a [`ParseError`] on unresolved names, arity mismatches, or
 /// malformed constructs.
 pub fn lower(program: &mut Program, ast: &ProgramAst) -> Result<(), ParseError> {
+    let names = &ast.names;
     // Pass 1: declare classes.
     let mut declared: Vec<ClassId> = Vec::with_capacity(ast.classes.len());
     for decl in &ast.classes {
-        if program.class_by_name(&decl.name).is_some() {
-            return Err(ParseError::msg(format!("class `{}` already defined", decl.name)));
+        let name = names.text(decl.name);
+        if program.class_by_name(name).is_some() {
+            return Err(ParseError::msg(format!("class `{name}` already defined")));
         }
-        let mut class = Class::new(decl.name.clone());
+        let mut class = Class::new(name);
         class.is_interface = decl.is_interface;
         class.is_library = decl.is_library;
         declared.push(program.add_class(class));
     }
+    let mut cx = Lowerer::new(program, names);
     // Pass 2: resolve supertypes, declare fields and method signatures.
-    let object = program
-        .class_by_name("Object")
+    let object = cx.class_of[Sym::OBJECT.index()]
         .ok_or_else(|| ParseError::msg("model library must define `Object`"))?;
     let mut method_ids: Vec<Vec<MethodId>> = Vec::with_capacity(ast.classes.len());
     for (decl, &cid) in ast.classes.iter().zip(&declared) {
-        let superclass = match &decl.superclass {
-            Some(name) => Some(resolve_class(program, name, decl.line)?),
+        let superclass = match decl.superclass {
+            Some(name) => Some(cx.resolve_class(name, decl.line)?),
             None if decl.is_interface => None,
             None if cid == object => None, // the root has no superclass
             None => Some(object),
         };
-        program.class_mut(cid).superclass = superclass;
+        cx.program.class_mut(cid).superclass = superclass;
         let mut ifaces = Vec::new();
-        for i in &decl.interfaces {
-            ifaces.push(resolve_class(program, i, decl.line)?);
+        for &i in &decl.interfaces {
+            ifaces.push(cx.resolve_class(i, decl.line)?);
         }
-        program.class_mut(cid).interfaces = ifaces;
+        cx.program.class_mut(cid).interfaces = ifaces;
         for f in &decl.fields {
-            let ty = resolve_type(program, &f.ty, decl.line)?;
-            program.add_field(Field {
-                name: f.name.clone(),
+            let ty = cx.resolve_type(&f.ty, decl.line)?;
+            cx.program.add_field(Field {
+                name: names.text(f.name).to_string(),
                 owner: cid,
                 ty,
                 is_static: f.is_static,
@@ -62,16 +68,16 @@ pub fn lower(program: &mut Program, ast: &ProgramAst) -> Result<(), ParseError> 
             let params = m
                 .params
                 .iter()
-                .map(|(t, _)| resolve_type(program, t, m.line))
+                .map(|(t, _)| cx.resolve_type(t, m.line))
                 .collect::<Result<Vec<_>, _>>()?;
-            let ret = resolve_type(program, &m.ret, m.line)?;
+            let ret = cx.resolve_type(&m.ret, m.line)?;
             let kind = if m.body.is_some() {
                 MethodKind::Body(Body::default()) // replaced in pass 3
             } else {
                 MethodKind::Abstract
             };
-            mids.push(program.add_method(Method {
-                name: m.name.clone(),
+            mids.push(cx.program.add_method(Method {
+                name: names.text(m.name).to_string(),
                 owner: cid,
                 params,
                 ret,
@@ -86,98 +92,163 @@ pub fn lower(program: &mut Program, ast: &ProgramAst) -> Result<(), ParseError> 
     for ((decl, &cid), mids) in ast.classes.iter().zip(&declared).zip(&method_ids) {
         for (m, &mid) in decl.methods.iter().zip(mids) {
             if let Some(block) = &m.body {
-                let body = BodyLowerer::new(program, cid, mid, m)?.lower_body(block)?;
-                *program.method_mut(mid).body_mut().expect("declared with body") = body;
+                let body = cx.lower_body(cid, m, block)?;
+                *cx.program.method_mut(mid).body_mut().expect("declared with body") = body;
             }
         }
     }
     Ok(())
 }
 
-fn resolve_class(program: &Program, name: &str, line: u32) -> Result<ClassId, ParseError> {
-    program.class_by_name(name).ok_or_else(|| ParseError {
-        msg: format!("unknown class `{name}`"),
-        line,
-        col: 0,
-    })
-}
+/// A local's register and declared type.
+type Local = (Var, TypeId);
 
-fn resolve_type(program: &mut Program, ty: &TypeAst, line: u32) -> Result<TypeId, ParseError> {
-    Ok(match ty {
-        TypeAst::Void => program.types.void(),
-        TypeAst::Int => program.types.int(),
-        TypeAst::Boolean => program.types.boolean(),
-        TypeAst::Str => program.types.string(),
-        TypeAst::Named(n) => {
-            let c = resolve_class(program, n, line)?;
-            program.types.class(c)
-        }
-        TypeAst::Array(elem) => {
-            let e = resolve_type(program, elem, line)?;
-            program.types.array(e)
-        }
-    })
-}
-
-/// Per-body lowering state.
-struct BodyLowerer<'a> {
+/// Lowering state for one parse. The tables indexed by symbol and the
+/// caches serve every body; the rest is the body being lowered.
+struct Lowerer<'a> {
     program: &'a mut Program,
+    names: &'a Names,
+    /// The class each symbol names, looked up once after pass 1.
+    class_of: Vec<Option<ClassId>>,
+    /// The innermost local each symbol names in the current body.
+    locals: Vec<Option<Local>>,
+    /// Undo log for `locals`: each declaration's symbol and the binding
+    /// it shadowed. A block unwinds it to its length at block entry.
+    shadowed: Vec<(Sym, Option<Local>)>,
+    selectors: FxHashMap<(Sym, usize), SelectorId>,
+    /// Methods by `(class, name, arity)`, searched up the superclass
+    /// chain; a `None` class finds the first such method anywhere.
+    methods: FxHashMap<(Option<ClassId>, Sym, usize), Option<MethodId>>,
     class: ClassId,
+    is_static: bool,
     body: Body,
     cur: BlockId,
-    scopes: Vec<HashMap<String, (Var, TypeId)>>,
     handlers: Vec<BlockId>,
     /// Active reflective narrowing facts: `(local name, method name)` from
     /// enclosing `if (x.getName().equals("m"))` conditions.
-    narrows: Vec<(String, String)>,
-    is_static: bool,
+    narrows: Vec<(Sym, String)>,
 }
 
-impl<'a> BodyLowerer<'a> {
-    fn new(
-        program: &'a mut Program,
+impl<'a> Lowerer<'a> {
+    fn new(program: &'a mut Program, names: &'a Names) -> Self {
+        let class_of =
+            (0..names.len()).map(|i| program.class_by_name(names.text(Sym::new(i)))).collect();
+        Lowerer {
+            program,
+            names,
+            class_of,
+            locals: vec![None; names.len()],
+            shadowed: Vec::new(),
+            selectors: FxHashMap::default(),
+            methods: FxHashMap::default(),
+            class: ClassId(0),
+            is_static: false,
+            body: Body::default(),
+            cur: BlockId(0),
+            handlers: Vec::new(),
+            narrows: Vec::new(),
+        }
+    }
+
+    fn lower_body(
+        &mut self,
         class: ClassId,
-        mid: MethodId,
         decl: &ast::MethodDecl,
-    ) -> Result<Self, ParseError> {
-        let mut body = Body::default();
-        let is_static = decl.is_static;
-        let mut scope = HashMap::new();
-        if !is_static {
-            let this_ty = program.types.class(class);
-            let v = body.fresh_var();
-            body.var_types.push(this_ty);
+        block: &Block,
+    ) -> Result<Body, ParseError> {
+        self.class = class;
+        self.is_static = decl.is_static;
+        self.cur = BlockId(0);
+        self.handlers.clear();
+        self.narrows.clear();
+        if !decl.is_static {
+            let this_ty = self.program.types.class(class);
+            let v = self.fresh(this_ty);
             debug_assert_eq!(v, Var(0));
         }
         for (i, (t, name)) in decl.params.iter().enumerate() {
-            let ty = resolve_type(program, t, decl.line)?;
-            let v = body.fresh_var();
-            body.var_types.push(ty);
-            debug_assert_eq!(v.index(), i + usize::from(!is_static));
-            scope.insert(name.clone(), (v, ty));
+            let ty = self.resolve_type(t, decl.line)?;
+            let v = self.fresh(ty);
+            debug_assert_eq!(v.index(), i + usize::from(!decl.is_static));
+            self.declare(*name, v, ty);
         }
-        let _ = mid;
-        let mut lowerer = BodyLowerer {
-            program,
-            class,
-            body,
-            cur: BlockId(0),
-            scopes: vec![scope],
-            handlers: Vec::new(),
-            narrows: Vec::new(),
-            is_static,
-        };
-        lowerer.body.blocks.push(BasicBlock::default());
-        Ok(lowerer)
-    }
-
-    fn lower_body(mut self, block: &Block) -> Result<Body, ParseError> {
+        self.body.blocks.push(BasicBlock::default());
         self.lower_block(block)?;
         // Fall-through return for void methods / unfinished blocks.
         if matches!(self.body.blocks[self.cur.index()].term, Terminator::Unreachable) {
             self.body.blocks[self.cur.index()].term = Terminator::Return(None);
         }
-        Ok(self.body)
+        self.unwind(0); // the parameters go out of scope
+        Ok(std::mem::take(&mut self.body))
+    }
+
+    // ---- names ----
+
+    fn text(&self, name: Sym) -> &'a str {
+        self.names.text(name)
+    }
+
+    fn resolve_class(&self, name: Sym, line: u32) -> Result<ClassId, ParseError> {
+        self.class_of[name.index()].ok_or_else(|| ParseError {
+            msg: format!("unknown class `{}`", self.text(name)),
+            line,
+            col: 0,
+        })
+    }
+
+    fn resolve_type(&mut self, ty: &TypeAst, line: u32) -> Result<TypeId, ParseError> {
+        Ok(match ty {
+            TypeAst::Void => self.program.types.void(),
+            TypeAst::Int => self.program.types.int(),
+            TypeAst::Boolean => self.program.types.boolean(),
+            TypeAst::Str => self.program.types.string(),
+            TypeAst::Named(n) => {
+                let c = self.resolve_class(*n, line)?;
+                self.program.types.class(c)
+            }
+            TypeAst::Array(elem) => {
+                let e = self.resolve_type(elem, line)?;
+                self.program.types.array(e)
+            }
+        })
+    }
+
+    fn lookup(&self, name: Sym) -> Option<Local> {
+        self.locals[name.index()]
+    }
+
+    fn declare(&mut self, name: Sym, v: Var, ty: TypeId) {
+        let prev = self.locals[name.index()].replace((v, ty));
+        self.shadowed.push((name, prev));
+    }
+
+    /// Restores the bindings the declarations after `mark` shadowed.
+    fn unwind(&mut self, mark: usize) {
+        for (name, prev) in self.shadowed.drain(mark..).rev() {
+            self.locals[name.index()] = prev;
+        }
+    }
+
+    fn selector(&mut self, name: Sym, arity: usize) -> SelectorId {
+        if let Some(&sel) = self.selectors.get(&(name, arity)) {
+            return sel;
+        }
+        let sel = self.program.selector(self.names.text(name), arity);
+        self.selectors.insert((name, arity), sel);
+        sel
+    }
+
+    /// The method named `name` with `arity` parameters on `class` or a
+    /// superclass, or with `class` `None`, the first one in the program.
+    fn method(&mut self, class: Option<ClassId>, name: Sym, arity: usize) -> Option<MethodId> {
+        let (program, text) = (&*self.program, self.names.text(name));
+        *self.methods.entry((class, name, arity)).or_insert_with(|| match class {
+            Some(c) => program.method_by_arity(c, text, arity),
+            None => program
+                .iter_methods()
+                .find(|(_, m)| m.name == text && m.params.len() == arity)
+                .map(|(id, _)| id),
+        })
     }
 
     // ---- block/terminator plumbing ----
@@ -207,29 +278,21 @@ impl<'a> BodyLowerer<'a> {
         v
     }
 
-    fn lookup(&self, name: &str) -> Option<(Var, TypeId)> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
-    }
-
-    fn declare(&mut self, name: &str, v: Var, ty: TypeId) {
-        self.scopes.last_mut().expect("scope stack nonempty").insert(name.to_string(), (v, ty));
-    }
-
     // ---- statements ----
 
     fn lower_block(&mut self, block: &Block) -> Result<(), ParseError> {
-        self.scopes.push(HashMap::new());
+        let mark = self.shadowed.len();
         for stmt in &block.stmts {
             self.lower_stmt(stmt)?;
         }
-        self.scopes.pop();
+        self.unwind(mark);
         Ok(())
     }
 
     fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), ParseError> {
         match stmt {
             Stmt::VarDecl { ty, name, init, line } => {
-                let tyid = resolve_type(self.program, ty, *line)?;
+                let tyid = self.resolve_type(ty, *line)?;
                 let v = self.fresh(tyid);
                 if let Some(e) = init {
                     let (src, _) = self.lower_expr(e)?;
@@ -238,12 +301,12 @@ impl<'a> BodyLowerer<'a> {
                 } else {
                     self.emit(Inst::Const { dst: v, value: default_const(self.program, tyid) });
                 }
-                self.declare(name, v, tyid);
+                self.declare(*name, v, tyid);
             }
             Stmt::Assign { lhs, rhs, line } => match lhs {
                 LValue::Var(name) => {
-                    let (dst, _ty) = self.lookup(name).ok_or_else(|| ParseError {
-                        msg: format!("unknown variable `{name}`"),
+                    let (dst, _ty) = self.lookup(*name).ok_or_else(|| ParseError {
+                        msg: format!("unknown variable `{}`", self.text(*name)),
                         line: *line,
                         col: 0,
                     })?;
@@ -255,12 +318,12 @@ impl<'a> BodyLowerer<'a> {
                     let (src, _) = self.lower_expr(rhs)?;
                     match self.static_class_of(base) {
                         Some(cid) => {
-                            let f = self.resolve_field(cid, name, *line)?;
+                            let f = self.resolve_field(cid, *name, *line)?;
                             self.emit(Inst::StaticStore { field: f, src });
                         }
                         None => {
                             let (b, bty) = self.lower_expr(base)?;
-                            let f = self.field_on(bty, name, *line)?;
+                            let f = self.field_on(bty, *name, *line)?;
                             self.emit(Inst::Store { base: b, field: f, src });
                         }
                     }
@@ -326,7 +389,7 @@ impl<'a> BodyLowerer<'a> {
                 self.cur = self.new_block();
             }
             Stmt::Try { body, catch_class, catch_name, handler } => {
-                let exc_class = resolve_class(self.program, catch_class, 0)?;
+                let exc_class = self.resolve_class(*catch_class, 0)?;
                 let exc_ty = self.program.types.class(exc_class);
                 let handler_bb = self.new_block(); // handler itself uses outer handler
                                                    // Protected region.
@@ -342,12 +405,12 @@ impl<'a> BodyLowerer<'a> {
                 self.cur = handler_bb;
                 let evar = self.fresh(exc_ty);
                 self.emit(Inst::CatchBind { dst: evar, class: exc_class });
-                self.scopes.push(HashMap::new());
-                self.declare(catch_name, evar, exc_ty);
+                let mark = self.shadowed.len();
+                self.declare(*catch_name, evar, exc_ty);
                 for s in &handler.stmts {
                     self.lower_stmt(s)?;
                 }
-                self.scopes.pop();
+                self.unwind(mark);
                 self.terminate(Terminator::Goto(join));
                 self.cur = join;
             }
@@ -393,40 +456,33 @@ impl<'a> BodyLowerer<'a> {
                 }
                 Ok((Var(0), self.program.types.class(self.class)))
             }
-            Expr::Var(name, line) => self.lookup(name).ok_or_else(|| ParseError {
-                msg: format!("unknown variable `{name}`"),
+            Expr::Var(name, line) => self.lookup(*name).ok_or_else(|| ParseError {
+                msg: format!("unknown variable `{}`", self.text(*name)),
                 line: *line,
                 col: 0,
             }),
             Expr::Field { base, name, line } => {
-                // `arr.length` → opaque int.
-                if name == "length" {
-                    let (b, bty) = self.lower_expr(base)?;
-                    if matches!(self.program.types.resolve(bty), Type::Array(_)) {
-                        let ty = self.program.types.int();
-                        let v = self.fresh(ty);
-                        let _ = b;
-                        self.emit(Inst::Const { dst: v, value: ConstValue::Int(0) });
-                        return Ok((v, ty));
-                    }
+                if let Some(cid) = self.static_class_of(base) {
+                    let f = self.resolve_field(cid, *name, *line)?;
+                    let ty = self.program.field(f).ty;
+                    let v = self.fresh(ty);
+                    self.emit(Inst::StaticLoad { dst: v, field: f });
+                    return Ok((v, ty));
                 }
-                match self.static_class_of(base) {
-                    Some(cid) => {
-                        let f = self.resolve_field(cid, name, *line)?;
-                        let ty = self.program.field(f).ty;
-                        let v = self.fresh(ty);
-                        self.emit(Inst::StaticLoad { dst: v, field: f });
-                        Ok((v, ty))
-                    }
-                    None => {
-                        let (b, bty) = self.lower_expr(base)?;
-                        let f = self.field_on(bty, name, *line)?;
-                        let ty = self.program.field(f).ty;
-                        let v = self.fresh(ty);
-                        self.emit(Inst::Load { dst: v, base: b, field: f });
-                        Ok((v, ty))
-                    }
+                let (b, bty) = self.lower_expr(base)?;
+                if *name == Sym::LENGTH && matches!(self.program.types.resolve(bty), Type::Array(_))
+                {
+                    // `arr.length` → opaque int.
+                    let ty = self.program.types.int();
+                    let v = self.fresh(ty);
+                    self.emit(Inst::Const { dst: v, value: ConstValue::Int(0) });
+                    return Ok((v, ty));
                 }
+                let f = self.field_on(bty, *name, *line)?;
+                let ty = self.program.field(f).ty;
+                let v = self.fresh(ty);
+                self.emit(Inst::Load { dst: v, base: b, field: f });
+                Ok((v, ty))
             }
             Expr::Index { base, index } => {
                 let (b, bty) = self.lower_expr(base)?;
@@ -439,9 +495,9 @@ impl<'a> BodyLowerer<'a> {
                 self.emit(Inst::ArrayLoad { dst: v, base: b, index: Some(idx) });
                 Ok((v, elem_ty))
             }
-            Expr::Call { base, name, args, line } => self.lower_call(base, name, args, *line),
+            Expr::Call { base, name, args, line } => self.lower_call(base, *name, args, *line),
             Expr::New { class, args, line } => {
-                if class == "String" {
+                if *class == Sym::STRING {
                     // `new String(x)` is a copy of the string-carrier value.
                     if let Some(a0) = args.first() {
                         let (src, _) = self.lower_expr(a0)?;
@@ -455,16 +511,16 @@ impl<'a> BodyLowerer<'a> {
                     self.emit(Inst::Const { dst: v, value: ConstValue::Str(String::new()) });
                     return Ok((v, ty));
                 }
-                let cid = resolve_class(self.program, class, *line)?;
+                let cid = self.resolve_class(*class, *line)?;
                 let ty = self.program.types.class(cid);
                 let v = self.fresh(ty);
                 self.emit(Inst::New { dst: v, class: cid });
-                // Find a constructor with matching arity in the chain.
                 let mut lowered = Vec::with_capacity(args.len());
                 for a in args {
                     lowered.push(self.lower_expr(a)?.0);
                 }
-                if let Some(init) = self.find_ctor(cid, args.len()) {
+                // A constructor with matching arity in the chain.
+                if let Some(init) = self.method(Some(cid), Sym::INIT, args.len()) {
                     self.emit(Inst::Call {
                         dst: None,
                         target: CallTarget::Special(init),
@@ -473,7 +529,11 @@ impl<'a> BodyLowerer<'a> {
                     });
                 } else if !args.is_empty() {
                     return Err(ParseError {
-                        msg: format!("no {}-ary constructor on `{class}`", args.len()),
+                        msg: format!(
+                            "no {}-ary constructor on `{}`",
+                            args.len(),
+                            self.text(*class)
+                        ),
                         line: *line,
                         col: 0,
                     });
@@ -481,7 +541,7 @@ impl<'a> BodyLowerer<'a> {
                 Ok((v, ty))
             }
             Expr::NewArray { elem, init, line } => {
-                let elem_ty = resolve_type(self.program, elem, *line)?;
+                let elem_ty = self.resolve_type(elem, *line)?;
                 let arr_ty = self.program.types.array(elem_ty);
                 let v = self.fresh(arr_ty);
                 self.emit(Inst::NewArray { dst: v, elem: elem_ty });
@@ -525,7 +585,7 @@ impl<'a> BodyLowerer<'a> {
             }
             Expr::Cast { ty, expr, line } => {
                 let (src, _) = self.lower_expr(expr)?;
-                let tyid = resolve_type(self.program, ty, *line)?;
+                let tyid = self.resolve_type(ty, *line)?;
                 let v = self.fresh(tyid);
                 let filter = match self.program.types.resolve(tyid) {
                     Type::Class(c) => Some(Filter::InstanceOf(c)),
@@ -540,46 +600,31 @@ impl<'a> BodyLowerer<'a> {
     fn lower_call(
         &mut self,
         base: &Option<Box<Expr>>,
-        name: &str,
+        name: Sym,
         args: &[Expr],
         line: u32,
     ) -> Result<(Var, TypeId), ParseError> {
+        let arity = args.len();
         // Static call through a class name?
         if let Some(b) = base {
             if let Some(cid) = self.static_class_of(b) {
-                let mid = self
-                    .program
-                    .method_by_name(cid, name)
-                    .filter(|&m| self.program.method(m).params.len() == args.len())
-                    .ok_or_else(|| ParseError {
-                        msg: format!(
-                            "no static method `{}.{name}/{}`",
-                            self.program.class(cid).name,
-                            args.len()
-                        ),
-                        line,
-                        col: 0,
-                    })?;
+                let mid = self.method(Some(cid), name, arity).ok_or_else(|| ParseError {
+                    msg: format!(
+                        "no static method `{}.{}/{arity}`",
+                        self.program.class(cid).name,
+                        self.text(name)
+                    ),
+                    line,
+                    col: 0,
+                })?;
                 if !self.program.method(mid).is_static {
                     return Err(ParseError {
-                        msg: format!("`{name}` is not static"),
+                        msg: format!("`{}` is not static", self.text(name)),
                         line,
                         col: 0,
                     });
                 }
-                let mut lowered = Vec::with_capacity(args.len());
-                for a in args {
-                    lowered.push(self.lower_expr(a)?.0);
-                }
-                let ret = self.program.method(mid).ret;
-                let dst = self.call_dst(ret);
-                self.emit(Inst::Call {
-                    dst,
-                    target: CallTarget::Static(mid),
-                    recv: None,
-                    args: lowered,
-                });
-                return Ok((dst.unwrap_or(Var(0)), ret));
+                return self.static_call(mid, args);
             }
         }
         // Receiver expression (explicit base or implicit `this`).
@@ -587,30 +632,14 @@ impl<'a> BodyLowerer<'a> {
             Some(b) => self.lower_expr(b)?,
             None => {
                 // Unqualified: method on the current class (static or not).
-                if let Some(mid) = self
-                    .program
-                    .method_by_name(self.class, name)
-                    .filter(|&m| self.program.method(m).params.len() == args.len())
-                {
+                if let Some(mid) = self.method(Some(self.class), name, arity) {
                     if self.program.method(mid).is_static {
-                        let mut lowered = Vec::with_capacity(args.len());
-                        for a in args {
-                            lowered.push(self.lower_expr(a)?.0);
-                        }
-                        let ret = self.program.method(mid).ret;
-                        let dst = self.call_dst(ret);
-                        self.emit(Inst::Call {
-                            dst,
-                            target: CallTarget::Static(mid),
-                            recv: None,
-                            args: lowered,
-                        });
-                        return Ok((dst.unwrap_or(Var(0)), ret));
+                        return self.static_call(mid, args);
                     }
                 }
                 if self.is_static {
                     return Err(ParseError {
-                        msg: format!("unqualified call `{name}` in static method"),
+                        msg: format!("unqualified call `{}` in static method", self.text(name)),
                         line,
                         col: 0,
                     });
@@ -618,28 +647,20 @@ impl<'a> BodyLowerer<'a> {
                 (Var(0), self.program.types.class(self.class))
             }
         };
-        let mut lowered = Vec::with_capacity(args.len());
+        let mut lowered = Vec::with_capacity(arity);
         for a in args {
             lowered.push(self.lower_expr(a)?.0);
         }
-        let sel = self.program.selector(name, args.len());
+        let sel = self.selector(name, arity);
         // Determine a return type from the static receiver type when
-        // possible, else from any program method with this selector.
-        let ret = self
-            .program
-            .types
-            .resolve(recv_ty)
-            .as_class()
-            .and_then(|c| self.program.method_by_name(c, name))
-            .filter(|&m| self.program.method(m).params.len() == args.len())
-            .map(|m| self.program.method(m).ret)
-            .or_else(|| {
-                self.program
-                    .iter_methods()
-                    .find(|(_, m)| m.name == name && m.params.len() == args.len())
-                    .map(|(_, m)| m.ret)
-            })
-            .unwrap_or_else(|| self.object_type());
+        // possible, else from any program method with this name and arity.
+        let ret = match self.program.types.resolve(recv_ty).as_class() {
+            Some(c) => self.method(Some(c), name, arity),
+            None => None,
+        }
+        .or_else(|| self.method(None, name, arity))
+        .map(|m| self.program.method(m).ret)
+        .unwrap_or_else(|| self.object_type());
         let dst = self.call_dst(ret);
         self.emit(Inst::Call {
             dst,
@@ -647,6 +668,17 @@ impl<'a> BodyLowerer<'a> {
             recv: Some(recv),
             args: lowered,
         });
+        Ok((dst.unwrap_or(Var(0)), ret))
+    }
+
+    fn static_call(&mut self, mid: MethodId, args: &[Expr]) -> Result<(Var, TypeId), ParseError> {
+        let mut lowered = Vec::with_capacity(args.len());
+        for a in args {
+            lowered.push(self.lower_expr(a)?.0);
+        }
+        let ret = self.program.method(mid).ret;
+        let dst = self.call_dst(ret);
+        self.emit(Inst::Call { dst, target: CallTarget::Static(mid), recv: None, args: lowered });
         Ok((dst.unwrap_or(Var(0)), ret))
     }
 
@@ -664,46 +696,32 @@ impl<'a> BodyLowerer<'a> {
     /// local), returns that class: static-access position.
     fn static_class_of(&self, e: &Expr) -> Option<ClassId> {
         match e {
-            Expr::Var(name, _) if self.lookup(name).is_none() => self.program.class_by_name(name),
+            Expr::Var(name, _) if self.lookup(*name).is_none() => self.class_of[name.index()],
             _ => None,
         }
     }
 
-    fn resolve_field(&self, class: ClassId, name: &str, line: u32) -> Result<FieldId, ParseError> {
-        self.program.field_by_name(class, name).ok_or_else(|| ParseError {
-            msg: format!("no field `{name}` on `{}`", self.program.class(class).name),
+    fn resolve_field(&self, class: ClassId, name: Sym, line: u32) -> Result<FieldId, ParseError> {
+        self.program.field_by_name(class, self.text(name)).ok_or_else(|| ParseError {
+            msg: format!("no field `{}` on `{}`", self.text(name), self.program.class(class).name),
             line,
             col: 0,
         })
     }
 
-    fn field_on(&self, base_ty: TypeId, name: &str, line: u32) -> Result<FieldId, ParseError> {
+    fn field_on(&self, base_ty: TypeId, name: Sym, line: u32) -> Result<FieldId, ParseError> {
         match self.program.types.resolve(base_ty) {
             Type::Class(c) => self.resolve_field(c, name, line),
             other => Err(ParseError {
-                msg: format!("field access `{name}` on non-class type {other:?}"),
+                msg: format!("field access `{}` on non-class type {other:?}", self.text(name)),
                 line,
                 col: 0,
             }),
         }
     }
 
-    fn find_ctor(&self, class: ClassId, arity: usize) -> Option<MethodId> {
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            if let Some(m) = self.program.class(c).methods.iter().copied().find(|&m| {
-                let meth = self.program.method(m);
-                meth.name == "<init>" && meth.params.len() == arity
-            }) {
-                return Some(m);
-            }
-            cur = self.program.class(c).superclass;
-        }
-        None
-    }
-
     fn object_type(&mut self) -> TypeId {
-        let obj = self.program.class_by_name("Object").expect("Object exists");
+        let obj = self.class_of[Sym::OBJECT.index()].expect("Object exists");
         self.program.types.class(obj)
     }
 
@@ -733,19 +751,19 @@ fn default_const(program: &Program, ty: TypeId) -> ConstValue {
 /// Recognizes the reflective narrowing idiom in an `if` condition:
 /// `x.getName().equals("m")` or `x.getName() == "m"`, returning
 /// `(local name, method name)`.
-fn narrow_pattern(cond: &Expr) -> Option<(String, String)> {
-    fn get_name_recv(e: &Expr) -> Option<String> {
-        if let Expr::Call { base: Some(b), name, args, .. } = e {
-            if name == "getName" && args.is_empty() {
+fn narrow_pattern(cond: &Expr) -> Option<(Sym, String)> {
+    fn get_name_recv(e: &Expr) -> Option<Sym> {
+        if let Expr::Call { base: Some(b), name: Sym::GET_NAME, args, .. } = e {
+            if args.is_empty() {
                 if let Expr::Var(v, _) = &**b {
-                    return Some(v.clone());
+                    return Some(*v);
                 }
             }
         }
         None
     }
     match cond {
-        Expr::Call { base: Some(b), name, args, .. } if name == "equals" && args.len() == 1 => {
+        Expr::Call { base: Some(b), name: Sym::EQUALS, args, .. } if args.len() == 1 => {
             let v = get_name_recv(b)?;
             if let Expr::Str(s) = &args[0] {
                 return Some((v, s.clone()));

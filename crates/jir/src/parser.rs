@@ -46,14 +46,17 @@ impl From<LexError> for ParseError {
 /// # Errors
 /// Returns the first syntax error encountered.
 pub fn parse(src: &str) -> Result<ProgramAst, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.program()
+    let (tokens, names) = lex(src)?;
+    let mut p = Parser { tokens, pos: 0, names };
+    let classes = p.program()?;
+    Ok(ProgramAst { classes, names: p.names })
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The table the tokens' identifiers index; errors quote from it.
+    names: Names,
 }
 
 impl Parser {
@@ -88,18 +91,28 @@ impl Parser {
             self.advance();
             Ok(())
         } else {
-            Err(self.err(format!("expected {expected}, found {}", self.peek())))
+            Err(self.err(format!(
+                "expected {}, found {}",
+                expected.describe(&self.names),
+                self.describe(self.peek())
+            )))
         }
     }
 
-    fn eat_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            Tok::Ident(_) => match self.advance() {
-                Tok::Ident(s) => Ok(s),
-                _ => unreachable!("peeked an identifier"),
-            },
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+    fn eat_ident(&mut self) -> Result<Sym, ParseError> {
+        match *self.peek() {
+            Tok::Ident(s) => {
+                self.advance();
+                Ok(s)
+            }
+            ref other => {
+                Err(self.err(format!("expected identifier, found {}", self.describe(other))))
+            }
         }
+    }
+
+    fn describe(&self, tok: &Tok) -> String {
+        tok.describe(&self.names)
     }
 
     fn err(&self, msg: String) -> ParseError {
@@ -108,12 +121,12 @@ impl Parser {
 
     // ---- declarations ----
 
-    fn program(&mut self) -> Result<ProgramAst, ParseError> {
+    fn program(&mut self) -> Result<Vec<ClassDecl>, ParseError> {
         let mut classes = Vec::new();
         while *self.peek() != Tok::Eof {
             classes.push(self.class_decl()?);
         }
-        Ok(ProgramAst { classes })
+        Ok(classes)
     }
 
     fn class_decl(&mut self) -> Result<ClassDecl, ParseError> {
@@ -126,7 +139,10 @@ impl Parser {
         let is_interface = match self.advance() {
             Tok::Class => false,
             Tok::Interface => true,
-            other => return Err(self.err(format!("expected `class`/`interface`, found {other}"))),
+            other => {
+                return Err(self
+                    .err(format!("expected `class`/`interface`, found {}", self.describe(&other))))
+            }
         };
         let name = self.eat_ident()?;
         let mut superclass = None;
@@ -187,7 +203,7 @@ impl Parser {
                     let params = self.param_list()?;
                     let body = Some(self.block()?);
                     methods.push(MethodDecl {
-                        name: "<init>".into(),
+                        name: Sym::INIT,
                         params,
                         ret: TypeAst::Void,
                         is_static: false,
@@ -196,9 +212,10 @@ impl Parser {
                     });
                 }
                 other => {
-                    return Err(
-                        self.err(format!("expected `field`, `method` or `ctor`, found {other}"))
-                    )
+                    return Err(self.err(format!(
+                        "expected `field`, `method` or `ctor`, found {}",
+                        self.describe(other)
+                    )))
                 }
             }
         }
@@ -215,7 +232,7 @@ impl Parser {
         })
     }
 
-    fn param_list(&mut self) -> Result<Vec<(TypeAst, String)>, ParseError> {
+    fn param_list(&mut self) -> Result<Vec<(TypeAst, Sym)>, ParseError> {
         self.eat(&Tok::LParen)?;
         let mut params = Vec::new();
         if *self.peek() != Tok::RParen {
@@ -239,9 +256,11 @@ impl Parser {
             Tok::Void => TypeAst::Void,
             Tok::IntKw => TypeAst::Int,
             Tok::BooleanKw => TypeAst::Boolean,
-            Tok::Ident(s) if s == "String" => TypeAst::Str,
+            Tok::Ident(Sym::STRING) => TypeAst::Str,
             Tok::Ident(s) => TypeAst::Named(s),
-            other => return Err(self.err(format!("expected type, found {other}"))),
+            other => {
+                return Err(self.err(format!("expected type, found {}", self.describe(&other))))
+            }
         };
         while *self.peek() == Tok::LBracket && *self.peek_at(1) == Tok::RBracket {
             self.advance();
@@ -372,7 +391,12 @@ impl Parser {
                 Expr::Var(name, _) => LValue::Var(name),
                 Expr::Field { base, name, .. } => LValue::Field { base: *base, name },
                 Expr::Index { base, index } => LValue::Index { base: *base, index: *index },
-                other => return Err(self.err(format!("invalid assignment target: {other:?}"))),
+                other => {
+                    return Err(self.err(format!(
+                        "invalid assignment target: {:?}",
+                        WithNames(&other, &self.names)
+                    )))
+                }
             };
             out.push(Stmt::Assign { lhs, rhs, line });
         } else {
@@ -598,7 +622,7 @@ impl Parser {
                 if *self.peek() == Tok::LParen {
                     let class = match ty {
                         TypeAst::Named(n) => n,
-                        TypeAst::Str => "String".to_string(),
+                        TypeAst::Str => Sym::STRING,
                         other => {
                             return Err(
                                 self.err(format!("cannot construct non-class type {other:?}"))
@@ -635,9 +659,11 @@ impl Parser {
                     Err(self.err("expected `(` or `[` after `new T`".into()))
                 }
             }
-            other => {
-                Err(ParseError { msg: format!("expected expression, found {other}"), line, col: 0 })
-            }
+            other => Err(ParseError {
+                msg: format!("expected expression, found {}", self.describe(&other)),
+                line,
+                col: 0,
+            }),
         }
     }
 
@@ -645,9 +671,9 @@ impl Parser {
         match self.advance() {
             Tok::IntKw => Ok(TypeAst::Int),
             Tok::BooleanKw => Ok(TypeAst::Boolean),
-            Tok::Ident(s) if s == "String" => Ok(TypeAst::Str),
+            Tok::Ident(Sym::STRING) => Ok(TypeAst::Str),
             Tok::Ident(s) => Ok(TypeAst::Named(s)),
-            other => Err(self.err(format!("expected type, found {other}"))),
+            other => Err(self.err(format!("expected type, found {}", self.describe(&other)))),
         }
     }
 }
@@ -672,12 +698,14 @@ mod tests {
         .unwrap();
         assert_eq!(ast.classes.len(), 1);
         let c = &ast.classes[0];
-        assert_eq!(c.superclass.as_deref(), Some("Bar"));
-        assert_eq!(c.interfaces, vec!["Baz".to_string(), "Qux".to_string()]);
+        let text = |s| ast.names.text(s);
+        assert_eq!(c.superclass.map(text), Some("Bar"));
+        assert_eq!(c.interfaces.iter().map(|&i| text(i)).collect::<Vec<_>>(), ["Baz", "Qux"]);
         assert_eq!(c.fields.len(), 2);
         assert!(c.fields[1].is_static);
         assert_eq!(c.methods.len(), 3);
-        assert_eq!(c.methods[0].name, "<init>");
+        assert_eq!(c.methods[0].name, Sym::INIT);
+        assert_eq!(text(c.methods[2].name), "abstractish");
         assert!(c.methods[2].body.is_none());
     }
 
@@ -742,8 +770,8 @@ mod tests {
         .unwrap();
         let b = ast.classes[0].methods[0].body.as_ref().unwrap();
         match &b.stmts[0] {
-            Stmt::VarDecl { init: Some(Expr::Cast { ty, .. }), .. } => {
-                assert_eq!(*ty, TypeAst::Named("Widget".into()));
+            Stmt::VarDecl { init: Some(Expr::Cast { ty: TypeAst::Named(s), .. }), .. } => {
+                assert_eq!(ast.names.text(*s), "Widget");
             }
             other => panic!("expected cast initializer, got {other:?}"),
         }
@@ -784,8 +812,8 @@ mod tests {
         let b = ast.classes[0].methods[0].body.as_ref().unwrap();
         match &b.stmts[0] {
             Stmt::Try { catch_class, catch_name, handler, .. } => {
-                assert_eq!(catch_class, "Exception");
-                assert_eq!(catch_name, "e");
+                assert_eq!(ast.names.text(*catch_class), "Exception");
+                assert_eq!(ast.names.text(*catch_name), "e");
                 assert!(matches!(handler.stmts[0], Stmt::Throw(..)));
             }
             other => panic!("expected try, got {other:?}"),
@@ -820,7 +848,7 @@ mod tests {
         let b = ast.classes[0].methods[0].body.as_ref().unwrap();
         match &b.stmts[0] {
             Stmt::Expr(Expr::Call { name, base: Some(inner), .. }) => {
-                assert_eq!(name, "println");
+                assert_eq!(ast.names.text(*name), "println");
                 assert!(matches!(**inner, Expr::Call { .. }));
             }
             other => panic!("expected chained call, got {other:?}"),

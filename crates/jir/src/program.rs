@@ -197,6 +197,28 @@ impl Program {
         None
     }
 
+    /// Finds the method with `name` and `arity` on `class` or its nearest
+    /// superclass that declares one: jweb identifies a method by name and
+    /// arity.
+    pub(crate) fn method_by_arity(
+        &self,
+        class: ClassId,
+        name: &str,
+        arity: usize,
+    ) -> Option<MethodId> {
+        let mut cur = Some(class);
+        while let Some(c) = cur {
+            if let Some(m) = self.class(c).methods.iter().copied().find(|&m| {
+                let meth = self.method(m);
+                meth.name == name && meth.params.len() == arity
+            }) {
+                return Some(m);
+            }
+            cur = self.class(c).superclass;
+        }
+        None
+    }
+
     /// Finds a method by class and name (first match over arities), mostly
     /// for tests and rule specifications.
     pub fn method_by_name(&self, class: ClassId, name: &str) -> Option<MethodId> {

@@ -4,6 +4,11 @@
 //! TAJ relies on an SSA register-transfer representation "which gives a
 //! measure of flow sensitivity for points-to sets of local variables"
 //! (§3.1); every analysis in this workspace assumes bodies are in SSA form.
+//!
+//! The per-register state lives in flat tables that [`program_to_ssa`]
+//! reuses across bodies: def blocks as `(register, block)` pairs, φ
+//! placements as `(block, register)` pairs, and one current-name array
+//! whose undo log the dominator walk unwinds as it leaves each block.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
@@ -13,11 +18,12 @@ use crate::program::Program;
 
 /// Converts every method body in `program` to SSA form.
 pub fn program_to_ssa(program: &mut Program) {
+    let mut scratch = Scratch::default();
     for m in &mut program.methods {
         let incoming = m.params.len() + usize::from(!m.is_static);
         if let MethodKind::Body(body) = &mut m.kind {
             if !body.is_ssa {
-                to_ssa(body, incoming);
+                convert(body, incoming, &mut scratch);
             }
         }
     }
@@ -25,8 +31,54 @@ pub fn program_to_ssa(program: &mut Program) {
 
 /// Converts one body to SSA form. `num_incoming` registers (receiver +
 /// parameters) are treated as defined at entry.
-#[allow(clippy::needless_range_loop)] // index loops mirror the textbook algorithm
 pub fn to_ssa(body: &mut Body, num_incoming: usize) {
+    convert(body, num_incoming, &mut Scratch::default());
+}
+
+/// Tables one conversion fills and the next reuses. Each is reset (or
+/// fully unwound) per body, so a conversion never sees its predecessor's
+/// state.
+#[derive(Default)]
+struct Scratch {
+    /// Per register: read in a block that does not define it first.
+    globals: Vec<bool>,
+    /// Per register: `block + 1` of the last block seen defining it.
+    killed: Vec<u32>,
+    uses: Vec<Var>,
+    /// `(register, block)` for each block defining a register, sorted so
+    /// each register's blocks are contiguous.
+    defs: Vec<(u32, BlockId)>,
+    /// Per block: `register + 1` when the block is a def block of the
+    /// register being placed.
+    is_def: Vec<u32>,
+    /// Per block: `register + 1` when the block has a φ for that register.
+    has_phi: Vec<u32>,
+    work: Vec<BlockId>,
+    /// `(block, register)` for each φ, sorted by block, then register.
+    phis: Vec<(BlockId, u32)>,
+    /// Per original register: its current name in the dominator walk.
+    name: Vec<Var>,
+    /// Undo log for `name`: the register and the name it replaced.
+    renamed: Vec<(Var, Var)>,
+    name_taken: Vec<bool>,
+    agenda: Vec<Step>,
+}
+
+/// A step of the iterative dominator-tree walk.
+enum Step {
+    Enter(BlockId),
+    /// Leave a block: unwind `renamed` to this length.
+    Exit(usize),
+}
+
+/// Resets `v` to `n` copies of `x`, keeping its allocation.
+fn reset<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
+#[allow(clippy::needless_range_loop)] // index loops mirror the textbook algorithm
+fn convert(body: &mut Body, num_incoming: usize, s: &mut Scratch) {
     if body.blocks.is_empty() {
         body.is_ssa = true;
         return;
@@ -53,95 +105,103 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
     };
     let dom = DomTree::build(&cfg);
     let orig_vars = body.num_vars;
+    let nvars = orig_vars as usize;
+    let nblocks = body.blocks.len();
 
     // ---- 1. Find "global" variables (live across blocks) and def blocks.
-    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); orig_vars as usize];
-    let mut globals = vec![false; orig_vars as usize];
-    let mut uses_buf = Vec::new();
+    reset(&mut s.globals, nvars, false);
     // `killed[v] == stamp` iff `v` is defined earlier in the current
     // block; the stamp is the block's index plus one, so one array serves
-    // every block.
-    let mut killed = vec![0u32; orig_vars as usize];
+    // every block. A register's first def in a block records the block.
+    reset(&mut s.killed, nvars, 0);
+    s.defs.clear();
     for (bid, block) in body.iter_blocks() {
         let stamp = bid.0 + 1;
         for inst in &block.insts {
-            uses_buf.clear();
-            inst.uses(&mut uses_buf);
-            for &u in &uses_buf {
-                if killed[u.index()] != stamp {
-                    globals[u.index()] = true;
+            s.uses.clear();
+            inst.uses(&mut s.uses);
+            for &u in &s.uses {
+                if s.killed[u.index()] != stamp {
+                    s.globals[u.index()] = true;
                 }
             }
             if let Some(d) = inst.def() {
-                killed[d.index()] = stamp;
-                if !def_blocks[d.index()].contains(&bid) {
-                    def_blocks[d.index()].push(bid);
+                if s.killed[d.index()] != stamp {
+                    s.killed[d.index()] = stamp;
+                    s.defs.push((d.0, bid));
                 }
             }
         }
         if let Some(u) = block.term.use_var() {
-            if killed[u.index()] != stamp {
-                globals[u.index()] = true;
+            if s.killed[u.index()] != stamp {
+                s.globals[u.index()] = true;
             }
         }
     }
     // Incoming registers are defined at entry.
-    for v in 0..num_incoming.min(orig_vars as usize) {
-        if !def_blocks[v].contains(&BlockId(0)) {
-            def_blocks[v].push(BlockId(0));
-        }
+    for v in 0..num_incoming.min(nvars) {
+        s.defs.push((v as u32, BlockId(0)));
     }
+    s.defs.sort_unstable();
+    s.defs.dedup();
 
     // ---- 2. Place φ-functions at iterated dominance frontiers.
-    let nblocks = body.blocks.len();
-    let mut phi_list: Vec<Vec<Var>> = vec![Vec::new(); nblocks]; // orig vars, insertion order
-
-    // `has_phi[b] == v + 1` iff block `b` already has a φ for `v`.
-    let mut has_phi = vec![0u32; nblocks];
-    let mut work: Vec<BlockId> = Vec::new();
-    for v in 0..orig_vars {
-        let var = Var(v);
-        if !globals[v as usize] && def_blocks[v as usize].len() <= 1 {
+    reset(&mut s.is_def, nblocks, 0);
+    reset(&mut s.has_phi, nblocks, 0);
+    s.phis.clear();
+    let mut rest = &s.defs[..];
+    while let Some(&(v, _)) = rest.first() {
+        let len = rest.iter().take_while(|&&(r, _)| r == v).count();
+        let (blocks, tail) = rest.split_at(len);
+        rest = tail;
+        if !s.globals[v as usize] && blocks.len() <= 1 {
             continue; // semi-pruned: single-block locals need no φ
         }
-        work.extend_from_slice(&def_blocks[v as usize]);
-        while let Some(d) = work.pop() {
+        for &(_, b) in blocks {
+            s.is_def[b.index()] = v + 1;
+        }
+        s.work.extend(blocks.iter().map(|&(_, b)| b));
+        while let Some(d) = s.work.pop() {
             if !cfg.is_reachable(d) {
                 continue;
             }
             for &f in &dom.frontier[d.index()] {
-                if has_phi[f.index()] != v + 1 {
-                    has_phi[f.index()] = v + 1;
-                    phi_list[f.index()].push(var);
-                    if !def_blocks[v as usize].contains(&f) {
-                        work.push(f);
+                if s.has_phi[f.index()] != v + 1 {
+                    s.has_phi[f.index()] = v + 1;
+                    s.phis.push((f, v));
+                    if s.is_def[f.index()] != v + 1 {
+                        s.work.push(f);
                     }
                 }
             }
         }
     }
     // Materialize φ instructions at block starts (operands initially the
-    // original variable; renaming fixes them up).
-    for b in 0..nblocks {
-        if phi_list[b].is_empty() {
-            continue;
-        }
-        let preds = cfg.preds[b].clone();
-        let mut phis: Vec<Inst> = Vec::with_capacity(phi_list[b].len());
-        for &v in &phi_list[b] {
-            phis.push(Inst::Phi { dst: v, srcs: preds.iter().map(|&p| (p, v)).collect() });
-        }
-        let block = &mut body.blocks[b];
-        let old = std::mem::take(&mut block.insts);
-        block.insts = phis.into_iter().chain(old).collect();
+    // original variable; renaming fixes them up). Registers are placed in
+    // increasing order, so sorting by block then register is stable by
+    // block.
+    s.phis.sort_unstable();
+    let mut rest = &s.phis[..];
+    while let Some(&(b, _)) = rest.first() {
+        let len = rest.iter().take_while(|&&(blk, _)| blk == b).count();
+        let (here, tail) = rest.split_at(len);
+        rest = tail;
+        let preds = &cfg.preds[b.index()];
+        let phis = here.iter().map(|&(_, v)| Inst::Phi {
+            dst: Var(v),
+            srcs: preds.iter().map(|&p| (p, Var(v))).collect(),
+        });
+        body.blocks[b.index()].insts.splice(0..0, phis);
     }
 
     // ---- 3. Rename via dominator-tree walk.
-    let mut stacks: Vec<Vec<Var>> = vec![Vec::new(); orig_vars as usize];
-    let mut name_taken = vec![false; orig_vars as usize];
-    for v in 0..num_incoming.min(orig_vars as usize) {
-        stacks[v].push(Var(v as u32)); // parameters keep their names
-        name_taken[v] = true;
+    // A register with no name pushed reads as itself.
+    s.name.clear();
+    s.name.extend((0..orig_vars).map(Var));
+    s.renamed.clear();
+    reset(&mut s.name_taken, nvars, false);
+    for v in 0..num_incoming.min(nvars) {
+        s.name_taken[v] = true; // parameters keep their names
     }
     // Fresh-name allocation preserving declared types.
     let mut var_types = std::mem::take(&mut body.var_types);
@@ -153,57 +213,53 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
         nv
     };
 
-    // Iterative DFS over dominator tree, with per-block pop lists.
-    enum Step {
-        Enter(BlockId),
-        Exit(Vec<Var>), // orig vars whose stacks to pop
-    }
-    let mut agenda = vec![Step::Enter(BlockId(0))];
-    while let Some(step) = agenda.pop() {
+    // Iterative DFS over the dominator tree; each block's exit step
+    // unwinds the names it pushed.
+    s.agenda.clear();
+    s.agenda.push(Step::Enter(BlockId(0)));
+    while let Some(step) = s.agenda.pop() {
         match step {
-            Step::Exit(pops) => {
-                for v in pops {
-                    stacks[v.index()].pop();
+            Step::Exit(mark) => {
+                for (v, prev) in s.renamed.drain(mark..).rev() {
+                    s.name[v.index()] = prev;
                 }
             }
             Step::Enter(b) => {
-                let mut pops: Vec<Var> = Vec::new();
+                let mark = s.renamed.len();
                 // Rename within the block.
                 let ninsts = body.blocks[b.index()].insts.len();
                 for i in 0..ninsts {
                     let is_phi = matches!(body.blocks[b.index()].insts[i], Inst::Phi { .. });
                     if !is_phi {
                         let inst = &mut body.blocks[b.index()].insts[i];
-                        inst.rewrite_uses(|v| stacks[v.index()].last().copied().unwrap_or(v));
+                        inst.rewrite_uses(|v| s.name[v.index()]);
                     }
                     let def = body.blocks[b.index()].insts[i].def();
                     if let Some(d) = def {
                         if d.0 < orig_vars {
-                            let new_name = if !name_taken[d.index()] {
-                                name_taken[d.index()] = true;
+                            let new_name = if !s.name_taken[d.index()] {
+                                s.name_taken[d.index()] = true;
                                 d // first def anywhere keeps the source name
                             } else {
                                 fresh(body, d)
                             };
-                            stacks[d.index()].push(new_name);
-                            pops.push(d);
+                            let prev = std::mem::replace(&mut s.name[d.index()], new_name);
+                            s.renamed.push((d, prev));
                             body.blocks[b.index()].insts[i].rewrite_def(|_| new_name);
                         }
                     }
                 }
                 {
                     let term = &mut body.blocks[b.index()].term;
-                    term.rewrite_uses(|v| stacks[v.index()].last().copied().unwrap_or(v));
+                    term.rewrite_uses(|v| s.name[v.index()]);
                 }
                 // Fill φ operands in successors.
-                for &s in &cfg.succs[b.index()] {
-                    for inst in &mut body.blocks[s.index()].insts {
+                for &succ in &cfg.succs[b.index()] {
+                    for inst in &mut body.blocks[succ.index()].insts {
                         if let Inst::Phi { srcs, .. } = inst {
                             for (pred, val) in srcs.iter_mut() {
                                 if *pred == b && val.0 < orig_vars {
-                                    if let Some(&top) = stacks[val.index()].last() {
-                                        *val = top;
-                                    }
+                                    *val = s.name[val.index()];
                                 }
                             }
                         } else {
@@ -211,9 +267,9 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
                         }
                     }
                 }
-                agenda.push(Step::Exit(pops));
+                s.agenda.push(Step::Exit(mark));
                 for &c in dom.children[b.index()].iter().rev() {
-                    agenda.push(Step::Enter(c));
+                    s.agenda.push(Step::Enter(c));
                 }
             }
         }

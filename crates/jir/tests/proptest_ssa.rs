@@ -6,8 +6,9 @@ use proptest::prelude::*;
 use jir::cfg::Cfg;
 use jir::dom::DomTree;
 use jir::inst::{BinOp, BlockId, ConstValue, Inst, Terminator, Var};
-use jir::method::{BasicBlock, Body};
-use jir::ssa::{def_sites, to_ssa};
+use jir::method::{BasicBlock, Body, Method, MethodId, MethodKind};
+use jir::ssa::{def_sites, program_to_ssa, to_ssa};
+use jir::{Class, Program};
 
 /// A compact description of a random body: per-block instruction choices
 /// and a terminator selector.
@@ -191,5 +192,42 @@ proptest! {
             }
         }
         let _ = (insts_after, vars_after);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `program_to_ssa` converts every body of a program in turn; each
+    /// must come out exactly as `to_ssa` converts it alone, whatever the
+    /// bodies before it left behind.
+    #[test]
+    fn program_conversion_matches_each_body_alone(
+        specs in proptest::collection::vec((body_spec(), 0usize..3), 2..6)
+    ) {
+        let mut program = Program::new();
+        let obj = program.add_class(Class::new("Object"));
+        let int = program.types.int();
+        let mut alone = Vec::new();
+        for (i, (spec, incoming)) in specs.iter().enumerate() {
+            let body = build_body(spec);
+            let mut expected = body.clone();
+            to_ssa(&mut expected, *incoming);
+            alone.push(format!("{expected:?}"));
+            program.add_method(Method {
+                name: format!("m{i}"),
+                owner: obj,
+                params: vec![int; *incoming],
+                ret: int,
+                is_static: true,
+                kind: MethodKind::Body(body),
+                is_factory: false,
+            });
+        }
+        program_to_ssa(&mut program);
+        for (i, want) in alone.iter().enumerate() {
+            let got = program.method(MethodId::new(i)).body().expect("a body");
+            prop_assert_eq!(&format!("{got:?}"), want, "method {}", i);
+        }
     }
 }
