@@ -1,6 +1,7 @@
 //! Small utilities shared across the workspace: index newtypes, an interner,
-//! an FxHash-style hasher for id-keyed tables, and a dense bitset used for
-//! points-to sets and worklists.
+//! an FxHash-style hasher for id-keyed tables, and [`BitSet`], the set of
+//! ids behind points-to sets and reachability marks, which stores a few
+//! members inline, a few dozen as a sorted list, and more as dense words.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -202,135 +203,226 @@ impl<T: Eq + Hash + Clone + fmt::Debug, S> fmt::Debug for Interner<T, S> {
     }
 }
 
-/// A growable dense bitset over `u32` indices.
+/// Members a set holds inline, with no allocation. The enum tag and the
+/// inline length share the first word, so seven ids fit in 32 bytes.
+const INLINE_MAX: usize = 7;
+
+/// Members a sorted list holds; a bigger set is dense words.
+const SORTED_MAX: usize = 64;
+
+/// A set of `u32` indices, sized by the members it holds rather than by
+/// the largest one.
 ///
-/// Points-to sets and reachability marks use this; it grows on demand and
-/// supports fast union with difference reporting (the core operation of
-/// difference propagation in the Andersen solver). Equality compares
-/// members: a set may keep trailing zero words after `remove` or
-/// `union_into`, and those do not count.
-#[derive(Clone, Default)]
+/// Points-to sets, escape sets and reachability marks use this. It
+/// supports union with difference reporting (the core operation of
+/// difference propagation in the Andersen solver). Its form follows its
+/// member count: up to seven members sit inline, up to 64 in a sorted
+/// `Vec<u32>`, and a bigger set is dense `u64` words. Every form iterates
+/// in ascending order, and equality compares members: a dense set may
+/// keep trailing zero words after `remove`, and those do not count.
+#[derive(Clone)]
 pub struct BitSet {
-    words: Vec<u64>,
-    len: usize,
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    /// `ids[..len]`, ascending.
+    Inline { len: u8, ids: [u32; INLINE_MAX] },
+    /// Ascending, more than `INLINE_MAX` and at most `SORTED_MAX`.
+    Sorted(Vec<u32>),
+    /// Bit `i % 64` of word `i / 64` per member; more than `SORTED_MAX`.
+    Dense { len: u32, words: Vec<u64> },
+}
+
+/// A set's members as a sorted slice (inline or sorted form) or as words.
+enum View<'a> {
+    Sorted(&'a [u32]),
+    Dense(&'a [u64]),
+}
+
+#[inline]
+fn word_of(idx: u32) -> (usize, u64) {
+    ((idx / 64) as usize, 1u64 << (idx % 64))
 }
 
 impl BitSet {
-    /// Creates an empty bitset.
+    /// Creates an empty set.
     pub fn new() -> Self {
-        BitSet { words: Vec::new(), len: 0 }
+        BitSet { repr: Repr::Inline { len: 0, ids: [0; INLINE_MAX] } }
     }
 
-    /// Creates an empty bitset with capacity for `n` elements.
-    pub fn with_capacity(n: usize) -> Self {
-        BitSet { words: Vec::with_capacity(n / 64 + 1), len: 0 }
+    /// The set holding the ascending, duplicate-free `ids`, in the form
+    /// its size calls for.
+    fn from_sorted(ids: Vec<u32>) -> Self {
+        let repr = if ids.len() <= INLINE_MAX {
+            let mut inline = [0; INLINE_MAX];
+            inline[..ids.len()].copy_from_slice(&ids);
+            Repr::Inline { len: ids.len() as u8, ids: inline }
+        } else if ids.len() <= SORTED_MAX {
+            Repr::Sorted(ids)
+        } else {
+            let last = *ids.last().expect("a dense set is not empty");
+            let mut words = vec![0u64; word_of(last).0 + 1];
+            for &idx in &ids {
+                let (w, m) = word_of(idx);
+                words[w] |= m;
+            }
+            Repr::Dense { len: ids.len() as u32, words }
+        };
+        BitSet { repr }
     }
 
-    #[inline]
-    fn word_of(idx: u32) -> (usize, u64) {
-        ((idx / 64) as usize, 1u64 << (idx % 64))
+    fn view(&self) -> View<'_> {
+        match &self.repr {
+            Repr::Inline { len, ids } => View::Sorted(&ids[..usize::from(*len)]),
+            Repr::Sorted(ids) => View::Sorted(ids),
+            Repr::Dense { words, .. } => View::Dense(words),
+        }
     }
 
     /// Inserts `idx`, returning `true` if it was newly added.
     pub fn insert(&mut self, idx: u32) -> bool {
-        let (w, m) = Self::word_of(idx);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        match &mut self.repr {
+            Repr::Inline { len, ids } => {
+                let n = usize::from(*len);
+                let Err(at) = ids[..n].binary_search(&idx) else { return false };
+                if n < INLINE_MAX {
+                    ids.copy_within(at..n, at + 1);
+                    ids[at] = idx;
+                    *len += 1;
+                } else {
+                    let mut grown = ids.to_vec();
+                    grown.insert(at, idx);
+                    *self = Self::from_sorted(grown);
+                }
+            }
+            Repr::Sorted(ids) => {
+                let Err(at) = ids.binary_search(&idx) else { return false };
+                ids.insert(at, idx);
+                if ids.len() > SORTED_MAX {
+                    *self = Self::from_sorted(std::mem::take(ids));
+                }
+            }
+            Repr::Dense { len, words } => {
+                let (w, m) = word_of(idx);
+                if w >= words.len() {
+                    words.resize(w + 1, 0);
+                }
+                if words[w] & m != 0 {
+                    return false;
+                }
+                words[w] |= m;
+                *len += 1;
+            }
         }
-        let newly = self.words[w] & m == 0;
-        if newly {
-            self.words[w] |= m;
-            self.len += 1;
-        }
-        newly
+        true
     }
 
     /// Removes `idx`, returning `true` if it was present.
     pub fn remove(&mut self, idx: u32) -> bool {
-        let (w, m) = Self::word_of(idx);
-        if w < self.words.len() && self.words[w] & m != 0 {
-            self.words[w] &= !m;
-            self.len -= 1;
-            true
-        } else {
-            false
+        match &mut self.repr {
+            Repr::Inline { len, ids } => {
+                let n = usize::from(*len);
+                let Ok(at) = ids[..n].binary_search(&idx) else { return false };
+                ids.copy_within(at + 1..n, at);
+                *len -= 1;
+            }
+            Repr::Sorted(ids) => {
+                let Ok(at) = ids.binary_search(&idx) else { return false };
+                ids.remove(at);
+                if ids.len() <= INLINE_MAX {
+                    *self = Self::from_sorted(std::mem::take(ids));
+                }
+            }
+            Repr::Dense { len, words } => {
+                let (w, m) = word_of(idx);
+                if words.get(w).is_none_or(|&word| word & m == 0) {
+                    return false;
+                }
+                words[w] &= !m;
+                *len -= 1;
+                if *len as usize <= SORTED_MAX {
+                    *self = Self::from_sorted(self.iter().collect());
+                }
+            }
         }
+        true
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, idx: u32) -> bool {
-        let (w, m) = Self::word_of(idx);
-        w < self.words.len() && self.words[w] & m != 0
-    }
-
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no bits are set.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Unions `other` into `self`, returning the elements newly added.
-    pub fn union_into(&mut self, other: &BitSet) -> Vec<u32> {
-        let mut added = Vec::new();
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, &ow) in other.words.iter().enumerate() {
-            let diff = ow & !self.words[w];
-            if diff != 0 {
-                self.words[w] |= diff;
-                let mut d = diff;
-                while d != 0 {
-                    let bit = d.trailing_zeros();
-                    added.push(w as u32 * 64 + bit);
-                    d &= d - 1;
-                }
+        match self.view() {
+            View::Sorted(ids) => ids.binary_search(&idx).is_ok(),
+            View::Dense(words) => {
+                let (w, m) = word_of(idx);
+                words.get(w).is_some_and(|&word| word & m != 0)
             }
         }
-        self.len += added.len();
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Sorted(ids) => ids.len(),
+            Repr::Dense { len, .. } => *len as usize,
+        }
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Unions `other` into `self`, returning the members newly added, in
+    /// ascending order.
+    pub fn union_into(&mut self, other: &BitSet) -> Vec<u32> {
+        let added: Vec<u32> = other.iter().filter(|&idx| !self.contains(idx)).collect();
+        self.extend(added.iter().copied());
         added
     }
 
-    /// Returns `true` iff `self` and `other` share at least one element.
+    /// Returns `true` iff `self` and `other` share at least one member.
     pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(other.words.iter()).any(|(a, b)| a & b != 0)
+        match (self.view(), other.view()) {
+            (View::Dense(a), View::Dense(b)) => a.iter().zip(b).any(|(x, y)| x & y != 0),
+            (View::Sorted(ids), _) => ids.iter().any(|&idx| other.contains(idx)),
+            (_, View::Sorted(ids)) => ids.iter().any(|&idx| self.contains(idx)),
+        }
     }
 
-    /// Returns `true` iff every element of `self` is in `other`.
+    /// Returns `true` iff every member of `self` is in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(w, &a)| a & !other.words.get(w).copied().unwrap_or(0) == 0)
+        self.len() <= other.len() && self.iter().all(|idx| other.contains(idx))
     }
 
-    /// Iterates over set bits in ascending order.
+    /// Iterates over the members in ascending order.
     pub fn iter(&self) -> BitSetIter<'_> {
-        BitSetIter { set: self, word: 0, bits: self.words.first().copied().unwrap_or(0) }
+        BitSetIter(match self.view() {
+            View::Sorted(ids) => IterRepr::Sorted(ids.iter()),
+            View::Dense(words) => {
+                IterRepr::Dense { words, word: 0, bits: words.first().copied().unwrap_or(0) }
+            }
+        })
     }
 
-    /// Removes all elements.
+    /// Removes all members and frees the set's storage.
     pub fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
+        *self = BitSet::new();
+    }
+}
+
+impl Default for BitSet {
+    fn default() -> Self {
+        BitSet::new()
     }
 }
 
 impl PartialEq for BitSet {
     fn eq(&self, other: &BitSet) -> bool {
-        let (short, long) = if self.words.len() <= other.words.len() {
-            (&self.words, &other.words)
-        } else {
-            (&other.words, &self.words)
-        };
-        self.len == other.len
-            && long[..short.len()] == short[..]
-            && long[short.len()..].iter().all(|&w| w == 0)
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -345,9 +437,7 @@ impl fmt::Debug for BitSet {
 impl FromIterator<u32> for BitSet {
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
         let mut s = BitSet::new();
-        for v in iter {
-            s.insert(v);
-        }
+        s.extend(iter);
         s
     }
 }
@@ -360,29 +450,37 @@ impl Extend<u32> for BitSet {
     }
 }
 
-/// Iterator over the elements of a [`BitSet`].
+/// Iterator over the members of a [`BitSet`], ascending.
 #[derive(Debug)]
-pub struct BitSetIter<'a> {
-    set: &'a BitSet,
-    word: usize,
-    bits: u64,
+pub struct BitSetIter<'a>(IterRepr<'a>);
+
+#[derive(Debug)]
+enum IterRepr<'a> {
+    Sorted(std::slice::Iter<'a, u32>),
+    /// `bits` is what is left of `words[word]`.
+    Dense {
+        words: &'a [u64],
+        word: usize,
+        bits: u64,
+    },
 }
 
 impl Iterator for BitSetIter<'_> {
     type Item = u32;
 
+    #[inline]
     fn next(&mut self) -> Option<u32> {
-        loop {
-            if self.bits != 0 {
-                let bit = self.bits.trailing_zeros();
-                self.bits &= self.bits - 1;
-                return Some(self.word as u32 * 64 + bit);
-            }
-            self.word += 1;
-            if self.word >= self.set.words.len() {
-                return None;
-            }
-            self.bits = self.set.words[self.word];
+        match &mut self.0 {
+            IterRepr::Sorted(ids) => ids.next().copied(),
+            IterRepr::Dense { words, word, bits } => loop {
+                if *bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    *bits &= *bits - 1;
+                    return Some(*word as u32 * 64 + bit);
+                }
+                *word += 1;
+                *bits = *words.get(*word)?;
+            },
         }
     }
 }
@@ -390,6 +488,7 @@ impl Iterator for BitSetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn interner_dedups() {
@@ -488,11 +587,11 @@ mod tests {
         let mut shrunk = one.clone();
         shrunk.insert(100);
         shrunk.remove(100);
-        assert_eq!(shrunk, one, "a trailing zero word is not a member");
+        assert_eq!(shrunk, one, "a removed member is gone");
         assert_eq!(one, shrunk);
         let mut copied = BitSet::new();
         assert_eq!(copied.union_into(&shrunk), vec![1]);
-        assert_eq!(copied, one, "union_into copies the zero word, not a member");
+        assert_eq!(copied, one, "union_into copies members only");
         shrunk.insert(2);
         assert_ne!(shrunk, one);
         assert_ne!(one, shrunk);
@@ -500,6 +599,124 @@ mod tests {
         let mut emptied: BitSet = [64].into_iter().collect();
         emptied.remove(64);
         assert_eq!(emptied, BitSet::new(), "an emptied set equals the empty set");
+        // A dense set keeps its zero words after a remove.
+        let mut dense: BitSet = (0..100).chain([1000]).collect();
+        dense.remove(1000);
+        assert_eq!(dense, (0..100).collect::<BitSet>(), "trailing zero words are not members");
+        assert_eq!((0..100).collect::<BitSet>(), dense);
+    }
+
+    #[test]
+    fn bitset_fits_in_four_words() {
+        assert!(std::mem::size_of::<BitSet>() <= 32, "{}", std::mem::size_of::<BitSet>());
+    }
+
+    /// The form a set is in: 0 inline, 1 sorted, 2 dense.
+    fn form(set: &BitSet) -> u8 {
+        match set.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Sorted(_) => 1,
+            Repr::Dense { .. } => 2,
+        }
+    }
+
+    /// Ids up to 300 share a few dense words; a few reach word 120.
+    fn spread(raw: u32) -> u32 {
+        if raw < 300 {
+            raw
+        } else {
+            raw * 13
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random operation sequences agree with a `BTreeSet` reference.
+        /// Each sequence grows the set past 80 members, then removes it
+        /// down below 3, and again, so it crosses every form boundary in
+        /// both directions.
+        #[test]
+        fn bitset_matches_btreeset(
+            ops in proptest::collection::vec(
+                (0u8..16, 0u32..600, proptest::collection::vec(0u32..600, 0..90)),
+                700..900,
+            )
+        ) {
+            let mut set = BitSet::new();
+            let mut reference = BTreeSet::new();
+            let mut growing = true;
+            let mut crossed = BTreeSet::new();
+            for (kind, raw, others) in ops {
+                if growing && reference.len() > 80 {
+                    growing = false;
+                } else if !growing && reference.len() < 3 {
+                    growing = true;
+                }
+                let id = spread(raw);
+                // While shrinking, the second set and the ids removed are
+                // members, so the set keeps shrinking.
+                let nth = |k: u32| reference.iter().copied().nth(k as usize % reference.len().max(1));
+                let other: BTreeSet<u32> = if growing {
+                    others.iter().map(|&o| spread(o)).collect()
+                } else {
+                    others.iter().take(4).filter_map(|&o| nth(o)).collect()
+                };
+                let other_set: BitSet = other.iter().copied().collect();
+                let before = form(&set);
+                // A clear is no boundary crossing.
+                let cleared = kind == 15 && growing && raw % 8 == 0;
+                match kind {
+                    0..=9 if growing => {
+                        proptest::prop_assert_eq!(set.insert(id), reference.insert(id));
+                    }
+                    0..=9 => {
+                        let victim = nth(raw).expect("a shrinking set has members");
+                        proptest::prop_assert!(set.remove(victim));
+                        reference.remove(&victim);
+                    }
+                    10 | 11 if growing => {
+                        proptest::prop_assert_eq!(set.remove(id), reference.remove(&id));
+                    }
+                    10 | 11 => {
+                        let member = nth(raw).expect("a shrinking set has members");
+                        proptest::prop_assert!(!set.insert(member));
+                    }
+                    15 if cleared => {
+                        set.clear();
+                        reference.clear();
+                    }
+                    _ => {
+                        let expected: Vec<u32> = other.difference(&reference).copied().collect();
+                        proptest::prop_assert_eq!(set.union_into(&other_set), expected);
+                        reference.extend(other.iter().copied());
+                    }
+                }
+                if !cleared {
+                    crossed.insert((before, form(&set)));
+                }
+                proptest::prop_assert_eq!(set.len(), reference.len());
+                proptest::prop_assert_eq!(set.is_empty(), reference.is_empty());
+                proptest::prop_assert!(set.iter().eq(reference.iter().copied()));
+                for probe in [id, id + 1, id.saturating_sub(1), 0, 63, 64, u32::MAX]
+                    .into_iter()
+                    .chain(other.iter().copied())
+                {
+                    proptest::prop_assert_eq!(set.contains(probe), reference.contains(&probe));
+                }
+                let shares = !other.is_disjoint(&reference);
+                proptest::prop_assert_eq!(set.intersects(&other_set), shares);
+                proptest::prop_assert_eq!(other_set.intersects(&set), shares);
+                proptest::prop_assert_eq!(set.is_subset(&other_set), reference.is_subset(&other));
+                proptest::prop_assert_eq!(other_set.is_subset(&set), other.is_subset(&reference));
+                let fresh: BitSet = reference.iter().rev().copied().collect();
+                proptest::prop_assert_eq!(&set, &fresh);
+                proptest::prop_assert_eq!(set == other_set, reference == other);
+            }
+            for step in [(0, 1), (1, 2), (2, 1), (1, 0)] {
+                proptest::prop_assert!(crossed.contains(&step), "never crossed {step:?}");
+            }
+        }
     }
 
     #[test]

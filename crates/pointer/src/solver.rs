@@ -8,7 +8,7 @@
 //! and **constraint solving** runs difference propagation to a fixpoint,
 //! which may discover new reachable nodes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use jir::inst::{CallTarget, ConstValue, Filter, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
@@ -152,48 +152,66 @@ impl PointsTo {
 /// pending delta, a list with no cells.
 const NONE: u32 = u32::MAX;
 
-/// Pointer-key ids, dense in first-intern order. A register's key sits
-/// in its node's slot table (one slot per register of the body,
-/// reserved when the node is created), so finding it hashes nothing.
-/// Every other key, and a register outside its body's `num_vars` (which
-/// well-formed IR never has), goes through a hash map.
+/// Pointer-key ids, dense in first-intern order. A node's register,
+/// return and exception keys sit in its slot table: one slot per
+/// register of the body, then one for the return value and one for the
+/// exception, reserved when the node is created. So finding them hashes
+/// nothing. Field, array and static keys, and a register outside its
+/// body's `num_vars` (which well-formed IR never has), go through a hash
+/// map.
 #[derive(Debug, Default)]
 pub(crate) struct PointerKeys {
     keys: Vec<PointerKey>,
     ids: FxHashMap<PointerKey, u32>,
-    /// Per node, the index of its first register slot in `slots`.
+    /// Per node, the index of its first slot in `slots`.
     node_slots: Vec<u32>,
-    /// Per register of every node, its key id or `NONE`.
+    /// Per register of every node, then its return and exception: the
+    /// key id or `NONE`.
     slots: Vec<u32>,
 }
 
 impl PointerKeys {
-    /// Reserves the register slots of the next node.
+    /// Reserves the slots of the next node.
     fn add_node(&mut self, num_vars: u32) {
         self.node_slots.push(self.slots.len() as u32);
-        self.slots.resize(self.slots.len() + num_vars as usize, NONE);
+        self.slots.resize(self.slots.len() + num_vars as usize + 2, NONE);
     }
 
-    /// The slot of a register key, if its node has one for it.
-    fn register_slot(&self, key: &PointerKey) -> Option<usize> {
-        let PointerKey::Local { node, var } = *key else { return None };
+    /// The slot of a register, return or exception key, if its node has
+    /// one for it.
+    fn slot(&self, key: &PointerKey) -> Option<usize> {
+        let (PointerKey::Local { node, .. } | PointerKey::Ret(node) | PointerKey::Exc(node)) = *key
+        else {
+            return None;
+        };
         let start = *self.node_slots.get(node.index())? as usize;
         let end = self.node_slots.get(node.index() + 1).map_or(self.slots.len(), |&e| e as usize);
-        let slot = start + var.index();
-        (slot < end).then_some(slot)
+        match *key {
+            PointerKey::Local { var, .. } => {
+                (var.index() < end - start - 2).then_some(start + var.index())
+            }
+            PointerKey::Ret(_) => Some(end - 2),
+            _ => Some(end - 1),
+        }
     }
 
     /// The id of `key`, and whether this call created it.
     fn intern(&mut self, key: PointerKey) -> (PointerKeyId, bool) {
         let next = self.keys.len() as u32;
-        let id = match self.register_slot(&key) {
+        let id = match self.slot(&key) {
             Some(slot) => {
                 if self.slots[slot] == NONE {
                     self.slots[slot] = next;
                 }
                 self.slots[slot]
             }
-            None => *self.ids.entry(key).or_insert(next),
+            None => {
+                debug_assert!(
+                    !matches!(key, PointerKey::Ret(_) | PointerKey::Exc(_)),
+                    "{key:?}: a node reserves its return and exception slots when created"
+                );
+                *self.ids.entry(key).or_insert(next)
+            }
         };
         if id == next {
             self.keys.push(key);
@@ -202,7 +220,7 @@ impl PointerKeys {
     }
 
     fn lookup(&self, key: &PointerKey) -> Option<PointerKeyId> {
-        let id = match self.register_slot(key) {
+        let id = match self.slot(key) {
             Some(slot) => self.slots[slot],
             None => *self.ids.get(key)?,
         };
@@ -292,24 +310,25 @@ const NO_FILTER: u32 = 0;
 /// The solver's startup scan: static indices for the §6.1 priority
 /// heuristic. The vectors list method ids (resp. field ids) in table
 /// order, one entry per load/store occurrence in body order, duplicates
-/// included.
+/// included. The tables are keyed by ids and only looked up, never
+/// iterated, so they hash with Fx.
 #[derive(Default)]
 struct PreScan {
     /// field → methods containing loads of it (instance and static).
-    field_loaders: HashMap<FieldId, Vec<MethodId>>,
+    field_loaders: FxHashMap<FieldId, Vec<MethodId>>,
     /// method → fields it stores (instance and static).
-    method_stores: HashMap<MethodId, Vec<FieldId>>,
+    method_stores: FxHashMap<MethodId, Vec<FieldId>>,
     /// Methods that generate taint: the sources themselves plus methods
     /// whose bodies call a source (the π = 0 seeds of §6.1).
-    source_adjacent: std::collections::HashSet<MethodId>,
+    source_adjacent: FxHashSet<MethodId>,
 }
 
 impl PreScan {
     /// Walks the whole program and builds the scan.
-    fn scan(program: &Program, source_methods: &std::collections::HashSet<MethodId>) -> Self {
+    fn scan(program: &Program, source_methods: &HashSet<MethodId>) -> Self {
         // Static indices for the priority heuristic.
-        let mut field_loaders: HashMap<FieldId, Vec<MethodId>> = HashMap::new();
-        let mut method_stores: HashMap<MethodId, Vec<FieldId>> = HashMap::new();
+        let mut field_loaders: FxHashMap<FieldId, Vec<MethodId>> = FxHashMap::default();
+        let mut method_stores: FxHashMap<MethodId, Vec<FieldId>> = FxHashMap::default();
         for (mid, m) in program.iter_methods() {
             let Some(body) = m.body() else { continue };
             for block in &body.blocks {
@@ -336,7 +355,7 @@ impl PreScan {
                 (meth.name.clone(), meth.params.len())
             })
             .collect();
-        let mut source_adjacent: std::collections::HashSet<MethodId> = source_methods.clone();
+        let mut source_adjacent: FxHashSet<MethodId> = source_methods.iter().copied().collect();
         for (mid, m) in program.iter_methods() {
             let Some(body) = m.body() else { continue };
             let calls_source = body.blocks.iter().flat_map(|b| &b.insts).any(|i| {
@@ -465,14 +484,14 @@ struct Solver<'p> {
     /// Cached per-(node, block) exception targets.
     exc_targets: FxHashMap<(CGNodeId, BlockId), CopyEdge>,
     /// field → methods containing loads of it (for the §6.1 Tn heap match).
-    field_loaders: HashMap<FieldId, Vec<MethodId>>,
+    field_loaders: FxHashMap<FieldId, Vec<MethodId>>,
     /// method → fields it stores (for Tn).
-    method_stores: HashMap<MethodId, Vec<FieldId>>,
+    method_stores: FxHashMap<MethodId, Vec<FieldId>>,
     /// Methods that generate taint: the sources themselves plus methods
     /// whose bodies call a source (sources are usually intrinsic models
     /// and never become call-graph nodes, so the π = 0 seeds of §6.1 are
     /// the nodes *containing* source calls).
-    source_adjacent: std::collections::HashSet<MethodId>,
+    source_adjacent: FxHashSet<MethodId>,
 }
 
 impl<'p> Solver<'p> {
@@ -1488,7 +1507,7 @@ mod tests {
         let helper = program.class_by_name("Helper").unwrap();
         let id = program.method_by_name(helper, "id").unwrap();
         let main = program.method_by_name(main_class, "main").unwrap();
-        let sources: std::collections::HashSet<MethodId> = [id].into_iter().collect();
+        let sources: HashSet<MethodId> = [id].into_iter().collect();
         let scan = PreScan::scan(&program, &sources);
         assert!(scan.source_adjacent.contains(&id), "sources are their own seeds");
         assert!(scan.source_adjacent.contains(&main), "main calls h.id virtually");

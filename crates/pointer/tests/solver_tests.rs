@@ -512,13 +512,25 @@ fn every_pointer_key_is_found_by_its_own_lookup() {
                 untouched += 1;
             }
         }
-        for var in [jir::Var(num_vars(node)), jir::Var(u32::MAX)] {
+        // A register bound off by one or two must not reach the node's
+        // return or exception key.
+        for var in [num_vars(node), num_vars(node) + 1, u32::MAX].map(jir::Var) {
             assert_eq!(pts.local(node, var), None, "{node:?} {var:?} is past num_vars");
         }
     }
     assert!(untouched > 0, "some register (the int) never gets a key");
+    let void_nodes: Vec<CGNodeId> = pts
+        .callgraph
+        .iter_nodes()
+        .filter(|&n| p.method(pts.callgraph.method_of(n)).ret == p.types.void())
+        .collect();
+    assert!(!void_nodes.is_empty(), "main and boom return nothing");
+    for node in void_nodes {
+        assert_eq!(pts.pts_of(&PointerKey::Ret(node)), None, "{node:?} returns nothing");
+    }
     for node in [CGNodeId::new(pts.callgraph.len()), CGNodeId(u32::MAX)] {
         assert_eq!(pts.local(node, jir::Var(0)), None, "{node:?} is past the call graph");
         assert_eq!(pts.pts_of(&PointerKey::Ret(node)), None);
+        assert_eq!(pts.pts_of(&PointerKey::Exc(node)), None);
     }
 }
