@@ -6,10 +6,10 @@
 //! dominant phase-1 cost on every invocation; this crate adds the serving
 //! layer that pays it **once**: a long-running daemon (`taj serve`)
 //! accepting newline-delimited JSON requests over a Unix domain socket or
-//! TCP, dispatching them to a fixed `std::thread` worker pool, and
-//! answering from a content-addressed cache of `PreparedProgram`,
-//! `Phase1`, and serialized-report artifacts with LRU byte-budget
-//! eviction.
+//! TCP, putting their jobs on one queue that a fixed set of `std::thread`
+//! workers take from, and answering from a content-addressed cache of
+//! `PreparedProgram`, `Phase1`, and serialized-report artifacts with LRU
+//! byte-budget eviction.
 //!
 //! Std-only by construction: the workspace is offline (vendored serde
 //! shims, no tokio/hyper), so networking is `std::net` + `std::os::unix`
@@ -18,9 +18,9 @@
 //! - [`protocol`] — the strict NDJSON wire format (`analyze`, `configs`,
 //!   `stats`, `shutdown`) and error codes;
 //! - [`cache`] — the content-addressed LRU artifact cache;
-//! - [`pool`] — the MPMC worker pool with per-job panic isolation;
-//! - [`server`] — the daemon itself (with bounded-queue admission
-//!   control that sheds load as `overloaded` + `retry_after_ms`);
+//! - [`server`] — the daemon itself: one job queue read by the workers,
+//!   per-job panic isolation, and bounded-queue admission control that
+//!   sheds load as `overloaded` + `retry_after_ms`;
 //! - [`client`] — a pure-std client library (used by `taj client` and
 //!   the integration tests) with jittered-backoff retry for idempotent
 //!   requests;
@@ -34,7 +34,6 @@
 pub mod breaker;
 pub mod cache;
 pub mod client;
-pub mod pool;
 pub mod protocol;
 pub mod router;
 pub mod server;
@@ -43,7 +42,6 @@ pub mod trace;
 pub use breaker::{Breaker, BreakerState};
 pub use cache::{content_hash, Artifact, ArtifactCache, ArtifactKey, CacheStats};
 pub use client::{AnalyzeOpts, Client, ClientError, RetryPolicy};
-pub use pool::WorkerPool;
 pub use protocol::{
     stamp_trace, BatchRequest, ErrorCode, OutputFormat, MAX_BATCH_ITEMS, PROTOCOL_VERSION,
 };

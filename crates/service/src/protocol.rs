@@ -360,12 +360,6 @@ pub fn ok_response_raw(id: &Value, raw_result: &str) -> String {
     format!("{{\"id\":{},\"ok\":true,\"result\":{}}}", id_json(id), raw_result)
 }
 
-/// Builds a success response from a [`Value`] result.
-pub fn ok_response(id: &Value, result: &Value) -> String {
-    let raw = serde_json::to_string(result).unwrap_or_else(|_| "null".to_string());
-    ok_response_raw(id, &raw)
-}
-
 fn trace_id_json(trace_id: &str) -> String {
     serde_json::to_string(&Value::String(trace_id.to_string()))
         .unwrap_or_else(|_| "\"\"".to_string())

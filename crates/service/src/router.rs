@@ -111,13 +111,6 @@ pub struct RouterTuning {
     pub forward_attempts: u32,
     /// Base backoff between forward attempts (ms, doubled per retry).
     pub retry_base_ms: u64,
-    /// Ceiling on how long the router honors a shard's `retry_after_ms`
-    /// hint before relaying the `overloaded` rejection to the client
-    /// (ms). The router retries an overloaded shard exactly once.
-    pub overload_retry_cap_ms: u64,
-    /// Socket read/write timeout on shard connections (ms); bounds how
-    /// long a stalled shard can hold a router connection handler.
-    pub shard_io_timeout_ms: Option<u64>,
 }
 
 impl Default for RouterTuning {
@@ -128,11 +121,22 @@ impl Default for RouterTuning {
             probe_interval_ms: 50,
             forward_attempts: 2,
             retry_base_ms: 10,
-            overload_retry_cap_ms: 100,
-            shard_io_timeout_ms: Some(30_000),
         }
     }
 }
+
+/// Ceiling on how long the router honors a shard's `retry_after_ms` hint
+/// before relaying the `overloaded` rejection to the client. The router
+/// retries an overloaded shard exactly once.
+const OVERLOAD_WAIT_CAP: Duration = Duration::from_millis(100);
+
+/// Socket read/write timeout on forwarding connections: bounds how long a
+/// stalled shard can hold a router connection handler.
+const SHARD_IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Socket read/write timeout on the one-off connections of a health
+/// probe or a trace-fragment fetch, which ask for small answers.
+const SHARD_PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One backend daemon and its health bookkeeping. The connection is
 /// persistent and serialized behind a mutex: the daemon protocol is
@@ -229,7 +233,7 @@ impl Shard {
                 if rec.is_enabled() {
                     rec.event("router.overload_wait", vec![("hint_ms", hint.into())]);
                 }
-                std::thread::sleep(Duration::from_millis(hint.min(tuning.overload_retry_cap_ms)));
+                std::thread::sleep(Duration::from_millis(hint).min(OVERLOAD_WAIT_CAP));
                 // If the retry's transport dies, the original rejection
                 // (with its hint) is still the honest answer to relay.
                 self.attempt_loop(line, tuning, rec, &mut guard).unwrap_or(first)
@@ -261,7 +265,7 @@ impl Shard {
                 std::thread::sleep(Duration::from_millis(backoff));
             }
             if guard.is_none() {
-                *guard = self.dial(tuning);
+                *guard = self.dial();
             }
             let Some(client) = guard.as_mut() else { continue };
             match client.request_raw(line) {
@@ -281,13 +285,12 @@ impl Shard {
         None
     }
 
-    fn dial(&self, tuning: &RouterTuning) -> Option<Client> {
+    fn dial(&self) -> Option<Client> {
         let mut client = Client::connect_tcp(&self.addr).ok()?;
         // The router runs its own attempt loop; nested client retries
         // would multiply it.
         client.set_retry(RetryPolicy::none());
-        let timeout = tuning.shard_io_timeout_ms.map(Duration::from_millis);
-        client.set_io_timeout(timeout).ok()?;
+        client.set_io_timeout(Some(SHARD_IO_TIMEOUT)).ok()?;
         Some(client)
     }
 }
@@ -453,7 +456,7 @@ fn prober_loop(state: &Arc<RouterState>) {
                 continue;
             }
             shard.probes.fetch_add(1, Ordering::SeqCst);
-            if probe_shard(&shard.addr, &state.tuning) {
+            if probe_shard(&shard.addr) {
                 shard.breaker.on_probe_success();
             } else {
                 shard.breaker.on_probe_failure(Instant::now());
@@ -468,11 +471,10 @@ fn prober_loop(state: &Arc<RouterState>) {
 /// suspect while the breaker is open; `configs`, because it is answered
 /// without touching the worker pool — a probe can never add load to a
 /// recovering shard's queue.
-fn probe_shard(addr: &str, tuning: &RouterTuning) -> bool {
+fn probe_shard(addr: &str) -> bool {
     let Ok(mut client) = Client::connect_tcp(addr) else { return false };
     client.set_retry(RetryPolicy::none());
-    let timeout = Duration::from_millis(tuning.shard_io_timeout_ms.unwrap_or(30_000).min(2_000));
-    if client.set_io_timeout(Some(timeout)).is_err() {
+    if client.set_io_timeout(Some(SHARD_PROBE_TIMEOUT)).is_err() {
         return false;
     }
     client.configs().is_ok()
@@ -624,7 +626,7 @@ fn trace_response(state: &Arc<RouterState>, id: &Value, trace_id: &str) -> Strin
         fragments.push(record.fragment_json("router"));
     }
     for (i, shard) in state.shards.iter().enumerate() {
-        fragments.extend(fetch_shard_fragments(&shard.addr, trace_id, i, &state.tuning));
+        fragments.extend(fetch_shard_fragments(&shard.addr, trace_id, i));
     }
     if fragments.is_empty() {
         state.counters.errors.fetch_add(1, Ordering::SeqCst);
@@ -643,16 +645,10 @@ fn trace_response(state: &Arc<RouterState>, id: &Value, trace_id: &str) -> Strin
 
 /// Fetches one shard's fragments for a trace id over a fresh connection;
 /// empty when the shard is unreachable or never saw the trace.
-fn fetch_shard_fragments(
-    addr: &str,
-    trace_id: &str,
-    shard_idx: usize,
-    tuning: &RouterTuning,
-) -> Vec<String> {
+fn fetch_shard_fragments(addr: &str, trace_id: &str, shard_idx: usize) -> Vec<String> {
     let Ok(mut client) = Client::connect_tcp(addr) else { return Vec::new() };
     client.set_retry(RetryPolicy::none());
-    let timeout = Duration::from_millis(tuning.shard_io_timeout_ms.unwrap_or(30_000).min(2_000));
-    if client.set_io_timeout(Some(timeout)).is_err() {
+    if client.set_io_timeout(Some(SHARD_PROBE_TIMEOUT)).is_err() {
         return Vec::new();
     }
     let mut request = Value::object();
@@ -689,7 +685,7 @@ fn stitched_ring_json(state: &Arc<RouterState>) -> String {
             fragments.push(fragment);
         }
         for (i, shard) in state.shards.iter().enumerate() {
-            for raw in fetch_shard_fragments(&shard.addr, tid, i, &state.tuning) {
+            for raw in fetch_shard_fragments(&shard.addr, tid, i) {
                 if let Ok(mut fragment) = serde_json::from_str(&raw) {
                     relabel_process(&mut fragment, &format!("shard{i} {tid}"));
                     fragments.push(fragment);

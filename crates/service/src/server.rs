@@ -1,12 +1,13 @@
 //! The daemon: socket listener, connection handlers, job dispatch.
 //!
 //! One handler thread per connection reads NDJSON requests sequentially;
-//! `analyze` (and the debug jobs) are dispatched to the shared worker
-//! pool, so parallelism comes from concurrent connections, bounded by the
-//! pool size. Networking is std-only: the accept loop blocks in
-//! `TcpListener`/`UnixListener::accept`, and shutdown sets a flag and then
-//! connects once to the bound address (`ShutdownSignal`), so the blocked
-//! `accept` returns and the loop sees the flag without an async runtime.
+//! `analyze` (and the debug jobs) go onto the one job queue that the
+//! worker threads take from, so parallelism comes from concurrent
+//! connections, bounded by the worker count. Networking is std-only: the
+//! accept loop blocks in `TcpListener`/`UnixListener::accept`, and
+//! shutdown sets a flag and then connects once to the bound address
+//! (`ShutdownSignal`), so the blocked `accept` returns and the loop sees
+//! the flag without an async runtime.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -14,8 +15,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,7 +34,6 @@ use crate::cache::{
     content_hash, phase1_bytes, prepared_bytes, Artifact, ArtifactCache, ArtifactKey, TierStats,
     TIER_NAMES,
 };
-use crate::pool::{Job, WorkerPool};
 use crate::protocol::{
     batch_item_err, batch_item_err_retry, batch_item_ok, batch_result_raw, err_response,
     err_response_retry, err_response_traced_retry, ok_response_raw, ok_response_raw_traced,
@@ -144,7 +144,7 @@ impl std::fmt::Display for BoundAddr {
     }
 }
 
-/// Counters shared by every connection handler.
+/// Counters shared by every connection handler and job.
 #[derive(Default)]
 struct ServiceCounters {
     requests: AtomicU64,
@@ -152,12 +152,21 @@ struct ServiceCounters {
     batch_requests: AtomicU64,
     errors: AtomicU64,
     timeouts: AtomicU64,
+    /// Jobs whose body panicked (caught; the worker lives on).
+    worker_panics: AtomicU64,
+    /// Jobs that finished after their submitter gave up on them: the
+    /// cancelled supervisor brought the worker back early.
+    workers_reclaimed: AtomicU64,
     prepare_runs: AtomicU64,
     phase1_runs: AtomicU64,
     phase2_runs: AtomicU64,
     degraded_runs: AtomicU64,
     requests_shed: AtomicU64,
 }
+
+/// A unit of work on the job queue. Jobs report results over their own
+/// channels.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Server state shared between the accept loop, handlers, and workers.
 struct ServiceState {
@@ -166,11 +175,12 @@ struct ServiceState {
     /// keyed by the same content addresses, shared across restarts and
     /// across daemon processes pointed at one directory.
     store: Option<Arc<DiskStore>>,
-    jobs: Mutex<Option<Sender<(Job, Supervisor)>>>,
+    /// The only sender of the job queue. The accept thread takes it when
+    /// the accept loop ends, which refuses new jobs and lets the workers
+    /// exit once the queued ones have run.
+    jobs: Mutex<Option<Sender<Job>>>,
     shutdown: ShutdownSignal,
     counters: ServiceCounters,
-    panicked: Arc<AtomicU64>,
-    reclaimed: Arc<AtomicU64>,
     workers: usize,
     default_timeout_ms: Option<u64>,
     debug: bool,
@@ -188,7 +198,7 @@ struct ServiceState {
     trace_seq: AtomicU64,
     /// Bounded ring of completed request span trees (the flight
     /// recorder). Capture happens on connection threads at response-build
-    /// time — O(1) per request, never on the worker pool.
+    /// time — O(1) per request, never on a worker.
     flight: FlightRecorder,
     /// Slow-request log threshold (ms); `None` disables the latency
     /// trigger (degraded/panicked/shed/timed-out requests still log).
@@ -214,7 +224,7 @@ impl ServerHandle {
         self.state.shutdown.trigger();
     }
 
-    /// Waits for the accept loop to exit and the worker pool to drain.
+    /// Waits for the accept loop to exit and every queued job to finish.
     pub fn join(mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -358,20 +368,30 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         }
         None => None,
     };
-    let pool = WorkerPool::new(workers);
+    // The one job queue: handlers send on `ServiceState::jobs`, and the
+    // workers share the receiver behind a mutex.
+    let (jobs, queue) = channel::<Job>();
+    let queue = Arc::new(Mutex::new(queue));
+    let worker_threads: Vec<JoinHandle<()>> = (0..workers)
+        .map(|i| {
+            let queue = Arc::clone(&queue);
+            std::thread::Builder::new()
+                .name(format!("taj-worker-{i}"))
+                .spawn(move || run_jobs(&queue))
+                .expect("spawn worker thread")
+        })
+        .collect();
     let state = Arc::new(ServiceState {
         cache: Mutex::new(ArtifactCache::new(options.cache_bytes)),
         store,
-        jobs: Mutex::new(None),
+        jobs: Mutex::new(Some(jobs)),
         shutdown: ShutdownSignal::new(addr.clone()),
         counters: ServiceCounters::default(),
-        panicked: pool.panic_counter(),
-        reclaimed: pool.reclaim_counter(),
-        workers: pool.size(),
+        workers,
         default_timeout_ms: options.default_timeout_ms,
         debug: options.debug,
         max_queue: if options.max_queue == 0 {
-            pool.size().saturating_mul(4)
+            workers.saturating_mul(4)
         } else {
             options.max_queue
         },
@@ -383,23 +403,6 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         flight: FlightRecorder::new(options.flight_records),
         slow_ms: options.slow_ms,
     });
-    // Handlers submit through a dedicated channel forwarded to the pool,
-    // so the accept loop can cut off new submissions (drop the forwarder)
-    // while queued jobs still drain.
-    let (job_tx, job_rx) = channel::<(Job, Supervisor)>();
-    *state.jobs.lock().expect("jobs lock") = Some(job_tx);
-    let forward_pool = pool;
-    let forwarder = std::thread::Builder::new()
-        .name("taj-job-forwarder".to_string())
-        .spawn(move || {
-            while let Ok((job, supervisor)) = job_rx.recv() {
-                if forward_pool.submit_supervised(job, supervisor).is_err() {
-                    break;
-                }
-            }
-            forward_pool.shutdown();
-        })
-        .expect("spawn forwarder");
 
     let accept_state = Arc::clone(&state);
     let accept_addr = addr.clone();
@@ -411,9 +414,12 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         .name("taj-accept".to_string())
         .spawn(move || {
             accept_loop(&listener, &accept_state.shutdown, &handler);
-            // Stop accepting new jobs, then wait for the queue to drain.
-            accept_state.jobs.lock().expect("jobs lock").take();
-            let _ = forwarder.join();
+            // Drop the queue's sender, which refuses new jobs, then wait
+            // for the workers to run the queued ones and exit.
+            accept_state.jobs.lock().unwrap_or_else(PoisonError::into_inner).take();
+            for worker in worker_threads {
+                let _ = worker.join();
+            }
             if let BoundAddr::Unix(path) = &accept_addr {
                 let _ = std::fs::remove_file(path);
             }
@@ -421,6 +427,17 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         .expect("spawn accept loop");
 
     Ok(ServerHandle { addr, state, accept_thread: Some(accept_thread) })
+}
+
+/// A worker: runs jobs from the queue, one at a time, until the queue's
+/// sender is gone and no job is left. The lock is held only while
+/// waiting, so idle workers line up on it while this one works.
+fn run_jobs(queue: &Mutex<Receiver<Job>>) {
+    loop {
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = next else { return };
+        job();
+    }
 }
 
 /// Accepts connections until `shutdown` is triggered, one handler thread
@@ -513,7 +530,7 @@ fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) 
     let request = match parse_request(line, state.debug) {
         Ok(r) => r,
         Err((code, msg)) => {
-            state.counters.errors.fetch_add(1, Ordering::SeqCst);
+            count_error(state, code);
             return (err_response(&Value::Null, code, &msg), false);
         }
     };
@@ -527,45 +544,16 @@ fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) 
             return (ok_response_raw(&id, "{\"draining\":true}"), true);
         }
         Command::Analyze(req) => {
-            state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
-            // Echo the client's trace id, or mint one; either way every
-            // analyze response (success or error) carries it in the
-            // envelope, never in the cacheable result bytes.
-            let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
-            let parent = req.trace_parent.clone();
             let timeout_ms = req.timeout_ms.or(state.default_timeout_ms);
-            let started = Instant::now();
-            let rec = request_recorder(&state.flight, first, started);
-            let outcome = dispatch(state, timeout_ms, rec.clone(), {
-                let state = Arc::clone(state);
-                let rec = rec.clone();
-                move |sup: &Supervisor| run_analyze(&state, &req, sup, &rec)
-            });
-            return match outcome {
-                Ok(raw) => {
-                    let line = ok_response_raw_traced(&id, &trace_id, &raw);
-                    capture_flight(state, &rec, &trace_id, parent.as_deref(), started, "ok", None);
-                    (line, false)
-                }
-                Err((code, msg)) => {
-                    state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                    if code == ErrorCode::Timeout {
-                        state.counters.timeouts.fetch_add(1, Ordering::SeqCst);
-                    }
-                    let hint = shed_retry_hint(state, code);
-                    let line = err_response_traced_retry(&id, &trace_id, code, &msg, hint);
-                    capture_flight(
-                        state,
-                        &rec,
-                        &trace_id,
-                        parent.as_deref(),
-                        started,
-                        outcome_of(code),
-                        Some(code),
-                    );
-                    (line, false)
+            let (trace_id, answer) =
+                finish_analysis(state, start_analysis(state, req, first, timeout_ms));
+            let line = match answer {
+                Ok(raw) => ok_response_raw_traced(&id, &trace_id, &raw),
+                Err((code, msg, hint)) => {
+                    err_response_traced_retry(&id, &trace_id, code, &msg, hint)
                 }
             };
+            return (line, false);
         }
         Command::Batch(batch) => {
             state.counters.batch_requests.fetch_add(1, Ordering::SeqCst);
@@ -575,25 +563,32 @@ fn handle_line(line: &str, first: Option<FirstLine>, state: &Arc<ServiceState>) 
         Command::LastTraces { limit } => Ok(state.flight.last_traces_json(limit)),
         Command::DebugSleep { ms, timeout_ms } => {
             let timeout_ms = timeout_ms.or(state.default_timeout_ms);
-            dispatch(state, timeout_ms, Recorder::disabled(), move |sup: &Supervisor| {
+            submit_job(state, timeout_ms, Recorder::disabled(), move |sup: &Supervisor| {
                 debug_sleep(ms, sup)
             })
+            .and_then(await_job)
         }
         Command::DebugPanic => {
-            dispatch(state, state.default_timeout_ms, Recorder::disabled(), |_: &Supervisor| {
+            submit_job(state, state.default_timeout_ms, Recorder::disabled(), |_: &Supervisor| {
                 panic!("debug_panic requested")
             })
+            .and_then(await_job)
         }
     };
     match outcome {
         Ok(raw) => (ok_response_raw(&id, &raw), false),
         Err((code, msg)) => {
-            state.counters.errors.fetch_add(1, Ordering::SeqCst);
-            if code == ErrorCode::Timeout {
-                state.counters.timeouts.fetch_add(1, Ordering::SeqCst);
-            }
+            count_error(state, code);
             (err_response_retry(&id, code, &msg, shed_retry_hint(state, code)), false)
         }
+    }
+}
+
+/// Counts a request answered with the error `code`.
+fn count_error(state: &ServiceState, code: ErrorCode) {
+    state.counters.errors.fetch_add(1, Ordering::SeqCst);
+    if code == ErrorCode::Timeout {
+        state.counters.timeouts.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -611,37 +606,73 @@ fn shed_retry_hint(state: &Arc<ServiceState>, code: ErrorCode) -> Option<u64> {
     Some((25 * per_worker).min(1_000))
 }
 
-/// Submits `work` to the pool and waits for its result, applying the
-/// per-request deadline. The job runs under a [`Supervisor`] carrying
-/// that deadline; when the wait times out, the supervisor is *cancelled*
-/// so the cooperative checks inside the analysis bring the worker home
-/// within one check interval instead of leaking it to the orphaned job
-/// (the pool counts the reclaim). A worker panic surfaces as
-/// `worker_panic` (the result channel drops without a message); the
-/// deadline as `timeout`.
-fn dispatch<F>(
-    state: &Arc<ServiceState>,
-    timeout_ms: Option<u64>,
+/// One analyze request from submission to answer. The standalone
+/// `analyze` command and every `batch` item go through
+/// [`start_analysis`] and [`finish_analysis`]; each caller only wraps the
+/// answer in its own envelope.
+struct Analysis {
+    trace_id: String,
+    parent: Option<String>,
     rec: Recorder,
-    work: F,
-) -> Result<String, ProtocolError>
-where
-    F: FnOnce(&Supervisor) -> Result<String, ProtocolError> + Send + 'static,
-{
-    await_job(submit_job(state, timeout_ms, rec, work)?)
+    started: Instant,
+    /// The queued job, or why it was refused (shed, draining).
+    job: Result<PendingJob, ProtocolError>,
 }
 
-/// A job submitted to the pool but not yet collected. Splitting
-/// submission from collection lets `batch` push every item into the pool
-/// before waiting on any of them, so items run concurrently while the
-/// envelope is still assembled in order.
+/// What an analysis answers: its result bytes, or its error code and
+/// message with the `retry_after_ms` hint that only `overloaded` carries.
+type Answer = Result<String, (ErrorCode, String, Option<u64>)>;
+
+/// Counts an analyze request, takes its trace id, and submits it with a
+/// deadline that counts from now.
+fn start_analysis(
+    state: &Arc<ServiceState>,
+    mut req: AnalyzeRequest,
+    first: Option<FirstLine>,
+    timeout_ms: Option<u64>,
+) -> Analysis {
+    state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
+    // Echo the client's trace id, or mint one; either way every analyze
+    // answer (success or error) carries it in the envelope, never in the
+    // cacheable result bytes.
+    let trace_id = req.trace_id.take().unwrap_or_else(|| mint_trace_id(state));
+    let parent = req.trace_parent.take();
+    let started = Instant::now();
+    let rec = request_recorder(&state.flight, first, started);
+    let job = submit_job(state, timeout_ms, rec.clone(), {
+        let state = Arc::clone(state);
+        let rec = rec.clone();
+        move |sup: &Supervisor| run_analyze(&state, &req, sup, &rec)
+    });
+    Analysis { trace_id, parent, rec, started, job }
+}
+
+/// Waits for an analysis's result, counts a failure, and captures its
+/// flight record. Returns the trace id with the answer.
+fn finish_analysis(state: &Arc<ServiceState>, analysis: Analysis) -> (String, Answer) {
+    let Analysis { trace_id, parent, rec, started, job } = analysis;
+    let result = job.and_then(await_job);
+    let code = result.as_ref().err().map(|(code, _)| *code);
+    if let Some(code) = code {
+        count_error(state, code);
+    }
+    capture_flight(state, &rec, &trace_id, parent.as_deref(), started, code);
+    (trace_id, result.map_err(|(code, msg)| (code, msg, shed_retry_hint(state, code))))
+}
+
+/// A job on the queue whose result has not been collected yet. Splitting
+/// submission from collection lets `batch` queue every item before
+/// waiting on any of them, so items run concurrently while the envelope
+/// is still assembled in order.
 struct PendingJob {
-    rx: std::sync::mpsc::Receiver<Result<String, ProtocolError>>,
+    rx: Receiver<Result<String, ProtocolError>>,
     supervisor: Supervisor,
     timeout_ms: Option<u64>,
     submitted: Instant,
 }
 
+/// Queues `work` for the next idle worker under a [`Supervisor`]
+/// carrying the request's deadline; [`await_job`] collects the result.
 fn submit_job<F>(
     state: &Arc<ServiceState>,
     timeout_ms: Option<u64>,
@@ -652,7 +683,7 @@ where
     F: FnOnce(&Supervisor) -> Result<String, ProtocolError> + Send + 'static,
 {
     if state.shutdown.is_set() {
-        return Err((ErrorCode::ShuttingDown, "daemon is draining".to_string()));
+        return Err(draining());
     }
     // Admission control: reject immediately when the queue of not-yet-
     // started jobs is full. Rejecting here — before a supervisor or a
@@ -675,64 +706,80 @@ where
         None => Supervisor::new(),
     };
     let (tx, rx) = channel::<Result<String, ProtocolError>>();
-    // This catch runs before the pool's own per-job catch, so count the
-    // panic here — the shared counter backs the `worker_panics` stat.
-    let panicked = Arc::clone(&state.panicked);
     let job_sup = supervisor.clone();
-    let metrics_state = Arc::clone(state);
+    let job_state = Arc::clone(state);
     let submitted = Instant::now();
     let job: Job = Box::new(move || {
-        // The job has left the admission queue: free its slot first so
-        // admission tracks queued-not-started work, not running work.
-        metrics_state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        // The gap between submission and this first instruction is queue
-        // wait: how long the job sat behind other work in the pool.
-        let wait = submitted.elapsed();
-        metrics_state.queue_wait.observe(wait.as_secs_f64());
-        if rec.is_enabled() {
-            let wait_us = wait.as_micros() as u64;
-            rec.record(TraceEvent {
-                name: "queue.wait",
-                start_us: rec.now_us().saturating_sub(wait_us),
-                dur_us: Some(wait_us),
-                attrs: Vec::new(),
-            });
-        }
-        let started = Instant::now();
-        let run_start_us = rec.now_us();
-        let result = catch_unwind(AssertUnwindSafe(|| work(&job_sup))).unwrap_or_else(|_| {
-            panicked.fetch_add(1, Ordering::SeqCst);
+        // The job's one catch covers its whole body, the queue accounting
+        // and the records included, so no panic can end a worker.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // The job has left the admission queue: free its slot first
+            // so admission tracks queued-not-started work, not running
+            // work.
+            job_state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            // The gap between submission and this first instruction is
+            // queue wait: how long the job sat behind other work.
+            let wait = submitted.elapsed();
+            job_state.queue_wait.observe(wait.as_secs_f64());
+            if rec.is_enabled() {
+                let wait_us = wait.as_micros() as u64;
+                rec.record(TraceEvent {
+                    name: "queue.wait",
+                    start_us: rec.now_us().saturating_sub(wait_us),
+                    dur_us: Some(wait_us),
+                    attrs: Vec::new(),
+                });
+            }
+            let started = Instant::now();
+            let run_start_us = rec.now_us();
+            let result = work(&job_sup);
+            let run = started.elapsed();
+            job_state.run_time.observe(run.as_secs_f64());
+            if rec.is_enabled() {
+                rec.record(TraceEvent {
+                    name: "run",
+                    start_us: run_start_us,
+                    dur_us: Some(run.as_micros() as u64),
+                    attrs: Vec::new(),
+                });
+            }
+            result
+        }))
+        .unwrap_or_else(|_| {
+            job_state.counters.worker_panics.fetch_add(1, Ordering::SeqCst);
             Err((ErrorCode::WorkerPanic, "analysis worker panicked".into()))
         });
-        let run = started.elapsed();
-        metrics_state.run_time.observe(run.as_secs_f64());
-        if rec.is_enabled() {
-            rec.record(TraceEvent {
-                name: "run",
-                start_us: run_start_us,
-                dur_us: Some(run.as_micros() as u64),
-                attrs: Vec::new(),
-            });
+        // Finishing with a cancelled supervisor means the submitter gave
+        // up on the job and the cooperative checks brought the worker
+        // back early, instead of leaving it to the abandoned work.
+        if job_sup.is_cancelled() {
+            job_state.counters.workers_reclaimed.fetch_add(1, Ordering::SeqCst);
         }
         let _ = tx.send(result);
     });
-    let sent = match state.jobs.lock() {
-        Ok(jobs) => match jobs.as_ref() {
-            Some(sender) => sender
-                .send((job, supervisor.clone()))
-                .map_err(|_| (ErrorCode::ShuttingDown, "daemon is draining".to_string())),
-            None => Err((ErrorCode::ShuttingDown, "daemon is draining".to_string())),
-        },
-        Err(_) => Err(poisoned()),
-    };
-    if let Err(e) = sent {
+    // Sending under the lock orders each job against the shutdown: it is
+    // either queued before the sender is dropped, and then runs, or
+    // refused.
+    let queued = state
+        .jobs
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .as_ref()
+        .is_some_and(|jobs| jobs.send(job).is_ok());
+    if !queued {
         // The job never entered the queue: give its admission slot back.
         state.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        return Err(e);
+        return Err(draining());
     }
     Ok(PendingJob { rx, supervisor, timeout_ms, submitted })
 }
 
+/// Waits for a submitted job's result, up to its deadline. When the wait
+/// times out, the job's supervisor is *cancelled*, so the cooperative
+/// checks inside the analysis bring the worker home within one check
+/// interval instead of leaking it to the orphaned job (the job counts
+/// the reclaim). A panic surfaces as `worker_panic`, the deadline as
+/// `timeout`.
 fn await_job(pending: PendingJob) -> Result<String, ProtocolError> {
     // The deadline is measured from submission, so a batch that collects
     // items one by one does not grant later items extra time.
@@ -755,13 +802,17 @@ fn await_job(pending: PendingJob) -> Result<String, ProtocolError> {
                 format!("request exceeded its {}ms deadline", pending.timeout_ms.unwrap_or(0)),
             ))
         }
-        // The job dropped its sender without replying: the closure itself
-        // panicked outside our catch (should be unreachable, but stay
-        // structured rather than hanging).
+        // The job was dropped without replying. The workers run every
+        // queued job, so this should be unreachable, but stay structured
+        // rather than hang.
         Err(RecvTimeoutError::Disconnected) => {
             Err((ErrorCode::WorkerPanic, "analysis worker panicked".to_string()))
         }
     }
+}
+
+fn draining() -> ProtocolError {
+    (ErrorCode::ShuttingDown, "daemon is draining".to_string())
 }
 
 fn mint_trace_id(state: &Arc<ServiceState>) -> String {
@@ -787,22 +838,23 @@ fn probe_event(rec: &Recorder, tier: &'static str, hit: bool) {
 }
 
 /// Builds and captures the flight record for a finished analyze-class
-/// request, and appends the structured slow-request log line when
-/// triggered (slower than `--slow-ms`, degraded, panicked, shed, or
-/// timed out). Runs on the connection thread after the response envelope
-/// is already built: one O(1) ring push, never on the worker pool.
+/// request that failed with `error_code`, or succeeded, and appends the
+/// structured slow-request log line when triggered (slower than
+/// `--slow-ms`, degraded, panicked, shed, or timed out). Runs on the
+/// connection thread once the answer is known: one O(1) ring push, never
+/// on a worker.
 fn capture_flight(
     state: &Arc<ServiceState>,
     rec: &Recorder,
     trace_id: &str,
     parent: Option<&str>,
     started: Instant,
-    outcome: &'static str,
     error_code: Option<ErrorCode>,
 ) {
     if !state.flight.is_enabled() {
         return;
     }
+    let outcome = error_code.map_or("ok", outcome_of);
     let elapsed = started.elapsed();
     let elapsed_us = elapsed.as_micros() as u64;
     let mut events = rec.events();
@@ -869,101 +921,47 @@ fn trace_raw(state: &Arc<ServiceState>, trace_id: &str) -> Result<String, Protoc
     Ok(format!("{{\"trace_id\":{},\"fragments\":[{}]}}", id_json, record.fragment_json("daemon")))
 }
 
-/// Executes a `batch` envelope: every well-formed item is submitted to
-/// the pool up front, so items run concurrently up to the pool size, and
-/// results are collected in item order so the response array lines up
-/// with the request array. Per-item failures — parse errors, analysis
-/// errors, deadlines — land in that item's slot; they never fail the
-/// envelope.
+/// Executes a `batch` envelope: every well-formed item is queued up
+/// front, so items run concurrently up to the worker count, and results
+/// are collected in item order so the response array lines up with the
+/// request array. Per-item failures — parse errors, analysis errors,
+/// deadlines — land in that item's slot; they never fail the envelope.
 fn run_batch(state: &Arc<ServiceState>, batch: BatchRequest, first: Option<FirstLine>) -> String {
-    struct Item {
-        rec: Recorder,
-        parent: Option<String>,
-        started: Instant,
-    }
     enum Slot {
-        Pending { trace_id: String, job: PendingJob, item: Item },
-        Done(String),
+        Queued(Analysis),
+        Answered(String),
     }
-    let envelope_timeout = batch.timeout_ms;
+    let item = |(trace_id, answer): (String, Answer)| match answer {
+        Ok(raw) => batch_item_ok(&trace_id, &raw),
+        Err((code, msg, hint)) => batch_item_err_retry(&trace_id, code, &msg, hint),
+    };
     let mut slots = Vec::with_capacity(batch.items.len());
-    for item in batch.items {
-        match item {
+    for parsed in batch.items {
+        slots.push(match parsed {
             Ok(req) => {
-                state.counters.analyze_requests.fetch_add(1, Ordering::SeqCst);
-                let trace_id = req.trace_id.clone().unwrap_or_else(|| mint_trace_id(state));
-                let timeout_ms = req.timeout_ms.or(envelope_timeout).or(state.default_timeout_ms);
-                let started = Instant::now();
-                let rec = request_recorder(&state.flight, first, started);
-                let item = Item { rec: rec.clone(), parent: req.trace_parent.clone(), started };
-                let job = submit_job(state, timeout_ms, rec.clone(), {
-                    let state = Arc::clone(state);
-                    move |sup: &Supervisor| run_analyze(&state, &req, sup, &rec)
-                });
-                match job {
-                    Ok(job) => slots.push(Slot::Pending { trace_id, job, item }),
-                    Err((code, msg)) => {
-                        state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                        // A shed item carries the same retry hint a shed
-                        // standalone request would; its siblings in the
-                        // envelope still run.
-                        let hint = shed_retry_hint(state, code);
-                        capture_flight(
-                            state,
-                            &item.rec,
-                            &trace_id,
-                            item.parent.as_deref(),
-                            item.started,
-                            outcome_of(code),
-                            Some(code),
-                        );
-                        slots.push(Slot::Done(batch_item_err_retry(&trace_id, code, &msg, hint)));
-                    }
+                let timeout_ms = req.timeout_ms.or(batch.timeout_ms).or(state.default_timeout_ms);
+                let analysis = start_analysis(state, req, first, timeout_ms);
+                // An item refused at submission (shed, draining) is
+                // answered now, so its time never includes its siblings'.
+                if analysis.job.is_ok() {
+                    Slot::Queued(analysis)
+                } else {
+                    Slot::Answered(item(finish_analysis(state, analysis)))
                 }
             }
             Err((code, msg)) => {
-                state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                let trace_id = mint_trace_id(state);
-                slots.push(Slot::Done(batch_item_err(&trace_id, code, &msg)));
+                count_error(state, code);
+                Slot::Answered(batch_item_err(&mint_trace_id(state), code, &msg))
             }
-        }
-    }
-    let mut rendered = Vec::with_capacity(slots.len());
-    for slot in slots {
-        rendered.push(match slot {
-            Slot::Done(s) => s,
-            Slot::Pending { trace_id, job, item } => match await_job(job) {
-                Ok(raw) => {
-                    capture_flight(
-                        state,
-                        &item.rec,
-                        &trace_id,
-                        item.parent.as_deref(),
-                        item.started,
-                        "ok",
-                        None,
-                    );
-                    batch_item_ok(&trace_id, &raw)
-                }
-                Err((code, msg)) => {
-                    state.counters.errors.fetch_add(1, Ordering::SeqCst);
-                    if code == ErrorCode::Timeout {
-                        state.counters.timeouts.fetch_add(1, Ordering::SeqCst);
-                    }
-                    capture_flight(
-                        state,
-                        &item.rec,
-                        &trace_id,
-                        item.parent.as_deref(),
-                        item.started,
-                        outcome_of(code),
-                        Some(code),
-                    );
-                    batch_item_err(&trace_id, code, &msg)
-                }
-            },
         });
     }
+    let rendered: Vec<String> = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Queued(analysis) => item(finish_analysis(state, analysis)),
+            Slot::Answered(line) => line,
+        })
+        .collect();
     batch_result_raw(&rendered)
 }
 
@@ -1253,8 +1251,11 @@ fn stats_raw(state: &Arc<ServiceState>) -> Result<String, ProtocolError> {
     o.insert("requests_shed", Value::UInt(u128::from(c.requests_shed.load(Ordering::SeqCst))));
     o.insert("queue_depth", Value::UInt(u128::from(state.queue_depth.load(Ordering::SeqCst))));
     o.insert("max_queue", Value::UInt(state.max_queue as u128));
-    o.insert("worker_panics", Value::UInt(u128::from(state.panicked.load(Ordering::SeqCst))));
-    o.insert("workers_reclaimed", Value::UInt(u128::from(state.reclaimed.load(Ordering::SeqCst))));
+    o.insert("worker_panics", Value::UInt(u128::from(c.worker_panics.load(Ordering::SeqCst))));
+    o.insert(
+        "workers_reclaimed",
+        Value::UInt(u128::from(c.workers_reclaimed.load(Ordering::SeqCst))),
+    );
     o.insert("prepare_runs", Value::UInt(u128::from(c.prepare_runs.load(Ordering::SeqCst))));
     o.insert("phase1_runs", Value::UInt(u128::from(c.phase1_runs.load(Ordering::SeqCst))));
     o.insert("phase2_runs", Value::UInt(u128::from(c.phase2_runs.load(Ordering::SeqCst))));
@@ -1366,12 +1367,12 @@ fn metrics_exposition(state: &Arc<ServiceState>) -> Result<String, ProtocolError
         (
             "taj_worker_panics_total",
             "Jobs that panicked on a worker.",
-            state.panicked.load(Ordering::SeqCst),
+            c.worker_panics.load(Ordering::SeqCst),
         ),
         (
             "taj_workers_reclaimed_total",
             "Workers reclaimed from abandoned jobs.",
-            state.reclaimed.load(Ordering::SeqCst),
+            c.workers_reclaimed.load(Ordering::SeqCst),
         ),
         (
             "taj_prepare_runs_total",

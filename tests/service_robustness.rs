@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use serde::Value;
 use taj::service::{
-    serve, AnalyzeOpts, Bind, Client, ClientError, RetryPolicy, ServeOptions, ServerHandle,
+    serve, AnalyzeOpts, Bind, BoundAddr, Client, ClientError, RetryPolicy, ServeOptions,
+    ServerHandle,
 };
 
 const SERVLET: &str = r#"
@@ -208,14 +209,20 @@ fn degrade_turns_budget_exhaustion_into_hybrid_report() {
 
 #[test]
 fn worker_panic_is_isolated() {
-    let (handle, mut client) = start_debug();
+    // One worker, so no second worker can mask its loss, and a deadline
+    // on every follow-up analysis, so a lost worker fails the test fast
+    // instead of hanging it.
+    let options = ServeOptions { workers: 1, debug: true, ..ServeOptions::tcp_ephemeral() };
+    let handle = serve(options).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
     let raw = client.request_raw(r#"{"id":1,"cmd":"debug_panic"}"#).expect("panic response");
     assert_eq!(error_code(&raw), "worker_panic");
 
-    // The worker survived (panic caught per-job): the pool still has
-    // capacity and subsequent analyses succeed on the same daemon.
+    // The worker survived (the panic is caught per job), so the same
+    // worker runs every later analysis.
+    let opts = AnalyzeOpts { timeout_ms: Some(10_000), ..AnalyzeOpts::default() };
     for _ in 0..3 {
-        let report = client.analyze(SERVLET, &AnalyzeOpts::default()).expect("analyze runs");
+        let report = client.analyze(SERVLET, &opts).expect("analyze runs on the same worker");
         assert_eq!(report["findings"].as_array().map(Vec::len), Some(1));
     }
     let stats = client.stats().expect("stats");
@@ -252,6 +259,73 @@ fn shutdown_drains_in_flight_jobs() {
 
     // join() returns: accept loop exited and the pool drained.
     handle.join();
+}
+
+/// Sends a `debug_sleep` of `ms` on its own connection from a new
+/// thread, which returns the raw response line.
+fn spawn_sleeper(addr: &BoundAddr, ms: u64) -> std::thread::JoinHandle<String> {
+    let addr = addr.clone();
+    std::thread::spawn(move || {
+        let mut c = Client::connect(&addr).expect("sleeper connects");
+        c.request_raw(&format!("{{\"id\":{ms},\"cmd\":\"debug_sleep\",\"ms\":{ms}}}"))
+            .expect("sleeper answers")
+    })
+}
+
+fn assert_slept(raw: &str, ms: u64) {
+    let v: Value = serde_json::from_str(raw).unwrap();
+    assert_eq!(v["ok"].as_bool(), Some(true), "{raw}");
+    assert_eq!(v["result"]["slept_ms"].as_u64(), Some(ms), "{raw}");
+}
+
+#[test]
+fn queued_jobs_run_after_shutdown() {
+    // One worker: the first sleeper runs while the second waits in the
+    // queue when `shutdown` arrives. Draining runs both.
+    let options = ServeOptions { workers: 1, debug: true, ..ServeOptions::tcp_ephemeral() };
+    let handle = serve(options).expect("server starts");
+    let mut controller = Client::connect(handle.addr()).expect("controller connects");
+    let running = spawn_sleeper(handle.addr(), 400);
+    std::thread::sleep(Duration::from_millis(100)); // the worker takes it
+    let queued = spawn_sleeper(handle.addr(), 100);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = controller.stats().expect("stats");
+        if stats["queue_depth"].as_u64() == Some(1) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "second sleeper never queued: {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let ack = controller.shutdown().expect("shutdown acknowledged");
+    assert_eq!(ack["draining"].as_bool(), Some(true), "{ack:?}");
+    assert_slept(&running.join().unwrap(), 400);
+    assert_slept(&queued.join().unwrap(), 100);
+    join_within_10s(handle);
+}
+
+#[test]
+fn submission_after_shutdown_is_refused() {
+    let (handle, mut controller) = start_debug();
+    // A connection whose handler is running before the shutdown: the
+    // `stats` round trip proves the accept loop took it.
+    let mut late = Client::connect(handle.addr())
+        .expect("late client connects")
+        .with_retry(RetryPolicy::none());
+    late.stats().expect("late client is served before the shutdown");
+    let sleeper = spawn_sleeper(handle.addr(), 300);
+    std::thread::sleep(Duration::from_millis(100)); // the sleeper runs
+
+    let ack = controller.shutdown().expect("shutdown acknowledged");
+    assert_eq!(ack["draining"].as_bool(), Some(true), "{ack:?}");
+    // The router fails over on exactly this code.
+    match late.analyze(SERVLET, &AnalyzeOpts::default()) {
+        Err(ClientError::Remote { code, .. }) => assert_eq!(code, "shutting_down"),
+        other => panic!("expected shutting_down after the ack, got {other:?}"),
+    }
+    assert_slept(&sleeper.join().unwrap(), 300);
+    join_within_10s(handle);
 }
 
 #[test]
@@ -305,7 +379,7 @@ fn shutdown_command_wakes_a_daemon_bound_to_the_unspecified_address() {
     };
     let handle = serve(options).expect("server starts on 0.0.0.0");
     let port = match handle.addr() {
-        taj::service::BoundAddr::Tcp(a) => {
+        BoundAddr::Tcp(a) => {
             assert!(a.ip().is_unspecified(), "bound to the unspecified address: {a}");
             a.port()
         }
@@ -413,18 +487,9 @@ fn admission_control_sheds_with_retry_hint_when_the_queue_is_full() {
     let options =
         ServeOptions { workers: 1, max_queue: 1, debug: true, ..ServeOptions::tcp_ephemeral() };
     let handle = serve(options).expect("server starts");
-    let addr = handle.addr().clone();
-    let spawn_sleeper = |ms: u64| {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(&addr).expect("sleeper connects");
-            c.request_raw(&format!("{{\"id\":1,\"cmd\":\"debug_sleep\",\"ms\":{ms}}}"))
-                .expect("sleeper completes")
-        })
-    };
-    let busy = spawn_sleeper(1200);
+    let busy = spawn_sleeper(handle.addr(), 1200);
     std::thread::sleep(Duration::from_millis(150)); // job 1 picked up
-    let queued = spawn_sleeper(300);
+    let queued = spawn_sleeper(handle.addr(), 300);
     std::thread::sleep(Duration::from_millis(150)); // job 2 sits in the queue
 
     // `request_raw` never retries: we must see the raw rejection.
