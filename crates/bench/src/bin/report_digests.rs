@@ -9,7 +9,9 @@
 //! securibench joined ×1, ×4 and ×16; the configurations are
 //! `TajConfig::all()`. Each line gives 64-bit FNV-1a digests of the text
 //! report, the serde JSON and the SARIF rendering, or the path-edge
-//! count of an out-of-memory verdict.
+//! count of an out-of-memory verdict. An out-of-memory line is followed
+//! by a `<config>+degrade` line with the digests of the same run under
+//! `RunOptions { degrade: true, .. }`, which falls to Hybrid-Unbounded.
 //!
 //! `crates/bench/report_digests.txt` holds the expected output, and CI
 //! diffs a fresh run against it. A change that alters reports on purpose
@@ -18,6 +20,7 @@
 use taj_core::{
     analyze_with_phase1_opts, prepare_traced, run_phase1_traced, to_sarif, to_text,
     DeploymentDescriptor, Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
+    TajReport,
 };
 use taj_webgen::{generate, presets, securibench_joined, Scale};
 
@@ -26,6 +29,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The text, JSON and SARIF digests of `report`.
+fn digests(report: &TajReport) -> String {
+    let json = serde_json::to_string(report).expect("report serializes");
+    let sarif = to_sarif(report).expect("sarif renders");
+    format!(
+        "text={:016x} json={:016x} sarif={:016x}",
+        fnv1a(to_text(report).as_bytes()),
+        fnv1a(json.as_bytes()),
+        fnv1a(sarif.as_bytes())
+    )
 }
 
 fn main() {
@@ -42,29 +57,23 @@ fn main() {
     }
     let recorder = Recorder::disabled();
     let opts = RunOptions::default();
+    let degrade = RunOptions { degrade: true, ..RunOptions::default() };
     for (name, source, descriptor) in &inputs {
         let prepared =
             prepare_traced(source, descriptor.as_ref(), RuleSet::default_rules(), &recorder)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         for config in TajConfig::all() {
             let phase1 = run_phase1_traced(&prepared, &config, &Supervisor::new(), &recorder);
-            let outcome = match analyze_with_phase1_opts(&prepared, &phase1, &config, &opts) {
-                Ok(report) => {
-                    let json = serde_json::to_string(&report).expect("report serializes");
-                    let sarif = to_sarif(&report).expect("sarif renders");
-                    format!(
-                        "text={:016x} json={:016x} sarif={:016x}",
-                        fnv1a(to_text(&report).as_bytes()),
-                        fnv1a(json.as_bytes()),
-                        fnv1a(sarif.as_bytes())
-                    )
-                }
+            match analyze_with_phase1_opts(&prepared, &phase1, &config, &opts) {
+                Ok(report) => println!("{name} {} {}", config.name, digests(&report)),
                 Err(TajError::OutOfMemory { path_edges }) => {
-                    format!("out-of-memory path_edges={path_edges}")
+                    println!("{name} {} out-of-memory path_edges={path_edges}", config.name);
+                    let report = analyze_with_phase1_opts(&prepared, &phase1, &config, &degrade)
+                        .unwrap_or_else(|e| panic!("{name} / {} degraded: {e}", config.name));
+                    println!("{name} {}+degrade {}", config.name, digests(&report));
                 }
                 Err(e) => panic!("{name} / {}: {e}", config.name),
-            };
-            println!("{name} {} {outcome}", config.name);
+            }
         }
     }
 }

@@ -147,8 +147,8 @@ impl TajConfig {
 
     /// A deliberately starved CS configuration (`cs-tiny`): a path-edge
     /// budget so small that any non-trivial program exhausts it. Exists
-    /// to exercise the paper's out-of-memory failure mode — and the
-    /// degradation ladder that replaces it — deterministically from
+    /// to exercise the paper's out-of-memory failure mode — and the fall
+    /// to Hybrid-Unbounded that replaces it — deterministically from
     /// every front door. Not a Table 1 column, so it is resolvable by
     /// name but absent from [`Self::all`].
     pub fn cs_tiny() -> Self {

@@ -103,16 +103,17 @@ pub struct ConcurrencyReport {
     pub cross_thread_flows: Vec<AnalyzedFlow>,
 }
 
-/// One rung-to-rung fall (or partial delivery) on the degradation
-/// ladder: what stage tripped, what the driver fell back to, why, and
-/// what the result may consequently be missing.
+/// One degradation step — the CS-to-hybrid fall or a partial delivery:
+/// what stage tripped, what the driver fell back to, why, and what the
+/// result may consequently be missing.
 #[derive(Clone, Debug, Serialize)]
 pub struct DegradationStep {
     /// Pipeline stage the interrupt hit (`phase1` or `slice`).
     pub stage: String,
-    /// Configuration/rung the stage was running under.
+    /// Configuration the stage was running under.
     pub from: String,
-    /// Rung fallen to, or `partial` when partial results were delivered.
+    /// Configuration fallen to, or `partial` when partial results were
+    /// delivered.
     pub to: String,
     /// What tripped: an [`InterruptReason`] string or a budget message.
     pub reason: String,
@@ -144,9 +145,8 @@ impl DegradationReport {
 pub struct RunOptions {
     /// Supervision handle threaded through every fixpoint loop.
     pub supervisor: Supervisor,
-    /// When a budget trips mid-stage, fall down the degradation ladder
-    /// (CS → hybrid → bounded hybrid) instead of returning
-    /// [`TajError::OutOfMemory`].
+    /// When a CS run exhausts its path-edge budget, rerun phase 2 as
+    /// Hybrid-Unbounded instead of returning [`TajError::OutOfMemory`].
     pub degrade: bool,
     /// Ignored. Phase 2 runs on the calling thread; the field stays only
     /// so that callers which still set it keep compiling, and goes in a
@@ -403,7 +403,6 @@ pub fn run_phase1_traced(
         phase_span.attr("cg_nodes", pts.stats.nodes);
         phase_span.attr("cg_edges", pts.stats.call_edges);
         phase_span.attr("supervisor_steps", supervisor.steps());
-        phase_span.attr("supervisor_mem", supervisor.mem());
         if let Some(reason) = interrupted {
             phase_span.attr("interrupted", reason.as_str());
         }
@@ -412,62 +411,13 @@ pub fn run_phase1_traced(
     Phase1 { pts, heap, escape, mhp, interrupted, cg_key: (config.max_cg_nodes, config.priority) }
 }
 
-/// The next rung down the degradation ladder from `config`, if any. Each
-/// rung preserves the call-graph settings (`max_cg_nodes`, `priority`)
-/// so the phase-1 result stays reusable — the whole point of degrading
-/// mid-run instead of restarting.
-fn next_rung(config: &TajConfig) -> Option<(TajConfig, &'static str)> {
-    match config.algorithm {
-        // CS exploded: the paper's answer is the hybrid slicer, which
-        // trades per-call-string facts for summarized flow functions.
-        Algorithm::CsThin => Some((
-            TajConfig {
-                name: "Hybrid-Unbounded",
-                algorithm: Algorithm::Hybrid,
-                cs_path_edge_budget: None,
-                ..*config
-            },
-            "hybrid slicing collapses calling contexts: reported flows \
-             may include context-infeasible paths (precision loss only)",
-        )),
-        // Unbounded hybrid exploded too: apply the §6.2 bounds.
-        Algorithm::Hybrid
-            if config.max_heap_transitions.is_none() || config.max_flow_len.is_none() =>
-        {
-            Some((
-                TajConfig {
-                    name: "Hybrid-Optimized",
-                    max_heap_transitions: Some(crate::config::defaults::MAX_HEAP_TRANSITIONS),
-                    max_flow_len: Some(crate::config::defaults::MAX_FLOW_LEN),
-                    nested_depth: Some(crate::config::defaults::NESTED_DEPTH),
-                    ..*config
-                },
-                "bounded slicing may drop flows exceeding the heap-transition, \
-                 flow-length, or nested-taint bounds (under-approximation)",
-            ))
-        }
-        // IFDS exploded: fall to the hybrid slicer — same phase-1
-        // artifacts, summarized flow functions instead of per-access-path
-        // facts — which then has its own §6.2 rung below it.
-        Algorithm::Ifds => Some((
-            TajConfig { name: "Hybrid-Unbounded", algorithm: Algorithm::Hybrid, ..*config },
-            "hybrid slicing replaces access-path facts with direct \
-             store→load heap edges: reported flows may include \
-             field-infeasible paths (precision loss only)",
-        )),
-        // Bounded hybrid / CI: bottom of the ladder.
-        _ => None,
-    }
-}
-
 /// Runs phase 2 (slicing, carriers, bounds, LCP) over phase-1 results,
 /// which stay reusable across every configuration with the same
-/// call-graph settings. `opts` drives the degradation ladder:
-/// budget-class interrupts (the CS path-edge budget or a supervisor
-/// step/memory budget) fall down [`next_rung`] when `opts.degrade` is
-/// set, reusing the same phase-1 artifacts; deadline and cancellation
-/// interrupts deliver whatever partial results exist. Every fall is
-/// recorded in [`TajReport::degradation`].
+/// call-graph settings. With `opts.degrade`, a CS run over its path-edge
+/// budget reruns as Hybrid-Unbounded over the same phase-1 artifacts;
+/// deadline and cancellation interrupts deliver whatever partial results
+/// exist. Every degradation step is recorded in
+/// [`TajReport::degradation`].
 ///
 /// # Panics
 /// Panics if `phase1` was computed under different call-graph settings
@@ -503,73 +453,46 @@ pub fn analyze_with_phase1_opts(
         // cancel still stops it).
         supervisor = supervisor.finishing();
     }
-    let mut current = *config;
-    loop {
-        match run_phase2(prepared, phase1, &current, &supervisor, recorder) {
-            Ok((mut report, interrupted)) => match interrupted {
-                Some(reason) if reason.is_budget() && opts.degrade => {
-                    match next_rung(&current) {
-                        Some((next, caveat)) => {
-                            let step = DegradationStep {
-                                stage: "slice".to_string(),
-                                from: current.name.to_string(),
-                                to: next.name.to_string(),
-                                reason: reason.as_str().to_string(),
-                                caveat: caveat.to_string(),
-                            };
-                            degrade_event(recorder, &step);
-                            degradation.push(step);
-                            current = next;
-                            supervisor = supervisor.fresh_meters();
-                        }
-                        None => {
-                            // Ladder exhausted: deliver the partial result.
-                            let step = partial_step(&current, reason.as_str());
-                            degrade_event(recorder, &step);
-                            degradation.push(step);
-                            report.degradation = degradation;
-                            return Ok(report);
-                        }
-                    }
-                }
-                Some(reason) => {
-                    // Deadline/cancel (or budget without degradation):
-                    // deliver partial results with provenance.
-                    let step = partial_step(&current, reason.as_str());
-                    degrade_event(recorder, &step);
-                    degradation.push(step);
-                    report.degradation = degradation;
-                    return Ok(report);
-                }
-                None => {
-                    report.degradation = degradation;
-                    return Ok(report);
-                }
-            },
-            Err(TajError::OutOfMemory { path_edges }) if opts.degrade => {
-                match next_rung(&current) {
-                    Some((next, caveat)) => {
-                        let step = DegradationStep {
-                            stage: "slice".to_string(),
-                            from: current.name.to_string(),
-                            to: next.name.to_string(),
-                            reason: format!("path-edge budget exhausted ({path_edges} path edges)"),
-                            caveat: caveat.to_string(),
-                        };
-                        degrade_event(recorder, &step);
-                        degradation.push(step);
-                        current = next;
-                        supervisor = supervisor.fresh_meters();
-                    }
-                    None => return Err(TajError::OutOfMemory { path_edges }),
-                }
-            }
-            Err(e) => return Err(e),
+    let outcome = run_phase2(prepared, phase1, config, &supervisor, recorder);
+    let (mut report, interrupted) = match outcome {
+        Err(TajError::OutOfMemory { path_edges }) if opts.degrade => {
+            // CS exploded: the paper's answer is the hybrid slicer, which
+            // trades per-call-string facts for summarized flow functions.
+            // `..config` keeps the call-graph settings, so the phase-1
+            // result stays valid, and `escape_analysis`, so CS-Escape
+            // falls to the hybrid slicer with its escape filter.
+            let hybrid = TajConfig {
+                name: "Hybrid-Unbounded",
+                algorithm: Algorithm::Hybrid,
+                cs_path_edge_budget: None,
+                ..*config
+            };
+            let step = DegradationStep {
+                stage: "slice".to_string(),
+                from: config.name.to_string(),
+                to: hybrid.name.to_string(),
+                reason: format!("path-edge budget exhausted ({path_edges} path edges)"),
+                caveat: "hybrid slicing collapses calling contexts: reported flows \
+                         may include context-infeasible paths (precision loss only)"
+                    .to_string(),
+            };
+            degrade_event(recorder, &step);
+            degradation.push(step);
+            run_phase2(prepared, phase1, &hybrid, &supervisor, recorder)?
         }
+        outcome => outcome?,
+    };
+    if let Some(reason) = interrupted {
+        // Deadline or cancel: deliver partial results with provenance.
+        let step = partial_step(&report.config, reason.as_str());
+        degrade_event(recorder, &step);
+        degradation.push(step);
     }
+    report.degradation = degradation;
+    Ok(report)
 }
 
-/// Mirrors a degradation-ladder step into the trace as an instant
+/// Mirrors a degradation step into the trace as an instant
 /// `degrade` event (stage/from/to/reason — the caveat prose stays in the
 /// report).
 fn degrade_event(recorder: &Recorder, step: &DegradationStep) {
@@ -586,10 +509,10 @@ fn degrade_event(recorder: &Recorder, step: &DegradationStep) {
     }
 }
 
-fn partial_step(config: &TajConfig, reason: &str) -> DegradationStep {
+fn partial_step(config: &str, reason: &str) -> DegradationStep {
     DegradationStep {
         stage: "slice".to_string(),
-        from: config.name.to_string(),
+        from: config.to_string(),
         to: "partial".to_string(),
         reason: reason.to_string(),
         caveat: "slicing stopped early: flows completed before the interrupt \
@@ -615,11 +538,10 @@ struct RuleOut {
 /// One phase-2 pass under a fixed configuration. Returns the report plus
 /// the supervisor interrupt that stopped it early, if any.
 ///
-/// Each rule runs as one slicer pass over all its seeds, under its own
-/// [`Supervisor::fresh_meters`] handle: cancellation and the deadline
-/// are shared with the caller, the step and memory meters are the
-/// rule's own. The pass stops after the first interrupted rule, and a
-/// CS rule over its path-edge budget fails the pass.
+/// Each rule runs as one slicer pass over all its seeds, under a clone
+/// of the caller's supervisor. The pass stops after the first
+/// interrupted rule, and a CS rule over its path-edge budget fails the
+/// pass.
 fn run_phase2(
     prepared: &PreparedProgram,
     phase1: &Phase1,
@@ -760,15 +682,15 @@ fn slice_pass(
     let mut rule_flows: Vec<Vec<Flow>> = Vec::with_capacity(views.len());
     let mut summary_edges = 0usize;
     for (i, view) in views.iter().enumerate() {
-        let rule_supervisor = supervisor.fresh_meters();
-        // The clone shares the rule's meters, read back for its span.
-        let meters = rule_supervisor.clone();
+        // Phase 2 runs on this thread, so the counter's growth over the
+        // rule is the rule's own check count.
+        let steps_before = supervisor.steps();
         let mut unit_span = recorder.span("phase2.unit");
         if recorder.is_enabled() {
             unit_span.attr("unit", i);
             unit_span.attr("rule", resolved[i].issue.to_string());
         }
-        let out = match slice_rule(view, rule_supervisor) {
+        let out = match slice_rule(view, supervisor.clone()) {
             Ok(out) => out,
             Err(path_edges) => {
                 unit_span.attr("path_edges", path_edges);
@@ -784,8 +706,7 @@ fn slice_pass(
             unit_span.attr("work", out.result.work);
             unit_span.attr("heap_transitions", out.result.heap_transitions);
             unit_span.attr("summaries", out.summaries);
-            unit_span.attr("steps", meters.steps());
-            unit_span.attr("mem", meters.mem());
+            unit_span.attr("steps", supervisor.steps() - steps_before);
             if matches!(config.algorithm, Algorithm::Ifds) {
                 unit_span.attr("facts", out.facts);
                 unit_span.attr("pops", out.pops);

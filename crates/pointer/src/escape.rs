@@ -142,11 +142,6 @@ impl EscapeAnalysis {
         self.escaping.contains(ik)
     }
 
-    /// Do any of the given instance keys escape?
-    pub fn any_escapes(&self, iks: &BitSet) -> bool {
-        self.escaping.intersects(iks)
-    }
-
     /// The full escaping set.
     pub fn escaping(&self) -> &BitSet {
         &self.escaping

@@ -9,21 +9,12 @@
 //!   execute it).
 //!
 //! A node can be on both sides (a helper called from `main` and from a
-//!   `run` body). Two statements may happen in parallel iff they cannot be
-//! shown to always execute on the same thread — the complement query,
-//! [`MhpRelation::same_thread_possible`], is what the hybrid slicer's
-//! escape filter needs: a store→load heap edge between nodes that can
-//! *only* execute on different threads is real only if the object
-//! actually escapes.
-//!
-//! The relation also carries a **start-before refinement** for
-//! straight-line spawn sites: a statement in the spawning method that
-//! precedes `t.start()` in the same basic block happens-before
-//! everything the spawned thread does, and therefore does not run in
-//! parallel with it.
+//! `run` body). [`MhpRelation::same_thread_possible`] is the query the
+//! hybrid slicer's escape filter needs: a store→load heap edge between
+//! nodes that can *only* execute on different threads is real only if
+//! the object actually escapes.
 
-use jir::inst::Loc;
-use taj_pointer::{spawn_edges, CGNodeId, PointsTo, SpawnEdge};
+use taj_pointer::{spawn_edges, CGNodeId, PointsTo};
 use taj_supervise::{InterruptReason, Supervisor};
 
 /// The computed MHP relation.
@@ -34,7 +25,7 @@ pub struct MhpRelation {
     /// Per node: may it execute on any spawned thread?
     spawned_any: Vec<bool>,
     /// Per spawn edge: the nodes reachable from its spawned `run` node.
-    spawned_reach: Vec<(SpawnEdge, Vec<bool>)>,
+    spawned_reach: Vec<Vec<bool>>,
 }
 
 impl MhpRelation {
@@ -117,7 +108,7 @@ impl MhpRelation {
                     spawned_any[i] = true;
                 }
             }
-            spawned_reach.push((edge, reach));
+            spawned_reach.push(reach);
         }
 
         (MhpRelation { main, spawned_any, spawned_reach }, None)
@@ -155,69 +146,7 @@ impl MhpRelation {
         if self.on_main(a) && self.on_main(b) {
             return true;
         }
-        self.spawned_reach.iter().any(|(_, reach)| reach[a.index()] && reach[b.index()])
-    }
-
-    /// Coarse node-level MHP: `a` and `b` may execute concurrently. This
-    /// holds when at least one side may run on a spawned thread and the
-    /// two are not confined to one thread.
-    pub fn may_happen_in_parallel(&self, a: CGNodeId, b: CGNodeId) -> bool {
-        if self.spawned_reach.is_empty() {
-            return false;
-        }
-        // Distinct spawned threads are always parallel; a spawned thread
-        // is parallel with main; two main-only nodes are sequential.
-        (self.on_spawned(a) || self.on_spawned(b)) && !(self.confined_to_same_single_thread(a, b))
-    }
-
-    fn confined_to_same_single_thread(&self, a: CGNodeId, b: CGNodeId) -> bool {
-        // Both only spawned, by exactly one common edge, and no other
-        // edge or main can run either: then they share one thread.
-        if self.on_main(a) || self.on_main(b) {
-            return false;
-        }
-        let homes_a: Vec<usize> = self.homes(a);
-        let homes_b: Vec<usize> = self.homes(b);
-        homes_a.len() == 1 && homes_a == homes_b
-    }
-
-    fn homes(&self, node: CGNodeId) -> Vec<usize> {
-        self.spawned_reach
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, reach))| reach[node.index()])
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Start-before refinement: does the statement at `(node, loc)`
-    /// happen *before* every action of every thread that may execute
-    /// `other`? True only when every spawn edge that can reach `other`
-    /// is a straight-line later statement of the same block of `node`.
-    pub fn statement_happens_before_spawn(
-        &self,
-        node: CGNodeId,
-        loc: Loc,
-        other: CGNodeId,
-    ) -> bool {
-        let mut saw_home = false;
-        for (edge, reach) in &self.spawned_reach {
-            if !reach[other.index()] {
-                continue;
-            }
-            saw_home = true;
-            let ordered =
-                edge.caller == node && edge.loc.block == loc.block && loc.idx < edge.loc.idx;
-            if !ordered {
-                return false;
-            }
-        }
-        saw_home
-    }
-
-    /// The spawn edges underlying this relation.
-    pub fn spawn_edges(&self) -> impl Iterator<Item = &SpawnEdge> {
-        self.spawned_reach.iter().map(|(e, _)| e)
+        self.spawned_reach.iter().any(|reach| reach[a.index()] && reach[b.index()])
     }
 }
 
@@ -298,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn mhp_and_same_thread_queries() {
+    fn same_thread_queries() {
         let (program, pts) = build(SRC);
         let mhp = MhpRelation::compute(&pts);
         let main_node = node_of(&program, &pts, "Main", "main");
@@ -306,11 +235,7 @@ mod tests {
         let inner = node_of(&program, &pts, "Worker", "inner");
         let epilogue = node_of(&program, &pts, "Main", "epilogue");
 
-        assert!(mhp.may_happen_in_parallel(main_node, run));
-        assert!(mhp.may_happen_in_parallel(epilogue, inner));
-        assert!(!mhp.may_happen_in_parallel(main_node, epilogue), "both main-only");
         // run/inner live on the same single thread.
-        assert!(!mhp.may_happen_in_parallel(run, inner));
         assert!(mhp.same_thread_possible(run, inner));
         assert!(!mhp.same_thread_possible(main_node, run));
         assert!(mhp.same_thread_possible(main_node, epilogue));
@@ -330,7 +255,7 @@ mod tests {
         let main_node = node_of(&program, &pts, "Main", "main");
         let aux = node_of(&program, &pts, "Main", "aux");
         assert_eq!(mhp.num_parallel_nodes(), 0);
-        assert!(!mhp.may_happen_in_parallel(main_node, aux));
+        assert!(mhp.on_main(main_node) && mhp.on_main(aux));
         assert!(mhp.same_thread_possible(main_node, aux));
     }
 }

@@ -129,8 +129,8 @@ pub struct AnalyzeOpts {
     pub sarif: bool,
     /// Per-request deadline (ms).
     pub timeout_ms: Option<u64>,
-    /// Allow the server to degrade down the precision ladder on budget
-    /// exhaustion instead of failing with `out_of_memory`.
+    /// Let a CS run over its path-edge budget rerun as Hybrid-Unbounded
+    /// instead of failing with `out_of_memory`.
     pub degrade: bool,
     /// Ignored and never sent: the daemon no longer takes a thread
     /// count. The field stays only so that callers which still set it

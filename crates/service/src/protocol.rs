@@ -102,8 +102,8 @@ pub struct AnalyzeRequest {
     pub format: OutputFormat,
     /// Per-request deadline override (ms).
     pub timeout_ms: Option<u64>,
-    /// Degrade down the precision ladder on budget exhaustion instead of
-    /// failing with `out_of_memory`.
+    /// Let a CS run over its path-edge budget rerun as Hybrid-Unbounded
+    /// instead of failing with `out_of_memory`.
     pub degrade: bool,
     /// Client-chosen trace id echoed back in the response envelope; the
     /// server generates one when absent. Lives in the envelope (not the

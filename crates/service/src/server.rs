@@ -997,13 +997,6 @@ fn run_analyze(
     supervisor: &Supervisor,
     rec: &Recorder,
 ) -> Result<String, ProtocolError> {
-    // Fault-injection site at the service boundary (no-op in default
-    // builds): lets tests fail an analyze job before it touches the
-    // cache or pipeline.
-    if let Some(reason) = taj_supervise::fail_hook("service.run_analyze") {
-        let code = if reason.is_budget() { ErrorCode::OutOfMemory } else { ErrorCode::Timeout };
-        return Err((code, format!("failpoint interrupt: {}", reason.as_str())));
-    }
     let config = TajConfig::by_name(&req.config)
         .ok_or_else(|| (ErrorCode::UnknownConfig, format!("unknown config `{}`", req.config)))?;
     let src = content_hash(req.source.as_bytes());

@@ -1,23 +1,23 @@
 //! Cooperative supervision for long-running analyses.
 //!
 //! A [`Supervisor`] is a cheap, cloneable handle bundling a cancellation
-//! token, an optional wall-clock deadline, and optional step/memory
-//! meters — all pure `std` atomics, no extra threads. Analysis fixpoint
-//! loops call [`Supervisor::check`] at their loop heads; the call is a
-//! relaxed atomic load plus a counter bump, with the (slightly more
-//! expensive) `Instant::now()` deadline probe sampled once every
-//! [`DEADLINE_SAMPLE`] steps. When a check trips, the loop unwinds
+//! token and an optional wall-clock deadline — pure `std` atomics, no
+//! extra threads. Analysis fixpoint loops call [`Supervisor::check`] at
+//! their loop heads; the call is a relaxed atomic load plus a bump of a
+//! shared check counter, with the (slightly more expensive)
+//! `Instant::now()` deadline probe sampled once every
+//! [`DEADLINE_SAMPLE`] checks. When a check trips, the loop unwinds
 //! *cooperatively*: it stops taking new work, keeps whatever partial
 //! results it has already produced, and reports the
-//! [`InterruptReason`] upward so the driver can degrade instead of fail
-//! (TAJ §6: "degrade precision, don't fail").
+//! [`InterruptReason`] upward so the driver can deliver a partial
+//! report instead of failing.
 //!
 //! The `taj_failpoints` feature adds a deterministic fault-injection
 //! registry (see [`failpoints`]): named sites — every `check()` call is
-//! one — can be programmed to trip a budget, cancel, panic, or delay
-//! after a fixed number of hits, letting tests exercise every
-//! degradation edge without tuning magic budget numbers. Default builds
-//! compile the registry out entirely.
+//! one — can be programmed to inject a deadline or cancellation, panic,
+//! or delay after a fixed number of hits, letting tests exercise every
+//! interrupt edge without racing the wall clock. Default builds compile
+//! the registry out entirely.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,43 +36,26 @@ pub enum InterruptReason {
     Cancelled,
     /// The wall-clock deadline passed.
     Deadline,
-    /// The step meter exceeded its budget.
-    StepBudget,
-    /// The memory meter exceeded its budget.
-    MemBudget,
 }
 
 impl InterruptReason {
-    /// Budget-class interrupts are *deterministic* resource exhaustion:
-    /// the degradation ladder may retry a cheaper algorithm. Deadline and
-    /// cancellation are time-dependent: the driver delivers whatever
-    /// partial results exist and stops.
-    pub fn is_budget(self) -> bool {
-        matches!(self, InterruptReason::StepBudget | InterruptReason::MemBudget)
-    }
-
     /// Stable string form used in reports and counters.
     pub fn as_str(self) -> &'static str {
         match self {
             InterruptReason::Cancelled => "cancelled",
             InterruptReason::Deadline => "deadline",
-            InterruptReason::StepBudget => "step_budget",
-            InterruptReason::MemBudget => "mem_budget",
         }
     }
 }
 
 /// Shared supervision handle. Cloning is cheap (two `Arc` bumps); clones
-/// observe the same cancellation token and meters, so cancelling any
-/// clone stops every loop holding one.
+/// observe the same cancellation token and check counter, so cancelling
+/// any clone stops every loop holding one.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     cancel: Arc<AtomicBool>,
     steps: Arc<AtomicU64>,
-    mem: Arc<AtomicU64>,
     deadline: Option<Instant>,
-    max_steps: Option<u64>,
-    max_mem: Option<u64>,
 }
 
 impl Default for Supervisor {
@@ -90,10 +73,7 @@ impl Supervisor {
         Supervisor {
             cancel: Arc::new(AtomicBool::new(false)),
             steps: Arc::new(AtomicU64::new(0)),
-            mem: Arc::new(AtomicU64::new(0)),
             deadline: None,
-            max_steps: None,
-            max_mem: None,
         }
     }
 
@@ -106,19 +86,6 @@ impl Supervisor {
     /// Returns a copy whose deadline is `budget` from now.
     pub fn with_deadline(self, budget: Duration) -> Supervisor {
         self.with_deadline_at(Instant::now() + budget)
-    }
-
-    /// Returns a copy with a step-meter budget (total `check()` calls).
-    pub fn with_max_steps(mut self, max: u64) -> Supervisor {
-        self.max_steps = Some(max);
-        self
-    }
-
-    /// Returns a copy with a memory-meter budget (units are the
-    /// caller's — the meter only compares charges against the cap).
-    pub fn with_max_mem(mut self, max: u64) -> Supervisor {
-        self.max_mem = Some(max);
-        self
     }
 
     /// Flips the shared cancellation token. Every loop holding a clone
@@ -137,52 +104,18 @@ impl Supervisor {
         self.steps.load(Ordering::Relaxed)
     }
 
-    /// Adds to the shared memory meter (no check; the next `check()`
-    /// observes it).
-    pub fn charge_mem(&self, units: u64) {
-        self.mem.fetch_add(units, Ordering::Relaxed);
-    }
-
-    /// Current value of the shared memory meter (caller-defined units),
-    /// across all clones. Tracing snapshots this next to [`steps`](Self::steps).
-    pub fn mem(&self) -> u64 {
-        self.mem.load(Ordering::Relaxed)
-    }
-
     /// Whether the wall-clock deadline (if any) has already passed.
     pub fn deadline_expired(&self) -> bool {
         matches!(self.deadline, Some(at) if Instant::now() >= at)
     }
 
     /// A supervisor for *delivering* partial results after an interrupt:
-    /// shares the cancellation token (an explicit cancel still stops
-    /// everything) but drops the deadline and meters, so the cheap
-    /// finishing work — e.g. running phase 2 over a deadline-truncated
-    /// phase 1 — is not immediately re-interrupted.
+    /// the same handle without its deadline. An explicit cancel still
+    /// stops everything, but the cheap finishing work — e.g. running
+    /// phase 2 over a deadline-truncated phase 1 — is not immediately
+    /// re-interrupted.
     pub fn finishing(&self) -> Supervisor {
-        Supervisor {
-            cancel: Arc::clone(&self.cancel),
-            steps: Arc::new(AtomicU64::new(0)),
-            mem: Arc::new(AtomicU64::new(0)),
-            deadline: None,
-            max_steps: None,
-            max_mem: None,
-        }
-    }
-
-    /// A handle for retrying at a cheaper degradation rung: same
-    /// cancellation token and deadline, but fresh step/memory meters —
-    /// the budget that tripped was the *rung's* budget, and the cheaper
-    /// algorithm deserves a clean allowance under the same wall clock.
-    pub fn fresh_meters(&self) -> Supervisor {
-        Supervisor {
-            cancel: Arc::clone(&self.cancel),
-            steps: Arc::new(AtomicU64::new(0)),
-            mem: Arc::new(AtomicU64::new(0)),
-            deadline: self.deadline,
-            max_steps: self.max_steps,
-            max_mem: self.max_mem,
-        }
+        Supervisor { deadline: None, ..self.clone() }
     }
 
     /// The cooperative check, called at fixpoint-loop heads. `site` names
@@ -208,16 +141,6 @@ impl Supervisor {
             return Err(InterruptReason::Cancelled);
         }
         let n = self.steps.fetch_add(1, Ordering::Relaxed);
-        if let Some(max) = self.max_steps {
-            if n >= max {
-                return Err(InterruptReason::StepBudget);
-            }
-        }
-        if let Some(max) = self.max_mem {
-            if self.mem.load(Ordering::Relaxed) > max {
-                return Err(InterruptReason::MemBudget);
-            }
-        }
         if self.deadline.is_some() && n.is_multiple_of(DEADLINE_SAMPLE) && self.deadline_expired() {
             return Err(InterruptReason::Deadline);
         }
@@ -267,10 +190,6 @@ pub mod failpoints {
         Cancel,
         /// Report [`InterruptReason::Deadline`] without waiting for one.
         Deadline,
-        /// Report [`InterruptReason::StepBudget`].
-        StepBudget,
-        /// Report [`InterruptReason::MemBudget`].
-        MemBudget,
         /// Panic with the given message (exercises `catch_unwind` paths).
         Panic(String),
         /// Sleep this many milliseconds, then continue normally.
@@ -338,8 +257,6 @@ pub mod failpoints {
         match action {
             FailAction::Cancel => Some(InterruptReason::Cancelled),
             FailAction::Deadline => Some(InterruptReason::Deadline),
-            FailAction::StepBudget => Some(InterruptReason::StepBudget),
-            FailAction::MemBudget => Some(InterruptReason::MemBudget),
             FailAction::Panic(msg) => panic!("failpoint `{site}`: {msg}"),
             FailAction::Delay(ms) => {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
@@ -395,28 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_trips_deterministically() {
-        let sup = Supervisor::new().with_max_steps(10);
-        let mut ok = 0u64;
-        let reason = loop {
-            match sup.check("test.loop") {
-                Ok(()) => ok += 1,
-                Err(r) => break r,
-            }
-        };
-        assert_eq!(reason, InterruptReason::StepBudget);
-        assert_eq!(ok, 10);
-    }
-
-    #[test]
-    fn mem_budget_trips_after_charge() {
-        let sup = Supervisor::new().with_max_mem(100);
-        assert_eq!(sup.check("test.loop"), Ok(()));
-        sup.charge_mem(101);
-        assert_eq!(sup.check("test.loop"), Err(InterruptReason::MemBudget));
-    }
-
-    #[test]
     fn expired_deadline_trips_within_sample_interval() {
         let sup = Supervisor::new().with_deadline(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(2));
@@ -433,7 +328,7 @@ mod tests {
 
     #[test]
     fn finishing_drops_deadline_but_keeps_cancel() {
-        let sup = Supervisor::new().with_deadline(Duration::from_millis(0)).with_max_steps(1);
+        let sup = Supervisor::new().with_deadline(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(1));
         let fin = sup.finishing();
         for _ in 0..1_000 {
@@ -441,14 +336,6 @@ mod tests {
         }
         sup.cancel();
         assert_eq!(fin.check("test.loop"), Err(InterruptReason::Cancelled));
-    }
-
-    #[test]
-    fn budget_classification() {
-        assert!(InterruptReason::StepBudget.is_budget());
-        assert!(InterruptReason::MemBudget.is_budget());
-        assert!(!InterruptReason::Deadline.is_budget());
-        assert!(!InterruptReason::Cancelled.is_budget());
     }
 
     #[cfg(not(feature = "taj_failpoints"))]
@@ -466,12 +353,12 @@ mod tests {
         #[test]
         fn trips_after_configured_hits() {
             let _scenario = FailScenario::setup();
-            failpoints::configure_after("fp.site", FailAction::StepBudget, 3);
+            failpoints::configure_after("fp.site", FailAction::Deadline, 3);
             let sup = Supervisor::new();
             assert_eq!(sup.check("fp.site"), Ok(()));
             assert_eq!(sup.check("fp.site"), Ok(()));
             assert_eq!(sup.check("fp.site"), Ok(()));
-            assert_eq!(sup.check("fp.site"), Err(InterruptReason::StepBudget));
+            assert_eq!(sup.check("fp.site"), Err(InterruptReason::Deadline));
             assert_eq!(failpoints::hits("fp.site"), 4);
             // Other sites are unaffected.
             assert_eq!(sup.check("fp.other"), Ok(()));

@@ -1,8 +1,8 @@
-//! The degradation ladder end to end: budget exhaustion falls CS →
-//! Hybrid-Unbounded → Hybrid-Optimized with provenance, deadlines and
-//! cancellation deliver partial results, and degraded or interrupted
-//! runs are byte-deterministic. Failpoint-driven edges (exact interrupt
-//! sites, ladder bottom) run under `--features taj_failpoints`.
+//! Degradation end to end: a CS run over its path-edge budget falls to
+//! Hybrid-Unbounded with provenance, `degrade` changes nothing outside
+//! CS, deadlines and cancellation deliver partial results, and degraded
+//! or interrupted runs are byte-deterministic. Failpoint-driven edges
+//! (exact interrupt sites) run under `--features taj_failpoints`.
 
 mod common;
 
@@ -55,7 +55,7 @@ fn starved_cs_with_degrade_falls_to_hybrid_with_provenance() {
     let opts = RunOptions { degrade: true, ..RunOptions::default() };
     let report = run(&TajConfig::cs_tiny(), &opts).expect("ladder rescues the run");
     assert_eq!(report.config, "Hybrid-Unbounded");
-    assert_eq!(report.issue_count(), 1, "the flow is still found at the cheaper rung");
+    assert_eq!(report.issue_count(), 1, "the hybrid rerun still finds the flow");
     assert!(report.degradation.degraded);
     assert_eq!(report.degradation.steps.len(), 1, "{:?}", report.degradation);
     let step = &report.degradation.steps[0];
@@ -79,14 +79,18 @@ fn expired_deadline_delivers_partial_with_provenance() {
 }
 
 #[test]
-fn step_budget_in_phase1_truncates_and_annotates() {
+fn degrade_changes_nothing_outside_cs() {
     let _quiet = no_failpoints();
-    let opts =
-        RunOptions { supervisor: Supervisor::new().with_max_steps(5), ..RunOptions::default() };
-    let report = run(&TajConfig::hybrid_unbounded(), &opts).expect("partial, not an error");
-    assert!(report.degradation.degraded);
-    let step = &report.degradation.steps[0];
-    assert_eq!((step.stage.as_str(), step.reason.as_str()), ("phase1", "step_budget"));
+    // Only a CS run over its path-edge budget falls; every other
+    // configuration renders the same bytes with or without `degrade`.
+    let prepared = big_app("degradation");
+    let degrade = RunOptions { degrade: true, ..RunOptions::default() };
+    for config in [TajConfig::hybrid_unbounded(), TajConfig::ifds(), TajConfig::ci_thin()] {
+        let plain = analyze_opts(&prepared, &config, &RunOptions::default()).expect("clean run");
+        let degraded = analyze_opts(&prepared, &config, &degrade).expect("clean run");
+        assert_reports_byte_identical(&plain, &degraded, config.name);
+        assert!(steps(&degraded).is_empty(), "{}: {:?}", config.name, degraded.degradation);
+    }
 }
 
 #[test]
@@ -144,74 +148,26 @@ mod failpoint_edges {
     /// fire `action` at every hit, asserts that both reports are
     /// byte-identical, and returns the first. Each run arms the
     /// failpoint afresh, since the scenario lock clears every point.
-    fn twice_with_failpoint(
-        config: &TajConfig,
-        site: &str,
-        action: FailAction,
-        degrade: bool,
-    ) -> TajReport {
+    fn twice_with_failpoint(config: &TajConfig, site: &str, action: FailAction) -> TajReport {
         let prepared = big_app("degradation");
         twice(&format!("{} with {site}={action:?}", config.name), || {
             let _scenario = FailScenario::setup();
             failpoints::configure(site, action.clone());
-            let opts = RunOptions { degrade, ..RunOptions::default() };
-            analyze_opts(&prepared, config, &opts).expect("partial, not an error")
+            analyze_opts(&prepared, config, &RunOptions::default()).expect("partial, not an error")
         })
     }
 
     #[test]
     fn injected_cancel_in_ifds_tabulation_delivers_a_partial_report() {
-        let report =
-            twice_with_failpoint(&TajConfig::ifds(), "ifds.tabulate", FailAction::Cancel, false);
+        let report = twice_with_failpoint(&TajConfig::ifds(), "ifds.tabulate", FailAction::Cancel);
         assert_eq!(steps(&report), [("slice", "IFDS", "partial", "cancelled")]);
-    }
-
-    #[test]
-    fn injected_ifds_budget_with_degrade_falls_to_hybrid() {
-        let report =
-            twice_with_failpoint(&TajConfig::ifds(), "ifds.tabulate", FailAction::StepBudget, true);
-        assert_eq!(report.config, "Hybrid-Unbounded");
-        assert_eq!(steps(&report), [("slice", "IFDS", "Hybrid-Unbounded", "step_budget")]);
     }
 
     #[test]
     fn injected_deadline_in_cs_tabulation_delivers_a_partial_report() {
         let report =
-            twice_with_failpoint(&TajConfig::cs_thin(), "cs.tabulate", FailAction::Deadline, false);
+            twice_with_failpoint(&TajConfig::cs_thin(), "cs.tabulate", FailAction::Deadline);
         assert_eq!(steps(&report), [("slice", "CS", "partial", "deadline")]);
-    }
-
-    #[test]
-    fn injected_budget_in_cs_descends_one_rung() {
-        let _scenario = FailScenario::setup();
-        // Trip tabulation's step budget at its first check — no magic
-        // path-edge numbers needed.
-        failpoints::configure("cs.tabulate", FailAction::StepBudget);
-        let opts = RunOptions { degrade: true, ..RunOptions::default() };
-        let report = run(&TajConfig::cs_thin(), &opts).expect("ladder rescues the run");
-        assert_eq!(report.config, "Hybrid-Unbounded");
-        assert_eq!(report.issue_count(), 1);
-        let step = &report.degradation.steps[0];
-        assert_eq!((step.from.as_str(), step.to.as_str()), ("CS", "Hybrid-Unbounded"));
-        assert_eq!(step.reason, "step_budget");
-    }
-
-    #[test]
-    fn ladder_bottom_delivers_partial_results() {
-        let _scenario = FailScenario::setup();
-        // Every hybrid rung trips immediately: Hybrid-Unbounded falls to
-        // Hybrid-Optimized, which trips too — the bottom of the ladder
-        // delivers a partial report instead of looping or failing.
-        failpoints::configure("hybrid.slice", FailAction::StepBudget);
-        let opts = RunOptions { degrade: true, ..RunOptions::default() };
-        let report = run(&TajConfig::hybrid_unbounded(), &opts).expect("partial at the bottom");
-        let steps = &report.degradation.steps;
-        assert_eq!(steps.len(), 2, "{steps:?}");
-        assert_eq!(
-            (steps[0].from.as_str(), steps[0].to.as_str()),
-            ("Hybrid-Unbounded", "Hybrid-Optimized")
-        );
-        assert_eq!((steps[1].from.as_str(), steps[1].to.as_str()), ("Hybrid-Optimized", "partial"));
     }
 
     #[test]
@@ -219,11 +175,11 @@ mod failpoint_edges {
         let _scenario = FailScenario::setup();
         failpoints::configure("hybrid.slice", FailAction::Cancel);
         // Even with degrade on: cancellation is a client hanging up, not
-        // resource exhaustion — retrying a cheaper rung would be wasted
-        // work nobody is waiting for.
+        // resource exhaustion — rerunning another configuration would be
+        // wasted work nobody is waiting for.
         let opts = RunOptions { degrade: true, ..RunOptions::default() };
         let report = run(&TajConfig::hybrid_unbounded(), &opts).expect("partial, not an error");
-        assert_eq!(report.config, "Hybrid-Unbounded", "no rung change");
+        assert_eq!(report.config, "Hybrid-Unbounded", "no configuration change");
         assert_eq!(report.degradation.steps.len(), 1, "{:?}", report.degradation);
         assert_eq!(report.degradation.steps[0].reason, "cancelled");
         assert_eq!(report.degradation.steps[0].to, "partial");
