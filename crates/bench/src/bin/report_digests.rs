@@ -8,8 +8,9 @@
 //! The inputs are the nine Figure-4 apps at `Scale::standard()` and
 //! securibench joined ×1, ×4 and ×16; the configurations are
 //! `TajConfig::all()`. Each line gives 64-bit FNV-1a digests of the text
-//! report, the serde JSON and the SARIF rendering, or the path-edge
-//! count of an out-of-memory verdict. An out-of-memory line is followed
+//! report, the serde JSON, the pretty SARIF log and the compact SARIF
+//! the daemon sends (`sarif_wire`), or the path-edge count of an
+//! out-of-memory verdict. An out-of-memory line is followed
 //! by a `<config>+degrade` line with the digests of the same run under
 //! `RunOptions { degrade: true, .. }`, which falls to Hybrid-Unbounded.
 //!
@@ -18,8 +19,8 @@
 //! regenerates that file.
 
 use taj_core::{
-    analyze_with_phase1_opts, prepare_traced, run_phase1_traced, to_sarif, to_text,
-    DeploymentDescriptor, Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
+    analyze_with_phase1_opts, prepare_traced, run_phase1_traced, to_sarif, to_sarif_compact,
+    to_text, DeploymentDescriptor, Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
     TajReport,
 };
 use taj_webgen::{generate, presets, securibench_joined, Scale};
@@ -31,15 +32,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// The text, JSON and SARIF digests of `report`.
+/// The text, JSON, SARIF and wire-SARIF digests of `report`.
 fn digests(report: &TajReport) -> String {
     let json = serde_json::to_string(report).expect("report serializes");
     let sarif = to_sarif(report).expect("sarif renders");
+    let wire = to_sarif_compact(report).expect("sarif renders");
     format!(
-        "text={:016x} json={:016x} sarif={:016x}",
+        "text={:016x} json={:016x} sarif={:016x} sarif_wire={:016x}",
         fnv1a(to_text(report).as_bytes()),
         fnv1a(json.as_bytes()),
-        fnv1a(sarif.as_bytes())
+        fnv1a(sarif.as_bytes()),
+        fnv1a(wire.as_bytes())
     )
 }
 

@@ -890,6 +890,36 @@ mod tests {
         assert_eq!(report.findings[0].flow.sink_owner_class, "Page");
     }
 
+    /// Keys of the JSON object `value` serializes to, in order.
+    fn json_keys(value: &impl Serialize) -> Vec<String> {
+        match serde_json::from_str(&serde_json::to_string(value).unwrap()).unwrap() {
+            serde_json::Value::Object(entries) => entries.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// `TajFinding` flattens its flow into its own object, and a streamed
+    /// flatten writes a shared key twice, so the two key sets must stay
+    /// disjoint.
+    #[test]
+    fn finding_keys_do_not_collide_with_its_flattened_flow() {
+        let report = analyze_source(
+            XSS_SERVLET,
+            None,
+            RuleSet::default_rules(),
+            &TajConfig::hybrid_unbounded(),
+        )
+        .unwrap();
+        let finding = &report.findings[0];
+        let mut expected = json_keys(&finding.flow);
+        expected.extend(["lcp_owner_class".to_string(), "group_size".to_string()]);
+        let mut keys = json_keys(finding);
+        assert_eq!(keys, expected);
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), expected.len(), "duplicate keys in {expected:?}");
+    }
+
     #[test]
     fn all_configs_run_the_servlet() {
         let prepared = prepare(XSS_SERVLET, None, RuleSet::default_rules()).unwrap();

@@ -197,12 +197,25 @@ struct SarifLogicalLocation {
     kind: &'static str,
 }
 
-/// Serializes a report as a SARIF 2.1.0 log.
+/// Serializes a report as a pretty-printed SARIF 2.1.0 log.
 ///
 /// # Errors
 /// Returns a [`serde_json::Error`] if serialization fails (not expected
 /// for well-formed reports).
 pub fn to_sarif(report: &TajReport) -> Result<String, serde_json::Error> {
+    serde_json::to_string_pretty(&sarif_log(report))
+}
+
+/// Serializes a report as a compact SARIF 2.1.0 log on one line: the
+/// daemon's wire form of [`to_sarif`]'s log.
+///
+/// # Errors
+/// As [`to_sarif`].
+pub fn to_sarif_compact(report: &TajReport) -> Result<String, serde_json::Error> {
+    serde_json::to_string(&sarif_log(report))
+}
+
+fn sarif_log(report: &TajReport) -> Sarif {
     let mut rules: Vec<SarifRule> = Vec::new();
     for issue in [
         IssueType::Xss,
@@ -258,7 +271,7 @@ pub fn to_sarif(report: &TajReport) -> Result<String, serde_json::Error> {
         },
         degradation: report.degradation.clone(),
     };
-    let sarif = Sarif {
+    Sarif {
         schema: "https://json.schemastore.org/sarif-2.1.0.json",
         version: "2.1.0",
         runs: vec![SarifRun {
@@ -273,8 +286,7 @@ pub fn to_sarif(report: &TajReport) -> Result<String, serde_json::Error> {
             results,
             properties,
         }],
-    };
-    serde_json::to_string_pretty(&sarif)
+    }
 }
 
 #[cfg(test)]

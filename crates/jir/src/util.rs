@@ -3,7 +3,7 @@
 //! ids behind points-to sets and reachability marks, which stores a few
 //! members inline, a few dozen as a sorted list, and more as dense words.
 
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -159,13 +159,15 @@ impl<T: Eq + Hash + Clone, S: BuildHasher> Interner<T, S> {
     /// Interns `value`, returning its dense id. Repeated calls with equal
     /// values return the same id.
     pub fn intern(&mut self, value: T) -> u32 {
-        if let Some(&id) = self.map.get(&value) {
-            return id;
+        match self.map.entry(value) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let id = self.items.len() as u32;
+                self.items.push(slot.key().clone());
+                slot.insert(id);
+                id
+            }
         }
-        let id = self.items.len() as u32;
-        self.items.push(value.clone());
-        self.map.insert(value, id);
-        id
     }
 
     /// Returns the id for `value` if it has been interned.

@@ -18,7 +18,7 @@ use jir::{MethodId, Program};
 use crate::keys::{InstanceKeyId, Site};
 
 jir::index_type! {
-    /// Interned id of a context (a vector of [`ContextElem`]s).
+    /// Interned id of a context: none or one [`ContextElem`].
     pub struct ContextId, "ctx"
 }
 

@@ -14,7 +14,7 @@ use jir::inst::{CallTarget, ConstValue, Filter, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
 use jir::util::{BitSet, FxBuildHasher, FxHashMap, FxHashSet, Interner};
 use jir::BlockId;
-use jir::{FieldId, MethodId, Program};
+use jir::{ClassId, FieldId, MethodId, Program, SelectorId};
 use taj_supervise::{InterruptReason, Supervisor};
 
 use crate::callgraph::{CGNodeId, CallEdge, CallGraph};
@@ -439,7 +439,13 @@ enum Constraint {
 struct Solver<'p> {
     program: &'p Program,
     config: &'p SolverConfig,
-    contexts: Interner<Vec<ContextElem>, FxBuildHasher>,
+    /// Contexts hold at most one element; the root is `None`.
+    contexts: Interner<Option<ContextElem>, FxBuildHasher>,
+    /// The policy's context shape per `(callee, has_receiver)`, at
+    /// `2 * callee + has_receiver`, decided on the callee's first call.
+    choices: Vec<Option<ContextChoice>>,
+    /// `Program::resolve_virtual` per receiver class and selector.
+    virtual_targets: FxHashMap<(ClassId, SelectorId), Option<MethodId>>,
     node_ids: Interner<(MethodId, ContextId), FxBuildHasher>,
     ikeys: Interner<InstanceKey, FxBuildHasher>,
     pkeys: PointerKeys,
@@ -497,7 +503,7 @@ struct Solver<'p> {
 impl<'p> Solver<'p> {
     fn new(program: &'p Program, config: &'p SolverConfig) -> Self {
         let mut contexts = Interner::default();
-        let root = contexts.intern(Vec::new());
+        let root = contexts.intern(None);
         debug_assert_eq!(ContextId(root), ROOT_CONTEXT);
         let mut filters = Interner::new();
         let none = filters.intern(None);
@@ -513,6 +519,8 @@ impl<'p> Solver<'p> {
             program,
             config,
             contexts,
+            choices: vec![None; 2 * program.methods.len()],
+            virtual_targets: FxHashMap::default(),
             node_ids: Interner::default(),
             ikeys: Interner::default(),
             pkeys: PointerKeys::default(),
@@ -665,6 +673,9 @@ impl<'p> Solver<'p> {
 
     /// The id of a copy-edge filter.
     fn filter_id(&mut self, filter: &Option<Filter>) -> u32 {
+        if filter.is_none() {
+            return NO_FILTER;
+        }
         match self.filters.lookup(filter) {
             Some(id) => id,
             None => self.filters.intern(filter.clone()),
@@ -979,8 +990,7 @@ impl<'p> Solver<'p> {
     }
 
     fn ctx_mentions_site(&self, ctx: ContextId, site: Site) -> bool {
-        let elems = self.contexts.resolve(ctx.0);
-        elems.iter().any(|e| match e {
+        self.contexts.resolve(ctx.0).iter().any(|e| match e {
             ContextElem::Receiver(ik) => matches!(
                 self.ikeys.resolve(ik.0),
                 InstanceKey::Alloc { site: s, .. } if *s == site
@@ -990,6 +1000,28 @@ impl<'p> Solver<'p> {
     }
 
     // ---- calls ----
+
+    /// The one-element context holding `elem`.
+    fn context(&mut self, elem: ContextElem) -> ContextId {
+        ContextId(self.contexts.intern(Some(elem)))
+    }
+
+    /// [`PolicyConfig::choose`] for `callee`, asked once per callee and
+    /// receiver shape.
+    fn context_choice(&mut self, callee: MethodId, has_receiver: bool) -> ContextChoice {
+        let slot = 2 * callee.index() + usize::from(has_receiver);
+        *self.choices[slot]
+            .get_or_insert_with(|| self.config.policy.choose(self.program, callee, has_receiver))
+    }
+
+    /// The method a call on `selector` runs on a `class` receiver.
+    fn resolve_virtual(&mut self, class: ClassId, selector: SelectorId) -> Option<MethodId> {
+        let program = self.program;
+        *self
+            .virtual_targets
+            .entry((class, selector))
+            .or_insert_with(|| program.resolve_virtual(class, selector))
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn add_call(
@@ -1044,11 +1076,9 @@ impl<'p> Solver<'p> {
         if m.body().is_none() {
             return;
         }
-        let choice = self.config.policy.choose(self.program, callee, recv.is_some());
-        let ctx = match choice {
+        let ctx = match self.context_choice(callee, recv.is_some()) {
             ContextChoice::CallSite => {
-                let site = Site { method: caller_method, loc };
-                ContextId(self.contexts.intern(vec![ContextElem::Site(site)]))
+                self.context(ContextElem::Site(Site { method: caller_method, loc }))
             }
             _ => ROOT_CONTEXT,
         };
@@ -1071,12 +1101,12 @@ impl<'p> Solver<'p> {
         ik: InstanceKeyId,
     ) {
         let caller_method = self.node_method(node);
-        let ik_val = self.ikeys.resolve(ik.0).clone();
         let callee = match fixed {
             Some(m) => Some(m),
             None => {
                 let sel = sel.expect("virtual dispatch has a selector");
-                ik_val.class_of(self.program).and_then(|c| self.program.resolve_virtual(c, sel))
+                let class = self.ikeys.resolve(ik.0).class_of(self.program);
+                class.and_then(|c| self.resolve_virtual(c, sel))
             }
         };
         let Some(callee) = callee else { return };
@@ -1098,15 +1128,11 @@ impl<'p> Solver<'p> {
         if m.body().is_none() {
             return;
         }
-        let choice = self.config.policy.choose(self.program, callee, true);
-        let ctx = match choice {
+        let ctx = match self.context_choice(callee, true) {
             ContextChoice::CallSite => {
-                let site = Site { method: caller_method, loc };
-                ContextId(self.contexts.intern(vec![ContextElem::Site(site)]))
+                self.context(ContextElem::Site(Site { method: caller_method, loc }))
             }
-            ContextChoice::Receiver => {
-                ContextId(self.contexts.intern(vec![ContextElem::Receiver(ik)]))
-            }
+            ContextChoice::Receiver => self.context(ContextElem::Receiver(ik)),
             ContextChoice::Insensitive => ROOT_CONTEXT,
         };
         let Some(callee_node) = self.ensure_node(callee, ctx) else { return };
@@ -1302,16 +1328,15 @@ impl<'p> Solver<'p> {
                 }
             }
             Intrinsic::MethodInvoke => {
-                let Some(InstanceKey::MethodObj(_c, m)) =
-                    recv_ik.map(|ik| self.ikeys.resolve(ik.0).clone())
+                let Some(&InstanceKey::MethodObj(_, m)) =
+                    recv_ik.map(|ik| self.ikeys.resolve(ik.0))
                 else {
                     return;
                 };
                 if self.program.method(m).body().is_none() {
                     return;
                 }
-                let site = Site { method: caller_method, loc };
-                let ctx = ContextId(self.contexts.intern(vec![ContextElem::Site(site)]));
+                let ctx = self.context(ContextElem::Site(Site { method: caller_method, loc }));
                 let Some(callee_node) = self.ensure_node(m, ctx) else { return };
                 self.record_edge(node, loc, callee_node);
                 // Receiver: args[0] of invoke.
@@ -1348,14 +1373,11 @@ impl<'p> Solver<'p> {
             Intrinsic::ThreadStart => {
                 // `t.start()` runs `t.run()` on another thread.
                 if let (Some(r), Some(ik)) = (recv, recv_ik) {
-                    let ik_val = self.ikeys.resolve(ik.0).clone();
-                    if let Some(c) = ik_val.class_of(self.program) {
+                    if let Some(c) = self.ikeys.resolve(ik.0).class_of(self.program) {
                         if let Some(sel) = self.program.find_selector("run", 0) {
-                            if let Some(run) = self.program.resolve_virtual(c, sel) {
+                            if let Some(run) = self.resolve_virtual(c, sel) {
                                 if self.program.method(run).body().is_some() {
-                                    let ctx = ContextId(
-                                        self.contexts.intern(vec![ContextElem::Receiver(ik)]),
-                                    );
+                                    let ctx = self.context(ContextElem::Receiver(ik));
                                     if let Some(cn) = self.ensure_node(run, ctx) {
                                         self.record_edge(node, loc, cn);
                                         let this_pk = self.local(cn, Var(0));

@@ -81,10 +81,14 @@ pub enum OutputFormat {
 
 impl OutputFormat {
     fn from_wire(s: &str) -> Option<OutputFormat> {
-        match s {
-            "report" => Some(OutputFormat::Report),
-            "sarif" => Some(OutputFormat::Sarif),
-            _ => None,
+        [OutputFormat::Report, OutputFormat::Sarif].into_iter().find(|f| f.wire_name() == s)
+    }
+
+    /// The request's `format` value that selects this format.
+    pub(crate) fn wire_name(self) -> &'static str {
+        match self {
+            OutputFormat::Report => "report",
+            OutputFormat::Sarif => "sarif",
         }
     }
 }

@@ -1099,7 +1099,11 @@ fn run_analyze(
     if report.degradation.degraded {
         state.counters.degraded_runs.fetch_add(1, Ordering::SeqCst);
     }
+    let mut render = rec.span("render");
     let serialized = serialize(&report, req.format)?;
+    render.attr("format", req.format.wire_name());
+    render.attr("bytes", serialized.len());
+    render.finish();
     // Budget-driven degradation is deterministic (same input → same
     // ladder) and safe to cache; deadline/cancel degradation depends on
     // wall-clock luck, so serving it from cache would pin a transient
@@ -1180,11 +1184,7 @@ fn serialize(report: &TajReport, format: OutputFormat) -> Result<String, Protoco
     match format {
         OutputFormat::Report => serde_json::to_string(report)
             .map_err(|e| (ErrorCode::BadRequest, format!("serialization failed: {e}"))),
-        // `to_sarif` pretty-prints; recompact it so the response stays a
-        // single NDJSON line.
-        OutputFormat::Sarif => taj_core::to_sarif(report)
-            .and_then(|s| serde_json::from_str(&s))
-            .and_then(|v| serde_json::to_string(&v))
+        OutputFormat::Sarif => taj_core::to_sarif_compact(report)
             .map_err(|e| (ErrorCode::BadRequest, format!("SARIF serialization failed: {e}"))),
     }
 }

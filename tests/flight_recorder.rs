@@ -107,8 +107,9 @@ fn trace_command_returns_fragment_with_queue_cache_and_phase_spans() {
 
     let names = span_names(fragment);
     // The synthetic root anchors the timeline; queue.wait/run bracket
-    // the pool dispatch; cache probes and analysis phases fill the rest.
-    // A cold miss prepares, so the prepare stages are in the track too.
+    // the pool dispatch; cache probes, analysis phases and rendering fill
+    // the rest. A cold miss prepares, so the prepare stages are in the
+    // track too.
     assert_eq!(names.first().map(String::as_str), Some("request"), "{names:?}");
     for expected in [
         "queue.wait",
@@ -119,6 +120,7 @@ fn trace_command_returns_fragment_with_queue_cache_and_phase_spans() {
         "prepare.ssa",
         "phase1",
         "phase2",
+        "render",
     ] {
         assert!(names.iter().any(|n| n == expected), "missing span `{expected}`: {names:?}");
     }
@@ -128,6 +130,9 @@ fn trace_command_returns_fragment_with_queue_cache_and_phase_spans() {
         spans.iter().filter(|s| s["name"].as_str() == Some("cache.probe")).collect();
     assert!(!probes.is_empty());
     assert!(probes.iter().all(|p| p["args"]["hit"].as_bool() == Some(false)), "{probes:?}");
+    let render = spans.iter().find(|s| s["name"].as_str() == Some("render")).expect("render");
+    assert_eq!(render["args"]["format"].as_str(), Some("report"), "{render:?}");
+    assert!(render["args"]["bytes"].as_u64().is_some_and(|b| b > 0), "{render:?}");
 
     // Unknown ids fail with a readable bad_request, not an empty result.
     let err = client.trace("t-unknown").expect_err("unknown trace id must fail");
