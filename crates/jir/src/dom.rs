@@ -1,30 +1,46 @@
 //! Dominator tree and dominance frontiers (Cooper–Harvey–Kennedy's
 //! "A Simple, Fast Dominance Algorithm"), the substrate for SSA construction.
 
-use crate::cfg::Cfg;
+use crate::cfg::{BlockLists, Cfg};
 use crate::inst::BlockId;
 
 /// Immediate-dominator tree plus dominance frontiers for one CFG.
-#[derive(Debug, Clone)]
+///
+/// Frontiers and children are each one flat array with per-block offsets,
+/// and [`DomTree::rebuild`] refills every table in place, as
+/// [`Cfg::rebuild`] does.
+#[derive(Debug, Clone, Default)]
 pub struct DomTree {
     /// Immediate dominator per block; `idom[entry] == entry`; unreachable
     /// blocks map to `None`.
     pub idom: Vec<Option<BlockId>>,
     /// Dominance frontier per block.
-    pub frontier: Vec<Vec<BlockId>>,
+    frontier: BlockLists,
     /// Children in the dominator tree.
-    pub children: Vec<Vec<BlockId>>,
+    children: BlockLists,
+    /// Per block: `b + 1` once join block `b` is in its frontier.
+    stamp: Vec<u32>,
+    /// `(block, member)` pairs of the frontiers, before grouping.
+    pairs: Vec<(BlockId, BlockId)>,
 }
 
 impl DomTree {
     /// Computes dominators and frontiers for `cfg`.
     pub fn build(cfg: &Cfg) -> DomTree {
+        let mut dom = DomTree::default();
+        dom.rebuild(cfg);
+        dom
+    }
+
+    /// Refills the tables for `cfg`, keeping their allocations.
+    pub fn rebuild(&mut self, cfg: &Cfg) {
         let n = cfg.len();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        if n == 0 {
-            return DomTree { idom, frontier: vec![], children: vec![] };
+        let idom = &mut self.idom;
+        idom.clear();
+        idom.resize(n, None);
+        if let Some(entry) = idom.first_mut() {
+            *entry = Some(BlockId(0));
         }
-        idom[0] = Some(BlockId(0));
 
         // Iterate to fixpoint over reverse postorder.
         let mut changed = true;
@@ -32,13 +48,13 @@ impl DomTree {
             changed = false;
             for &b in cfg.rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &cfg.preds[b.index()] {
+                for &p in cfg.preds(b) {
                     if idom[p.index()].is_none() {
                         continue; // not yet processed / unreachable
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, &cfg.rpo_pos, p, cur),
+                        Some(cur) => intersect(idom, &cfg.rpo_pos, p, cur),
                     });
                 }
                 if let Some(ni) = new_idom {
@@ -50,38 +66,50 @@ impl DomTree {
             }
         }
 
-        // Dominance frontiers (standard runner algorithm).
-        let mut frontier = vec![Vec::new(); n];
+        // Dominance frontiers (standard runner algorithm). Each join block
+        // is visited once, so a runner that already holds `b` was reached
+        // by an earlier predecessor's walk, which went on to `b`'s idom.
+        self.stamp.clear();
+        self.stamp.resize(n, 0);
+        self.pairs.clear();
         for &b in &cfg.rpo {
-            if cfg.preds[b.index()].len() < 2 {
+            let preds = cfg.preds(b);
+            if preds.len() < 2 {
                 continue;
             }
             let b_idom = idom[b.index()].expect("reachable join has idom");
-            for &p in &cfg.preds[b.index()] {
+            for &p in preds {
                 if idom[p.index()].is_none() {
                     continue; // unreachable predecessor
                 }
                 let mut runner = p;
-                while runner != b_idom {
-                    if !frontier[runner.index()].contains(&b) {
-                        frontier[runner.index()].push(b);
-                    }
+                while runner != b_idom && self.stamp[runner.index()] != b.0 + 1 {
+                    self.stamp[runner.index()] = b.0 + 1;
+                    self.pairs.push((runner, b));
                     runner = idom[runner.index()].expect("reachable pred has idom");
                 }
             }
         }
+        self.frontier.group(n, self.pairs.iter().copied());
 
-        // Dominator-tree children.
-        let mut children = vec![Vec::new(); n];
-        for (i, &id) in idom.iter().enumerate() {
-            if let Some(d) = id {
-                if d.index() != i {
-                    children[d.index()].push(BlockId(i as u32));
-                }
-            }
-        }
+        // Dominator-tree children, in block order.
+        self.children.group(
+            n,
+            idom.iter().enumerate().filter_map(|(i, &d)| {
+                let d = d?;
+                (d.index() != i).then_some((d, BlockId(i as u32)))
+            }),
+        );
+    }
 
-        DomTree { idom, frontier, children }
+    /// The dominance frontier of `block`.
+    pub fn frontier(&self, block: BlockId) -> &[BlockId] {
+        self.frontier.of(block)
+    }
+
+    /// The children of `block` in the dominator tree, in block order.
+    pub fn children(&self, block: BlockId) -> &[BlockId] {
+        self.children.of(block)
     }
 
     /// Whether `a` dominates `b` (reflexive).
@@ -155,9 +183,9 @@ mod tests {
         assert!(dom.dominates(BlockId(0), BlockId(3)));
         assert!(!dom.dominates(BlockId(1), BlockId(3)));
         // Frontier of 1 and 2 is the join block 3.
-        assert_eq!(dom.frontier[1], vec![BlockId(3)]);
-        assert_eq!(dom.frontier[2], vec![BlockId(3)]);
-        assert!(dom.frontier[0].is_empty());
+        assert_eq!(dom.frontier(BlockId(1)), [BlockId(3)]);
+        assert_eq!(dom.frontier(BlockId(2)), [BlockId(3)]);
+        assert!(dom.frontier(BlockId(0)).is_empty());
     }
 
     #[test]
@@ -169,8 +197,8 @@ mod tests {
         assert_eq!(dom.idom[2], Some(BlockId(1)));
         assert_eq!(dom.idom[3], Some(BlockId(1)));
         // Loop header is in its own body's frontier.
-        assert!(dom.frontier[2].contains(&BlockId(1)));
-        assert!(dom.frontier[1].contains(&BlockId(1)));
+        assert!(dom.frontier(BlockId(2)).contains(&BlockId(1)));
+        assert!(dom.frontier(BlockId(1)).contains(&BlockId(1)));
     }
 
     #[test]
@@ -191,7 +219,8 @@ mod tests {
         let body = body_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let cfg = Cfg::build(&body);
         let dom = DomTree::build(&cfg);
-        let mut all: Vec<BlockId> = dom.children.iter().flatten().copied().collect();
+        let mut all: Vec<BlockId> =
+            (0..4).flat_map(|b| dom.children(BlockId(b))).copied().collect();
         all.sort();
         assert_eq!(all, vec![BlockId(1), BlockId(2), BlockId(3)]);
     }

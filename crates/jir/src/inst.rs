@@ -409,13 +409,15 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Normal-control-flow successor blocks.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Goto(b) => vec![*b],
-            Terminator::If { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Terminator::Return(_) | Terminator::Throw(_) | Terminator::Unreachable => vec![],
-        }
+    /// Normal-control-flow successor blocks; an `If` whose arms agree
+    /// yields its target twice.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Terminator::Goto(b) => (Some(b), None),
+            Terminator::If { then_bb, else_bb, .. } => (Some(then_bb), Some(else_bb)),
+            Terminator::Return(_) | Terminator::Throw(_) | Terminator::Unreachable => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// The register read by this terminator, if any.
@@ -482,8 +484,8 @@ mod tests {
     #[test]
     fn terminator_successors() {
         let t = Terminator::If { cond: Var(0), then_bb: BlockId(1), else_bb: BlockId(2) };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Terminator::Return(None).successors(), vec![]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(Terminator::Return(None).successors().collect::<Vec<_>>(), vec![]);
         assert_eq!(t.use_var(), Some(Var(0)));
     }
 }

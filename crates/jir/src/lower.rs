@@ -122,7 +122,11 @@ struct Lowerer<'a> {
     class: ClassId,
     is_static: bool,
     body: Body,
+    /// The block being filled.
     cur: BlockId,
+    /// The instructions emitted into `cur` so far. They move into the
+    /// block at their exact size when lowering leaves it.
+    pending: Vec<Inst>,
     handlers: Vec<BlockId>,
     /// Active reflective narrowing facts: `(local name, method name)` from
     /// enclosing `if (x.getName().equals("m"))` conditions.
@@ -145,6 +149,7 @@ impl<'a> Lowerer<'a> {
             is_static: false,
             body: Body::default(),
             cur: BlockId(0),
+            pending: Vec::new(),
             handlers: Vec::new(),
             narrows: Vec::new(),
         }
@@ -159,6 +164,7 @@ impl<'a> Lowerer<'a> {
         self.class = class;
         self.is_static = decl.is_static;
         self.cur = BlockId(0);
+        self.pending.clear();
         self.handlers.clear();
         self.narrows.clear();
         if !decl.is_static {
@@ -174,6 +180,7 @@ impl<'a> Lowerer<'a> {
         }
         self.body.blocks.push(BasicBlock::default());
         self.lower_block(block)?;
+        self.finish_block();
         // Fall-through return for void methods / unfinished blocks.
         if matches!(self.body.blocks[self.cur.index()].term, Terminator::Unreachable) {
             self.body.blocks[self.cur.index()].term = Terminator::Return(None);
@@ -262,7 +269,24 @@ impl<'a> Lowerer<'a> {
     }
 
     fn emit(&mut self, inst: Inst) {
-        self.body.blocks[self.cur.index()].insts.push(inst);
+        self.pending.push(inst);
+    }
+
+    /// Moves the pending instructions into `cur`, at their exact size.
+    fn finish_block(&mut self) {
+        let insts = &mut self.body.blocks[self.cur.index()].insts;
+        debug_assert!(insts.is_empty(), "{:?} is filled twice", self.cur);
+        *insts = self.pending.drain(..).collect();
+    }
+
+    /// Leaves `cur` and makes `b` the block being filled. Lowering fills
+    /// each block in one stretch: structured statements and the dead
+    /// block after `return`/`throw` always move on to a fresh block and
+    /// never re-enter a finished one.
+    fn switch_to(&mut self, b: BlockId) {
+        self.finish_block();
+        debug_assert!(self.body.blocks[b.index()].insts.is_empty(), "{b:?} is re-entered");
+        self.cur = b;
     }
 
     fn terminate(&mut self, term: Terminator) {
@@ -346,7 +370,7 @@ impl<'a> Lowerer<'a> {
                 self.terminate(Terminator::If { cond: c, then_bb, else_bb });
                 // Reflective narrowing applies in the then-branch only.
                 let narrow = narrow_pattern(cond);
-                self.cur = then_bb;
+                self.switch_to(then_bb);
                 if let Some(n) = &narrow {
                     self.narrows.push(n.clone());
                 }
@@ -355,25 +379,25 @@ impl<'a> Lowerer<'a> {
                     self.narrows.pop();
                 }
                 self.terminate(Terminator::Goto(join));
-                self.cur = else_bb;
+                self.switch_to(else_bb);
                 if let Some(eb) = else_blk {
                     self.lower_block(eb)?;
                 }
                 self.terminate(Terminator::Goto(join));
-                self.cur = join;
+                self.switch_to(join);
             }
             Stmt::While { cond, body } => {
                 let header = self.new_block();
                 self.terminate(Terminator::Goto(header));
-                self.cur = header;
+                self.switch_to(header);
                 let (c, _) = self.lower_expr(cond)?;
                 let body_bb = self.new_block();
                 let exit = self.new_block();
                 self.terminate(Terminator::If { cond: c, then_bb: body_bb, else_bb: exit });
-                self.cur = body_bb;
+                self.switch_to(body_bb);
                 self.lower_block(body)?;
                 self.terminate(Terminator::Goto(header));
-                self.cur = exit;
+                self.switch_to(exit);
             }
             Stmt::Return(value, _line) => {
                 let v = match value {
@@ -381,12 +405,14 @@ impl<'a> Lowerer<'a> {
                     None => None,
                 };
                 self.terminate(Terminator::Return(v));
-                self.cur = self.new_block(); // dead continuation
+                let dead = self.new_block(); // dead continuation
+                self.switch_to(dead);
             }
             Stmt::Throw(e, _line) => {
                 let (v, _) = self.lower_expr(e)?;
                 self.terminate(Terminator::Throw(v));
-                self.cur = self.new_block();
+                let dead = self.new_block();
+                self.switch_to(dead);
             }
             Stmt::Try { body, catch_class, catch_name, handler } => {
                 let exc_class = self.resolve_class(*catch_class, 0)?;
@@ -396,13 +422,13 @@ impl<'a> Lowerer<'a> {
                 self.handlers.push(handler_bb);
                 let protected = self.new_block();
                 self.terminate(Terminator::Goto(protected));
-                self.cur = protected;
+                self.switch_to(protected);
                 self.lower_block(body)?;
                 self.handlers.pop();
                 let join = self.new_block();
                 self.terminate(Terminator::Goto(join));
                 // Handler.
-                self.cur = handler_bb;
+                self.switch_to(handler_bb);
                 let evar = self.fresh(exc_ty);
                 self.emit(Inst::CatchBind { dst: evar, class: exc_class });
                 let mark = self.shadowed.len();
@@ -412,7 +438,7 @@ impl<'a> Lowerer<'a> {
                 }
                 self.unwind(mark);
                 self.terminate(Terminator::Goto(join));
-                self.cur = join;
+                self.switch_to(join);
             }
         }
         Ok(())
@@ -968,7 +994,7 @@ mod tests {
         let cfg = crate::cfg::Cfg::build(body);
         // Some block must have a back edge to an earlier block.
         let has_back_edge = cfg.rpo.iter().any(|&b| {
-            cfg.succs[b.index()].iter().any(|s| cfg.rpo_pos[s.index()] <= cfg.rpo_pos[b.index()])
+            cfg.succs(b).iter().any(|s| cfg.rpo_pos[s.index()] <= cfg.rpo_pos[b.index()])
         });
         assert!(has_back_edge, "loop should create a back edge");
     }

@@ -426,80 +426,39 @@ impl Parser {
     // ---- expressions ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.binary_expr(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.and_expr()?;
-        while *self.peek() == Tok::OrOr {
-            self.advance();
-            let r = self.and_expr()?;
-            e = Expr::Binary { op: AstBinOp::OrOr, lhs: Box::new(e), rhs: Box::new(r) };
-        }
-        Ok(e)
+    /// The binary operator at the current token and its precedence,
+    /// loosest first.
+    fn binary_op(&self) -> Option<(AstBinOp, u8)> {
+        Some(match self.peek() {
+            Tok::OrOr => (AstBinOp::OrOr, 1),
+            Tok::AndAnd => (AstBinOp::AndAnd, 2),
+            Tok::EqEq => (AstBinOp::EqEq, 3),
+            Tok::NotEq => (AstBinOp::NotEq, 3),
+            Tok::Lt => (AstBinOp::Lt, 4),
+            Tok::Gt => (AstBinOp::Gt, 4),
+            Tok::Plus => (AstBinOp::Plus, 5),
+            Tok::Minus => (AstBinOp::Minus, 5),
+            Tok::Star => (AstBinOp::Star, 6),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.eq_expr()?;
-        while *self.peek() == Tok::AndAnd {
-            self.advance();
-            let r = self.eq_expr()?;
-            e = Expr::Binary { op: AstBinOp::AndAnd, lhs: Box::new(e), rhs: Box::new(r) };
-        }
-        Ok(e)
-    }
-
-    fn eq_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => AstBinOp::EqEq,
-                Tok::NotEq => AstBinOp::NotEq,
-                _ => break,
-            };
-            self.advance();
-            let r = self.rel_expr()?;
-            e = Expr::Binary { op, lhs: Box::new(e), rhs: Box::new(r) };
-        }
-        Ok(e)
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => AstBinOp::Lt,
-                Tok::Gt => AstBinOp::Gt,
-                _ => break,
-            };
-            self.advance();
-            let r = self.add_expr()?;
-            e = Expr::Binary { op, lhs: Box::new(e), rhs: Box::new(r) };
-        }
-        Ok(e)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => AstBinOp::Plus,
-                Tok::Minus => AstBinOp::Minus,
-                _ => break,
-            };
-            self.advance();
-            let r = self.mul_expr()?;
-            e = Expr::Binary { op, lhs: Box::new(e), rhs: Box::new(r) };
-        }
-        Ok(e)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    /// Precedence climbing: an operand followed by every operator that
+    /// binds tighter than `min`. Each right operand climbs from its
+    /// operator's own precedence, so operators of equal precedence
+    /// associate to the left.
+    fn binary_expr(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut e = self.unary_expr()?;
-        while *self.peek() == Tok::Star {
+        while let Some((op, prec)) = self.binary_op() {
+            if prec <= min {
+                break;
+            }
             self.advance();
-            let r = self.unary_expr()?;
-            e = Expr::Binary { op: AstBinOp::Star, lhs: Box::new(e), rhs: Box::new(r) };
+            let r = self.binary_expr(prec)?;
+            e = Expr::Binary { op, lhs: Box::new(e), rhs: Box::new(r) };
         }
         Ok(e)
     }

@@ -9,6 +9,8 @@
 //! reuses across bodies: def blocks as `(register, block)` pairs, φ
 //! placements as `(block, register)` pairs, and one current-name array
 //! whose undo log the dominator walk unwinds as it leaves each block.
+//! The CFG and the dominator tree are reused the same way: one [`Cfg`]
+//! and one [`DomTree`], rebuilt in place for every body.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
@@ -40,6 +42,8 @@ pub fn to_ssa(body: &mut Body, num_incoming: usize) {
 /// state.
 #[derive(Default)]
 struct Scratch {
+    cfg: Cfg,
+    dom: DomTree,
     /// Per register: read in a block that does not define it first.
     globals: Vec<bool>,
     /// Per register: `block + 1` of the last block seen defining it.
@@ -87,23 +91,19 @@ fn convert(body: &mut Body, num_incoming: usize, s: &mut Scratch) {
     // dominator tree of the entry, so stale instructions in dead blocks
     // would otherwise keep their original (now duplicated) names.
     // Clearing a block drops its edges, so the CFG is rebuilt only then.
-    let cfg = {
-        let pre = Cfg::build(body);
-        let mut cleared = false;
-        for (i, block) in body.blocks.iter_mut().enumerate() {
-            if !pre.is_reachable(crate::inst::BlockId(i as u32)) {
-                block.insts.clear();
-                block.term = crate::inst::Terminator::Unreachable;
-                cleared = true;
-            }
+    s.cfg.rebuild(body);
+    let mut cleared = false;
+    for (i, block) in body.blocks.iter_mut().enumerate() {
+        if !s.cfg.is_reachable(BlockId(i as u32)) {
+            block.insts.clear();
+            block.term = crate::inst::Terminator::Unreachable;
+            cleared = true;
         }
-        if cleared {
-            Cfg::build(body)
-        } else {
-            pre
-        }
-    };
-    let dom = DomTree::build(&cfg);
+    }
+    if cleared {
+        s.cfg.rebuild(body);
+    }
+    s.dom.rebuild(&s.cfg);
     let orig_vars = body.num_vars;
     let nvars = orig_vars as usize;
     let nblocks = body.blocks.len();
@@ -162,10 +162,10 @@ fn convert(body: &mut Body, num_incoming: usize, s: &mut Scratch) {
         }
         s.work.extend(blocks.iter().map(|&(_, b)| b));
         while let Some(d) = s.work.pop() {
-            if !cfg.is_reachable(d) {
+            if !s.cfg.is_reachable(d) {
                 continue;
             }
-            for &f in &dom.frontier[d.index()] {
+            for &f in s.dom.frontier(d) {
                 if s.has_phi[f.index()] != v + 1 {
                     s.has_phi[f.index()] = v + 1;
                     s.phis.push((f, v));
@@ -186,7 +186,7 @@ fn convert(body: &mut Body, num_incoming: usize, s: &mut Scratch) {
         let len = rest.iter().take_while(|&&(blk, _)| blk == b).count();
         let (here, tail) = rest.split_at(len);
         rest = tail;
-        let preds = &cfg.preds[b.index()];
+        let preds = s.cfg.preds(b);
         let phis = here.iter().map(|&(_, v)| Inst::Phi {
             dst: Var(v),
             srcs: preds.iter().map(|&p| (p, Var(v))).collect(),
@@ -254,7 +254,7 @@ fn convert(body: &mut Body, num_incoming: usize, s: &mut Scratch) {
                     term.rewrite_uses(|v| s.name[v.index()]);
                 }
                 // Fill φ operands in successors.
-                for &succ in &cfg.succs[b.index()] {
+                for &succ in s.cfg.succs(b) {
                     for inst in &mut body.blocks[succ.index()].insts {
                         if let Inst::Phi { srcs, .. } = inst {
                             for (pred, val) in srcs.iter_mut() {
@@ -268,7 +268,7 @@ fn convert(body: &mut Body, num_incoming: usize, s: &mut Scratch) {
                     }
                 }
                 s.agenda.push(Step::Exit(mark));
-                for &c in dom.children[b.index()].iter().rev() {
+                for &c in s.dom.children(b).iter().rev() {
                     s.agenda.push(Step::Enter(c));
                 }
             }

@@ -310,6 +310,76 @@ fn error_text_is_pinned() {
     }
 }
 
+/// The tree each binary operator builds: one row per precedence level and
+/// both associativity cases, read back from the invalid-assignment error,
+/// which prints the whole expression. Then the errors of an operand that
+/// is missing or unclosed inside an operator chain.
+#[test]
+fn binary_operators_keep_precedence_and_left_associativity() {
+    let trees: &[(&str, &str)] = &[
+        (
+            "a - b - c",
+            "error at 1:44: invalid assignment target: Binary { op: Minus, lhs: Binary { op: Minus, \
+             lhs: Var(\"a\", 1), rhs: Var(\"b\", 1) }, rhs: Var(\"c\", 1) }",
+        ),
+        (
+            "a + b * c - d",
+            "error at 1:48: invalid assignment target: Binary { op: Minus, lhs: Binary { op: Plus, \
+             lhs: Var(\"a\", 1), rhs: Binary { op: Star, lhs: Var(\"b\", 1), rhs: Var(\"c\", 1) } }, \
+             rhs: Var(\"d\", 1) }",
+        ),
+        (
+            "a || b && c || d",
+            "error at 1:51: invalid assignment target: Binary { op: OrOr, lhs: Binary { op: OrOr, \
+             lhs: Var(\"a\", 1), rhs: Binary { op: AndAnd, lhs: Var(\"b\", 1), rhs: Var(\"c\", 1) } }, \
+             rhs: Var(\"d\", 1) }",
+        ),
+        (
+            "a == b != c",
+            "error at 1:46: invalid assignment target: Binary { op: NotEq, lhs: Binary { op: EqEq, \
+             lhs: Var(\"a\", 1), rhs: Var(\"b\", 1) }, rhs: Var(\"c\", 1) }",
+        ),
+        (
+            "a + b < c * d && e || f",
+            "error at 1:58: invalid assignment target: Binary { op: OrOr, lhs: Binary { op: AndAnd, \
+             lhs: Binary { op: Lt, lhs: Binary { op: Plus, lhs: Var(\"a\", 1), rhs: Var(\"b\", 1) }, \
+             rhs: Binary { op: Star, lhs: Var(\"c\", 1), rhs: Var(\"d\", 1) } }, rhs: Var(\"e\", 1) }, \
+             rhs: Var(\"f\", 1) }",
+        ),
+        (
+            "!a == b",
+            "error at 1:42: invalid assignment target: Binary { op: EqEq, lhs: Not(Var(\"a\", 1)), \
+             rhs: Var(\"b\", 1) }",
+        ),
+        (
+            "(T) a + b",
+            "error at 1:44: invalid assignment target: Binary { op: Plus, lhs: Cast { ty: \
+             Named(\"T\"), expr: Var(\"a\", 1), line: 1 }, rhs: Var(\"b\", 1) }",
+        ),
+        (
+            "x.f(a + b) * y[i - 1]",
+            "error at 1:56: invalid assignment target: Binary { op: Star, lhs: Call { base: \
+             Some(Var(\"x\", 1)), name: \"f\", args: [Binary { op: Plus, lhs: Var(\"a\", 1), rhs: \
+             Var(\"b\", 1) }], line: 1 }, rhs: Index { base: Var(\"y\", 1), index: Binary { op: \
+             Minus, lhs: Var(\"i\", 1), rhs: Int(1) } } }",
+        ),
+    ];
+    for (expr, want) in trees {
+        let src = format!("class C {{ method void f() {{ ({expr}) = 1; }} }}");
+        let err = parse_program(&src).expect_err(&src);
+        assert_eq!(err.to_string(), *want, "expression {expr:?}");
+    }
+    let errors: &[(&str, &str)] = &[
+        ("int x = a + ;", "error at 1:0: expected expression, found `Semi`"),
+        ("int x = a * (b + c;", "error at 1:47: expected `RParen`, found `Semi`"),
+    ];
+    for (stmt, want) in errors {
+        let src = format!("class C {{ method void f() {{ {stmt} }} }}");
+        let err = parse_program(&src).expect_err(&src);
+        assert_eq!(err.to_string(), *want, "statement {stmt:?}");
+    }
+}
+
 /// The source register of the `Assign` that defines `dst`.
 fn assigned_from(body: &jir::Body, dst: jir::Var) -> Option<jir::Var> {
     body.blocks.iter().flat_map(|b| &b.insts).find_map(|i| match i {

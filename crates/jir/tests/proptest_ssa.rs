@@ -1,33 +1,46 @@
 //! Property tests for the SSA/dominator substrate: random well-formed
-//! CFGs with random straight-line code must convert to valid SSA.
+//! CFGs with random straight-line code, calls and exception handlers must
+//! convert to valid SSA, and the CFG and dominator tables must agree with
+//! a `Vec`-per-block reference.
 
 use proptest::prelude::*;
 
 use jir::cfg::Cfg;
 use jir::dom::DomTree;
-use jir::inst::{BinOp, BlockId, ConstValue, Inst, Terminator, Var};
+use jir::inst::{BinOp, BlockId, CallTarget, ConstValue, Inst, Terminator, Var};
 use jir::method::{BasicBlock, Body, Method, MethodId, MethodKind};
 use jir::ssa::{def_sites, program_to_ssa, to_ssa};
 use jir::{Class, Program};
 
-/// A compact description of a random body: per-block instruction choices
-/// and a terminator selector.
+/// A compact description of a random body: per-block instruction choices,
+/// a terminator selector and an optional exception handler.
 #[derive(Clone, Debug)]
 struct BodySpec {
     nblocks: usize,
     nvars: u32,
-    /// (block, dst, op) triples: dst = var op var (operands derived).
-    code: Vec<(usize, u32, bool)>,
+    /// (block, dst, flavor) triples: dst = var op var, dst = var, or
+    /// dst = call(var) (operands derived).
+    code: Vec<(usize, u32, u8)>,
     /// terminator selector per block: (kind, t1, t2)
     terms: Vec<(u8, usize, usize)>,
+    /// handler per block, when the flag is set
+    handlers: Vec<(bool, usize)>,
 }
 
 fn body_spec() -> impl Strategy<Value = BodySpec> {
     (2usize..10, 2u32..8).prop_flat_map(|(nblocks, nvars)| {
-        let code = proptest::collection::vec((0..nblocks, 0..nvars, any::<bool>()), 0..24);
-        let terms = proptest::collection::vec((0u8..3, 0..nblocks, 0..nblocks), nblocks);
-        (Just(nblocks), Just(nvars), code, terms)
-            .prop_map(|(nblocks, nvars, code, terms)| BodySpec { nblocks, nvars, code, terms })
+        let code = proptest::collection::vec((0..nblocks, 0..nvars, 0u8..3), 0..24);
+        let terms = proptest::collection::vec((0u8..4, 0..nblocks, 0..nblocks), nblocks);
+        let handlers = proptest::collection::vec((any::<bool>(), 0..nblocks), nblocks);
+        (Just(nblocks), Just(nvars), code, terms, handlers).prop_map(
+            |(nblocks, nvars, code, terms, handlers)| BodySpec {
+                nblocks,
+                nvars,
+                code,
+                terms,
+                handlers,
+            },
+        )
     })
 }
 
@@ -47,26 +60,164 @@ fn build_body(spec: &BodySpec) -> Body {
             if cb == b {
                 let lhs = Var(dst);
                 let rhs = Var((dst + 1) % spec.nvars);
-                if flavor {
-                    insts.push(Inst::Binary { dst: Var(dst), op: BinOp::Add, lhs, rhs });
-                } else {
-                    insts.push(Inst::Assign { dst: Var(dst), src: rhs, filter: None });
-                }
+                insts.push(match flavor {
+                    0 => Inst::Binary { dst: Var(dst), op: BinOp::Add, lhs, rhs },
+                    1 => Inst::Assign { dst: Var(dst), src: rhs, filter: None },
+                    _ => Inst::Call {
+                        dst: Some(Var(dst)),
+                        target: CallTarget::Static(MethodId::new(0)),
+                        recv: None,
+                        args: vec![rhs],
+                    },
+                });
             }
         }
         let (kind, t1, t2) = spec.terms[b];
         let term = match kind {
             0 => Terminator::Return(Some(Var(0))),
             1 => Terminator::Goto(BlockId(t1 as u32)),
-            _ => Terminator::If {
+            2 => Terminator::If {
                 cond: Var(0),
                 then_bb: BlockId(t1 as u32),
                 else_bb: BlockId(t2 as u32),
             },
+            _ => Terminator::Throw(Var(0)),
         };
-        body.blocks.push(BasicBlock { insts, term, handler: None });
+        let (has_handler, h) = spec.handlers[b];
+        let handler = has_handler.then_some(BlockId(h as u32));
+        body.blocks.push(BasicBlock { insts, term, handler });
     }
     body
+}
+
+/// The CFG and dominator tree as one `Vec` per block, built as they were
+/// before the offset tables: the reference the tables must agree with.
+struct Reference {
+    succs: Vec<Vec<BlockId>>,
+    preds: Vec<Vec<BlockId>>,
+    rpo: Vec<BlockId>,
+    idom: Vec<Option<BlockId>>,
+    frontier: Vec<Vec<BlockId>>,
+    children: Vec<Vec<BlockId>>,
+}
+
+impl Reference {
+    fn build(body: &Body) -> Reference {
+        let n = body.blocks.len();
+        let mut succs = vec![Vec::new(); n];
+        let mut preds = vec![Vec::new(); n];
+        for (id, block) in body.iter_blocks() {
+            let mut out: Vec<BlockId> = block.term.successors().collect();
+            if let Some(h) = block.handler {
+                let may_throw = block.insts.iter().any(Inst::is_call)
+                    || matches!(block.term, Terminator::Throw(_));
+                if may_throw && !out.contains(&h) {
+                    out.push(h);
+                }
+            }
+            for s in &out {
+                preds[s.index()].push(id);
+            }
+            succs[id.index()] = out;
+        }
+
+        // Reverse postorder via iterative DFS.
+        let mut visited = vec![false; n];
+        let mut postorder = Vec::with_capacity(n);
+        if n > 0 {
+            let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
+            visited[0] = true;
+            while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+                let ss = &succs[b.index()];
+                if *next < ss.len() {
+                    let s = ss[*next];
+                    *next += 1;
+                    if !visited[s.index()] {
+                        visited[s.index()] = true;
+                        stack.push((s, 0));
+                    }
+                } else {
+                    postorder.push(b);
+                    stack.pop();
+                }
+            }
+        }
+        postorder.reverse();
+        let rpo = postorder;
+        let mut rpo_pos = vec![usize::MAX; n];
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_pos[b.index()] = i;
+        }
+
+        let mut idom: Vec<Option<BlockId>> = vec![None; n];
+        if n == 0 {
+            return Reference { succs, preds, rpo, idom, frontier: vec![], children: vec![] };
+        }
+        idom[0] = Some(BlockId(0));
+        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| {
+            while a != b {
+                while rpo_pos[a.index()] > rpo_pos[b.index()] {
+                    a = idom[a.index()].expect("intersect over processed nodes");
+                }
+                while rpo_pos[b.index()] > rpo_pos[a.index()] {
+                    b = idom[b.index()].expect("intersect over processed nodes");
+                }
+            }
+            a
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in rpo.iter().skip(1) {
+                let mut new_idom: Option<BlockId> = None;
+                for &p in &preds[b.index()] {
+                    if idom[p.index()].is_none() {
+                        continue;
+                    }
+                    new_idom = Some(match new_idom {
+                        None => p,
+                        Some(cur) => intersect(&idom, p, cur),
+                    });
+                }
+                if let Some(ni) = new_idom {
+                    if idom[b.index()] != Some(ni) {
+                        idom[b.index()] = Some(ni);
+                        changed = true;
+                    }
+                }
+            }
+        }
+
+        let mut frontier = vec![Vec::new(); n];
+        for &b in &rpo {
+            if preds[b.index()].len() < 2 {
+                continue;
+            }
+            let b_idom = idom[b.index()].expect("reachable join has idom");
+            for &p in &preds[b.index()] {
+                if idom[p.index()].is_none() {
+                    continue;
+                }
+                let mut runner = p;
+                while runner != b_idom {
+                    if !frontier[runner.index()].contains(&b) {
+                        frontier[runner.index()].push(b);
+                    }
+                    runner = idom[runner.index()].expect("reachable pred has idom");
+                }
+            }
+        }
+
+        let mut children = vec![Vec::new(); n];
+        for (i, &id) in idom.iter().enumerate() {
+            if let Some(d) = id {
+                if d.index() != i {
+                    children[d.index()].push(BlockId(i as u32));
+                }
+            }
+        }
+        Reference { succs, preds, rpo, idom, frontier, children }
+    }
 }
 
 proptest! {
@@ -98,11 +249,11 @@ proptest! {
                 if let Inst::Phi { srcs, .. } = inst {
                     prop_assert_eq!(
                         srcs.len(),
-                        cfg.preds[bid.index()].len(),
+                        cfg.preds(bid).len(),
                         "phi arity mismatch in {:?}", bid
                     );
                     for (p, _) in srcs {
-                        prop_assert!(cfg.preds[bid.index()].contains(p));
+                        prop_assert!(cfg.preds(bid).contains(p));
                     }
                 }
             }
@@ -192,6 +343,36 @@ proptest! {
             }
         }
         let _ = (insts_after, vars_after);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The offset tables agree with the `Vec`-per-block reference on every
+    /// block: successors and predecessors in order with duplicates, reverse
+    /// postorder, immediate dominators, and frontiers and children in
+    /// order. The tables are rebuilt in place over another body first, so
+    /// nothing that body left behind may show.
+    #[test]
+    fn offset_tables_match_the_reference(prev in body_spec(), spec in body_spec()) {
+        let mut cfg = Cfg::build(&build_body(&prev));
+        let mut dom = DomTree::build(&cfg);
+        let body = build_body(&spec);
+        cfg.rebuild(&body);
+        dom.rebuild(&cfg);
+        let want = Reference::build(&body);
+        prop_assert_eq!(cfg.len(), spec.nblocks);
+        prop_assert_eq!(&cfg.rpo, &want.rpo);
+        prop_assert_eq!(&dom.idom, &want.idom);
+        for (b, _) in body.iter_blocks() {
+            let i = b.index();
+            prop_assert_eq!(cfg.succs(b), &want.succs[i][..], "successors of {:?}", b);
+            prop_assert_eq!(cfg.preds(b), &want.preds[i][..], "predecessors of {:?}", b);
+            prop_assert_eq!(cfg.is_reachable(b), want.rpo.contains(&b), "{:?}", b);
+            prop_assert_eq!(dom.frontier(b), &want.frontier[i][..], "frontier of {:?}", b);
+            prop_assert_eq!(dom.children(b), &want.children[i][..], "children of {:?}", b);
+        }
     }
 }
 
