@@ -5,8 +5,10 @@
 //! cargo run --release -q -p taj-bench --bin report_digests > digests.txt
 //! ```
 //!
-//! The inputs are the nine Figure-4 apps at `Scale::standard()` and
-//! securibench joined ×1, ×4 and ×16; the configurations are
+//! The inputs are the nine Figure-4 apps at `Scale::standard()`,
+//! securibench joined ×1, ×4 and ×16, and each of the 40 securibench
+//! cases on its own (`securibench/<case>`: small programs whose prepared
+//! IR is mostly the model library); the configurations are
 //! `TajConfig::all()`. Each line gives 64-bit FNV-1a digests of the text
 //! report, the serde JSON, the pretty SARIF log and the compact SARIF
 //! the daemon sends (`sarif_wire`), or the path-edge count of an
@@ -23,7 +25,7 @@ use taj_core::{
     to_text, DeploymentDescriptor, Recorder, RuleSet, RunOptions, Supervisor, TajConfig, TajError,
     TajReport,
 };
-use taj_webgen::{generate, presets, securibench_joined, Scale};
+use taj_webgen::{generate, presets, securibench_cases, securibench_joined, Scale};
 
 /// 64-bit FNV-1a of `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -57,6 +59,9 @@ fn main() {
         .collect();
     for copies in [1, 4, 16] {
         inputs.push((format!("securibench-x{copies}"), securibench_joined(copies), None));
+    }
+    for case in securibench_cases() {
+        inputs.push((format!("securibench/{}", case.name), case.source, None));
     }
     let recorder = Recorder::disabled();
     let opts = RunOptions::default();

@@ -256,8 +256,8 @@ pub fn prepare_traced(
     let mut parse_span = recorder.span("prepare.parse");
     let mut program = jir::frontend::parse_program(src)?;
     if recorder.is_enabled() {
-        parse_span.attr("classes", program.classes.len());
-        parse_span.attr("methods", program.methods.len());
+        parse_span.attr("classes", program.num_classes());
+        parse_span.attr("methods", program.num_methods());
     }
     parse_span.finish();
 

@@ -31,15 +31,14 @@ pub fn model_exceptions(program: &mut Program) -> Vec<(MethodId, Loc)> {
     let msg_field = program.synthetic_field(EXC_MSG_FIELD, str_ty);
 
     let mut sites = Vec::new();
-    for mid in 0..program.methods.len() {
-        let method_id = MethodId::new(mid);
+    for method_id in program.own_method_ids() {
+        let method = program.method(method_id);
         // Skip library code: the paper instruments application catch
         // blocks (the leak is an application bug).
-        let owner = program.methods[mid].owner;
-        if program.class(owner).is_library {
+        if program.class(method.owner).is_library {
             continue;
         }
-        let Some(body) = program.methods[mid].body() else { continue };
+        let Some(body) = method.body() else { continue };
         // Find CatchBind instructions.
         let mut targets: Vec<(usize, usize, jir::Var)> = Vec::new();
         for (b, block) in body.blocks.iter().enumerate() {
@@ -52,7 +51,7 @@ pub fn model_exceptions(program: &mut Program) -> Vec<(MethodId, Loc)> {
         if targets.is_empty() {
             continue;
         }
-        let body = program.methods[mid].body_mut().expect("checked body");
+        let body = program.method_mut(method_id).body_mut().expect("checked body");
         // Insert from the back so earlier indices stay valid.
         targets.sort_by(|a, b| b.cmp(a));
         for (b, i, evar) in targets {

@@ -363,11 +363,10 @@ fn rewrite_lookups(p: &mut Program, jndi: &str, home_class: ClassId) -> usize {
     let Some(ic) = p.class_by_name("InitialContext") else { return 0 };
     let Some(lookup) = p.method_by_name(ic, "lookup") else { return 0 };
     let mut count = 0;
-    for mid in 0..p.methods.len() {
-        if p.methods[mid].body().is_none() {
-            continue;
-        }
-        let mut body = std::mem::take(p.methods[mid].body_mut().expect("has body"));
+    // The shared library's bodies call no `lookup`.
+    for mid in p.own_method_ids() {
+        let Some(body) = p.method_mut(mid).body_mut() else { continue };
+        let mut body = std::mem::take(body);
         let dm_keys: Vec<(usize, usize, Var)> = {
             // Built on the body's first `lookup` call: most bodies have none.
             let mut dm: Option<jir::constprop::DefMap<'_>> = None;
@@ -406,7 +405,7 @@ fn rewrite_lookups(p: &mut Program, jndi: &str, home_class: ClassId) -> usize {
             body.blocks[bi].insts[ii] = Inst::New { dst: d, class: home_class };
             count += 1;
         }
-        *p.methods[mid].body_mut().expect("has body") = body;
+        *p.method_mut(mid).body_mut().expect("has body") = body;
     }
     count
 }
@@ -557,6 +556,50 @@ mod tests {
                 if p.class(*class).name == "$EJBHome$EB2Bean")
         });
         assert!(has_home_alloc);
+    }
+
+    /// The library's bodies are fixed points of the passes that rewrite
+    /// bodies, which is why those passes visit only a program's own
+    /// methods. Here the library is the program's own, so each pass visits
+    /// its bodies too, beside an application class that each pass rewrites.
+    #[test]
+    fn library_bodies_are_fixed_points_of_the_modeling_passes() {
+        let mut p = jir::stdlib::library_program();
+        let library: Vec<MethodId> = p.own_method_ids().collect();
+        let app = jir::parser::parse(
+            r#"
+            interface H { method Object create(); }
+            class B { ctor () { } }
+            class Page extends HttpServlet {
+                method void doGet(HttpServletRequest req, HttpServletResponse resp) {
+                    HashMap m = new HashMap();
+                    m.put("k", req.getParameter("q"));
+                    InitialContext ctx = new InitialContext();
+                    Object home = ctx.lookup("java:comp/env/ejb/B");
+                    try { this.render(m); } catch (Exception e) { m.put("e", e); }
+                }
+                method void render(HashMap m) { }
+            }
+            "#,
+        )
+        .unwrap();
+        jir::lower::lower(&mut p, &app).unwrap();
+        let printed = |p: &Program| -> Vec<String> {
+            library.iter().map(|&m| jir::pretty::method_to_string(p, m)).collect()
+        };
+        let before = printed(&p);
+        let descriptor = DeploymentDescriptor {
+            entries: vec![EjbEntry {
+                jndi_name: "java:comp/env/ejb/B".into(),
+                home_interface: "H".into(),
+                bean_class: "B".into(),
+            }],
+        };
+        assert_eq!(apply_ejb_descriptor(&mut p, &descriptor), 1);
+        assert_eq!(crate::exceptions::model_exceptions(&mut p).len(), 1);
+        jir::expand::expand_models(&mut p);
+        assert!(p.find_synthetic_field("$map$k").is_some(), "the application's put expands");
+        assert_eq!(printed(&p), before);
     }
 
     #[test]

@@ -31,13 +31,15 @@ pub mod fields {
 }
 
 /// Runs model expansion over every body in `program`. Idempotent.
+///
+/// Only the program's own bodies are visited: the library's hold no call
+/// that expands.
 pub fn expand_models(program: &mut Program) {
     // Pass 1: collect the global set of constant map keys (so non-constant
     // reads can conservatively cover them all).
     let mut keys: BTreeSet<String> = BTreeSet::new();
-    for mid in 0..program.methods.len() {
-        let m = &program.methods[mid];
-        let Some(body) = m.body() else { continue };
+    for mid in program.own_method_ids() {
+        let Some(body) = program.method(mid).body() else { continue };
         // Built on the body's first `MapPut`: most bodies have none.
         let mut dm: Option<DefMap<'_>> = None;
         for block in &body.blocks {
@@ -70,18 +72,12 @@ pub fn expand_models(program: &mut Program) {
     }
 
     // Pass 2: rewrite bodies.
-    for mid in 0..program.methods.len() {
-        if program.methods[mid].body().is_none() {
-            continue;
-        }
-        let mut body =
-            std::mem::take(program.methods[mid].body_mut().expect("checked body presence"));
-        rewrite_body(
-            program,
-            &mut body,
-            &Fields { elems, content, map_unknown, keys: &key_fields, object_ty },
-        );
-        *program.methods[mid].body_mut().expect("checked body presence") = body;
+    let fields = Fields { elems, content, map_unknown, keys: &key_fields, object_ty };
+    for mid in program.own_method_ids() {
+        let Some(body) = program.method_mut(mid).body_mut() else { continue };
+        let mut body = std::mem::take(body);
+        rewrite_body(program, &mut body, &fields);
+        *program.method_mut(mid).body_mut().expect("checked body presence") = body;
     }
 }
 
@@ -122,27 +118,44 @@ fn resolve_intrinsic(
     }
 }
 
+/// Whether `intr` is one that [`expand_call`] rewrites.
+fn expands(intr: Intrinsic) -> bool {
+    matches!(
+        intr,
+        Intrinsic::MapPut
+            | Intrinsic::MapGet
+            | Intrinsic::CollAdd
+            | Intrinsic::CollGet
+            | Intrinsic::IterAlias
+            | Intrinsic::BuilderAppend
+            | Intrinsic::BuilderToString
+            | Intrinsic::ReturnReceiver
+    )
+}
+
+/// Rewrites the blocks of `body` that hold a call that expands, and leaves
+/// the others alone. A rewritten block's instructions move into a new list;
+/// while it fills, the block itself is empty, and [`constant_key`] sees the
+/// list's prefix plus the rest of the body.
 fn rewrite_body(program: &Program, body: &mut Body, fields: &Fields<'_>) {
-    let nblocks = body.blocks.len();
-    for b in 0..nblocks {
-        let insts = std::mem::take(&mut body.blocks[b].insts);
+    for b in 0..body.blocks.len() {
+        let intrinsic = |body: &Body, inst: &Inst| match inst {
+            Inst::Call { target, .. } => {
+                resolve_intrinsic(program, body, target, inst).filter(|&i| expands(i))
+            }
+            _ => None,
+        };
+        let Some(first) =
+            body.blocks[b].insts.iter().position(|inst| intrinsic(body, inst).is_some())
+        else {
+            continue;
+        };
+        let mut insts = std::mem::take(&mut body.blocks[b].insts).into_iter();
         let mut out: Vec<Inst> = Vec::with_capacity(insts.len());
-        // DefMap must see the whole body; rebuild lazily per block using a
-        // snapshot taken before this block was emptied.
+        out.extend(insts.by_ref().take(first));
         for inst in insts {
-            let expanded = match &inst {
-                Inst::Call { target, .. } => {
-                    // Cheap pre-filter: only calls can expand.
-                    let intr = {
-                        // Rebuild a body view including already-rewritten
-                        // blocks plus the pending instruction list.
-                        resolve_intrinsic_with(program, body, target, &inst, &out)
-                    };
-                    let _ = target;
-                    intr.and_then(|i| expand_call(body, fields, &inst, i, &out))
-                }
-                _ => None,
-            };
+            let expanded =
+                intrinsic(body, &inst).and_then(|i| expand_call(body, fields, &inst, i, &out));
             match expanded {
                 Some(new_insts) => out.extend(new_insts),
                 None => out.push(inst),
@@ -150,18 +163,6 @@ fn rewrite_body(program: &Program, body: &mut Body, fields: &Fields<'_>) {
         }
         body.blocks[b].insts = out;
     }
-}
-
-/// Variant of [`resolve_intrinsic`] that only needs receiver types, which
-/// live in `body.var_types` and are unaffected by the in-flight rewrite.
-fn resolve_intrinsic_with(
-    program: &Program,
-    body: &Body,
-    target: &CallTarget,
-    inst: &Inst,
-    _pending: &[Inst],
-) -> Option<Intrinsic> {
-    resolve_intrinsic(program, body, target, inst)
 }
 
 fn expand_call(

@@ -62,7 +62,9 @@ pub mod frontend {
     use crate::program::Program;
 
     /// Parses jweb source on top of the intrinsic model library, lowers it
-    /// to IR, and returns the program (not yet in SSA form).
+    /// to IR, and returns the program. Its own bodies are not yet in SSA
+    /// form; the library's bodies arrive in SSA form, since the shared
+    /// library is built that way once per process.
     ///
     /// # Errors
     /// Returns a [`crate::parser::ParseError`] describing the first syntax

@@ -1,38 +1,200 @@
-//! The [`Program`]: the whole-program container every analysis consumes.
+//! The [`Program`]: the whole-program container every analysis consumes,
+//! and the `Library` it extends.
+//!
+//! A program sits on a shared, immutable library: its ids number the
+//! library's classes, fields, methods, types and selectors first and its
+//! own after them, and its tables hold only what it adds. A pass that
+//! changes a library entity copies that one entity into the program
+//! (copy-on-write, by entity); every reader goes through the accessors,
+//! which look in the program's copies first and in the library after.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::class::{Class, ClassId, Field, FieldId, Selector, SelectorId};
 use crate::method::{Method, MethodId, MethodKind};
 use crate::types::{Type, TypeId, TypeTable};
-use crate::util::Interner;
+use crate::util::{FxHashMap, Interner};
+
+/// Classes, fields, methods, types and selectors that many programs
+/// share: the model library in prepared form ([`crate::stdlib`]), or the
+/// empty library under [`Program::new`].
+#[derive(Debug)]
+pub(crate) struct Library {
+    classes: Vec<Class>,
+    fields: Vec<Field>,
+    methods: Vec<Method>,
+    types: TypeTable,
+    selectors: Interner<Selector>,
+    /// Hashed with Fx, although lookups bring client text: the keys are the
+    /// library's own names, so a crafted name can at most probe this small
+    /// fixed table, and each miss (most lookups) stays cheap.
+    class_by_name: FxHashMap<String, ClassId>,
+}
+
+impl Library {
+    /// The library with no classes, whose types are the primitives.
+    fn empty() -> &'static Library {
+        static EMPTY: OnceLock<Library> = OnceLock::new();
+        EMPTY.get_or_init(|| Library {
+            classes: Vec::new(),
+            fields: Vec::new(),
+            methods: Vec::new(),
+            types: TypeTable::new(),
+            selectors: Interner::new(),
+            class_by_name: FxHashMap::default(),
+        })
+    }
+
+    /// Freezes `program`, built on the empty library, into a library
+    /// that other programs extend.
+    ///
+    /// # Panics
+    /// Panics if `program` extends another library or holds synthetic
+    /// fields or entrypoints, which belong to each program.
+    pub(crate) fn freeze(program: Program) -> Library {
+        assert!(std::ptr::eq(program.lib, Library::empty()), "a library extends no other");
+        assert!(
+            program.synthetic_fields.is_empty() && program.entrypoints.is_empty(),
+            "synthetic fields and entrypoints belong to each program"
+        );
+        Library {
+            classes: program.classes.own,
+            fields: program.fields.own,
+            methods: program.methods.own,
+            types: program.types.flatten(),
+            selectors: program.selectors,
+            class_by_name: program.class_by_name.into_iter().collect(),
+        }
+    }
+}
+
+/// One entity table of a program: the library's entities, the ones this
+/// program copied from it to change, and its own, numbered after the
+/// library's.
+#[derive(Debug, Clone)]
+struct Table<T: 'static> {
+    base: &'static [T],
+    /// `(index, entity)` for each library entity this program changed,
+    /// sorted by index.
+    copied: Vec<(usize, T)>,
+    own: Vec<T>,
+}
+
+impl<T: Clone> Table<T> {
+    fn on(base: &'static [T]) -> Self {
+        Table { base, copied: Vec::new(), own: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.base.len() + self.own.len()
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &T {
+        match i.checked_sub(self.base.len()) {
+            Some(j) => &self.own[j],
+            None if self.copied.is_empty() => &self.base[i],
+            None => match self.copied.binary_search_by_key(&i, |&(k, _)| k) {
+                Ok(at) => &self.copied[at].1,
+                Err(_) => &self.base[i],
+            },
+        }
+    }
+
+    /// The entity at `i`, copied into the program first if it is the
+    /// library's.
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        if let Some(j) = i.checked_sub(self.base.len()) {
+            return &mut self.own[j];
+        }
+        let at = match self.copied.binary_search_by_key(&i, |&(k, _)| k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.copied.insert(at, (i, self.base[i].clone()));
+                at
+            }
+        };
+        &mut self.copied[at].1
+    }
+
+    fn push(&mut self, entity: T) -> usize {
+        self.own.push(entity);
+        self.len() - 1
+    }
+
+    /// Indices of the program's own entities.
+    fn own_range(&self) -> std::ops::Range<usize> {
+        self.base.len()..self.len()
+    }
+
+    /// Every entity in id order, as [`Table::get`] reads them.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        let mut copied = self.copied.iter().peekable();
+        let base = self.base.iter().enumerate().map(move |(i, entity)| {
+            copied.next_if(|&&(k, _)| k == i).map_or(entity, |(_, copy)| copy)
+        });
+        base.chain(&self.own)
+    }
+}
 
 /// A whole program: classes, fields, methods, plus interners for types and
-/// selectors, and the designated entrypoints.
-#[derive(Debug, Default, Clone)]
+/// selectors, and the designated entrypoints, on top of a shared library
+/// (the model library of [`crate::stdlib`], or none under
+/// [`Program::new`]).
+///
+/// The tables are private: [`Program::num_classes`],
+/// [`Program::num_fields`] and [`Program::num_methods`] count the
+/// library's entities with the program's own, and the accessors read
+/// either.
+#[derive(Debug, Clone)]
 pub struct Program {
-    /// All classes.
-    pub classes: Vec<Class>,
-    /// All fields.
-    pub fields: Vec<Field>,
-    /// All methods.
-    pub methods: Vec<Method>,
-    /// Type interner.
+    lib: &'static Library,
+    classes: Table<Class>,
+    fields: Table<Field>,
+    methods: Table<Method>,
+    /// Type interner; the library's types come first.
     pub types: TypeTable,
+    /// Selectors this program interned beyond the library's, numbered
+    /// after them.
     selectors: Interner<Selector>,
+    /// Classes this program added, by name.
     class_by_name: HashMap<String, ClassId>,
     /// Methods where analysis starts (synthesized servlet/Struts
     /// entrypoints plus any `main`).
     pub entrypoints: Vec<MethodId>,
-    /// Cache of synthetic model fields (`$map$k`, `$elems`, `$content`, …)
-    /// created by model expansion, keyed by name.
-    synthetic_fields: HashMap<String, FieldId>,
+    /// Synthetic model fields (`$map$k`, `$elems`, `$content`, …) created
+    /// by model expansion, sorted by name.
+    synthetic_fields: Vec<FieldId>,
+}
+
+impl Default for Program {
+    fn default() -> Self {
+        Program::new()
+    }
 }
 
 impl Program {
-    /// Creates an empty program with a seeded type table.
+    /// Creates an empty program (on the empty library) with a seeded type
+    /// table.
     pub fn new() -> Self {
-        Program { types: TypeTable::new(), ..Default::default() }
+        Program::on(Library::empty())
+    }
+
+    /// Creates a program that extends `lib`: it starts with the library's
+    /// entities, and its own ids follow them.
+    pub(crate) fn on(lib: &'static Library) -> Self {
+        Program {
+            lib,
+            classes: Table::on(&lib.classes),
+            fields: Table::on(&lib.fields),
+            methods: Table::on(&lib.methods),
+            types: TypeTable::extending(&lib.types),
+            selectors: Interner::new(),
+            class_by_name: HashMap::new(),
+            entrypoints: Vec::new(),
+            synthetic_fields: Vec::new(),
+        }
     }
 
     // ----- classes -----
@@ -42,26 +204,32 @@ impl Program {
     /// # Panics
     /// Panics if a class with the same name already exists.
     pub fn add_class(&mut self, class: Class) -> ClassId {
-        assert!(!self.class_by_name.contains_key(&class.name), "duplicate class `{}`", class.name);
+        assert!(self.class_by_name(&class.name).is_none(), "duplicate class `{}`", class.name);
         let id = ClassId::new(self.classes.len());
         self.class_by_name.insert(class.name.clone(), id);
         self.classes.push(class);
         id
     }
 
-    /// Access a class.
-    pub fn class(&self, id: ClassId) -> &Class {
-        &self.classes[id.index()]
+    /// Number of classes, the library's included.
+    pub fn num_classes(&self) -> usize {
+        self.classes.len()
     }
 
-    /// Mutable access to a class.
+    /// Access a class.
+    pub fn class(&self, id: ClassId) -> &Class {
+        self.classes.get(id.index())
+    }
+
+    /// Mutable access to a class (a library class is copied into the
+    /// program first).
     pub fn class_mut(&mut self, id: ClassId) -> &mut Class {
-        &mut self.classes[id.index()]
+        self.classes.get_mut(id.index())
     }
 
     /// Looks a class up by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.class_by_name.get(name).copied()
+        self.lib.class_by_name.get(name).or_else(|| self.class_by_name.get(name)).copied()
     }
 
     /// Iterates over `(ClassId, &Class)`.
@@ -73,16 +241,20 @@ impl Program {
 
     /// Adds a field to its owner class, returning its id.
     pub fn add_field(&mut self, field: Field) -> FieldId {
-        let id = FieldId::new(self.fields.len());
         let owner = field.owner;
-        self.fields.push(field);
-        self.classes[owner.index()].fields.push(id);
+        let id = FieldId::new(self.fields.push(field));
+        self.class_mut(owner).fields.push(id);
         id
+    }
+
+    /// Number of fields, the library's included.
+    pub fn num_fields(&self) -> usize {
+        self.fields.len()
     }
 
     /// Access a field.
     pub fn field(&self, id: FieldId) -> &Field {
-        &self.fields[id.index()]
+        self.fields.get(id.index())
     }
 
     /// Finds a field by name on `class` or any superclass.
@@ -103,29 +275,37 @@ impl Program {
     /// given name, owned by the root object class. Model expansion uses
     /// these for container contents, builder contents, and map keys.
     pub fn synthetic_field(&mut self, name: &str, ty: TypeId) -> FieldId {
-        if let Some(&f) = self.synthetic_fields.get(name) {
-            return f;
+        match self.synthetic_slot(name) {
+            Ok(at) => self.synthetic_fields[at],
+            Err(at) => {
+                let owner = ClassId::new(0); // root object class by convention
+                let f =
+                    self.add_field(Field { name: name.to_string(), owner, ty, is_static: false });
+                self.synthetic_fields.insert(at, f);
+                f
+            }
         }
-        let owner = ClassId::new(0); // root object class by convention
-        let f = self.add_field(Field { name: name.to_string(), owner, ty, is_static: false });
-        self.synthetic_fields.insert(name.to_string(), f);
-        f
+    }
+
+    /// Where `name` is, or would go, in the synthetic fields.
+    fn synthetic_slot(&self, name: &str) -> Result<usize, usize> {
+        self.synthetic_fields.binary_search_by(|&f| self.field(f).name.as_str().cmp(name))
     }
 
     /// Looks up an existing synthetic field without creating it.
     pub fn find_synthetic_field(&self, name: &str) -> Option<FieldId> {
-        self.synthetic_fields.get(name).copied()
+        self.synthetic_slot(name).ok().map(|at| self.synthetic_fields[at])
     }
 
     /// All synthetic map-key fields created so far (name starts with
     /// `$map$`), used to expand non-constant-key `get` conservatively.
-    /// Sorted by id, so the order is the program's, not the hash map's.
+    /// Sorted by id, so the order is the program's, not the names'.
     pub fn map_key_fields(&self) -> Vec<FieldId> {
         let mut fields: Vec<FieldId> = self
             .synthetic_fields
             .iter()
-            .filter(|(n, _)| n.starts_with("$map$"))
-            .map(|(_, &f)| f)
+            .copied()
+            .filter(|&f| self.field(f).name.starts_with("$map$"))
             .collect();
         fields.sort_unstable();
         fields
@@ -135,21 +315,26 @@ impl Program {
 
     /// Adds a method to its owner class, returning its id.
     pub fn add_method(&mut self, method: Method) -> MethodId {
-        let id = MethodId::new(self.methods.len());
         let owner = method.owner;
-        self.methods.push(method);
-        self.classes[owner.index()].methods.push(id);
+        let id = MethodId::new(self.methods.push(method));
+        self.class_mut(owner).methods.push(id);
         id
+    }
+
+    /// Number of methods, the library's included.
+    pub fn num_methods(&self) -> usize {
+        self.methods.len()
     }
 
     /// Access a method.
     pub fn method(&self, id: MethodId) -> &Method {
-        &self.methods[id.index()]
+        self.methods.get(id.index())
     }
 
-    /// Mutable access to a method.
+    /// Mutable access to a method (a library method is copied into the
+    /// program first).
     pub fn method_mut(&mut self, id: MethodId) -> &mut Method {
-        &mut self.methods[id.index()]
+        self.methods.get_mut(id.index())
     }
 
     /// Iterates over `(MethodId, &Method)`.
@@ -157,19 +342,40 @@ impl Program {
         self.methods.iter().enumerate().map(|(i, m)| (MethodId::new(i), m))
     }
 
+    /// Ids of the methods this program added to its library. A pass that
+    /// rewrites bodies visits only these: the library's bodies are in
+    /// SSA form and fixed points of every modeling pass.
+    pub fn own_method_ids(&self) -> impl Iterator<Item = MethodId> {
+        self.methods.own_range().map(MethodId::new)
+    }
+
     /// Interns a selector.
     pub fn selector(&mut self, name: &str, arity: usize) -> SelectorId {
-        SelectorId(self.selectors.intern(Selector { name: name.to_string(), arity }))
+        let sel = Selector { name: name.to_string(), arity };
+        match self.lib.selectors.lookup(&sel) {
+            Some(id) => SelectorId(id),
+            None => SelectorId(self.lib.selectors.len() as u32 + self.selectors.intern(sel)),
+        }
     }
 
     /// Looks up an interned selector.
     pub fn find_selector(&self, name: &str, arity: usize) -> Option<SelectorId> {
-        self.selectors.lookup(&Selector { name: name.to_string(), arity }).map(SelectorId)
+        let sel = Selector { name: name.to_string(), arity };
+        match self.lib.selectors.lookup(&sel) {
+            Some(id) => Some(SelectorId(id)),
+            None => self
+                .selectors
+                .lookup(&sel)
+                .map(|id| SelectorId(self.lib.selectors.len() as u32 + id)),
+        }
     }
 
     /// Resolves a selector id.
     pub fn resolve_selector(&self, id: SelectorId) -> &Selector {
-        self.selectors.resolve(id.0)
+        match id.0.checked_sub(self.lib.selectors.len() as u32) {
+            Some(own) => self.selectors.resolve(own),
+            None => self.lib.selectors.resolve(id.0),
+        }
     }
 
     /// Finds the method matching `selector` declared on `class` itself
@@ -403,8 +609,8 @@ mod tests {
         assert_eq!(p.find_synthetic_field("$nope"), None);
     }
 
-    /// Each program's field map hashes with its own random keys; the
-    /// key fields must still come back in one order, the creation order.
+    /// The key fields come back in one order, the creation order, not
+    /// the order of their names.
     #[test]
     fn map_key_fields_are_in_id_order() {
         let orders: Vec<Vec<FieldId>> = (0..17)
@@ -433,6 +639,36 @@ mod tests {
             p.add_field(Field { name: "name".into(), owner: obj, ty: str_ty, is_static: false });
         assert_eq!(p.field_by_name(dog, "name"), Some(f));
         assert_eq!(p.field_by_name(dog, "missing"), None);
+    }
+
+    #[test]
+    fn a_program_extends_the_library_without_changing_it() {
+        let library = crate::stdlib::stdlib_program();
+        let object = library.class_by_name("Object").unwrap();
+        let types = library.types.len();
+
+        let mut p = crate::stdlib::stdlib_program();
+        let app = p.add_class(Class::new("App"));
+        assert_eq!(app.index(), library.num_classes(), "own ids follow the library's");
+        assert_eq!(p.class_by_name("App"), Some(app));
+        let render = p.selector("render", 1);
+        assert_eq!(p.resolve_selector(render).name, "render");
+        assert_eq!(p.selector("render", 1), render);
+        let elems = p.synthetic_field("$elems", p.types.string());
+        assert_eq!(elems.index(), library.num_fields());
+        assert_eq!(p.class(object).fields, vec![elems], "`Object` is copied, then changed");
+        assert!(p.types.class(object).index() < types, "a library type keeps its id");
+        let app_ty = p.types.class(app);
+        let array = p.types.array(app_ty);
+        assert_eq!(array.index(), types + 1, "own types follow the library's");
+        assert_eq!(p.types.resolve(array), Type::Array(TypeId::new(types)));
+
+        let next = crate::stdlib::stdlib_program();
+        assert!(next.class(object).fields.is_empty(), "the library's `Object` is unchanged");
+        assert_eq!(next.num_classes(), library.num_classes());
+        assert_eq!(next.class_by_name("App"), None);
+        assert_eq!(next.find_selector("render", 1), None);
+        assert_eq!(next.types.len(), types);
     }
 
     #[test]

@@ -18,10 +18,12 @@ use crate::inst::{BlockId, Inst, Var};
 use crate::method::{Body, MethodKind};
 use crate::program::Program;
 
-/// Converts every method body in `program` to SSA form.
+/// Converts every method body in `program` to SSA form. The library's
+/// bodies already are, so only the program's own are visited.
 pub fn program_to_ssa(program: &mut Program) {
     let mut scratch = Scratch::default();
-    for m in &mut program.methods {
+    for mid in program.own_method_ids() {
+        let m = program.method_mut(mid);
         let incoming = m.params.len() + usize::from(!m.is_static);
         if let MethodKind::Body(body) = &mut m.kind {
             if !body.is_ssa {

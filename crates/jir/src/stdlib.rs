@@ -6,11 +6,15 @@
 //! surface (servlet API, collections, string builders, reflection, JDBC,
 //! threads, Struts/EJB hooks) in jweb source, then patches selected
 //! body-less methods with [`Intrinsic`] semantics.
+//!
+//! The library is built once per process, in prepared form: lowered,
+//! intrinsics patched, bodies in SSA. Every program extends that one
+//! shared library rather than a copy of it.
 
 use std::sync::OnceLock;
 
 use crate::method::{Intrinsic, MethodKind};
-use crate::program::Program;
+use crate::program::{Library, Program};
 
 /// jweb source of the model library. Body-less methods are patched to
 /// intrinsics by [`stdlib_program`]; methods with bodies are analyzed like
@@ -261,22 +265,35 @@ library interface EJBObject {
 "#;
 
 /// Returns a program containing exactly the model library, with intrinsic
-/// semantics patched in and collection/factory markers set.
+/// semantics patched in, collection/factory markers set and bodies in SSA
+/// form.
 ///
-/// The library is parsed and lowered once per process. Each call returns
-/// its own copy: the analyses mutate the program they are given
-/// (whitelisting, EJB rewrites, model expansion, SSA), so no two programs
-/// ever share the library.
+/// The library is parsed, lowered and converted once per process, and
+/// every program returned extends that one shared library: it holds
+/// only what is added to it, and a pass that changes a library class or
+/// method (a whitelist, the synthetic fields on `Object`) changes the
+/// program's own copy of that entity.
 ///
 /// # Panics
 /// Panics if the embedded library source fails to parse (a bug, covered by
 /// tests).
 pub fn stdlib_program() -> Program {
-    static LIBRARY: OnceLock<Program> = OnceLock::new();
-    LIBRARY.get_or_init(build_library).clone()
+    static LIBRARY: OnceLock<Library> = OnceLock::new();
+    Program::on(LIBRARY.get_or_init(|| {
+        let mut p = library_program();
+        crate::ssa::program_to_ssa(&mut p);
+        Library::freeze(p)
+    }))
 }
 
-fn build_library() -> Program {
+/// Builds the model library afresh as a program of its own, on the empty
+/// library and before SSA: what the shared library is made from. A pass
+/// run on it visits the library's bodies, which a program returned by
+/// [`stdlib_program`] never does.
+///
+/// # Panics
+/// Panics if the embedded library source fails to parse.
+pub fn library_program() -> Program {
     let mut p = Program::new();
     let ast = crate::parser::parse(STDLIB_SRC).expect("stdlib source parses");
     crate::lower::lower(&mut p, &ast).expect("stdlib source lowers");

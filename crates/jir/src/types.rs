@@ -3,7 +3,7 @@
 
 use crate::class::ClassId;
 use crate::index_type;
-use crate::util::Interner;
+use crate::util::{FxBuildHasher, Interner};
 
 index_type! {
     /// Interned id of a [`Type`].
@@ -55,16 +55,21 @@ impl Type {
 pub(crate) const NULL: TypeId = TypeId(4);
 
 /// Interner for [`Type`]s; guarantees `TypeId` equality iff type equality.
+///
+/// A table may extend a shared base table (the model library's):
+/// the base's types keep their ids, and the table's own follow them.
 #[derive(Debug, Clone, Default)]
 pub struct TypeTable {
-    inner: Interner<Type>,
+    base: Option<&'static TypeTable>,
+    /// Keys are ids the program mints, so they hash with Fx.
+    inner: Interner<Type, FxBuildHasher>,
 }
 
 impl TypeTable {
     /// Creates a table pre-seeded with the primitive types so their ids are
     /// stable and cheap to obtain.
     pub fn new() -> Self {
-        let mut t = TypeTable { inner: Interner::new() };
+        let mut t = TypeTable::default();
         // Seed in a fixed order; see the `WellKnown` accessors below.
         t.intern(Type::Void);
         t.intern(Type::Int);
@@ -74,14 +79,43 @@ impl TypeTable {
         t
     }
 
+    /// Creates a table that extends `base`, which must extend no other.
+    pub(crate) fn extending(base: &'static TypeTable) -> Self {
+        assert!(base.base.is_none(), "a base type table extends no other");
+        TypeTable { base: Some(base), inner: Interner::default() }
+    }
+
+    /// The same types under the same ids, in one table of its own.
+    pub(crate) fn flatten(&self) -> TypeTable {
+        let mut flat = TypeTable::default();
+        for i in 0..self.len() {
+            flat.inner.intern(self.resolve(TypeId(i as u32)));
+        }
+        flat
+    }
+
+    fn base_len(&self) -> u32 {
+        self.base.map_or(0, |b| b.inner.len() as u32)
+    }
+
     /// Interns a type.
     pub fn intern(&mut self, ty: Type) -> TypeId {
-        TypeId(self.inner.intern(ty))
+        if let Some(id) = self.base.and_then(|b| b.inner.lookup(&ty)) {
+            return TypeId(id);
+        }
+        TypeId(self.base_len() + self.inner.intern(ty))
     }
 
     /// Resolves a type id.
+    #[inline]
     pub fn resolve(&self, id: TypeId) -> Type {
-        *self.inner.resolve(id.0)
+        match self.base {
+            Some(b) => match id.0.checked_sub(b.inner.len() as u32) {
+                Some(own) => *self.inner.resolve(own),
+                None => *b.inner.resolve(id.0),
+            },
+            None => *self.inner.resolve(id.0),
+        }
     }
 
     /// The id of `void`.
@@ -119,14 +153,14 @@ impl TypeTable {
         self.intern(Type::Array(elem))
     }
 
-    /// Number of distinct types.
+    /// Number of distinct types, the base's included.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.base_len() as usize + self.inner.len()
     }
 
     /// Whether the table holds no types (never true after `new`).
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len() == 0
     }
 }
 

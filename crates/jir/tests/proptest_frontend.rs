@@ -3,6 +3,13 @@
 
 use proptest::prelude::*;
 
+/// The input `parser_never_panics` once shrank to, replayed on every run:
+/// one three-byte UTF-8 character.
+#[test]
+fn recorded_multibyte_character_case() {
+    let _ = jir::parser::parse("\u{800}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

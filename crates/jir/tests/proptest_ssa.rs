@@ -220,130 +220,161 @@ impl Reference {
     }
 }
 
+/// After SSA conversion, every register has at most one definition.
+fn check_ssa_defs_are_unique(spec: &BodySpec) {
+    let mut body = build_body(spec);
+    to_ssa(&mut body, 0);
+    let mut seen = std::collections::HashSet::new();
+    for (_, block) in body.iter_blocks() {
+        for inst in &block.insts {
+            if let Some(d) = inst.def() {
+                assert!(seen.insert(d), "double definition of {d:?}");
+            }
+        }
+    }
+}
+
+/// φ operand lists exactly mirror the block's predecessor list.
+fn check_phi_operands_match_predecessors(spec: &BodySpec) {
+    let mut body = build_body(spec);
+    to_ssa(&mut body, 0);
+    let cfg = Cfg::build(&body);
+    for (bid, block) in body.iter_blocks() {
+        for inst in &block.insts {
+            if let Inst::Phi { srcs, .. } = inst {
+                assert_eq!(srcs.len(), cfg.preds(bid).len(), "phi arity mismatch in {:?}", bid);
+                for (p, _) in srcs {
+                    assert!(cfg.preds(bid).contains(p));
+                }
+            }
+        }
+    }
+}
+
+/// Every (non-φ) use of a register is dominated by its definition.
+fn check_uses_dominated_by_defs(spec: &BodySpec) {
+    let mut body = build_body(spec);
+    to_ssa(&mut body, 0);
+    let cfg = Cfg::build(&body);
+    let dom = DomTree::build(&cfg);
+    let defs = def_sites(&body);
+    let mut uses = Vec::new();
+    for (bid, block) in body.iter_blocks() {
+        if !cfg.is_reachable(bid) {
+            continue;
+        }
+        for (i, inst) in block.insts.iter().enumerate() {
+            if matches!(inst, Inst::Phi { .. }) {
+                continue; // φ uses are at predecessor exits
+            }
+            uses.clear();
+            inst.uses(&mut uses);
+            for &u in &uses {
+                if let Some(dl) = defs[u.index()] {
+                    if dl.block == bid {
+                        assert!((dl.idx as usize) < i, "use before def within {bid:?}");
+                    } else {
+                        assert!(
+                            dom.dominates(dl.block, bid),
+                            "def of {u:?} in {:?} does not dominate use in {bid:?}",
+                            dl.block
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Dominator sanity: entry dominates every reachable block; idom is a
+/// strict dominator.
+fn check_dominator_invariants(spec: &BodySpec) {
+    let body = build_body(spec);
+    let cfg = Cfg::build(&body);
+    let dom = DomTree::build(&cfg);
+    for (bid, _) in body.iter_blocks() {
+        if !cfg.is_reachable(bid) {
+            continue;
+        }
+        assert!(dom.dominates(BlockId(0), bid));
+        if bid != BlockId(0) {
+            let idom = dom.idom[bid.index()].expect("reachable block has idom");
+            assert!(dom.dominates(idom, bid));
+            assert!(idom != bid);
+        }
+    }
+}
+
+/// SSA conversion is idempotent on the instruction count (running the
+/// renaming again must not add φs or registers).
+fn check_ssa_structure_is_stable(spec: &BodySpec) {
+    let mut body = build_body(spec);
+    to_ssa(&mut body, 0);
+    let insts_after: usize = body.num_insts();
+    let vars_after = body.num_vars;
+    assert!(body.is_ssa);
+    // A second conversion is a no-op because `is_ssa` bodies are
+    // skipped by `program_to_ssa`; converting manually must still
+    // yield a valid SSA form with unique defs.
+    let mut again = body.clone();
+    again.is_ssa = false;
+    to_ssa(&mut again, 0);
+    let mut seen = std::collections::HashSet::new();
+    for (_, block) in again.iter_blocks() {
+        for inst in &block.insts {
+            if let Some(d) = inst.def() {
+                assert!(seen.insert(d));
+            }
+        }
+    }
+    let _ = (insts_after, vars_after);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// After SSA conversion, every register has at most one definition.
     #[test]
     fn ssa_defs_are_unique(spec in body_spec()) {
-        let mut body = build_body(&spec);
-        to_ssa(&mut body, 0);
-        let mut seen = std::collections::HashSet::new();
-        for (_, block) in body.iter_blocks() {
-            for inst in &block.insts {
-                if let Some(d) = inst.def() {
-                    prop_assert!(seen.insert(d), "double definition of {d:?}");
-                }
-            }
-        }
+        check_ssa_defs_are_unique(&spec);
     }
 
-    /// φ operand lists exactly mirror the block's predecessor list.
     #[test]
     fn phi_operands_match_predecessors(spec in body_spec()) {
-        let mut body = build_body(&spec);
-        to_ssa(&mut body, 0);
-        let cfg = Cfg::build(&body);
-        for (bid, block) in body.iter_blocks() {
-            for inst in &block.insts {
-                if let Inst::Phi { srcs, .. } = inst {
-                    prop_assert_eq!(
-                        srcs.len(),
-                        cfg.preds(bid).len(),
-                        "phi arity mismatch in {:?}", bid
-                    );
-                    for (p, _) in srcs {
-                        prop_assert!(cfg.preds(bid).contains(p));
-                    }
-                }
-            }
-        }
+        check_phi_operands_match_predecessors(&spec);
     }
 
-    /// Every (non-φ) use of a register is dominated by its definition.
     #[test]
     fn uses_dominated_by_defs(spec in body_spec()) {
-        let mut body = build_body(&spec);
-        to_ssa(&mut body, 0);
-        let cfg = Cfg::build(&body);
-        let dom = DomTree::build(&cfg);
-        let defs = def_sites(&body);
-        let mut uses = Vec::new();
-        for (bid, block) in body.iter_blocks() {
-            if !cfg.is_reachable(bid) {
-                continue;
-            }
-            for (i, inst) in block.insts.iter().enumerate() {
-                if matches!(inst, Inst::Phi { .. }) {
-                    continue; // φ uses are at predecessor exits
-                }
-                uses.clear();
-                inst.uses(&mut uses);
-                for &u in &uses {
-                    if let Some(dl) = defs[u.index()] {
-                        if dl.block == bid {
-                            prop_assert!(
-                                (dl.idx as usize) < i,
-                                "use before def within {bid:?}"
-                            );
-                        } else {
-                            prop_assert!(
-                                dom.dominates(dl.block, bid),
-                                "def of {u:?} in {:?} does not dominate use in {bid:?}",
-                                dl.block
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        check_uses_dominated_by_defs(&spec);
     }
 
-    /// Dominator sanity: entry dominates every reachable block; idom is a
-    /// strict dominator.
     #[test]
     fn dominator_invariants(spec in body_spec()) {
-        let body = build_body(&spec);
-        let cfg = Cfg::build(&body);
-        let dom = DomTree::build(&cfg);
-        for (bid, _) in body.iter_blocks() {
-            if !cfg.is_reachable(bid) {
-                continue;
-            }
-            prop_assert!(dom.dominates(BlockId(0), bid));
-            if bid != BlockId(0) {
-                let idom = dom.idom[bid.index()].expect("reachable block has idom");
-                prop_assert!(dom.dominates(idom, bid));
-                prop_assert!(idom != bid);
-            }
-        }
+        check_dominator_invariants(&spec);
     }
 
-    /// SSA conversion is idempotent on the instruction count (running the
-    /// renaming again must not add φs or registers).
     #[test]
     fn ssa_structure_is_stable(spec in body_spec()) {
-        let mut body = build_body(&spec);
-        to_ssa(&mut body, 0);
-        let insts_after: usize = body.num_insts();
-        let vars_after = body.num_vars;
-        prop_assert!(body.is_ssa);
-        // A second conversion is a no-op because `is_ssa` bodies are
-        // skipped by `program_to_ssa`; converting manually must still
-        // yield a valid SSA form with unique defs.
-        let mut again = body.clone();
-        again.is_ssa = false;
-        to_ssa(&mut again, 0);
-        let mut seen = std::collections::HashSet::new();
-        for (_, block) in again.iter_blocks() {
-            for inst in &block.insts {
-                if let Some(d) = inst.def() {
-                    prop_assert!(seen.insert(d));
-                }
-            }
-        }
-        let _ = (insts_after, vars_after);
+        check_ssa_structure_is_stable(&spec);
     }
+}
+
+/// The case the properties above once shrank to, replayed on every run:
+/// block 1 is unreachable and redefines register 0 from register 1.
+#[test]
+fn recorded_unreachable_redefinition_case() {
+    let spec = BodySpec {
+        nblocks: 2,
+        nvars: 2,
+        code: vec![(1, 0, 0)],
+        terms: vec![(0, 0, 0), (0, 0, 0)],
+        handlers: vec![(false, 0); 2],
+    };
+    check_ssa_defs_are_unique(&spec);
+    check_phi_operands_match_predecessors(&spec);
+    check_uses_dominated_by_defs(&spec);
+    check_dominator_invariants(&spec);
+    check_ssa_structure_is_stable(&spec);
 }
 
 proptest! {

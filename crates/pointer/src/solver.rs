@@ -519,7 +519,7 @@ impl<'p> Solver<'p> {
             program,
             config,
             contexts,
-            choices: vec![None; 2 * program.methods.len()],
+            choices: vec![None; 2 * program.num_methods()],
             virtual_targets: FxHashMap::default(),
             node_ids: Interner::default(),
             ikeys: Interner::default(),
@@ -537,7 +537,7 @@ impl<'p> Solver<'p> {
             added: Vec::new(),
             call_edges: Vec::new(),
             neighbours: Vec::new(),
-            method_nodes: vec![Vec::new(); program.methods.len()],
+            method_nodes: vec![Vec::new(); program.num_methods()],
             edge_seen: FxHashSet::default(),
             site_once: FxHashSet::default(),
             intrinsic_targets: FxHashMap::default(),

@@ -127,6 +127,61 @@ fn whitelisting_a_library_class_leaves_the_next_program_intact() {
     assert!(get_session_has_body(&default), "getSession keeps its body in the next program");
 }
 
+/// Every class, with its field and method ids, then every method's IR.
+fn printed_ir(prepared: &PreparedProgram) -> String {
+    let program = &prepared.program;
+    let mut out = String::new();
+    for (_, class) in program.iter_classes() {
+        out += &format!("class {} {:?} {:?}\n", class.name, class.fields, class.methods);
+    }
+    for (mid, _) in program.iter_methods() {
+        out += &taj::jir::pretty::method_to_string(program, mid);
+    }
+    out
+}
+
+#[test]
+fn concurrent_prepares_share_the_library_without_interference() {
+    // Programs extend one shared model library, and the daemon's workers
+    // prepare at once: a whitelist on one thread must neither reach the
+    // other thread's program nor see that program's additions.
+    let src = r#"
+        class Page extends HttpServlet {
+            method void doGet(HttpServletRequest req, HttpServletResponse resp) {
+                HttpSession s = req.getSession();
+                s.setAttribute("name", req.getParameter("name"));
+                resp.getWriter().println(s.getAttribute("name"));
+            }
+        }
+    "#;
+    let whitelisted = || {
+        let mut rules = RuleSet::default_rules();
+        rules.whitelist.push("HttpServletRequest".into());
+        rules
+    };
+    let expected = [whitelisted(), RuleSet::default_rules()]
+        .map(|rules| printed_ir(&prepare(src, None, rules).unwrap()));
+    assert_ne!(expected[0], expected[1], "the whitelist changes the program");
+    for round in 0..8 {
+        let barrier = std::sync::Barrier::new(2);
+        let got = std::thread::scope(|s| {
+            [whitelisted(), RuleSet::default_rules()]
+                .map(|rules| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        printed_ir(&prepare(src, None, rules).unwrap())
+                    })
+                })
+                .map(|handle| handle.join().unwrap())
+        });
+        assert!(
+            got == expected,
+            "round {round}: a concurrent prepare differs from a sequential one"
+        );
+    }
+}
+
 #[test]
 fn ejb_flow_requires_descriptor() {
     let src = r#"

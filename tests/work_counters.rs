@@ -299,15 +299,15 @@ impl Fnv1a {
 fn prepared_ir(prepared: &PreparedProgram) -> PreparedIr {
     let program = &prepared.program;
     let mut row = PreparedIr {
-        classes: program.classes.len(),
-        methods: program.methods.len(),
+        classes: program.num_classes(),
+        methods: program.num_methods(),
         bodies: 0,
         blocks: 0,
         insts: 0,
         phis: 0,
         registers: 0,
         types: program.types.len(),
-        fields: program.fields.len(),
+        fields: program.num_fields(),
         entrypoints: program.entrypoints.len(),
         synthetic_sites: prepared.synthetic_sites.len(),
         fingerprint: 0,
