@@ -30,26 +30,25 @@ const SOURCE: &str = r#"
 "#;
 
 fn main() {
-    let rules = RuleSet::default_rules();
     let mut program = jir::frontend::parse_program(SOURCE).expect("parses");
     taj_core::frameworks::synthesize_entrypoints(&mut program);
     jir::expand::expand_models(&mut program);
     jir::ssa::program_to_ssa(&mut program);
+    let resolved = RuleSet::default_rules().resolve(&program);
     let pts = analyze(
         &program,
         &SolverConfig {
-            policy: PolicyConfig { taint_methods: rules.taint_methods(&program) },
-            source_methods: rules.all_sources(&program),
+            policy: PolicyConfig { taint_methods: resolved.taint_methods() },
+            source_methods: resolved.sources(),
             ..Default::default()
         },
     );
-    let resolved = rules.resolve(&program);
     let xss = resolved.iter().find(|r| r.issue == taj_core::IssueType::Xss).expect("xss rule");
     let mut spec = SliceSpec::default();
-    spec.sources.extend(xss.sources.iter().copied());
-    spec.sanitizers.extend(xss.sanitizers.iter().copied());
-    for (m, pos) in &xss.sinks {
-        spec.sinks.insert(*m, pos.clone());
+    spec.sources.extend(xss.sources());
+    spec.sanitizers.extend(xss.sanitizers());
+    for (m, pos) in xss.sinks() {
+        spec.sinks.insert(m, pos.to_vec());
     }
     let index = SliceIndex::build(&program, &pts, [&spec]);
     let view = ProgramView::build(&index, &spec);

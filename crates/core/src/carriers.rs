@@ -27,12 +27,11 @@ use crate::rules::ResolvedRule;
 pub fn build_carrier_index(
     index: &SliceIndex<'_>,
     heap: &HeapGraph,
-    rule: &ResolvedRule,
+    rule: ResolvedRule<'_>,
     nested_depth: Option<usize>,
 ) -> FxHashMap<u32, Vec<CarrierSink>> {
     let mut carriers: FxHashMap<u32, Vec<CarrierSink>> = FxHashMap::default();
-    let sink_positions: FxHashMap<jir::MethodId, &[usize]> =
-        rule.sinks.iter().map(|(m, p)| (*m, p.as_slice())).collect();
+    let sink_positions: FxHashMap<jir::MethodId, &[usize]> = rule.sinks().collect();
     let pts = index.pts;
     for site in index.sites_calling(sink_positions.keys().copied()) {
         let (node, loc) = (site.node, site.loc);
@@ -74,8 +73,11 @@ mod tests {
 
     /// The slice index needs only the rule's sinks to inventory its sink
     /// calls.
-    fn xss_spec(rule: &ResolvedRule) -> SliceSpec {
-        SliceSpec { sinks: rule.sinks.iter().cloned().collect(), ..SliceSpec::default() }
+    fn xss_spec(rule: ResolvedRule<'_>) -> SliceSpec {
+        SliceSpec {
+            sinks: rule.sinks().map(|(m, p)| (m, p.to_vec())).collect(),
+            ..SliceSpec::default()
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use taj_supervise::{InterruptReason, Supervisor};
 use crate::config::{Algorithm, TajConfig};
 use crate::frameworks::DeploymentDescriptor;
 use crate::lcp;
-use crate::rules::{IssueType, RuleSet};
+use crate::rules::{IssueType, ResolvedRule, ResolvedRules, RuleSet};
 
 /// A reported flow with human-readable anchors (serializable).
 #[derive(Clone, Debug, Serialize)]
@@ -224,8 +224,9 @@ pub struct PreparedProgram {
     pub program: Program,
     /// Synthetic exception-source sites `(method, loc)` (§4.1.2).
     pub synthetic_sites: Vec<(jir::MethodId, jir::Loc)>,
-    /// The rule set in force.
-    pub rules: RuleSet,
+    /// The rule set in force, resolved against `program` once for both
+    /// phases.
+    pub rules: ResolvedRules,
 }
 
 /// Parses and prepares a program: framework entrypoints, EJB descriptor
@@ -243,7 +244,7 @@ pub fn prepare(
 
 /// [`prepare`] under a tracing recorder: records `prepare.parse`,
 /// `prepare.model` (whitelist/entrypoints/descriptor/exceptions/model
-/// expansion), and `prepare.ssa` spans.
+/// expansion, then the rules' resolution), and `prepare.ssa` spans.
 ///
 /// # Errors
 /// Returns [`TajError::Parse`] on frontend failures.
@@ -280,6 +281,7 @@ pub fn prepare_traced(
     }
     let synthetic_sites = crate::exceptions::model_exceptions(&mut program);
     jir::expand::expand_models(&mut program);
+    let rules = rules.resolve(&program);
     if recorder.is_enabled() {
         model_span.attr("synthetic_sites", synthetic_sites.len());
     }
@@ -369,10 +371,10 @@ pub fn run_phase1_traced(
     let program = &prepared.program;
     let mut phase_span = recorder.span("phase1");
     let solver_cfg = SolverConfig {
-        policy: PolicyConfig { taint_methods: prepared.rules.taint_methods(program) },
+        policy: PolicyConfig { taint_methods: prepared.rules.taint_methods() },
         max_cg_nodes: config.max_cg_nodes,
         priority: config.priority,
-        source_methods: prepared.rules.all_sources(program),
+        source_methods: prepared.rules.sources(),
         supervisor: supervisor.clone(),
     };
     let pts = taj_pointer::analyze_traced(program, &solver_cfg, recorder);
@@ -576,7 +578,7 @@ fn slice_pass(
     let heap = &phase1.heap;
 
     // ---- Phase 2: per-rule slicing (§3.2) + modeling + bounds (§6.2).
-    let resolved = prepared.rules.resolve(program);
+    let resolved: Vec<ResolvedRule<'_>> = prepared.rules.iter().collect();
     let mut stats = AnalysisStats {
         cg_nodes: pts.stats.nodes,
         cg_edges: pts.stats.call_edges,
@@ -598,7 +600,7 @@ fn slice_pass(
     // rule-independent too: built once per pass, for their slicer only.
     let mut specs_span = recorder.span("phase2.specs");
     let mut specs: Vec<SliceSpec> =
-        resolved.iter().map(|rule| build_spec(prepared, pts, rule)).collect();
+        resolved.iter().map(|rule| build_spec(prepared, pts, *rule)).collect();
     if recorder.is_enabled() {
         specs_span.attr("rules", resolved.len());
     }
@@ -607,7 +609,7 @@ fn slice_pass(
     let index = SliceIndex::build(program, pts, &specs);
     for (spec, rule) in specs.iter_mut().zip(&resolved) {
         spec.carrier_sinks =
-            crate::carriers::build_carrier_index(&index, heap, rule, config.nested_depth);
+            crate::carriers::build_carrier_index(&index, heap, *rule, config.nested_depth);
     }
     let views: Vec<ProgramView<'_>> =
         specs.iter().map(|spec| ProgramView::build(&index, spec)).collect();
@@ -801,16 +803,10 @@ fn slice_pass(
 
 /// A rule's projection for the slicers; its carrier index comes later,
 /// from the slice index.
-fn build_spec(
-    prepared: &PreparedProgram,
-    pts: &PointsTo,
-    rule: &crate::rules::ResolvedRule,
-) -> SliceSpec {
-    let program = &prepared.program;
+fn build_spec(prepared: &PreparedProgram, pts: &PointsTo, rule: ResolvedRule<'_>) -> SliceSpec {
     let mut spec = SliceSpec::default();
-    let get_message =
-        program.class_by_name("Throwable").and_then(|c| program.method_by_name(c, "getMessage"));
-    for &s in &rule.sources {
+    let get_message = prepared.rules.get_message();
+    for s in rule.sources() {
         // For the InfoLeak rule, `getMessage` is a source only at the
         // synthesized catch-site calls (§4.1.2), not everywhere.
         if rule.uses_exception_sources() && Some(s) == get_message {
@@ -818,12 +814,12 @@ fn build_spec(
         }
         spec.sources.insert(s);
     }
-    spec.sanitizers.extend(rule.sanitizers.iter().copied());
-    for (m, pos) in &rule.sinks {
-        spec.sinks.insert(*m, pos.clone());
+    spec.sanitizers.extend(rule.sanitizers());
+    for (m, pos) in rule.sinks() {
+        spec.sinks.insert(m, pos.to_vec());
     }
-    for (m, pos) in &rule.ref_sources {
-        spec.ref_sources.insert(*m, pos.clone());
+    for (m, pos) in rule.ref_sources() {
+        spec.ref_sources.insert(m, pos.to_vec());
     }
     if rule.uses_exception_sources() {
         for &(method, loc) in &prepared.synthetic_sites {

@@ -117,6 +117,9 @@ fn add_entry_method(p: &mut Program, name: String, body: Body) -> MethodId {
 
 /// Synthesizes all entrypoints: `main` methods, servlet lifecycles, and
 /// Struts actions. Returns the number of entrypoints created.
+///
+/// Entrypoints are application code, so only the program's own classes
+/// and methods are visited, never the shared model library's.
 pub fn synthesize_entrypoints(p: &mut Program) -> usize {
     let before = p.entrypoints.len();
     collect_main_entrypoints(p);
@@ -127,15 +130,15 @@ pub fn synthesize_entrypoints(p: &mut Program) -> usize {
 
 fn collect_main_entrypoints(p: &mut Program) {
     let mains: Vec<MethodId> = p
-        .iter_methods()
-        .filter(|(_, m)| {
+        .own_method_ids()
+        .filter(|&id| {
+            let m = p.method(id);
             m.is_static
                 && m.name == "main"
                 && m.params.is_empty()
                 && m.body().is_some()
                 && !p.class(m.owner).is_library
         })
-        .map(|(id, _)| id)
         .collect();
     for m in mains {
         if !p.entrypoints.contains(&m) {
@@ -152,11 +155,11 @@ fn synthesize_servlet_entrypoints(p: &mut Program) {
     let Some(req_c) = p.class_by_name("HttpServletRequest") else { return };
     let Some(resp_c) = p.class_by_name("HttpServletResponse") else { return };
     let subclasses: Vec<ClassId> = p
-        .iter_classes()
-        .filter(|(id, c)| {
-            !c.is_library && !c.is_interface && *id != servlet && p.is_subtype(*id, servlet)
+        .own_class_ids()
+        .filter(|&id| {
+            let c = p.class(id);
+            !c.is_library && !c.is_interface && id != servlet && p.is_subtype(id, servlet)
         })
-        .map(|(id, _)| id)
         .collect();
     for sc in subclasses {
         let mut b = BodyBuilder::new();
@@ -195,11 +198,11 @@ fn synthesize_struts_entrypoints(p: &mut Program) {
     let Some(tainted_input) = p.method_by_name(struts, "taintedInput") else { return };
 
     let actions: Vec<ClassId> = p
-        .iter_classes()
-        .filter(|(id, c)| {
-            !c.is_library && !c.is_interface && *id != action && p.is_subtype(*id, action)
+        .own_class_ids()
+        .filter(|&id| {
+            let c = p.class(id);
+            !c.is_library && !c.is_interface && id != action && p.is_subtype(id, action)
         })
-        .map(|(id, _)| id)
         .collect();
     for ac in actions {
         let Some(execute) = p.method_by_name(ac, "execute") else { continue };
@@ -209,9 +212,11 @@ fn synthesize_struts_entrypoints(p: &mut Program) {
         // Which ActionForm subtypes does execute cast its form to?
         let cast_targets = cast_constraints(p, execute, form_base);
         let forms: Vec<ClassId> = if cast_targets.is_empty() {
-            p.iter_classes()
-                .filter(|(id, c)| !c.is_interface && !c.is_library && p.is_subtype(*id, form_base))
-                .map(|(id, _)| id)
+            p.own_class_ids()
+                .filter(|&id| {
+                    let c = p.class(id);
+                    !c.is_interface && !c.is_library && p.is_subtype(id, form_base)
+                })
                 .collect()
         } else {
             cast_targets
@@ -600,6 +605,39 @@ mod tests {
         jir::expand::expand_models(&mut p);
         assert!(p.find_synthetic_field("$map$k").is_some(), "the application's put expands");
         assert_eq!(printed(&p), before);
+    }
+
+    /// `synthesize_entrypoints` visits only a program's own classes and
+    /// methods. Here the library is the program's own, so the pass visits
+    /// every library class too, and must synthesize the same entrypoints
+    /// as on the shared library.
+    #[test]
+    fn entrypoints_come_from_application_classes_only() {
+        const APP: &str = r#"
+            class Form extends ActionForm { field String s; ctor () { } }
+            class Act extends Action {
+                ctor () { }
+                method void execute(ActionMapping m, ActionForm f,
+                                    HttpServletRequest req, HttpServletResponse resp) { }
+            }
+            class Page extends HttpServlet {
+                method void doGet(HttpServletRequest req, HttpServletResponse resp) { }
+                method void doPost(HttpServletRequest req, HttpServletResponse resp) { }
+            }
+            class Tool { static method void main() { } }
+        "#;
+        let mut shared = jir::frontend::parse_program(APP).unwrap();
+        let mut own = jir::stdlib::library_program();
+        jir::lower::lower(&mut own, &jir::parser::parse(APP).unwrap()).unwrap();
+        assert_eq!(synthesize_entrypoints(&mut shared), 3);
+        assert_eq!(synthesize_entrypoints(&mut own), 3);
+        let printed = |p: &Program| -> Vec<String> {
+            p.entrypoints.iter().map(|&m| jir::pretty::method_to_string(p, m)).collect()
+        };
+        assert_eq!(printed(&shared), printed(&own));
+        let names: Vec<&str> =
+            shared.entrypoints.iter().map(|&m| shared.method(m).name.as_str()).collect();
+        assert_eq!(names, ["main", "$entry$Page", "$entry$Act"]);
     }
 
     #[test]

@@ -104,22 +104,21 @@ mod tests {
         let mut p = jir::frontend::build_program(src).unwrap();
         let c = p.class_by_name("Main").unwrap();
         p.entrypoints.push(p.method_by_name(c, "main").unwrap());
-        let rules = RuleSet::default_rules();
+        let resolved = RuleSet::default_rules().resolve(&p);
         let pts = analyze(
             &p,
             &SolverConfig {
-                policy: taj_pointer::PolicyConfig { taint_methods: rules.taint_methods(&p) },
-                source_methods: rules.all_sources(&p),
+                policy: taj_pointer::PolicyConfig { taint_methods: resolved.taint_methods() },
+                source_methods: resolved.sources(),
                 ..Default::default()
             },
         );
-        let resolved = rules.resolve(&p);
         let xss = resolved.iter().find(|r| r.issue == IssueType::Xss).unwrap();
         let mut spec = SliceSpec::default();
-        spec.sources.extend(xss.sources.iter().copied());
-        spec.sanitizers.extend(xss.sanitizers.iter().copied());
-        for (m, pos) in &xss.sinks {
-            spec.sinks.insert(*m, pos.clone());
+        spec.sources.extend(xss.sources());
+        spec.sanitizers.extend(xss.sanitizers());
+        for (m, pos) in xss.sinks() {
+            spec.sinks.insert(m, pos.to_vec());
         }
         let index = SliceIndex::build(&p, &pts, [&spec]);
         let view = taj_sdg::ProgramView::build(&index, &spec);

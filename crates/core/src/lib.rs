@@ -61,7 +61,7 @@ pub use frameworks::{DeploymentDescriptor, EjbEntry};
 pub use lcp::Finding;
 pub use report::{concurrency_text, profile_text, to_sarif, to_sarif_compact, to_text};
 pub use rulefile::{parse_rules, RuleParseError};
-pub use rules::{IssueType, MethodRef, ResolvedRule, RuleSet, SecurityRule};
+pub use rules::{IssueType, MethodRef, ResolvedRule, ResolvedRules, RuleSet, SecurityRule};
 pub use scoring::{score, GroundTruth, Score};
 pub use taj_obs::Recorder;
 pub use taj_supervise::{InterruptReason, Supervisor};

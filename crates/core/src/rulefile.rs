@@ -81,7 +81,8 @@ fn positions(parts: &[&str], line: usize) -> Result<Vec<usize>, RuleParseError> 
 /// # Errors
 /// Returns the first syntax problem with its line number.
 pub fn parse_rules(text: &str) -> Result<RuleSet, RuleParseError> {
-    let mut set = RuleSet::default();
+    let mut rules = Vec::new();
+    let mut whitelist = Vec::new();
     let mut current: Option<SecurityRule> = None;
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -111,7 +112,7 @@ pub fn parse_rules(text: &str) -> Result<RuleSet, RuleParseError> {
                 });
             }
             "end" => match current.take() {
-                Some(rule) => set.rules.push(rule),
+                Some(rule) => rules.push(rule),
                 None => {
                     return Err(RuleParseError {
                         line: lineno,
@@ -124,7 +125,7 @@ pub fn parse_rules(text: &str) -> Result<RuleSet, RuleParseError> {
                     line: lineno,
                     message: "`whitelist` needs a class name".into(),
                 })?;
-                set.whitelist.push((*name).to_string());
+                whitelist.push((*name).to_string());
             }
             directive @ ("source" | "ref-source" | "sanitizer" | "sink") => {
                 let rule = current.as_mut().ok_or_else(|| RuleParseError {
@@ -157,7 +158,7 @@ pub fn parse_rules(text: &str) -> Result<RuleSet, RuleParseError> {
             message: "unterminated `rule` block".into(),
         });
     }
-    Ok(set)
+    Ok(RuleSet { rules: rules.into(), whitelist })
 }
 
 #[cfg(test)]
@@ -182,6 +183,76 @@ end
         assert_eq!(r.issue, IssueType::Xss);
         assert_eq!(r.sources.len(), 1);
         assert_eq!(r.sinks[0].1, vec![0]);
+    }
+
+    /// `RuleSet::default_rules()` written as a rule file.
+    const DEFAULT_RULES: &str = r#"
+rule XSS
+  source HttpServletRequest.getParameter
+  source HttpServletRequest.getHeader
+  source HttpServletRequest.getQueryString
+  source Cookie.getValue
+  source Struts.taintedInput
+  ref-source RandomAccessFile.readFully 0
+  sanitizer URLEncoder.encode
+  sanitizer Encoder.encodeForHTML
+  sink PrintWriter.println 0
+  sink PrintWriter.print 0
+  sink PrintWriter.write 0
+end
+rule SQLi
+  source HttpServletRequest.getParameter
+  source HttpServletRequest.getHeader
+  source HttpServletRequest.getQueryString
+  source Cookie.getValue
+  source Struts.taintedInput
+  sanitizer Encoder.encodeForSQL
+  sink Statement.executeQuery 0
+  sink Statement.executeUpdate 0
+end
+rule CmdInjection
+  source HttpServletRequest.getParameter
+  source HttpServletRequest.getHeader
+  source HttpServletRequest.getQueryString
+  source Cookie.getValue
+  source Struts.taintedInput
+  sanitizer Encoder.encodeForOS
+  sink Runtime.exec 0
+end
+rule MaliciousFile
+  source HttpServletRequest.getParameter
+  source HttpServletRequest.getHeader
+  source HttpServletRequest.getQueryString
+  source Cookie.getValue
+  source Struts.taintedInput
+  sanitizer Encoder.canonicalize
+  sink File.<init> 0
+  sink FileInputStream.<init> 0
+  sink FileWriter.<init> 0
+end
+rule InfoLeak
+  source Throwable.getMessage
+  sanitizer Encoder.encodeForHTML
+  sink PrintWriter.println 0
+  sink PrintWriter.print 0
+end
+"#;
+
+    /// The built-in rules are shared data built once; this pins every
+    /// source, sanitizer and sink position of them, in order.
+    #[test]
+    fn default_rules_written_as_a_rule_file_parse_to_the_default_rules() {
+        let parsed = parse_rules(DEFAULT_RULES).unwrap();
+        let builtin = RuleSet::default_rules();
+        assert_eq!(parsed.rules.len(), builtin.rules.len());
+        for (p, b) in parsed.rules.iter().zip(builtin.rules.iter()) {
+            assert_eq!(p.issue, b.issue);
+            assert_eq!(p.sources, b.sources, "{} sources", p.issue);
+            assert_eq!(p.ref_sources, b.ref_sources, "{} ref sources", p.issue);
+            assert_eq!(p.sanitizers, b.sanitizers, "{} sanitizers", p.issue);
+            assert_eq!(p.sinks, b.sinks, "{} sinks", p.issue);
+        }
+        assert_eq!(parsed, builtin);
     }
 
     #[test]

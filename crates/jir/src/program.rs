@@ -237,6 +237,13 @@ impl Program {
         self.classes.iter().enumerate().map(|(i, c)| (ClassId::new(i), c))
     }
 
+    /// Ids of the classes this program added to its library, in id order.
+    /// A pass that looks only at application classes visits only these:
+    /// every library class is `is_library`.
+    pub fn own_class_ids(&self) -> impl Iterator<Item = ClassId> {
+        self.classes.own_range().map(ClassId::new)
+    }
+
     // ----- fields -----
 
     /// Adds a field to its owner class, returning its id.

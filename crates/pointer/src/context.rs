@@ -11,8 +11,7 @@
 //!   full-context heap cloning of collection allocations (with a recursion
 //!   cut) — see [`crate::keys::InstanceKey::Alloc`].
 
-use std::collections::HashSet;
-
+use jir::util::FxHashSet;
 use jir::{MethodId, Program};
 
 use crate::keys::{InstanceKeyId, Site};
@@ -39,7 +38,7 @@ pub const ROOT_CONTEXT: ContextId = ContextId(0);
 pub struct PolicyConfig {
     /// Taint-relevant API methods (sources, sinks, sanitizers): analyzed
     /// with one level of call-string context (§3.1).
-    pub taint_methods: HashSet<MethodId>,
+    pub taint_methods: FxHashSet<MethodId>,
 }
 
 /// How a callee should be contextualized at a given call.

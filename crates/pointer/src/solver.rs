@@ -8,7 +8,7 @@
 //! and **constraint solving** runs difference propagation to a fixpoint,
 //! which may discover new reachable nodes.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use jir::inst::{CallTarget, ConstValue, Filter, Inst, Loc, Terminator, Var};
 use jir::method::Intrinsic;
@@ -35,7 +35,7 @@ pub struct SolverConfig {
     pub priority: bool,
     /// Methods considered taint sources (π = 0 seeds of the priority
     /// scheme).
-    pub source_methods: HashSet<MethodId>,
+    pub source_methods: FxHashSet<MethodId>,
     /// Cooperative supervision handle, checked at both fixpoint loops.
     /// The default is unbounded, so unsupervised callers never trip.
     pub supervisor: Supervisor,
@@ -325,7 +325,7 @@ struct PreScan {
 
 impl PreScan {
     /// Walks the whole program and builds the scan.
-    fn scan(program: &Program, source_methods: &HashSet<MethodId>) -> Self {
+    fn scan(program: &Program, source_methods: &FxHashSet<MethodId>) -> Self {
         // Static indices for the priority heuristic.
         let mut field_loaders: FxHashMap<FieldId, Vec<MethodId>> = FxHashMap::default();
         let mut method_stores: FxHashMap<MethodId, Vec<FieldId>> = FxHashMap::default();
@@ -1529,7 +1529,7 @@ mod tests {
         let helper = program.class_by_name("Helper").unwrap();
         let id = program.method_by_name(helper, "id").unwrap();
         let main = program.method_by_name(main_class, "main").unwrap();
-        let sources: HashSet<MethodId> = [id].into_iter().collect();
+        let sources: FxHashSet<MethodId> = [id].into_iter().collect();
         let scan = PreScan::scan(&program, &sources);
         assert!(scan.source_adjacent.contains(&id), "sources are their own seeds");
         assert!(scan.source_adjacent.contains(&main), "main calls h.id virtually");
